@@ -31,12 +31,24 @@ from .cartan import (
 from .degree import NonConvergence, relative_degree
 from .jsonio import (
     SchemaError,
+    bool_from_json,
+    complex_from_json,
+    field_from_json as _field,
     frac_from_json,
+    frac_to_json,
     fracvec_from_json,
+    int_from_json,
+    list_from_json,
     matrix_from_json,
     matrix_to_json,
+    object_from_json,
+    parse_document,
+    real_from_json,
+    realvec_from_json,
+    str_from_json,
 )
 from .liealg import (
+    ConvergenceFailure,
     NumericallyDefective,
     TripleCompletionFailure,
     build_realization,
@@ -50,6 +62,7 @@ from .modelmetric import (
     radial_grid,
 )
 from .nahodge import (
+    CONVENTIONS,
     complete_ks_triple,
     entry_to_json,
     higgs_to_localsystem,
@@ -99,7 +112,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="parhodge", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, help_text in _COMMAND_HELP.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", metavar="FILE", help="JSON input document")
         p.add_argument("--output", metavar="FILE", help="write the report here instead of stdout")
@@ -122,93 +135,55 @@ def _load_input(args) -> tuple[bytes, Any]:
         raise SchemaError("$", "this command requires --input FILE")
     raw = Path(args.input).read_bytes()
     try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        if isinstance(exc, json.JSONDecodeError):
-            where = f"line {exc.lineno}, column {exc.colno}"
-        else:
-            where = "byte stream"
-        raise SchemaError(f"$ ({where})", "input is not valid JSON") from exc
-    return raw, payload
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$ (byte stream)", "input is not valid JSON") from exc
+    return raw, parse_document(text)
 
 
-def _obj(payload: Any, location: str = "$") -> dict:
-    if not isinstance(payload, dict):
-        raise SchemaError(location, "expected a JSON object")
-    return payload
+def _tol(args) -> dict:
+    """Keyword arguments that pass a --tolerance override on to a kernel."""
+    return {} if args.tolerance is None else {"tol": args.tolerance}
 
 
-def _req(payload: dict, key: str, location: str = "$") -> Any:
-    if key not in payload:
-        raise SchemaError(f"{location}.{key}", "missing required field")
-    return payload[key]
+def _realization(payload: dict):
+    return build_realization(_field(payload, "realization", str_from_json))
 
 
-def _str_field(payload: dict, key: str, location: str = "$") -> str:
-    v = _req(payload, key, location)
-    if not isinstance(v, str):
-        raise SchemaError(f"{location}.{key}", "expected a string")
-    return v
+def _root_datum(payload: dict):
+    return build_root_datum(
+        _field(payload, "cartan_type", str_from_json),
+        _field(payload, "rank", int_from_json),
+        lattice=_field(payload, "lattice", str_from_json, default="simply_connected"),
+    )
 
 
-def _int_field(payload: dict, key: str, location: str = "$", default: int | None = None) -> int:
-    if key not in payload:
-        if default is not None:
-            return default
-        raise SchemaError(f"{location}.{key}", "missing required field")
-    v = payload[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise SchemaError(f"{location}.{key}", "expected an integer")
-    return v
+def _signature(payload: dict) -> tuple[int, int] | None:
+    raw = _field(payload, "signature", list_from_json, default=None, length=2)
+    if raw is None:
+        return None
+    return tuple(int_from_json(x, f"$.signature[{i}]", lo=0) for i, x in enumerate(raw))
 
 
-def _numvec(obj: Any, location: str) -> list[float]:
-    # weights may arrive as floats or exact "p/q" strings
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError(location, "expected a non-empty list of numbers")
-    out = []
-    for i, x in enumerate(obj):
-        if isinstance(x, str):
-            out.append(float(Fraction(x)))
-        elif isinstance(x, (int, float)) and not isinstance(x, bool):
-            out.append(float(x))
-        else:
-            raise SchemaError(f"{location}[{i}]", f"expected a number or 'p/q', got {x!r}")
-    return out
+def _convention(payload: dict, report: dict) -> str:
+    """The monodromy scale convention of the input, echoed in the report header."""
+    convention = _field(payload, "convention", str_from_json, default="2pi_i", choices=CONVENTIONS)
+    report["conventions"]["monodromy_scale"] = convention
+    return convention
 
 
-def _complex_from_json(obj: Any, location: str) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2 and all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in obj
-    ):
-        return complex(obj[0], obj[1])
-    raise SchemaError(location, f"expected a number or [re, im], got {obj!r}")
-
-
-def _higgs_data(payload: dict, location: str = "$"):
-    obj = _req(payload, "data", location)
-    return higgs_from_json(_obj(obj, f"{location}.data"))
+def _higgs_data(payload: dict):
+    return higgs_from_json(_field(payload, "data", object_from_json))
 
 
 def _reduction_from_json(obj: Any, location: str) -> ReductionCertificate:
-    obj = _obj(obj, location)
-    chi = fracvec_from_json(_req(obj, "chi", location), f"{location}.chi")
-    degree = None
-    if obj.get("degree") is not None:
-        degree = frac_from_json(obj["degree"], f"{location}.degree")
-    phi = obj.get("phi_compatible", True)
-    if not isinstance(phi, bool):
-        raise SchemaError(f"{location}.phi_compatible", "expected a boolean")
-    label = obj.get("label", "reduction")
-    if not isinstance(label, str):
-        raise SchemaError(f"{location}.label", "expected a string")
-    levi = obj.get("levi_reduction")
-    if levi is not None and not isinstance(levi, bool):
-        raise SchemaError(f"{location}.levi_reduction", "expected a boolean or null")
+    obj = object_from_json(obj, location)
     return ReductionCertificate(
-        label=label, chi=chi, phi_compatible=phi, degree=degree, levi_reduction=levi
+        label=_field(obj, "label", str_from_json, location, default="reduction"),
+        chi=_field(obj, "chi", fracvec_from_json, location),
+        phi_compatible=_field(obj, "phi_compatible", bool_from_json, location, default=True),
+        degree=_field(obj, "degree", frac_from_json, location, default=None),
+        levi_reduction=_field(obj, "levi_reduction", bool_from_json, location, default=None),
     )
 
 
@@ -222,9 +197,7 @@ def _plain(obj: Any) -> Any:
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return int(obj)
-        return f"{obj.numerator}/{obj.denominator}"
+        return frac_to_json(obj)
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -301,11 +274,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _cmd_rootsys(payload: dict, args, report: dict) -> int:
-    rd = build_root_datum(
-        _str_field(payload, "cartan_type"),
-        _int_field(payload, "rank"),
-        lattice=payload.get("lattice", "simply_connected"),
-    )
+    rd = _root_datum(payload)
     method = "exact root-system arithmetic"
     report["outputs"] = {
         "cartan_type": rd.cartan_type,
@@ -321,13 +290,9 @@ def _cmd_rootsys(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_alcove_normalize(payload: dict, args, report: dict) -> int:
-    rd = build_root_datum(
-        _str_field(payload, "cartan_type"),
-        _int_field(payload, "rank"),
-        lattice=payload.get("lattice", "simply_connected"),
-    )
-    point = fracvec_from_json(_req(payload, "point"), "$.point")
-    bound = _int_field(payload, "search_bound", default=64)
+    rd = _root_datum(payload)
+    point = _field(payload, "point", fracvec_from_json)
+    bound = _field(payload, "search_bound", int_from_json, default=64, lo=1)
     result = alcove_normalize(rd, point, search_bound=bound)
     method = "exact affine-Weyl reduction"
     membership = alcove_membership(rd, result.normalized)
@@ -343,11 +308,10 @@ def _cmd_alcove_normalize(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_parabolic(payload: dict, args, report: dict) -> int:
-    real = build_realization(_str_field(payload, "realization"))
-    s = matrix_from_json(_req(payload, "s"), "$.s")
-    space = payload.get("space", "g^C")
-    kwargs = {} if args.tolerance is None else {"tol": args.tolerance}
-    datum = parabolic_from(real, s, space=space, **kwargs)
+    real = _realization(payload)
+    s = _field(payload, "s", matrix_from_json)
+    space = _field(payload, "space", str_from_json, default="g^C")
+    datum = parabolic_from(real, s, space=space, **_tol(args))
     method = "ad-eigenvalue grading"
     report["outputs"] = {
         "space": datum.space,
@@ -363,12 +327,8 @@ def _sample_hermitian_pair(model: str, rng: np.random.Generator) -> tuple[np.nda
     real = build_realization(model)
     out = []
     for _ in range(2):
-        if real.family == "U_pq":
-            b = complex(rng.standard_normal(), rng.standard_normal())
-            m = np.array([[0.0, b], [np.conj(b), 0.0]], dtype=complex)
-        else:
-            a = rng.standard_normal((real.n, real.n)) + 1j * rng.standard_normal((real.n, real.n))
-            m = (a + a.conj().T) / 2.0
+        a = rng.standard_normal((real.n, real.n)) + 1j * rng.standard_normal((real.n, real.n))
+        m = (a + a.conj().T) / 2.0
         norm = np.linalg.norm(m)
         if norm < 1e-8:
             return _sample_hermitian_pair(model, rng)
@@ -377,17 +337,16 @@ def _sample_hermitian_pair(model: str, rng: np.random.Generator) -> tuple[np.nda
 
 
 def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
-    tol = 1e-9 if args.tolerance is None else args.tolerance
     if "sample" in payload:
-        spec = _obj(payload["sample"], "$.sample")
-        model = _str_field(spec, "model", "$.sample")
-        count = _int_field(spec, "count", "$.sample", default=100)
+        spec = object_from_json(payload["sample"], "$.sample")
+        model = _field(spec, "model", str_from_json, "$.sample")
+        count = _field(spec, "count", int_from_json, "$.sample", default=100, lo=1)
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         worst = 0.0
         for _ in range(count):
             s, sigma = _sample_hermitian_pair(model, rng)
-            forward = relative_degree(s, sigma, tol=tol)
-            backward = relative_degree(sigma, s, tol=tol)
+            forward = relative_degree(s, sigma, **_tol(args))
+            backward = relative_degree(sigma, s, **_tol(args))
             worst = max(worst, abs(forward.value - backward.value))
         report["outputs"] = {
             "model": model,
@@ -395,9 +354,9 @@ def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
             "max_reciprocity_gap": _tagged(worst, "qr_flow, both orders"),
         }
         return EXIT_OK
-    s = matrix_from_json(_req(payload, "s"), "$.s")
-    sigma = matrix_from_json(_req(payload, "sigma"), "$.sigma")
-    result = relative_degree(s, sigma, tol=tol)
+    s = _field(payload, "s", matrix_from_json)
+    sigma = _field(payload, "sigma", matrix_from_json)
+    result = relative_degree(s, sigma, **_tol(args))
     report["outputs"] = {
         "value": _tagged(result.value, result.method),
         "converged": result.converged,
@@ -409,9 +368,7 @@ def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
 
 def _cmd_degree_parabolic(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    red = _reduction_from_json(
-        {"label": payload.get("label", "reduction"), **payload}, "$"
-    )
+    red = _reduction_from_json(payload, "$")
     pardeg = pardeg_reduction(data, red)
     central = sum((Fraction(a) * Fraction(b) for a, b in zip(data.c, red.chi)), Fraction(0))
     method = "exact double-filtration pairing"
@@ -426,20 +383,14 @@ def _cmd_degree_parabolic(payload: dict, args, report: dict) -> int:
 
 def _cmd_stability(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    mode = payload.get("mode", "certificate")
-    raw_reductions = payload.get("reductions", [])
-    if not isinstance(raw_reductions, list):
-        raise SchemaError("$.reductions", "expected a list")
-    reductions = [
-        _reduction_from_json(r, f"$.reductions[{i}]") for i, r in enumerate(raw_reductions)
-    ]
-    kwargs = {} if args.tolerance is None else {"tol": args.tolerance}
     verdict = stability_check(
         data,
-        mode=mode,
-        reductions=reductions,
-        degree_bound=_int_field(payload, "degree_bound", default=3),
-        **kwargs,
+        mode=_field(payload, "mode", str_from_json, default="certificate"),
+        reductions=_field(
+            payload, "reductions", list_from_json, default=[], items=_reduction_from_json
+        ),
+        degree_bound=_field(payload, "degree_bound", int_from_json, default=3),
+        **_tol(args),
     )
     method = "exact double-filtration pairing"
     report["outputs"] = {
@@ -455,12 +406,9 @@ def _cmd_stability(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_genericity(payload: dict, args, report: dict) -> int:
-    raw = _req(payload, "weights")
-    if not isinstance(raw, list):
-        raise SchemaError("$.weights", "expected a list of weight vectors")
-    weights = [fracvec_from_json(w, f"$.weights[{i}]") for i, w in enumerate(raw)]
     result = genericity_check(
-        weights, max_combinations=_int_field(payload, "max_combinations", default=200000)
+        _field(payload, "weights", list_from_json, items=fracvec_from_json),
+        max_combinations=_field(payload, "max_combinations", int_from_json, default=200000),
     )
     method = "exhaustive integer-character enumeration"
     report["outputs"] = {
@@ -473,11 +421,8 @@ def _cmd_genericity(payload: dict, args, report: dict) -> int:
 
 def _cmd_hecke(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    raw = _req(payload, "lambdas")
-    if not isinstance(raw, list):
-        raise SchemaError("$.lambdas", "expected one lattice vector per puncture")
-    lambdas = [fracvec_from_json(v, f"$.lambdas[{i}]") for i, v in enumerate(raw)]
-    lattice = payload.get("lattice", "GL")
+    lambdas = _field(payload, "lambdas", list_from_json, items=fracvec_from_json)
+    lattice = _field(payload, "lattice", str_from_json, default="GL")
     result = hecke_apply(data, lambdas, lattice=lattice)
     method = "exact cocharacter shift"
     report["outputs"] = {
@@ -490,9 +435,8 @@ def _cmd_hecke(payload: dict, args, report: dict) -> int:
 
 def _cmd_gr_res(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    i = _int_field(payload, "puncture", default=0)
-    kwargs = {} if args.tolerance is None else {"tol": args.tolerance}
-    graded = gr_res(data, i, **kwargs)
+    i = _field(payload, "puncture", int_from_json, default=0, lo=0, hi=len(data.punctures) - 1)
+    graded = gr_res(data, i, **_tol(args))
     method = "residue projection onto ker(Ad(exp 2 pi i alpha) - 1)"
     report["outputs"] = {
         "puncture": i,
@@ -504,71 +448,51 @@ def _cmd_gr_res(payload: dict, args, report: dict) -> int:
     return EXIT_OK
 
 
-def _convention(payload: dict) -> str:
-    convention = payload.get("convention", "2pi_i")
-    if convention not in ("2pi_i", "2pi"):
-        raise SchemaError("$.convention", f"expected '2pi_i' or '2pi', got {convention!r}")
-    return convention
-
-
 def _cmd_translate_h2l(payload: dict, args, report: dict) -> int:
-    real = build_realization(_str_field(payload, "realization"))
-    alpha = _numvec(_req(payload, "alpha"), "$.alpha")
-    s = matrix_from_json(_req(payload, "s"), "$.s")
-    y = matrix_from_json(_req(payload, "y"), "$.y")
-    convention = _convention(payload)
-    report["conventions"]["monodromy_scale"] = convention
-    kwargs = {} if args.tolerance is None else {"tol": args.tolerance}
-    entry = higgs_to_localsystem(alpha, s, y, real, convention=convention, **kwargs)
+    real = _realization(payload)
+    alpha = _field(payload, "alpha", realvec_from_json)
+    s = _field(payload, "s", matrix_from_json)
+    y = _field(payload, "y", matrix_from_json)
+    convention = _convention(payload, report)
+    entry = higgs_to_localsystem(alpha, s, y, real, convention=convention, **_tol(args))
     report["outputs"] = {"entry": entry_to_json(entry)}
     report["warnings"].extend(entry.branch_warnings)
     return EXIT_OK
 
 
 def _cmd_translate_l2h(payload: dict, args, report: dict) -> int:
-    real = build_realization(_str_field(payload, "realization"))
-    monodromy = matrix_from_json(_req(payload, "monodromy"), "$.monodromy")
-    beta = None
-    if payload.get("beta") is not None:
-        beta = matrix_from_json(payload["beta"], "$.beta")
-    convention = _convention(payload)
-    report["conventions"]["monodromy_scale"] = convention
-    kwargs = {} if args.tolerance is None else {"tol": args.tolerance}
-    entry = localsystem_to_higgs(monodromy, real, beta=beta, convention=convention, **kwargs)
+    real = _realization(payload)
+    monodromy = _field(payload, "monodromy", matrix_from_json)
+    beta = _field(payload, "beta", matrix_from_json, default=None)
+    convention = _convention(payload, report)
+    entry = localsystem_to_higgs(monodromy, real, beta=beta, convention=convention, **_tol(args))
     report["outputs"] = {"entry": entry_to_json(entry)}
     report["warnings"].extend(entry.branch_warnings)
     return EXIT_OK
 
 
+def _q_term(term: Any, location: str) -> tuple[int, int, complex]:
+    j, k, a = list_from_json(term, location, length=3)
+    return (
+        int_from_json(j, location + "[0]"),
+        int_from_json(k, location + "[1]"),
+        complex_from_json(a, location + "[2]"),
+    )
+
+
 def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
-    q_terms = None
-    if payload.get("q_terms") is not None:
-        raw = payload["q_terms"]
-        if not isinstance(raw, list):
-            raise SchemaError("$.q_terms", "expected one list of terms per puncture")
-        q_terms = []
-        for i, terms in enumerate(raw):
-            if not isinstance(terms, list):
-                raise SchemaError(f"$.q_terms[{i}]", "expected a list of [j, k, a] terms")
-            parsed = []
-            for j_term, term in enumerate(terms):
-                loc = f"$.q_terms[{i}][{j_term}]"
-                if not isinstance(term, list) or len(term) != 3:
-                    raise SchemaError(loc, "expected [degree, order, coefficient]")
-                parsed.append(
-                    (
-                        _int_field({"j": term[0]}, "j", loc),
-                        _int_field({"k": term[1]}, "k", loc),
-                        _complex_from_json(term[2], loc + "[2]"),
-                    )
-                )
-            q_terms.append(parsed)
     data = hitchin_section(
-        _str_field(payload, "mode"),
-        _int_field(payload, "genus"),
-        _int_field(payload, "n_punctures"),
-        q_terms=q_terms,
-        rank=_int_field(payload, "rank", default=2),
+        _field(payload, "mode", str_from_json),
+        _field(payload, "genus", int_from_json, lo=0),
+        _field(payload, "n_punctures", int_from_json, lo=0),
+        q_terms=_field(
+            payload,
+            "q_terms",
+            list_from_json,
+            default=None,
+            items=lambda terms, loc: list_from_json(terms, loc, _q_term),
+        ),
+        rank=_field(payload, "rank", int_from_json, default=2),
     )
     method = "section construction from differentials"
     report["outputs"] = {
@@ -581,16 +505,7 @@ def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
 
 def _cmd_toledo(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    signature = None
-    if payload.get("signature") is not None:
-        raw = payload["signature"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise SchemaError("$.signature", "expected [p, q]")
-        signature = (
-            _int_field({"p": raw[0]}, "p", "$.signature"),
-            _int_field({"q": raw[1]}, "q", "$.signature"),
-        )
-    tau = toledo_invariant(data, signature=signature)
+    tau = toledo_invariant(data, signature=_signature(payload))
     report["outputs"] = {
         "tau": _tagged(tau, "exact character pairing"),
         "realization": data.realization,
@@ -600,20 +515,11 @@ def _cmd_toledo(payload: dict, args, report: dict) -> int:
 
 def _cmd_mw_check(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    signature = None
-    if payload.get("signature") is not None:
-        raw = payload["signature"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise SchemaError("$.signature", "expected [p, q]")
-        signature = (
-            _int_field({"p": raw[0]}, "p", "$.signature"),
-            _int_field({"q": raw[1]}, "q", "$.signature"),
-        )
     result = milnor_wood_check(
         data,
-        signature=signature,
-        rank_plus=payload.get("rank_plus"),
-        rank_minus=payload.get("rank_minus"),
+        signature=_signature(payload),
+        rank_plus=_field(payload, "rank_plus", int_from_json, default=None, lo=0),
+        rank_minus=_field(payload, "rank_minus", int_from_json, default=None, lo=0),
     )
     method = "exact character pairing"
     report["outputs"] = {
@@ -628,10 +534,9 @@ def _cmd_mw_check(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_ks_orbit(payload: dict, args, report: dict) -> int:
-    real = build_realization(_str_field(payload, "realization"))
-    e = matrix_from_json(_req(payload, "e"), "$.e")
-    kwargs = {} if args.tolerance is None else {"tol": args.tolerance}
-    cert = kostant_sekiguchi_orbit_map(real, e, **kwargs)
+    real = _realization(payload)
+    e = _field(payload, "e", matrix_from_json)
+    cert = kostant_sekiguchi_orbit_map(real, e, **_tol(args))
     method = "Jacobson-Morozov plus Cayley transform"
     report["outputs"] = {
         "rank_sequence": _tagged(cert.rank_sequence, method),
@@ -640,53 +545,39 @@ def _cmd_ks_orbit(payload: dict, args, report: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_model(payload: dict, args, report: dict) -> int:
-    real = build_realization(_str_field(payload, "realization"))
-    alpha = _numvec(_req(payload, "alpha"), "$.alpha")
-    n = len(alpha)
-    if payload.get("s") is not None:
-        s = matrix_from_json(payload["s"], "$.s")
-    else:
-        s = np.zeros((n, n), dtype=complex)
-    triple = None
-    if payload.get("y") is not None:
-        y = matrix_from_json(payload["y"], "$.y")
-        triple = complete_ks_triple(real, y)
-    grid_spec = _obj(_req(payload, "grid"), "$.grid")
-    r_max = float(_req(grid_spec, "r_max", "$.grid"))
-    r_min = float(_req(grid_spec, "r_min", "$.grid"))
-    count = _int_field(grid_spec, "count", "$.grid")
-    n_theta = _int_field(grid_spec, "n_theta", "$.grid", default=64)
-    grid = radial_grid(r_max, r_min, count, n_theta=n_theta)
-    extra_terms = []
-    if payload.get("extra_terms") is not None:
-        raw = payload["extra_terms"]
-        if not isinstance(raw, list):
-            raise SchemaError("$.extra_terms", "expected a list of [order, matrix] pairs")
-        for i, pair in enumerate(raw):
-            loc = f"$.extra_terms[{i}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(loc, "expected [order, matrix]")
-            extra_terms.append(
-                (_int_field({"k": pair[0]}, "k", loc), matrix_from_json(pair[1], loc + "[1]"))
-            )
-    convention = _convention(payload)
-    report["conventions"]["monodromy_scale"] = convention
+def _extra_term(pair: Any, location: str) -> tuple[int, np.ndarray]:
+    k, m = list_from_json(pair, location, length=2)
+    return int_from_json(k, location + "[0]"), matrix_from_json(m, location + "[1]")
 
-    residual_kwargs = {}
-    holonomy_kwargs = {}
-    if args.tolerance is not None:
-        residual_kwargs["tol"] = args.tolerance
-        holonomy_kwargs["tol"] = args.tolerance
-    if payload.get("fd_step") is not None:
-        residual_kwargs["fd_step"] = float(payload["fd_step"])
+
+def _cmd_verify_model(payload: dict, args, report: dict) -> int:
+    real = _realization(payload)
+    alpha = _field(payload, "alpha", realvec_from_json)
+    n = len(alpha)
+    s = _field(payload, "s", matrix_from_json, default=np.zeros((n, n), dtype=complex))
+    y = _field(payload, "y", matrix_from_json, default=None)
+    triple = None if y is None else complete_ks_triple(real, y)
+    grid_spec = _field(payload, "grid", object_from_json)
+    grid = radial_grid(
+        _field(grid_spec, "r_max", real_from_json, "$.grid"),
+        _field(grid_spec, "r_min", real_from_json, "$.grid"),
+        _field(grid_spec, "count", int_from_json, "$.grid"),
+        n_theta=_field(grid_spec, "n_theta", int_from_json, "$.grid", default=64),
+    )
+    extra_terms = _field(payload, "extra_terms", list_from_json, default=[], items=_extra_term)
+    convention = _convention(payload, report)
+
+    residual_kwargs = _tol(args)
+    fd_step = _field(payload, "fd_step", real_from_json, default=None, above=0)
+    if fd_step is not None:
+        residual_kwargs["fd_step"] = fd_step
     profile = hitchin_residual(
         alpha, s, triple, grid, real, extra_terms=tuple(extra_terms), **residual_kwargs
     )
     rows = []
     for r, rho in zip(profile.radii, profile.rho):
         holonomy = holonomy_check(
-            alpha, s, triple, r, real, convention=convention, **holonomy_kwargs
+            alpha, s, triple, r, real, convention=convention, **_tol(args)
         )
         rows.append(
             {
@@ -719,42 +610,30 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
     return EXIT_OK
 
 
-_COMMAND_HELP = {
-    "rootsys": "print the exact root datum of a Cartan type",
-    "alcove-normalize": "canonical affine-Weyl representative of a rational weight",
-    "parabolic": "parabolic subalgebra attached to a boundary element",
-    "degree-relative": "relative degree of a pair, or a sampled reciprocity sweep",
-    "degree-parabolic": "parabolic degree of one reduction certificate",
-    "stability": "slope trichotomy over certificates or a bounded search",
-    "genericity": "no integer character vanishes on the weight tuple",
-    "hecke": "shift parabolic weights by cocharacter lattice vectors",
-    "gr-res": "graded residue of the Higgs field at one puncture",
-    "ks-orbit": "Kostant-Sekiguchi orbit certificate of a real nilpotent",
-    "translate-h2l": "Higgs puncture data to local-system monodromy entry",
-    "translate-l2h": "local-system monodromy to Higgs puncture entry",
-    "hitchin-section": "Higgs data of a section defined by differentials",
-    "toledo": "Toledo invariant of Hermitian-type Higgs data",
-    "mw-check": "Milnor-Wood window check for the Toledo invariant",
-    "verify-model": "residual and holonomy table for the model metric",
-}
-
-_HANDLERS: dict[str, Callable[[dict, Any, dict], int]] = {
-    "rootsys": _cmd_rootsys,
-    "alcove-normalize": _cmd_alcove_normalize,
-    "parabolic": _cmd_parabolic,
-    "degree-relative": _cmd_degree_relative,
-    "degree-parabolic": _cmd_degree_parabolic,
-    "stability": _cmd_stability,
-    "genericity": _cmd_genericity,
-    "hecke": _cmd_hecke,
-    "gr-res": _cmd_gr_res,
-    "ks-orbit": _cmd_ks_orbit,
-    "translate-h2l": _cmd_translate_h2l,
-    "translate-l2h": _cmd_translate_l2h,
-    "hitchin-section": _cmd_hitchin_section,
-    "toledo": _cmd_toledo,
-    "mw-check": _cmd_mw_check,
-    "verify-model": _cmd_verify_model,
+# name -> (handler, help line); the parser lists the commands in this order
+_COMMANDS: dict[str, tuple[Callable[[dict, Any, dict], int], str]] = {
+    "rootsys": (_cmd_rootsys, "print the exact root datum of a Cartan type"),
+    "alcove-normalize": (
+        _cmd_alcove_normalize,
+        "canonical affine-Weyl representative of a rational weight",
+    ),
+    "parabolic": (_cmd_parabolic, "parabolic subalgebra attached to a boundary element"),
+    "degree-relative": (
+        _cmd_degree_relative,
+        "relative degree of a pair, or a sampled reciprocity sweep",
+    ),
+    "degree-parabolic": (_cmd_degree_parabolic, "parabolic degree of one reduction certificate"),
+    "stability": (_cmd_stability, "slope trichotomy over certificates or a bounded search"),
+    "genericity": (_cmd_genericity, "no integer character vanishes on the weight tuple"),
+    "hecke": (_cmd_hecke, "shift parabolic weights by cocharacter lattice vectors"),
+    "gr-res": (_cmd_gr_res, "graded residue of the Higgs field at one puncture"),
+    "ks-orbit": (_cmd_ks_orbit, "Kostant-Sekiguchi orbit certificate of a real nilpotent"),
+    "translate-h2l": (_cmd_translate_h2l, "Higgs puncture data to local-system monodromy entry"),
+    "translate-l2h": (_cmd_translate_l2h, "local-system monodromy to Higgs puncture entry"),
+    "hitchin-section": (_cmd_hitchin_section, "Higgs data of a section defined by differentials"),
+    "toledo": (_cmd_toledo, "Toledo invariant of Hermitian-type Higgs data"),
+    "mw-check": (_cmd_mw_check, "Milnor-Wood window check for the Toledo invariant"),
+    "verify-model": (_cmd_verify_model, "residual and holonomy table for the model metric"),
 }
 
 
@@ -782,8 +661,10 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
     try:
         raw, payload = _load_input(args)
         report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
-        code = _HANDLERS[args.command](_obj(payload), args, report)
+        handler, _ = _COMMANDS[args.command]
+        code = handler(object_from_json(payload), args, report)
     except (
+        ConvergenceFailure,
         GridTooCoarse,
         IntegratorFailure,
         SearchExhausted,

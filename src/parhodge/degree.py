@@ -196,6 +196,8 @@ def relative_degree_filtration(flag_a, weights_a, flag_b, weights_b):
     weights list one value per graded piece, in the same ascending-step order.
     Fraction inputs are processed in exact arithmetic and return a Fraction.
     """
+    if not flag_a or not flag_b:
+        raise FlagError("flags need at least one step")
     exact = _is_exact(flag_a) and _is_exact(flag_b)
     if len(flag_a) != len(weights_a) or len(flag_b) != len(weights_b):
         raise FlagError("one weight per flag step is required")

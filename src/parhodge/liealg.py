@@ -605,8 +605,6 @@ def normalize_kostant_sekiguchi(
         improved = False
         s = step
         for _ in range(40):
-            from scipy.linalg import expm
-
             g_ = expm(s * direction)
             g_inv = np.linalg.inv(g_)
             e2, f2 = g_ @ e @ g_inv, g_ @ f @ g_inv
@@ -706,6 +704,11 @@ def rank_sequence(m: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
     return tuple(seq)
 
 
+# SL(2,R): the m^C eigenlines of ad(i*J0) are spanned by these two nilpotents
+_U_PLUS = np.array([[1, -1j], [-1j, -1]], dtype=complex) / 2
+_U_MINUS = np.array([[1, 1j], [1j, -1]], dtype=complex) / 2
+
+
 def _component_signs(real: Realization, y: np.ndarray) -> tuple[int, ...] | None:
     """For the 2x2 real-rank-one models: signs of the nonzero m^C eigencomponents."""
     if real.n != 2 or real.family not in ("SL_R", "SU_pq"):
@@ -717,13 +720,10 @@ def _component_signs(real: Realization, y: np.ndarray) -> tuple[int, ...] | None
         if abs(y[1, 0]) > 1e-9 * (1 + hs_norm(y)):
             signs.append(-1)
         return tuple(signs)
-    # SL(2,R): m^C eigenlines of ad(i*J0) are spanned by [[1,-i],[-i,-1]] and [[1,i],[i,-1]]
-    plus = np.array([[1, -1j], [-1j, -1]], dtype=complex) / 2
-    minus = np.array([[1, 1j], [1j, -1]], dtype=complex) / 2
     signs = []
-    if abs(np.vdot(plus, y)) > 1e-9 * (1 + hs_norm(y)):
+    if abs(np.vdot(_U_PLUS, y)) > 1e-9 * (1 + hs_norm(y)):
         signs.append(+1)
-    if abs(np.vdot(minus, y)) > 1e-9 * (1 + hs_norm(y)):
+    if abs(np.vdot(_U_MINUS, y)) > 1e-9 * (1 + hs_norm(y)):
         signs.append(-1)
     return tuple(signs)
 

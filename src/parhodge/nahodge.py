@@ -42,7 +42,18 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm, logm
 
-from .jsonio import SchemaError, matrix_from_json, matrix_to_json
+from .jsonio import (
+    SchemaError,
+    field_from_json,
+    int_from_json,
+    list_from_json,
+    matrix_from_json,
+    matrix_to_json,
+    object_from_json,
+    parse_document,
+    realvec_from_json,
+    str_from_json,
+)
 from .liealg import (
     NotInModel,
     NumericallyDefective,
@@ -50,6 +61,8 @@ from .liealg import (
     Realization,
     SL2Triple,
     TripleCompletionFailure,
+    _U_MINUS,
+    _U_PLUS,
     _component_signs,
     build_realization,
     comm,
@@ -142,8 +155,6 @@ def y_orbit_certificate(real: Realization, y: np.ndarray, tol: float = 1e-9) -> 
 # normalized sl2-triples through a nilpotent in m^C
 # ---------------------------------------------------------------------------
 
-_U_PLUS = np.array([[1, -1j], [-1j, -1]], dtype=complex) / 2
-_U_MINUS = np.array([[1, 1j], [1j, -1]], dtype=complex) / 2
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
@@ -402,11 +413,18 @@ def _local_orbit_data(
             triple=triple,
         )
         return cert, triple
-    triple = complete_ks_triple(real, n_mat, tol)
+    y = n_mat
+    if real.family in ("SL_R", "SU_pq"):
+        # N = Y - H - X with H in h^C and X, Y in m^C; the grading
+        # [H, Y] = -2Y, [H, X] = 2X then separates Y from m = Y - X
+        h = -real.project_hC(n_mat)
+        m = real.project_mC(n_mat)
+        y = (m - comm(h, m) / 2) / 2
+    triple = complete_ks_triple(real, y, tol)
     cert = OrbitCertificate(
         rank_sequence=ranks,
         component_signs=None,
-        representative=triple.f if triple is not None else n_mat,
+        representative=triple.f if triple is not None else y,
         triple=triple,
     )
     return cert, triple
@@ -551,70 +569,51 @@ def entry_to_json(entry: PunctureDictionaryEntry) -> dict:
 
 
 def entry_from_json(obj: dict) -> PunctureDictionaryEntry:
-    if not isinstance(obj, dict):
-        raise SchemaError("$", "expected an object")
+    obj = object_from_json(obj)
     if obj.get("schema") != DICTIONARY_SCHEMA:
         raise SchemaError("$.schema", f"expected {DICTIONARY_SCHEMA!r}")
-    for key in ("provenance", "convention", "realization", "higgs", "local", "certificate"):
-        if key not in obj:
-            raise SchemaError(f"$.{key}", "missing")
-    convention = obj["convention"]
-    if convention not in CONVENTIONS:
-        raise SchemaError("$.convention", f"expected one of {CONVENTIONS}")
-    higgs = obj["higgs"]
-    if not isinstance(higgs, dict) or "alpha" not in higgs or "s" not in higgs:
-        raise SchemaError("$.higgs", "expected an object with alpha and s")
-    alpha_raw = higgs["alpha"]
-    if not isinstance(alpha_raw, list):
-        raise SchemaError("$.higgs.alpha", "expected a list of numbers")
-    alpha = tuple(float(a) for a in alpha_raw)
-    s = matrix_from_json(higgs["s"], "$.higgs.s")
-    triple = None
-    if higgs.get("triple") is not None:
-        t = higgs["triple"]
-        for key in ("H", "X", "Y"):
-            if key not in t:
-                raise SchemaError(f"$.higgs.triple.{key}", "missing")
+    higgs = field_from_json(obj, "higgs", object_from_json)
+    local = field_from_json(obj, "local", object_from_json)
+    factors = field_from_json(local, "factors", object_from_json, "$.local")
+    cert = field_from_json(obj, "certificate", object_from_json)
+
+    def matrix(parent: dict, key: str, location: str) -> np.ndarray:
+        return field_from_json(parent, key, matrix_from_json, location)
+
+    triple = field_from_json(higgs, "triple", object_from_json, "$.higgs", default=None)
+    if triple is not None:
         triple = SL2Triple(
-            x=matrix_from_json(t["H"], "$.higgs.triple.H"),
-            e=matrix_from_json(t["X"], "$.higgs.triple.X"),
-            f=matrix_from_json(t["Y"], "$.higgs.triple.Y"),
+            x=matrix(triple, "H", "$.higgs.triple"),
+            e=matrix(triple, "X", "$.higgs.triple"),
+            f=matrix(triple, "Y", "$.higgs.triple"),
             flavor="ks_normal",
         )
-    local = obj["local"]
-    if not isinstance(local, dict) or "monodromy" not in local or "factors" not in local:
-        raise SchemaError("$.local", "expected an object with monodromy and factors")
-    if "nilpotent_log" not in local:
-        raise SchemaError("$.local.nilpotent_log", "missing")
-    factors = local["factors"]
-    for key in ("elliptic", "hyperbolic", "unipotent"):
-        if key not in factors:
-            raise SchemaError(f"$.local.factors.{key}", "missing")
-    cert_obj = obj["certificate"]
-    if not isinstance(cert_obj, dict) or "rank_sequence" not in cert_obj:
-        raise SchemaError("$.certificate", "expected an object with rank_sequence")
-    signs_raw = cert_obj.get("component_signs")
-    cert = OrbitCertificate(
-        rank_sequence=tuple(int(r) for r in cert_obj["rank_sequence"]),
-        component_signs=None if signs_raw is None else tuple(int(x) for x in signs_raw),
-        representative=None,
-        triple=None,
+    ranks = field_from_json(
+        cert, "rank_sequence", list_from_json, "$.certificate", items=int_from_json
+    )
+    signs = field_from_json(
+        cert, "component_signs", list_from_json, "$.certificate", default=None, items=int_from_json
     )
     return PunctureDictionaryEntry(
-        realization=obj["realization"],
-        provenance=obj["provenance"],
-        convention=convention,
-        alpha=alpha,
-        s=s,
+        realization=field_from_json(obj, "realization", str_from_json),
+        provenance=field_from_json(obj, "provenance", str_from_json),
+        convention=field_from_json(obj, "convention", str_from_json, choices=CONVENTIONS),
+        alpha=tuple(field_from_json(higgs, "alpha", realvec_from_json, "$.higgs")),
+        s=matrix(higgs, "s", "$.higgs"),
         triple=triple,
-        beta=matrix_from_json(local["beta"], "$.local.beta"),
-        elliptic=matrix_from_json(factors["elliptic"], "$.local.factors.elliptic"),
-        hyperbolic=matrix_from_json(factors["hyperbolic"], "$.local.factors.hyperbolic"),
-        unipotent=matrix_from_json(factors["unipotent"], "$.local.factors.unipotent"),
-        monodromy=matrix_from_json(local["monodromy"], "$.local.monodromy"),
-        nilpotent_log=matrix_from_json(local["nilpotent_log"], "$.local.nilpotent_log"),
-        y_certificate=cert,
-        branch_warnings=tuple(str(w) for w in obj.get("warnings", ())),
+        beta=matrix(local, "beta", "$.local"),
+        elliptic=matrix(factors, "elliptic", "$.local.factors"),
+        hyperbolic=matrix(factors, "hyperbolic", "$.local.factors"),
+        unipotent=matrix(factors, "unipotent", "$.local.factors"),
+        monodromy=matrix(local, "monodromy", "$.local"),
+        nilpotent_log=matrix(local, "nilpotent_log", "$.local"),
+        y_certificate=OrbitCertificate(
+            rank_sequence=tuple(ranks),
+            component_signs=None if signs is None else tuple(signs),
+        ),
+        branch_warnings=tuple(
+            field_from_json(obj, "warnings", list_from_json, default=[], items=str_from_json)
+        ),
     )
 
 
@@ -623,11 +622,7 @@ def entry_dumps(entry: PunctureDictionaryEntry) -> str:
 
 
 def entry_loads(text: str) -> PunctureDictionaryEntry:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    return entry_from_json(obj)
+    return entry_from_json(parse_document(text))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -23,12 +23,18 @@ from .cartan import alcove_membership, build_root_datum, cochar_contains
 from .degree import relative_degree_filtration
 from .jsonio import (
     SchemaError,
+    field_from_json,
     frac_from_json,
     frac_to_json,
     fracvec_from_json,
     fracvec_to_json,
+    int_from_json,
+    list_from_json,
     matrix_from_json,
     matrix_to_json,
+    object_from_json,
+    parse_document,
+    str_from_json,
 )
 from .liealg import jordan_additive
 
@@ -237,73 +243,47 @@ def to_json(data: ParabolicHiggsData) -> dict:
     }
 
 
+def _summand_from_json(obj: Any, location: str) -> tuple[Fraction, int]:
+    obj = object_from_json(obj, location)
+    degree = field_from_json(obj, "degree", frac_from_json, location)
+    return degree, field_from_json(obj, "rank", int_from_json, location, default=1, lo=1)
+
+
+def _term_from_json(obj: Any, location: str) -> LaurentTerm:
+    obj = object_from_json(obj, location)
+    return LaurentTerm(
+        order=field_from_json(obj, "order", int_from_json, location),
+        eigenvalue=field_from_json(obj, "eigenvalue", frac_from_json, location),
+        matrix=field_from_json(obj, "matrix", matrix_from_json, location),
+    )
+
+
+def _puncture_from_json(obj: Any, location: str) -> Puncture:
+    obj = object_from_json(obj, location)
+    flag = field_from_json(obj, "flag", list_from_json, location, default=None, items=matrix_from_json)
+    laurent = field_from_json(obj, "laurent", object_from_json, location, default={"terms": []})
+    terms = field_from_json(laurent, "terms", list_from_json, location + ".laurent", items=_term_from_json)
+    return Puncture(
+        weight=field_from_json(obj, "weight", fracvec_from_json, location),
+        laurent=tuple(terms),
+        flag=None if flag is None else tuple(flag),
+    )
+
+
 def from_json(obj: dict) -> ParabolicHiggsData:
-    if not isinstance(obj, dict):
-        raise SchemaError("$", "expected an object")
+    obj = object_from_json(obj)
     if obj.get("schema") != SCHEMA:
         raise SchemaError("$.schema", f"expected {SCHEMA!r}")
-    genus = obj.get("genus")
-    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
-        raise SchemaError("$.genus", "expected a nonnegative integer")
-    realization = obj.get("realization", "")
-    if not isinstance(realization, str):
-        raise SchemaError("$.realization", "expected a string")
-    bundle = obj.get("bundle")
-    if not isinstance(bundle, dict) or not isinstance(bundle.get("summands"), list):
-        raise SchemaError("$.bundle.summands", "expected a list of summands")
-    degrees, ranks = [], []
-    for j, s in enumerate(bundle["summands"]):
-        loc = f"$.bundle.summands[{j}]"
-        if not isinstance(s, dict):
-            raise SchemaError(loc, "expected an object")
-        degrees.append(frac_from_json(s.get("degree"), loc + ".degree"))
-        r = s.get("rank", 1)
-        if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-            raise SchemaError(loc + ".rank", "expected a positive integer")
-        ranks.append(r)
-    raw_punctures = obj.get("punctures")
-    if not isinstance(raw_punctures, list):
-        raise SchemaError("$.punctures", "expected a list")
-    punctures = []
-    for i, p in enumerate(raw_punctures):
-        loc = f"$.punctures[{i}]"
-        if not isinstance(p, dict):
-            raise SchemaError(loc, "expected an object")
-        weight = fracvec_from_json(p.get("weight"), loc + ".weight")
-        flag = None
-        if p.get("flag") is not None:
-            if not isinstance(p["flag"], list):
-                raise SchemaError(loc + ".flag", "expected a list of matrices or null")
-            flag = tuple(
-                matrix_from_json(step, f"{loc}.flag[{j}]") for j, step in enumerate(p["flag"])
-            )
-        laurent = p.get("laurent", {"terms": []})
-        if not isinstance(laurent, dict) or not isinstance(laurent.get("terms"), list):
-            raise SchemaError(loc + ".laurent.terms", "expected a list of terms")
-        terms = []
-        for j, t in enumerate(laurent["terms"]):
-            tloc = f"{loc}.laurent.terms[{j}]"
-            if not isinstance(t, dict):
-                raise SchemaError(tloc, "expected an object")
-            order = t.get("order")
-            if not isinstance(order, int) or isinstance(order, bool):
-                raise SchemaError(tloc + ".order", "expected an integer")
-            terms.append(
-                LaurentTerm(
-                    order=order,
-                    eigenvalue=frac_from_json(t.get("eigenvalue"), tloc + ".eigenvalue"),
-                    matrix=matrix_from_json(t.get("matrix"), tloc + ".matrix"),
-                )
-            )
-        punctures.append(Puncture(weight=weight, laurent=tuple(terms), flag=flag))
-    c = fracvec_from_json(obj.get("c", [0] * len(degrees)), "$.c")
+    bundle = field_from_json(obj, "bundle", object_from_json)
+    summands = field_from_json(bundle, "summands", list_from_json, "$.bundle", items=_summand_from_json)
+    degrees = tuple(degree for degree, _ in summands)
     return ParabolicHiggsData(
-        genus=genus,
-        realization=realization,
-        punctures=tuple(punctures),
-        summand_degrees=tuple(degrees),
-        summand_ranks=tuple(ranks),
-        c=c,
+        genus=field_from_json(obj, "genus", int_from_json, lo=0),
+        realization=field_from_json(obj, "realization", str_from_json, default=""),
+        punctures=tuple(field_from_json(obj, "punctures", list_from_json, items=_puncture_from_json)),
+        summand_degrees=degrees,
+        summand_ranks=tuple(rank for _, rank in summands),
+        c=field_from_json(obj, "c", fracvec_from_json, default=tuple(Fraction(0) for _ in degrees)),
     )
 
 
@@ -312,11 +292,7 @@ def dumps(data: ParabolicHiggsData) -> str:
 
 
 def loads(text: str) -> ParabolicHiggsData:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    return from_json(obj)
+    return from_json(parse_document(text))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parhodge.cli import cli_dispatch, main
 from parhodge.nahodge import hitchin_section
@@ -407,3 +409,156 @@ def test_console_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["outputs"]["rank"] == 2
+
+
+GRID = {"r_max": 1e-2, "r_min": 1e-4, "count": 2}
+VERIFY_MODEL = {"realization": "SU(1,1)", "alpha": [0, 0], "y": [[0, 0], [1, 0]], "grid": GRID}
+DIAG = [[1, 0], [0, -1]]
+
+
+@pytest.mark.parametrize(
+    "command, payload, location",
+    [
+        ("gr-res", {"data": WALL_DATA, "puncture": 7}, "$.puncture"),
+        ("gr-res", {"data": WALL_DATA, "puncture": -1}, "$.puncture"),
+        ("mw-check", {"data": WALL_DATA, "rank_plus": "x"}, "$.rank_plus"),
+        ("verify-model", {**VERIFY_MODEL, "grid": {**GRID, "r_max": None}}, "$.grid.r_max"),
+        ("verify-model", {**VERIFY_MODEL, "grid": {**GRID, "r_max": [1]}}, "$.grid.r_max"),
+        ("verify-model", {**VERIFY_MODEL, "fd_step": [1]}, "$.fd_step"),
+        ("verify-model", {**VERIFY_MODEL, "alpha": ["1/0", 0]}, "$.alpha[0]"),
+        ("verify-model", {**VERIFY_MODEL, "alpha": [0, "abc"]}, "$.alpha[1]"),
+        ("parabolic", {"realization": "GL(2,C)", "s": DIAG, "space": [1]}, "$.space"),
+        ("degree-relative", {"sample": {"model": "SU(1,1)", "count": -5}}, "$.sample.count"),
+        (
+            "alcove-normalize",
+            {"cartan_type": "A", "rank": 2, "point": [0, 0], "search_bound": -3},
+            "$.search_bound",
+        ),
+        ("degree-relative", {"s": [[[True, 0], 0], [0, 0]], "sigma": DIAG}, "$.s[0][0]"),
+        ("degree-relative", {"s": [[float("nan"), 0], [0, 0]], "sigma": DIAG}, "$.s[0][0]"),
+        (
+            "translate-l2h",
+            {"realization": "SU(1,1)", "monodromy": [[1, [0, float("inf")]], [0, 1]]},
+            "$.monodromy[0][1][1]",
+        ),
+    ],
+)
+def test_hostile_field_exits_3_with_location(tmp_path, command, payload, location):
+    code, report = run_cli(tmp_path, command, payload)
+    assert code == 3
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["location"] == location
+
+
+def test_convergence_failure_exits_4(tmp_path, monkeypatch):
+    from parhodge import cli
+    from parhodge.liealg import ConvergenceFailure
+
+    def stalled(*args, **kwargs):
+        raise ConvergenceFailure("Kostant-Sekiguchi descent stalled")
+
+    monkeypatch.setattr(cli, "kostant_sekiguchi_orbit_map", stalled)
+    code, report = run_cli(
+        tmp_path, "ks-orbit", {"realization": "SL(2,R)", "e": [[0, 1], [0, 0]]}
+    )
+    assert code == 4
+    assert report["error"]["type"] == "ConvergenceFailure"
+
+
+# one valid input per command, optional fields included so that they get mutated too
+VALID_INPUTS = {
+    "rootsys": {"cartan_type": "A", "rank": 2, "lattice": "adjoint"},
+    "alcove-normalize": {"cartan_type": "C", "rank": 2, "point": ["7/3", "5/2"], "search_bound": 8},
+    "parabolic": {
+        "realization": "GL(3,C)",
+        "s": [[1, 0, 0], [0, 0, 0], [0, 0, -1]],
+        "space": "g^C",
+    },
+    "degree-relative": {"s": [[0.5, 0], [0, -0.5]], "sigma": [[0.5, 0], [0, -0.5]]},
+    "degree-parabolic": {"data": WALL_DATA, "chi": [1, 0], "label": "line", "degree": 0},
+    "stability": {
+        "data": WALL_DATA,
+        "mode": "certificate",
+        "reductions": [
+            {"label": "split", "chi": [1, -1], "phi_compatible": True, "levi_reduction": False}
+        ],
+        "degree_bound": 3,
+    },
+    "genericity": {"weights": [[0, "1/2"], ["1/4", "3/4"]], "max_combinations": 100},
+    "hecke": {"data": WALL_DATA, "lambdas": [[1, -2], [0, 3], [2, 2]], "lattice": "GL"},
+    "gr-res": {"data": WALL_DATA, "puncture": 0},
+    "ks-orbit": {"realization": "SL(2,R)", "e": [[0, 1], [0, 0]]},
+    "translate-h2l": {
+        "realization": "SU(1,1)",
+        "alpha": [0, 0],
+        "s": [[0, 0], [0, 0]],
+        "y": [[0, 0], [1, 0]],
+        "convention": "2pi_i",
+    },
+    "translate-l2h": {
+        "realization": "SU(1,1)",
+        "monodromy": [[1, 0], [0, 1]],
+        "beta": [[0, 0], [0, 0]],
+    },
+    "hitchin-section": {
+        "mode": "SL2R",
+        "genus": 0,
+        "n_punctures": 3,
+        "q_terms": [[[2, 0, 1]], [], []],
+    },
+    "toledo": {"data": WALL_DATA, "signature": [1, 1]},
+    "mw-check": {"data": WALL_DATA, "signature": [1, 1], "rank_plus": 1, "rank_minus": 1},
+    "verify-model": {**VERIFY_MODEL, "fd_step": 1e-3, "extra_terms": []},
+}
+
+
+def field_paths(obj, path=()):
+    """Every (path to a dict entry) inside a JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path + (key,)
+            yield from field_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from field_paths(value, path + (i,))
+
+
+def replaced(obj, path, value):
+    if not path:
+        return value
+    copy = list(obj) if isinstance(obj, list) else dict(obj)
+    copy[path[0]] = replaced(obj[path[0]], path[1:], value)
+    return copy
+
+
+HOSTILE_VALUES = [None, "x", [], {}, True, -1, 0, 1.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_inputs_keep_the_exit_contract(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(VALID_INPUTS)))
+    payload = VALID_INPUTS[command]
+    path = data.draw(st.sampled_from(list(field_paths(payload))))
+    mutated = replaced(payload, path, data.draw(st.sampled_from(HOSTILE_VALUES)))
+    work = tmp_path_factory.mktemp("mutated")
+    source = work / "input.json"
+    source.write_text(json.dumps(mutated))
+    code, report = cli_dispatch(
+        [command, "--input", str(source), "--output", str(work / "out.json")]
+    )
+    assert code in (0, 2, 3, 4)
+    # exit 2 is a computed negative verdict: its report carries outputs, not an error
+    if code in (3, 4):
+        assert report["error"]["type"]
+        if report["error"]["type"] == "SchemaError":
+            assert report["error"]["location"].startswith("$")
+
+
+def test_valid_inputs_cover_every_command(tmp_path):
+    from parhodge.cli import _COMMANDS
+
+    assert set(VALID_INPUTS) == set(_COMMANDS)
+    for command, payload in VALID_INPUTS.items():
+        code, report = run_cli(tmp_path, command, payload)
+        assert code in (0, 2), (command, report.get("error"))

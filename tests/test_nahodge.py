@@ -359,6 +359,29 @@ def test_round_trip_literal_convention():
     assert max(abs(a) for a in back.alpha) < 1e-10
 
 
+@pytest.mark.parametrize("model", ["SU(2,1)", "SL(3,R)"])
+def test_round_trip_rank_three_nilpotent(model):
+    # here N = Y - H - X has a part in h^C; the inverse must split it off
+    # before completing the triple through Y
+    rng = np.random.default_rng(21)
+    for k in range(6):
+        c = complex(rng.normal(), rng.normal())
+        a = float(rng.uniform(-0.4, 0.4))
+        if model == "SU(2,1)":
+            y = np.zeros((3, 3), dtype=complex)
+            y[2, 0] = c
+            alpha = (HALF, a, -HALF) if k % 2 else (0, a, 0)
+        else:
+            y = c * np.pad(U_PLUS if k % 2 else U_MINUS, ((0, 1), (0, 1)))
+            alpha = (0, 0, 0)
+        fwd = higgs_to_localsystem(alpha, np.zeros((3, 3)), y, model)
+        back = localsystem_to_higgs(fwd.monodromy, model, beta=fwd.beta)
+        assert max(abs(p - q) for p, q in zip(back.alpha, canonical_alpha(alpha))) < 1e-8
+        assert back.y_certificate.rank_sequence == fwd.y_certificate.rank_sequence
+        for part in ("x", "e", "f"):
+            assert hs_norm(getattr(back.triple, part) - getattr(fwd.triple, part)) < 1e-8
+
+
 def test_puncture_entry_reads_graded_residue():
     data = hitchin_section("SL2R", 0, 3)
     # the section's residues are off-diagonal: that is the block frame
