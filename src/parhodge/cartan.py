@@ -14,6 +14,9 @@ from typing import Iterable, Sequence
 Vec = tuple[Fraction, ...]
 Covec = tuple[Fraction, ...]
 
+CARTAN_TYPES = ("A", "B", "C", "D")
+LATTICES = ("simply_connected", "adjoint")
+
 
 class UnsupportedType(ValueError):
     """Cartan type/rank combination outside the supported classical range."""

@@ -23,7 +23,10 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .cartan import (
+    CARTAN_TYPES,
+    LATTICES,
     SearchExhausted,
+    UnsupportedType,
     alcove_membership,
     alcove_normalize,
     build_root_datum,
@@ -51,18 +54,19 @@ from .liealg import (
     ConvergenceFailure,
     NumericallyDefective,
     TripleCompletionFailure,
+    UnsupportedGroup,
     build_realization,
     kostant_sekiguchi_orbit_map,
 )
 from .modelmetric import (
     GridTooCoarse,
-    IntegratorFailure,
     hitchin_residual,
     holonomy_check,
     radial_grid,
 )
 from .nahodge import (
     CONVENTIONS,
+    SECTION_MODES,
     complete_ks_triple,
     entry_to_json,
     higgs_to_localsystem,
@@ -73,6 +77,7 @@ from .nahodge import (
 )
 from .parabolic import parabolic_from
 from .parhiggs import (
+    STABILITY_MODES,
     ReductionCertificate,
     from_json as higgs_from_json,
     genericity_check,
@@ -98,6 +103,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE_VERDICT = 2
 EXIT_PRECONDITION = 3
 EXIT_NO_CONVERGENCE = 4
+
+# exact root data grow fast with the rank: B12 takes about 1.6 s, B16 about 7 s
+_MAX_RANK = 12
 
 
 class _UsageError(Exception):
@@ -146,16 +154,27 @@ def _tol(args) -> dict:
     return {} if args.tolerance is None else {"tol": args.tolerance}
 
 
+def _build_realization(label: str, location: str):
+    try:
+        return build_realization(label)
+    except UnsupportedGroup as exc:
+        raise SchemaError(location, str(exc)) from exc
+
+
 def _realization(payload: dict):
-    return build_realization(_field(payload, "realization", str_from_json))
+    return _build_realization(_field(payload, "realization", str_from_json), "$.realization")
 
 
 def _root_datum(payload: dict):
-    return build_root_datum(
-        _field(payload, "cartan_type", str_from_json),
-        _field(payload, "rank", int_from_json),
-        lattice=_field(payload, "lattice", str_from_json, default="simply_connected"),
+    cartan_type = _field(payload, "cartan_type", str_from_json, choices=CARTAN_TYPES)
+    rank = _field(payload, "rank", int_from_json, lo=1, hi=_MAX_RANK)
+    lattice = _field(
+        payload, "lattice", str_from_json, default="simply_connected", choices=LATTICES
     )
+    try:
+        return build_root_datum(cartan_type, rank, lattice=lattice)
+    except UnsupportedType as exc:  # below the type's least rank (B2, C2, D3)
+        raise SchemaError("$.rank", str(exc)) from exc
 
 
 def _signature(payload: dict) -> tuple[int, int] | None:
@@ -323,15 +342,14 @@ def _cmd_parabolic(payload: dict, args, report: dict) -> int:
     return EXIT_OK
 
 
-def _sample_hermitian_pair(model: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    real = build_realization(model)
+def _sample_hermitian_pair(real, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     out = []
     for _ in range(2):
         a = rng.standard_normal((real.n, real.n)) + 1j * rng.standard_normal((real.n, real.n))
         m = (a + a.conj().T) / 2.0
         norm = np.linalg.norm(m)
         if norm < 1e-8:
-            return _sample_hermitian_pair(model, rng)
+            return _sample_hermitian_pair(real, rng)
         out.append(m / norm)
     return out[0], out[1]
 
@@ -340,11 +358,12 @@ def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
     if "sample" in payload:
         spec = object_from_json(payload["sample"], "$.sample")
         model = _field(spec, "model", str_from_json, "$.sample")
+        real = _build_realization(model, "$.sample.model")
         count = _field(spec, "count", int_from_json, "$.sample", default=100, lo=1)
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         worst = 0.0
         for _ in range(count):
-            s, sigma = _sample_hermitian_pair(model, rng)
+            s, sigma = _sample_hermitian_pair(real, rng)
             forward = relative_degree(s, sigma, **_tol(args))
             backward = relative_degree(sigma, s, **_tol(args))
             worst = max(worst, abs(forward.value - backward.value))
@@ -385,7 +404,7 @@ def _cmd_stability(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
     verdict = stability_check(
         data,
-        mode=_field(payload, "mode", str_from_json, default="certificate"),
+        mode=_field(payload, "mode", str_from_json, default="certificate", choices=STABILITY_MODES),
         reductions=_field(
             payload, "reductions", list_from_json, default=[], items=_reduction_from_json
         ),
@@ -422,7 +441,7 @@ def _cmd_genericity(payload: dict, args, report: dict) -> int:
 def _cmd_hecke(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
     lambdas = _field(payload, "lambdas", list_from_json, items=fracvec_from_json)
-    lattice = _field(payload, "lattice", str_from_json, default="GL")
+    lattice = _field(payload, "lattice", str_from_json, default="GL", choices=("GL", *LATTICES))
     result = hecke_apply(data, lambdas, lattice=lattice)
     method = "exact cocharacter shift"
     report["outputs"] = {
@@ -482,7 +501,7 @@ def _q_term(term: Any, location: str) -> tuple[int, int, complex]:
 
 def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
     data = hitchin_section(
-        _field(payload, "mode", str_from_json),
+        _field(payload, "mode", str_from_json, choices=SECTION_MODES),
         _field(payload, "genus", int_from_json, lo=0),
         _field(payload, "n_punctures", int_from_json, lo=0),
         q_terms=_field(
@@ -558,12 +577,14 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
     y = _field(payload, "y", matrix_from_json, default=None)
     triple = None if y is None else complete_ks_triple(real, y)
     grid_spec = _field(payload, "grid", object_from_json)
-    grid = radial_grid(
-        _field(grid_spec, "r_max", real_from_json, "$.grid"),
-        _field(grid_spec, "r_min", real_from_json, "$.grid"),
-        _field(grid_spec, "count", int_from_json, "$.grid"),
-        n_theta=_field(grid_spec, "n_theta", int_from_json, "$.grid", default=64),
-    )
+    r_max = _field(grid_spec, "r_max", real_from_json, "$.grid")
+    r_min = _field(grid_spec, "r_min", real_from_json, "$.grid")
+    count = _field(grid_spec, "count", int_from_json, "$.grid")
+    n_theta = _field(grid_spec, "n_theta", int_from_json, "$.grid", default=64)
+    try:
+        grid = radial_grid(r_max, r_min, count, n_theta=n_theta)
+    except ValueError as exc:
+        raise SchemaError("$.grid", str(exc)) from exc
     extra_terms = _field(payload, "extra_terms", list_from_json, default=[], items=_extra_term)
     convention = _convention(payload, report)
 
@@ -594,8 +615,11 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
         "table": _plain(rows),
         "table_methods": {
             "rho": "sup over the theta grid of the weighted curvature residual",
-            "holonomy_deviation": "RK4 circle holonomy vs elliptic*hyperbolic prediction",
-            "holonomy_deviation_full": "RK4 circle holonomy vs full three-factor prediction",
+            "holonomy_deviation": "closed-form circle holonomy vs elliptic*hyperbolic prediction",
+            "holonomy_deviation_full": (
+                "closed-form circle holonomy vs full three-factor prediction"
+            ),
+            "ode_steps": "always 0: the circle holonomy is computed in closed form",
         },
         "fd_mismatch": _tagged(
             profile.fd_mismatch, "central finite difference of the connection in r"
@@ -666,7 +690,6 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
     except (
         ConvergenceFailure,
         GridTooCoarse,
-        IntegratorFailure,
         SearchExhausted,
         NonConvergence,
         NumericallyDefective,

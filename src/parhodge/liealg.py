@@ -115,7 +115,8 @@ class Realization:
 
     @staticmethod
     def tau(x: np.ndarray) -> np.ndarray:
-        return -np.asarray(x, dtype=complex).conj().T
+        """-x^*, matrix by matrix over the leading axes of a stack."""
+        return -np.asarray(x, dtype=complex).conj().swapaxes(-1, -2)
 
     def _J(self) -> np.ndarray:
         p, q = self.signature

@@ -13,9 +13,14 @@ The curvature of A equals Ad(exp(i theta alpha)) H dz dz-bar / (|z| ln|z|^2)^2
 exactly, and the bracket [phi, tau(phi)] reproduces it, so the pure model
 solves the Hermite-Einstein equation identically; a nonzero residual profile
 requires higher-order Higgs terms, which ``hitchin_residual`` accepts in the
-holomorphic gauge and transports itself.  ``holonomy_check`` integrates the
-angular connection around a circle and compares with the predicted monodromy
-factors of the translation dictionary.
+holomorphic gauge and transports itself.  ``holonomy_check`` transports around
+a circle in closed form and compares with the predicted monodromy factors of
+the translation dictionary.
+
+alpha is diagonal, so Ad(exp(i theta alpha)) multiplies entry (j, k) by the
+phase exp(i theta (alpha_j - alpha_k)).  ``connection_angular_part``,
+``higgs_field_part`` and ``curvature_pair`` also take an array of angles and
+then stack their matrices along its axes.
 """
 
 from __future__ import annotations
@@ -98,20 +103,24 @@ def _polar(z) -> tuple[float, float]:
     return r, theta
 
 
+def _phase(a_mat: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+    """exp(i theta (alpha_j - alpha_k)), the entrywise factor of Ad(exp(i theta alpha))."""
+    a = np.diag(a_mat).real
+    return np.exp(1j * np.multiply.outer(theta, a[:, None] - a[None, :]))
+
+
 def _check_angular_fix(a_mat: np.ndarray, fields: Sequence[tuple[str, np.ndarray]], tol: float):
-    turn = expm(2j * math.pi * a_mat)
-    turn_inv = np.linalg.inv(turn)
+    turn = _phase(a_mat, 2 * math.pi)
     for name, v in fields:
-        if hs_norm(turn @ v @ turn_inv - v) > tol * (1 + hs_norm(v)):
+        if hs_norm(v * turn - v) > tol * (1 + hs_norm(v)):
             raise NotSingleValued(
                 f"Ad(exp(2 pi i alpha)) does not fix {name}; "
                 "the angular conjugation would be multivalued"
             )
 
 
-def _angular_conj(a_mat: np.ndarray, theta: float, v: np.ndarray) -> np.ndarray:
-    u = expm(1j * theta * a_mat)
-    return u @ v @ np.linalg.inv(u)
+def _angular_conj(a_mat: np.ndarray, theta: float | np.ndarray, v: np.ndarray) -> np.ndarray:
+    return v * _phase(a_mat, theta)
 
 
 def model_metric_eval(alpha, h_elem, z, tol: float = 1e-10) -> np.ndarray:
@@ -126,12 +135,15 @@ def model_metric_eval(alpha, h_elem, z, tol: float = 1e-10) -> np.ndarray:
     h_elem = np.asarray(h_elem, dtype=complex)
     r, theta = _polar(z)
     _check_angular_fix(a_mat, [("H", h_elem)], tol)
-    radial = expm(-math.log(r) * a_mat)
-    log_factor = expm(math.log(-2 * math.log(r)) * _angular_conj(a_mat, theta, h_elem))
-    return radial @ log_factor @ radial
+    radial = np.exp(-math.log(r) * np.diag(a_mat).real)  # the diagonal of |z|^-alpha
+    # expm(c Ad(u) H) = Ad(u) expm(c H) for u = exp(i theta alpha)
+    log_factor = _angular_conj(a_mat, theta, expm(math.log(-2 * math.log(r)) * h_elem))
+    return log_factor * np.outer(radial, radial)
 
 
-def connection_angular_part(alpha, triple: SL2Triple | None, r: float, theta: float) -> np.ndarray:
+def connection_angular_part(
+    alpha, triple: SL2Triple | None, r: float, theta: float | np.ndarray
+) -> np.ndarray:
     """a(r, theta) in A = -i a d theta for the model connection."""
     a_mat = alpha_matrix(alpha)
     if triple is None:
@@ -145,7 +157,7 @@ def higgs_field_part(
     s: np.ndarray,
     triple: SL2Triple | None,
     r: float,
-    theta: float,
+    theta: float | np.ndarray,
     extra_terms: Sequence[tuple[int, np.ndarray]] = (),
 ) -> np.ndarray:
     """dz/z-coefficient of the Higgs field in the unitary gauge.
@@ -155,23 +167,25 @@ def higgs_field_part(
     |z|^k z-decay and logarithmic distortion.
     """
     a_mat = alpha_matrix(alpha)
-    s = np.asarray(s, dtype=complex)
-    val = s.copy()
+    val = np.array(s, dtype=complex)
     log_z2 = 2 * math.log(r)
     if triple is not None:
         val = val - _angular_conj(a_mat, theta, triple.f) / log_z2
     if extra_terms:
         h_elem = np.zeros_like(a_mat) if triple is None else triple.x
-        h_theta = _angular_conj(a_mat, theta, h_elem)
         # g0 = |z|^alpha (-ln|z|^2)^(-H_theta/2); the Higgs field transforms
-        # by Ad(g0^{-1})
-        g0 = expm(math.log(r) * a_mat) @ expm(-0.5 * math.log(-log_z2) * h_theta)
-        g0_inv = np.linalg.inv(g0)
-        zpow = r * complex(math.cos(theta), math.sin(theta))
+        # by Ad(g0^{-1}), and (-ln|z|^2)^(-H_theta/2) = Ad(exp(i theta alpha)) E
+        # for the one exponential E below
+        radial = np.exp(math.log(r) * np.diag(a_mat).real)  # the diagonal of |z|^alpha
+        log_part = expm(-0.5 * math.log(-log_z2) * h_elem)
+        g0 = radial[:, None] * _angular_conj(a_mat, theta, log_part)
+        g0_inv = _angular_conj(a_mat, theta, np.linalg.inv(log_part)) / radial[None, :]
+        spin = np.exp(1j * np.asarray(theta))[..., None, None]  # z / |z|
         for k, psi in extra_terms:
             if int(k) < 1:
                 raise ValueError("holomorphic corrections need order k >= 1")
-            val = val + (zpow ** int(k)) * (g0_inv @ np.asarray(psi, dtype=complex) @ g0)
+            zpow = r ** int(k) * spin ** int(k)
+            val = val + zpow * (g0_inv @ np.asarray(psi, dtype=complex) @ g0)
     return val
 
 
@@ -179,7 +193,7 @@ def curvature_pair(
     alpha,
     triple: SL2Triple | None,
     r: float,
-    theta: float,
+    theta: float | np.ndarray,
     fd_step: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(analytic, finite-difference) dz dz-bar curvature coefficients of A.
@@ -243,6 +257,11 @@ def _validate_model_data(real: Realization, a_mat, s, triple, tol: float):
                 raise CommutationFailure(f"s does not commute with the triple element {name}")
 
 
+def _sup_norm(stack: np.ndarray) -> float:
+    """Largest Hilbert-Schmidt norm over the leading axes of a matrix stack."""
+    return float(np.max(np.linalg.norm(stack, axis=(-2, -1))))
+
+
 def hitchin_residual(
     alpha,
     s,
@@ -265,19 +284,17 @@ def hitchin_residual(
     s = np.asarray(s, dtype=complex)
     _validate_model_data(real, a_mat, s, triple, tol)
 
+    thetas = grid.thetas
     rho = []
     mismatch = []
     for r in grid.radii:
         weight = (2 * math.log(r)) ** 2
-        worst_res = 0.0
-        worst_fd = 0.0
-        for theta in grid.thetas:
-            analytic, fd = curvature_pair(alpha, triple, r, theta, fd_step=fd_step)
-            c_phi = higgs_field_part(alpha, s, triple, r, theta, extra_terms=extra_terms)
-            tau_c = real.tau(c_phi)
-            bracket = c_phi @ tau_c - tau_c @ c_phi
-            worst_res = max(worst_res, hs_norm(weight * (r * r * analytic - bracket)))
-            worst_fd = max(worst_fd, hs_norm(weight * r * r * (analytic - fd)))
+        analytic, fd = curvature_pair(alpha, triple, r, thetas, fd_step=fd_step)
+        c_phi = higgs_field_part(alpha, s, triple, r, thetas, extra_terms=extra_terms)
+        tau_c = real.tau(c_phi)
+        bracket = c_phi @ tau_c - tau_c @ c_phi
+        worst_res = _sup_norm(weight * (r * r * analytic - bracket))
+        worst_fd = _sup_norm(weight * r * r * (analytic - fd))
         rho.append(worst_res)
         mismatch.append(worst_fd)
         if worst_fd > fd_tol:
@@ -297,26 +314,67 @@ def hitchin_residual(
 
 @dataclass(frozen=True)
 class HolonomyReport:
+    """Circle holonomy against the predicted monodromy.  ``steps`` counts ODE
+    steps, which the closed form does not take: it is always 0."""
+
     numeric: np.ndarray
     predicted_levi: np.ndarray
     predicted_full: np.ndarray
     deviation_levi: float
     deviation_full: float
     steps: int
-    est_error: float
 
 
-def _rk4_circle(coeff: Callable[[float], np.ndarray], n: int, dim: int) -> np.ndarray:
+def _rk4_circle(coeff: Callable[[np.ndarray], np.ndarray], n: int, dim: int) -> np.ndarray:
     h = 2 * math.pi / n
+    c = coeff(np.arange(2 * n + 1) * (h / 2))  # the coefficient at every half step
     u = np.eye(dim, dtype=complex)
     for k in range(n):
-        t = k * h
-        k1 = coeff(t) @ u
-        k2 = coeff(t + h / 2) @ (u + h / 2 * k1)
-        k3 = coeff(t + h / 2) @ (u + h / 2 * k2)
-        k4 = coeff(t + h) @ (u + h * k3)
+        k1 = c[2 * k] @ u
+        k2 = c[2 * k + 1] @ (u + h / 2 * k1)
+        k3 = c[2 * k + 1] @ (u + h / 2 * k2)
+        k4 = c[2 * k + 2] @ (u + h * k3)
         u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return u
+
+
+def _rk4_holonomy(
+    alpha,
+    s,
+    triple: SL2Triple | None,
+    r: float,
+    realization,
+    tol: float = 1e-10,
+    max_doublings: int = 8,
+) -> tuple[np.ndarray, int, float]:
+    """Reference for ``holonomy_check``: U(2 pi) integrated by RK4.
+
+    The step count doubles from 128 until two sweeps agree to ``tol``
+    (Richardson estimate, absolute); returns (U, steps, estimate).  Raises
+    IntegratorFailure after ``max_doublings`` refinements.  A sweep holds its
+    coefficients in memory, so the default stops at 32768 steps (a few MB).
+    """
+    real = _realize(realization)
+    a_mat = alpha_matrix(alpha)
+    s = np.asarray(s, dtype=complex)
+    base = -a_mat + s + real.tau(s)
+    n_mat = np.zeros_like(s) if triple is None else triple.f - triple.x - triple.e
+    log_z2 = 2 * math.log(r)
+
+    def coeff(theta: np.ndarray) -> np.ndarray:
+        return -1j * (base - _angular_conj(a_mat, theta, n_mat) / log_z2)
+
+    steps = 128
+    u_prev = _rk4_circle(coeff, steps, a_mat.shape[0])
+    est = math.inf
+    for _ in range(max_doublings):
+        steps *= 2
+        u_next = _rk4_circle(coeff, steps, a_mat.shape[0])
+        est = hs_norm(u_next - u_prev) / 15.0  # RK4 Richardson estimate
+        u_prev = u_next
+        if est < tol / 2:  # absolute: the acceptance tolerances are absolute
+            return u_prev, steps, est
+    raise IntegratorFailure(f"no convergence to {tol:g} after {steps} steps (est {est:.3e})")
 
 
 def holonomy_check(
@@ -327,16 +385,19 @@ def holonomy_check(
     realization,
     convention: str = "2pi_i",
     tol: float = 1e-10,
-    max_doublings: int = 16,
 ) -> HolonomyReport:
-    """Integrate the angular model connection once around the circle |z| = r.
+    """Parallel transport of the angular model connection once around |z| = r.
 
-    The parallel-transport equation is dU/d theta = -A_theta U with
+    The transport equation is dU/d theta = -A_theta U with
     A_theta = i(-alpha + s + tau(s) - Ad(exp(i theta alpha)) N / ln r^2),
-    N = Y - H - X.  Step count doubles until two Runge-Kutta sweeps agree to
-    ``tol``; the deviations compare U(2 pi) against the predicted semisimple
-    (Levi) part and the full predicted monodromy.  The numeric holonomy
-    converges to the Levi part as r -> 0 (exactly, for Y = 0).
+    N = Y - H - X.  alpha is diagonal and commutes with s and tau(s), so in
+    the rotating frame V = exp(-i theta alpha) U the coefficients are
+    constant and
+        U(2 pi) = exp(2 pi i alpha) exp(-2 pi i (s + tau(s) - N / ln r^2)).
+    The deviations compare U(2 pi) against the predicted semisimple (Levi)
+    part and the full predicted monodromy; ``tol`` bounds the commutation
+    checks.  The holonomy converges to the Levi part as r -> 0 (exactly, for
+    Y = 0).
     """
     real = _realize(realization)
     a_mat = alpha_matrix(alpha)
@@ -345,43 +406,16 @@ def holonomy_check(
         raise ValueError("need a circle radius in (0, 1)")
     _validate_model_data(real, a_mat, s, triple, max(tol, 1e-9))
 
-    base = (-a_mat + s + real.tau(s)).astype(complex)
-    log_z2 = 2 * math.log(r)
-    dim = a_mat.shape[0]
-
-    if triple is None:
-
-        def coeff(theta: float) -> np.ndarray:
-            return -1j * base
-
-    else:
-        n_mat = triple.f - triple.x - triple.e
-
-        def coeff(theta: float) -> np.ndarray:
-            return -1j * (base - _angular_conj(a_mat, theta, n_mat) / log_z2)
-
-    steps = 128
-    u_prev = _rk4_circle(coeff, steps, dim)
-    est = math.inf
-    for _ in range(max_doublings):
-        steps *= 2
-        u_next = _rk4_circle(coeff, steps, dim)
-        est = hs_norm(u_next - u_prev) / 15.0  # RK4 Richardson estimate
-        u_prev = u_next
-        if est < tol / 2:  # absolute: the acceptance tolerances are absolute
-            break
-    else:
-        raise IntegratorFailure(f"no convergence to {tol:g} after {steps} steps (est {est:.3e})")
-
-    g_e, g_h, g_u, _ = monodromy_factors(alpha, s, triple, real, convention=convention)
+    g_e, g_h, g_u, n_mat = monodromy_factors(alpha, s, triple, real, convention=convention)
+    # g_e is exp(2 pi i alpha) under every convention
+    numeric = g_e @ expm(-2j * math.pi * (s + real.tau(s) - n_mat / (2 * math.log(r))))
     levi = g_e @ g_h
     full = levi @ g_u
     return HolonomyReport(
-        numeric=u_prev,
+        numeric=numeric,
         predicted_levi=levi,
         predicted_full=full,
-        deviation_levi=hs_norm(u_prev - levi),
-        deviation_full=hs_norm(u_prev - full),
-        steps=steps,
-        est_error=est,
+        deviation_levi=hs_norm(numeric - levi),
+        deviation_full=hs_norm(numeric - full),
+        steps=0,
     )

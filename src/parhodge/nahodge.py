@@ -630,6 +630,9 @@ def entry_loads(text: str) -> PunctureDictionaryEntry:
 # ---------------------------------------------------------------------------
 
 
+SECTION_MODES = ("SL2R", "SLnR_principal")
+
+
 def hitchin_section(
     mode: str,
     genus: int,

@@ -545,6 +545,9 @@ def pardeg_reduction(data: ParabolicHiggsData, red: ReductionCertificate):
     return total
 
 
+STABILITY_MODES = ("certificate", "exhaustive_small")
+
+
 def stability_check(
     data: ParabolicHiggsData,
     mode: str = "certificate",

@@ -376,6 +376,25 @@ def test_reports_are_byte_deterministic(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_verify_model_reports_are_byte_deterministic(tmp_path):
+    payload = {
+        "realization": "SU(1,1)",
+        "alpha": ["1/2", "-1/2"],
+        "y": [[0, 0], [1, 0]],
+        "grid": {"r_max": 1e-2, "r_min": 1e-6, "count": 5},
+        "extra_terms": [[1, [[0, 0.5], [0, 0]]], [2, [[0.1, 0], [0, -0.1]]]],
+    }
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(payload))
+    renders = []
+    for out in ("a.json", "b.json"):
+        path = tmp_path / out
+        code, _ = cli_dispatch(["verify-model", "--input", str(source), "--output", str(path)])
+        assert code == 0
+        renders.append(path.read_bytes())
+    assert renders[0] == renders[1]
+
+
 def test_sampled_reports_are_seed_deterministic(tmp_path):
     source = tmp_path / "input.json"
     source.write_text(json.dumps({"sample": {"model": "GL(2,C)", "count": 6}}))
@@ -441,6 +460,17 @@ DIAG = [[1, 0], [0, -1]]
             {"realization": "SU(1,1)", "monodromy": [[1, [0, float("inf")]], [0, 1]]},
             "$.monodromy[0][1][1]",
         ),
+        ("translate-l2h", {"realization": "x", "monodromy": DIAG}, "$.realization"),
+        ("degree-relative", {"sample": {"model": "x", "count": 1}}, "$.sample.model"),
+        ("rootsys", {"cartan_type": "x", "rank": 2}, "$.cartan_type"),
+        ("rootsys", {"cartan_type": "A", "rank": 2, "lattice": "x"}, "$.lattice"),
+        ("rootsys", {"cartan_type": "D", "rank": 2}, "$.rank"),
+        ("rootsys", {"cartan_type": "A", "rank": 65}, "$.rank"),
+        ("hecke", {"data": WALL_DATA, "lambdas": [[0, 0]] * 3, "lattice": "x"}, "$.lattice"),
+        ("verify-model", {**VERIFY_MODEL, "grid": {**GRID, "r_min": 0.5}}, "$.grid"),
+        ("verify-model", {**VERIFY_MODEL, "grid": {**GRID, "count": 1}}, "$.grid"),
+        ("stability", {"data": WALL_DATA, "mode": "x"}, "$.mode"),
+        ("hitchin-section", {"mode": "x", "genus": 0, "n_punctures": 3}, "$.mode"),
     ],
 )
 def test_hostile_field_exits_3_with_location(tmp_path, command, payload, location):
