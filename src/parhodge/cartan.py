@@ -56,23 +56,41 @@ def _as_vec(a: Sequence, rank: int) -> Vec:
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(u, v)), Fraction(0))
+    return sum((x * y for x, y in zip(u, v) if x), Fraction(0))
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Q; rows is square and invertible."""
-    n = len(rows)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
+def _row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (reduced rows, pivot columns).
+
+    The rank is the number of pivots.  For an augmented matrix [A | B] with A
+    square and invertible, the pivots are A's columns and the reduced rows end
+    in the solution columns of A X = B.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        inv = 1 / m[top][col]
+        m[top] = [x * inv for x in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+                m[r] = [x - f * y for x, y in zip(m[r], m[top])]
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return m, pivots
+
+
+def _solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]]) -> list[Vec]:
+    """Solutions x of rows @ x = b for each b in rhs; rows is square and invertible."""
+    n = len(rows)
+    reduced, _ = _row_reduce([list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)])
+    return [tuple(reduced[i][n + j] for i in range(n)) for j in range(len(rhs))]
 
 
 def _ambient_tables(cartan_type: str, rank: int):
@@ -167,32 +185,24 @@ def build_root_datum(cartan_type: str, rank: int, lattice: str = "simply_connect
     """Construct the root datum of a classical type with an exact coroot-basis model."""
     simples_amb, positives_amb, coroot_amb = _ambient_tables(cartan_type, rank)
     basis_amb = [coroot_amb(s) for s in simples_amb]  # simple coroots, ambient
+    gram = tuple(tuple(_dot(b, c) for c in basis_amb) for b in basis_amb)
 
     def covec(root_amb) -> Covec:
         # value of the root on each simple coroot, under the ambient pairing
         return tuple(_dot(root_amb, c) for c in basis_amb)
 
-    def coords(v_amb) -> Vec:
-        # exact coordinates of v in the simple-coroot basis (v lies in their span)
-        gram = [[_dot(basis_amb[i], basis_amb[j]) for j in range(rank)] for i in range(rank)]
-        rhs = [_dot(basis_amb[i], v_amb) for i in range(rank)]
-        return tuple(_solve_exact(gram, rhs))
-
     simple_covecs = tuple(covec(s) for s in simples_amb)
-    pos_sorted = sorted(positives_amb, key=lambda v: (sum(covec(v)), covec(v)))
-    positive_covecs = tuple(covec(p) for p in pos_sorted)
-    coroot_vecs = tuple(coords(coroot_amb(p)) for p in pos_sorted)
-    gram = tuple(tuple(_dot(basis_amb[i], basis_amb[j]) for j in range(rank)) for i in range(rank))
+    positives = sorted(((covec(p), p) for p in positives_amb), key=lambda cp: (sum(cp[0]), cp[0]))
+    positive_covecs = tuple(c for c, _ in positives)
+    # coroots lie in the span of the simple coroots: gram @ x = pairings with the basis
+    coroot_vecs = tuple(_solve_exact(gram, [covec(coroot_amb(p)) for _, p in positives]))
 
+    unit = tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank))
     if lattice == "simply_connected":
-        basis = tuple(tuple(Fraction(1) if j == i else Fraction(0) for j in range(rank)) for i in range(rank))
+        basis = unit
     elif lattice == "adjoint":
         # fundamental coweights: alpha_j(w_i) = delta_ij
-        rows = [list(simple_covecs[j]) for j in range(rank)]
-        basis = tuple(
-            tuple(_solve_exact([r[:] for r in rows], [Fraction(1) if j == i else Fraction(0) for j in range(rank)]))
-            for i in range(rank)
-        )
+        basis = tuple(_solve_exact(simple_covecs, unit))
     else:
         raise UnsupportedType(f"unknown lattice {lattice!r}")
 
@@ -281,26 +291,6 @@ def apply_word(rd: RootDatum, word: Sequence[int], a: Sequence) -> Vec:
     return v
 
 
-def _reflection_matrix(rd: RootDatum, root: Covec, coroot: Vec) -> list[list[Fraction]]:
-    n = rd.rank
-    return [
-        [
-            (Fraction(1) if r == c else Fraction(0)) - coroot[r] * root[c]
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
-
-
-def _mat_vec(m: list[list[Fraction]], v: Sequence[Fraction]) -> Vec:
-    return tuple(_dot(row, v) for row in m)
-
-
-def _mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    return [[_dot(a[r], [b[k][c] for k in range(n)]) for c in range(n)] for r in range(n)]
-
-
 @dataclass(frozen=True)
 class AlcoveNormalization:
     k: int
@@ -313,26 +303,22 @@ def alcove_normalize(rd: RootDatum, a: Sequence, search_bound: int = 64) -> Alco
     """Find minimal k <= search_bound and a lattice vector with k*a + v in W*(open star).
 
     Reduces k*a into the fundamental alcove of the affine Weyl group by exact
-    affine reflections, tracking the accumulated linear part so the lattice
-    vector can be read off.  The open-star test is the strict one, so points
-    landing exactly on a wall of level 1 are rejected and the next k is tried.
+    affine reflections, recording the linear part of each step as a (root,
+    coroot) pair.  Every linear reflection is an involution, so replaying the
+    record in reverse on the reduced point gives k*a + lattice vector.  The
+    open-star test is the strict one, so points landing exactly on a wall of
+    level 1 are rejected and the next k is tried.
     """
     v0 = _as_vec(a, rd.rank)
     n = rd.rank
-    ident = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
+    simple = [(rd.simple_roots[i], tuple(Fraction(int(i == j)) for j in range(n))) for i in range(n)]
     for k in range(1, search_bound + 1):
         cur = tuple(k * x for x in v0)
-        lam = tuple(Fraction(0) for _ in range(n))
-        w = [row[:] for row in ident]       # cur == w @ (k*a + lam)
-        w_inv = [row[:] for row in ident]
+        applied: list[tuple[Covec, Vec]] = []  # cur == w @ (k*a + lam), w the product of these
         guard = 0
         while True:
             word, cur = weyl_reduce(rd, cur)
-            for i in word:
-                ei = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-                r = _reflection_matrix(rd, rd.simple_roots[i], ei)
-                w = _mat_mul(r, w)
-                w_inv = _mat_mul(w_inv, r)
+            applied.extend(simple[i] for i in word)
             hot = next(
                 (
                     j
@@ -347,16 +333,16 @@ def alcove_normalize(rd: RootDatum, a: Sequence, search_bound: int = 64) -> Alco
             excess = _dot(root, cur) - 1
             # affine reflection s_{root,1} = translation by coroot after s_root
             cur = tuple(x - excess * c for x, c in zip(cur, coroot))
-            refl = _reflection_matrix(rd, root, coroot)
-            w = _mat_mul(refl, w)
-            w_inv = _mat_mul(w_inv, refl)
-            shift = _mat_vec(w_inv, coroot)
-            lam = tuple(l + s for l, s in zip(lam, shift))
+            applied.append((root, coroot))
             guard += 1
             if guard > 100_000:
                 raise RuntimeError("affine reduction did not terminate")
         if all(abs(_dot(root, cur)) < 1 for root in rd.positive_roots):
-            normalized = tuple(k * x + l for x, l in zip(v0, lam))
+            normalized = cur
+            for root, coroot in reversed(applied):
+                val = _dot(root, normalized)
+                normalized = tuple(x - val * c for x, c in zip(normalized, coroot))
+            lam = tuple(y - k * x for y, x in zip(normalized, v0))
             if not in_A_prime(rd, normalized):
                 raise RuntimeError("internal: normalized point escaped the open star")
             return AlcoveNormalization(k=k, lattice_vector=lam, normalized=normalized, dominant=cur)
@@ -367,5 +353,5 @@ def cochar_contains(rd: RootDatum, v: Sequence) -> bool:
     """Exact test that v lies in the integer span of the cocharacter basis."""
     vec = _as_vec(v, rd.rank)
     rows = [[rd.cochar_lattice_basis[j][i] for j in range(rd.rank)] for i in range(rd.rank)]
-    coeffs = _solve_exact(rows, list(vec))
+    (coeffs,) = _solve_exact(rows, [vec])
     return all(c.denominator == 1 for c in coeffs)

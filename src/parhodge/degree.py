@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cartan import _row_reduce
 from .liealg import comm, hs_norm
 
 
@@ -119,37 +120,13 @@ def _is_exact(mats) -> bool:
     return True
 
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
-
-
 def _flag_dims(flag, n: int, label: str, exact: bool):
     """Validate nesting and return per-step cumulative dimensions."""
     dims = []
     prev_cols = None
     for j, step in enumerate(flag):
         if exact:
-            cols = [list(col) for col in zip(*step)]  # columns as lists
-            r = _exact_rank([list(row) for row in step])
+            r = len(_row_reduce(step)[1])
             width = len(step[0])
         else:
             arr = np.asarray(step, dtype=complex)
@@ -171,10 +148,7 @@ def _flag_dims(flag, n: int, label: str, exact: bool):
 
 def _joint_rank(a, b, exact: bool) -> int:
     if exact:
-        rows_a = [list(r) for r in a]
-        rows_b = [list(r) for r in b]
-        rows = [ra + rb for ra, rb in zip(rows_a, rows_b)]
-        return _exact_rank(rows)
+        return len(_row_reduce([list(ra) + list(rb) for ra, rb in zip(a, b)])[1])
     arr = np.hstack([np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)])
     return int(np.linalg.matrix_rank(arr, tol=1e-9 * max(1.0, np.linalg.norm(arr))))
 
@@ -232,16 +206,6 @@ def relative_degree_filtration(flag_a, weights_a, flag_b, weights_b):
 
 def _dim_of(step, exact: bool) -> int:
     return len(step[0]) if exact else int(np.asarray(step).shape[1])
-
-
-def parabolic_degree_core(step_degrees, chi_values, local_pairings):
-    """pardeg = sum_j chi_j * deg(gr_j) - sum_punctures pairing_i (all exact-friendly)."""
-    if len(step_degrees) != len(chi_values):
-        raise FlagError("one chi value per reduction step")
-    total = sum(c * d for c, d in zip(chi_values, step_degrees))
-    for mu in local_pairings:
-        total = total - mu
-    return total
 
 
 @dataclass(frozen=True)

@@ -259,25 +259,6 @@ class Realization:
             raise NotInCartan("traceless model needs coordinates summing to zero")
         return np.diag(vals).astype(complex)
 
-    def m_weights(self, rank_coords: int | None = None):
-        """Covectors (on the diagonal coordinates) of ad(t) acting on m^C, or None."""
-        n = self.n
-        if self.family in ("GL_C", "SL_C"):
-            return [_coord_diff(n, i, j) for i in range(n) for j in range(n) if i != j]
-        if self.family in ("U", "SU"):
-            return []
-        if self.family == "SU_pq":
-            p, _ = self.signature
-            return [
-                _coord_diff(n, i, j)
-                for i in range(n)
-                for j in range(n)
-                if (i < p) != (j < p)
-            ]
-        if self.family == "SL_R" and n == 2:
-            return [(2,), (-2,)]
-        return None
-
 
 def _unit(n: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=complex)
@@ -295,10 +276,6 @@ def _sl_diag_basis(n: int) -> list[np.ndarray]:
 
 def _sl_basis(n: int) -> list[np.ndarray]:
     return [_unit(n, i, j) for i in range(n) for j in range(n) if i != j] + _sl_diag_basis(n)
-
-
-def _coord_diff(n: int, i: int, j: int) -> tuple[int, ...]:
-    return tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
 
 
 def build_realization(label: str) -> Realization:
@@ -766,16 +743,43 @@ def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray, tol: float = 1
 # --------------------------------------------------------------------------
 
 
-def _cluster(vals: np.ndarray, tol: float) -> list[complex]:
-    reps: list[list[complex]] = []
-    for v in sorted(vals, key=lambda z: (z.real, z.imag)):
-        for grp in reps:
-            if abs(v - grp[0]) <= tol:
-                grp.append(v)
-                break
+# rounding of size eps * |m| moves the eigenvalue of a defective k-block by up
+# to about eps^(1/k) * |m|; the factor 16 covers the worst of a few hundred
+# random conjugated blocks, k = 2..4
+_ROUNDING = 16 * np.finfo(float).eps
+
+
+def _order(z: complex) -> tuple[float, float]:
+    return (z.real, z.imag)
+
+
+def _linked(vals, gap: float) -> list[list[complex]]:
+    """Groups of vals joined by chains of steps of length <= gap, each sorted."""
+    groups: list[list[complex]] = []
+    for v in sorted(vals, key=_order):
+        near = [g for g in groups if any(abs(v - u) <= gap for u in g)]
+        joined = sorted([v, *(u for g in near for u in g)], key=_order)
+        groups = [g for g in groups if g not in near] + [joined]
+    return groups
+
+
+def _cluster(vals: np.ndarray, tol: float, scale: float) -> list[complex]:
+    """Means of the groups of eigenvalues that are numerically one eigenvalue.
+
+    A chain of k values, linked by steps up to the scatter bound of a
+    defective block of full size, is one group when all k lie within
+    max(tol, _ROUNDING^(1/k)) * scale of their mean; otherwise it splits into
+    chains linked by steps up to tol * scale.
+    """
+    groups: list[list[complex]] = []
+    for chain in _linked(vals, 2 * max(tol, _ROUNDING ** (1 / len(vals))) * scale):
+        mean = np.mean(chain)
+        if max(abs(v - mean) for v in chain) <= max(tol, _ROUNDING ** (1 / len(chain))) * scale:
+            groups.append(chain)
         else:
-            reps.append([v])
-    return [complex(np.mean(g)) for g in reps]
+            groups += _linked(chain, tol * scale)
+    groups.sort(key=lambda g: _order(g[0]))
+    return [complex(np.mean(g)) for g in groups]
 
 
 def jordan_additive(m: np.ndarray, tol: float = 1e-8, max_iter: int = 60) -> tuple[np.ndarray, np.ndarray]:
@@ -784,7 +788,7 @@ def jordan_additive(m: np.ndarray, tol: float = 1e-8, max_iter: int = 60) -> tup
     m = np.asarray(m, dtype=complex)
     scale = max(1.0, hs_norm(m))
     vals = np.linalg.eigvals(m)
-    reps = _cluster(vals, tol * scale)
+    reps = _cluster(vals, tol, scale)
     if len(reps) == len(vals):
         return m.copy(), np.zeros_like(m)
     coeffs = np.poly(np.array(reps))
@@ -842,7 +846,7 @@ def jordan_multiplicative(g: np.ndarray, tol: float = 1e-8) -> JordanFactors:
         raise NotInvertible("Jordan factorization needs an invertible matrix")
     s, nil = jordan_additive(g, tol)
     u = np.linalg.solve(s, g)  # unipotent: I + s^{-1} nil
-    reps = _cluster(np.linalg.eigvals(s), tol * scale)
+    reps = _cluster(np.linalg.eigvals(s), tol, scale)
     projs = []
     for lam in reps:
         p = np.eye(n, dtype=complex)

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parhodge.cartan import (
+    CARTAN_TYPES,
+    LATTICES,
     DimensionMismatch,
     MissingWeights,
     SearchExhausted,
@@ -16,6 +18,7 @@ from parhodge.cartan import (
     cochar_contains,
     in_A_prime,
     weyl_reduce,
+    _ambient_tables,
 )
 
 
@@ -86,6 +89,31 @@ def test_adjoint_lattice_contains_coroot_lattice():
     # the fundamental coweight of A2 is not in the coroot lattice
     sc = build_root_datum("A", 2)
     assert not cochar_contains(sc, rd.cochar_lattice_basis[0])
+
+
+SUPPORTED = [(t, r) for t in CARTAN_TYPES for r in range({"A": 1, "B": 2, "C": 2, "D": 3}[t], 13)]
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+@pytest.mark.parametrize("cartan_type,rank", SUPPORTED)
+def test_root_datum_coroots_and_coweights(cartan_type, rank, lattice):
+    # oracle: the ambient model; coroot coordinates in the simple-coroot basis
+    # must reassemble the ambient coroot, and the adjoint basis must be dual
+    # to the simple roots
+    simples_amb, positives_amb, coroot_amb = _ambient_tables(cartan_type, rank)
+    basis_amb = [coroot_amb(s) for s in simples_amb]
+    by_covec = {tuple(sum(x * y for x, y in zip(p, b)) for b in basis_amb): p for p in positives_amb}
+    rd = build_root_datum(cartan_type, rank, lattice)
+    assert sorted(rd.positive_roots) == sorted(by_covec)
+    for root, coroot in zip(rd.positive_roots, rd.coroots):
+        ambient = tuple(sum(c * b[i] for c, b in zip(coroot, basis_amb)) for i in range(len(basis_amb[0])))
+        assert ambient == coroot_amb(by_covec[root])
+        assert rd.root_value(root, coroot) == 2
+    if lattice == "adjoint":
+        for i, w in enumerate(rd.cochar_lattice_basis):
+            assert [rd.root_value(a, w) for a in rd.simple_roots] == [int(i == j) for j in range(rank)]
+    else:
+        assert rd.cochar_lattice_basis == tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
 
 
 def test_alcove_membership_kinds():

@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, exit codes, report determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parhodge
 from parhodge.cli import cli_dispatch, main
 from parhodge.nahodge import hitchin_section
 from parhodge.parhiggs import ParabolicHiggsData, Puncture, to_json
@@ -420,10 +422,14 @@ def test_main_returns_exit_code(tmp_path, capsys):
 def test_console_entry_point_subprocess(tmp_path):
     source = tmp_path / "input.json"
     source.write_text(json.dumps({"cartan_type": "A", "rank": 2}))
+    # the child imports the same parhodge package as these tests, installed or not
+    src = str(Path(parhodge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "parhodge.cli", "rootsys", "--input", str(source)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

@@ -10,7 +10,6 @@ from parhodge.degree import (
     LocalSystemDegree,
     NonConvergence,
     local_system_degree,
-    parabolic_degree_core,
     relative_degree,
     relative_degree_filtration,
 )
@@ -106,12 +105,6 @@ def test_t_trace_monotone_nonincreasing():
     res = relative_degree(s, sigma)
     vals = [v for _, v in res.t_trace]
     assert all(vals[i + 1] <= vals[i] + 1e-9 for i in range(len(vals) - 1))
-
-
-def test_parabolic_degree_core():
-    # global part sum c_j deg_j minus local pairings, exact
-    val = parabolic_degree_core([Q(2), Q(-2)], [Q(1), Q(0)], [Q(-1, 2), Q(-1, 2), Q(-1, 2)])
-    assert val == Q(2) + Q(3, 2)
 
 
 def test_local_system_degree_commuting():

@@ -224,6 +224,20 @@ def test_jordan_additive_defective():
     assert np.allclose(n, [[0, 1], [0, 0]], atol=1e-10)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_jordan_additive_conjugated_block(k):
+    # a k-block at 1 + i beside the simple eigenvalue 3, conjugated: rounding
+    # scatters the block's computed eigenvalues by about eps^(1/k) * |m|
+    rng = np.random.default_rng(k)
+    p = np.eye(k + 1) + 0.3 * rng.standard_normal((k + 1, k + 1))
+    p_inv = np.linalg.inv(p)
+    semi = np.diag([1 + 1j] * k + [3])
+    nil = np.diag([1.0] * (k - 1) + [0.0], 1)
+    s, n = jordan_additive(p @ (semi + nil) @ p_inv)
+    assert np.allclose(s, p @ semi @ p_inv, atol=1e-10)
+    assert np.allclose(n, p @ nil @ p_inv, atol=1e-10)
+
+
 def test_jordan_not_invertible():
     with pytest.raises(NotInvertible):
         jordan_multiplicative(np.diag([1.0, 0.0]))

@@ -359,6 +359,26 @@ def test_round_trip_literal_convention():
     assert max(abs(a) for a in back.alpha) < 1e-10
 
 
+@pytest.mark.parametrize("model", ["GL(3,C)", "SL(3,C)"])
+def test_regular_nilpotent_rank_three(model):
+    # the monodromy is a single unipotent 3-block; its computed eigenvalues
+    # scatter by about eps^(1/3) * |g|, far beyond the Jordan tolerance
+    y = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+    fwd = higgs_to_localsystem((0, 0, 0), np.zeros((3, 3)), y, model)
+    i3 = np.eye(3)
+    scale = 1 + hs_norm(fwd.monodromy)
+    assert hs_norm(fwd.elliptic - i3) < 1e-8 and hs_norm(fwd.hyperbolic - i3) < 1e-8
+    assert hs_norm(fwd.unipotent - fwd.monodromy) < 1e-8 * scale
+    assert fwd.y_certificate.rank_sequence == (2, 1, 0)
+    back = localsystem_to_higgs(fwd.monodromy, model, beta=fwd.beta)
+    assert max(abs(a) for a in back.alpha) < 1e-8
+    assert hs_norm(back.s) < 1e-8
+    assert back.y_certificate.rank_sequence == (2, 1, 0)
+    for part in ("elliptic", "hyperbolic", "unipotent", "nilpotent_log"):
+        ours, theirs = getattr(fwd, part), getattr(back, part)
+        assert hs_norm(ours - theirs) < 1e-8 * (1 + hs_norm(ours))
+
+
 @pytest.mark.parametrize("model", ["SU(2,1)", "SL(3,R)"])
 def test_round_trip_rank_three_nilpotent(model):
     # here N = Y - H - X has a part in h^C; the inverse must split it off
