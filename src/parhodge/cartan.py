@@ -181,8 +181,25 @@ class RootDatum:
         )
 
 
+# (cartan_type, rank, lattice) -> RootDatum; a RootDatum is frozen and made of
+# tuples, so every caller in the process can share one
+_ROOT_DATA: dict[tuple[str, int, str], RootDatum] = {}
+
+
 def build_root_datum(cartan_type: str, rank: int, lattice: str = "simply_connected") -> RootDatum:
-    """Construct the root datum of a classical type with an exact coroot-basis model."""
+    """Construct the root datum of a classical type with an exact coroot-basis model.
+
+    Built once per (cartan_type, rank, lattice) and process; a request the
+    types do not support raises on every call.
+    """
+    key = (cartan_type, rank, lattice)
+    datum = _ROOT_DATA.get(key)
+    if datum is None:
+        datum = _ROOT_DATA[key] = _build_root_datum(cartan_type, rank, lattice)
+    return datum
+
+
+def _build_root_datum(cartan_type: str, rank: int, lattice: str) -> RootDatum:
     simples_amb, positives_amb, coroot_amb = _ambient_tables(cartan_type, rank)
     basis_amb = [coroot_amb(s) for s in simples_amb]  # simple coroots, ambient
     gram = tuple(tuple(_dot(b, c) for c in basis_amb) for b in basis_amb)

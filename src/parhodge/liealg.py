@@ -18,7 +18,21 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
+
+
+# importing scipy.linalg is more than half of a cold ``import parhodge.cli`` and
+# no exact command needs it, so it is loaded at the first matrix
+# exponential/logarithm
+def _expm(a: np.ndarray) -> np.ndarray:
+    from scipy.linalg import expm
+
+    return expm(a)
+
+
+def _logm(a: np.ndarray) -> np.ndarray:
+    from scipy.linalg import logm
+
+    return logm(a)
 
 
 class UnsupportedGroup(ValueError):
@@ -583,7 +597,7 @@ def normalize_kostant_sekiguchi(
         improved = False
         s = step
         for _ in range(40):
-            g_ = expm(s * direction)
+            g_ = _expm(s * direction)
             g_inv = np.linalg.inv(g_)
             e2, f2 = g_ @ e @ g_inv, g_ @ f @ g_inv
             v2 = defect(e2, f2)

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .liealg import Realization, SL2Triple, hs_norm
+from .liealg import _expm as expm
 from .nahodge import CommutationFailure, _realize, monodromy_factors
 from .parhiggs import alpha_matrix
 

@@ -40,7 +40,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .jsonio import (
     SchemaError,
@@ -64,6 +63,8 @@ from .liealg import (
     _U_MINUS,
     _U_PLUS,
     _component_signs,
+    _expm as expm,
+    _logm as logm,
     build_realization,
     comm,
     hs_norm,

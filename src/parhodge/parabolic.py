@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .liealg import NotInCartan, Realization, ad_eigendecompose, comm, hs_norm, trace_form
+from .liealg import _expm as expm
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ from parhodge.cartan import (
     cochar_contains,
     in_A_prime,
     weyl_reduce,
+    _ROOT_DATA,
     _ambient_tables,
+    _build_root_datum,
 )
 
 
@@ -69,6 +71,21 @@ def test_unsupported_type_raises():
         build_root_datum("D", 2)
 
 
+def test_root_datum_is_built_once_per_key():
+    rd = build_root_datum("C", 3, "adjoint")
+    assert build_root_datum("C", 3, "adjoint") is rd
+    assert build_root_datum("C", 3, lattice="adjoint") is rd
+    assert build_root_datum(cartan_type="C", rank=3, lattice="adjoint") is rd
+    assert build_root_datum("C", 3) is build_root_datum("C", 3, lattice="simply_connected")
+    assert build_root_datum("C", 3) is not rd
+    # a refused request is refused again, not remembered
+    for args in (("D", 2), ("B", 1), ("A", 2, "x")):
+        for _ in range(2):
+            with pytest.raises(UnsupportedType):
+                build_root_datum(*args)
+    assert not any(key[:2] in (("D", 2), ("B", 1)) or key[2] == "x" for key in _ROOT_DATA)
+
+
 def test_dimension_mismatch():
     rd = build_root_datum("A", 2)
     with pytest.raises(DimensionMismatch):
@@ -104,6 +121,7 @@ def test_root_datum_coroots_and_coweights(cartan_type, rank, lattice):
     basis_amb = [coroot_amb(s) for s in simples_amb]
     by_covec = {tuple(sum(x * y for x, y in zip(p, b)) for b in basis_amb): p for p in positives_amb}
     rd = build_root_datum(cartan_type, rank, lattice)
+    assert rd == _build_root_datum(cartan_type, rank, lattice)  # the shared datum is unchanged
     assert sorted(rd.positive_roots) == sorted(by_covec)
     for root, coroot in zip(rd.positive_roots, rd.coroots):
         ambient = tuple(sum(c * b[i] for c, b in zip(coroot, basis_amb)) for i in range(len(basis_amb[0])))

@@ -419,17 +419,22 @@ def test_main_returns_exit_code(tmp_path, capsys):
     assert json.loads(stdout)["command"] == "rootsys"
 
 
+def child_env() -> dict:
+    """Environment in which a child process imports the same parhodge package as
+    these tests, installed or not."""
+    src = str(Path(parhodge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_console_entry_point_subprocess(tmp_path):
     source = tmp_path / "input.json"
     source.write_text(json.dumps({"cartan_type": "A", "rank": 2}))
-    # the child imports the same parhodge package as these tests, installed or not
-    src = str(Path(parhodge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "parhodge.cli", "rootsys", "--input", str(source)],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
@@ -484,6 +489,52 @@ def test_hostile_field_exits_3_with_location(tmp_path, command, payload, locatio
     assert code == 3
     assert report["error"]["type"] == "SchemaError"
     assert report["error"]["location"] == location
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--out", "report.json"], ["--in", "input.json"], ["--tol", "1e-3"]],
+)
+def test_abbreviated_option_exits_3(tmp_path, options):
+    # "--out" would otherwise be taken for --output and echoed into the report
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"cartan_type": "A", "rank": 2}))
+    options = [str(tmp_path / value) if value.endswith(".json") else value for value in options]
+    code, report = cli_dispatch(["rootsys", "--input", str(source), *options])
+    assert code == 3
+    assert report["error"]["type"] == "UsageError"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_parser_reuse_keeps_no_option_from_an_earlier_call(tmp_path):
+    def dispatch(command, payload, *options):
+        source = tmp_path / f"{command}.json"
+        source.write_text(json.dumps(payload))
+        out = str(tmp_path / "out.json")
+        return cli_dispatch([command, "--input", str(source), "--output", out, *options])
+
+    rootsys = {"cartan_type": "A", "rank": 2}
+    assert dispatch("rootsys", rootsys, "--seed", "5")[1]["seed"] == 5
+    assert dispatch("rootsys", rootsys)[1]["seed"] is None
+
+    table = tmp_path / "table.csv"
+    dispatch("verify-model", VERIFY_MODEL, "--csv", str(table))
+    assert table.exists()
+    table.unlink()
+    dispatch("verify-model", VERIFY_MODEL)
+    assert not table.exists()
+
+
+def test_usage_error_between_calls_leaves_reports_unchanged(tmp_path):
+    source = tmp_path / "input.json"
+    source.write_text(
+        json.dumps({"data": WALL_DATA, "reductions": [{"label": "split", "chi": [1, -1]}]})
+    )
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli_dispatch(["stability", "--input", str(source), "--output", str(out_a)])[0] == 0
+    assert cli_dispatch(["stability", "--input", str(source), "--no-such-option"])[0] == 3
+    assert cli_dispatch(["stability", "--input", str(source), "--output", str(out_b)])[0] == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
 
 
 def test_convergence_failure_exits_4(tmp_path, monkeypatch):
@@ -598,3 +649,35 @@ def test_valid_inputs_cover_every_command(tmp_path):
     for command, payload in VALID_INPUTS.items():
         code, report = run_cli(tmp_path, command, payload)
         assert code in (0, 2), (command, report.get("error"))
+
+
+SCIPY_PROBE = """
+import json, sys
+from parhodge.cli import cli_dispatch
+loaded = ["scipy.linalg" in sys.modules]
+for command, source in json.loads(sys.argv[1]):
+    code, _ = cli_dispatch([command, "--input", source, "--output", source + ".report"])
+    loaded.append((command, code, "scipy.linalg" in sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_numeric_commands_load_scipy(tmp_path):
+    commands = ["rootsys", "alcove-normalize", "genericity", "hecke", "stability", "verify-model"]
+    runs = []
+    for command in commands:
+        source = tmp_path / f"{command}.json"
+        source.write_text(json.dumps(VALID_INPUTS[command]))
+        runs.append([command, str(source)])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        check=True,
+    )
+    loaded = json.loads(proc.stdout)
+    assert loaded[0] is False  # importing the CLI
+    assert [command for command, _, _ in loaded[1:]] == commands
+    assert all(code in (0, 2) for _, code, _ in loaded[1:])
+    assert [scipy for _, _, scipy in loaded[1:]] == [False] * 5 + [True]
