@@ -48,10 +48,10 @@ from .jsonio import (
     object_from_json,
     parse_document,
     real_from_json,
-    realvec_from_json,
     str_from_json,
 )
 from .liealg import (
+    SPACES,
     ConvergenceFailure,
     NumericallyDefective,
     TripleCompletionFailure,
@@ -180,6 +180,15 @@ def _root_datum(payload: dict):
         return build_root_datum(cartan_type, rank, lattice=lattice)
     except UnsupportedType as exc:  # below the type's least rank (B2, C2, D3)
         raise SchemaError("$.rank", str(exc)) from exc
+
+
+def _matrix(obj: Any, location: str, n: int | None = None) -> np.ndarray:
+    """A matrix that must be n x n, or square when n is None."""
+    m = matrix_from_json(obj, location)
+    n = m.shape[0] if n is None else n
+    if m.shape != (n, n):
+        raise SchemaError(location, f"expected a {n}x{n} matrix, got {m.shape[0]}x{m.shape[1]}")
+    return m
 
 
 def _signature(payload: dict) -> tuple[int, int] | None:
@@ -333,8 +342,8 @@ def _cmd_alcove_normalize(payload: dict, args, report: dict) -> int:
 
 def _cmd_parabolic(payload: dict, args, report: dict) -> int:
     real = _realization(payload)
-    s = _field(payload, "s", matrix_from_json)
-    space = _field(payload, "space", str_from_json, default="g^C")
+    s = _field(payload, "s", _matrix, n=real.n)
+    space = _field(payload, "space", str_from_json, default="g^C", choices=SPACES)
     datum = parabolic_from(real, s, space=space, **_tol(args))
     method = "ad-eigenvalue grading"
     report["outputs"] = {
@@ -378,8 +387,8 @@ def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
             "max_reciprocity_gap": _tagged(worst, "qr_flow, both orders"),
         }
         return EXIT_OK
-    s = _field(payload, "s", matrix_from_json)
-    sigma = _field(payload, "sigma", matrix_from_json)
+    s = _field(payload, "s", _matrix)
+    sigma = _field(payload, "sigma", _matrix, n=len(s))
     result = relative_degree(s, sigma, **_tol(args))
     report["outputs"] = {
         "value": _tagged(result.value, result.method),
@@ -474,9 +483,9 @@ def _cmd_gr_res(payload: dict, args, report: dict) -> int:
 
 def _cmd_translate_h2l(payload: dict, args, report: dict) -> int:
     real = _realization(payload)
-    alpha = _field(payload, "alpha", realvec_from_json)
-    s = _field(payload, "s", matrix_from_json)
-    y = _field(payload, "y", matrix_from_json)
+    alpha = _field(payload, "alpha", list_from_json, items=real_from_json, length=real.n)
+    s = _field(payload, "s", _matrix, n=real.n)
+    y = _field(payload, "y", _matrix, n=real.n)
     convention = _convention(payload, report)
     entry = higgs_to_localsystem(alpha, s, y, real, convention=convention, **_tol(args))
     report["outputs"] = {"entry": entry_to_json(entry)}
@@ -486,8 +495,8 @@ def _cmd_translate_h2l(payload: dict, args, report: dict) -> int:
 
 def _cmd_translate_l2h(payload: dict, args, report: dict) -> int:
     real = _realization(payload)
-    monodromy = _field(payload, "monodromy", matrix_from_json)
-    beta = _field(payload, "beta", matrix_from_json, default=None)
+    monodromy = _field(payload, "monodromy", _matrix, n=real.n)
+    beta = _field(payload, "beta", _matrix, default=None, n=real.n)
     convention = _convention(payload, report)
     entry = localsystem_to_higgs(monodromy, real, beta=beta, convention=convention, **_tol(args))
     report["outputs"] = {"entry": entry_to_json(entry)}
@@ -559,7 +568,7 @@ def _cmd_mw_check(payload: dict, args, report: dict) -> int:
 
 def _cmd_ks_orbit(payload: dict, args, report: dict) -> int:
     real = _realization(payload)
-    e = _field(payload, "e", matrix_from_json)
+    e = _field(payload, "e", _matrix, n=real.n)
     cert = kostant_sekiguchi_orbit_map(real, e, **_tol(args))
     method = "Jacobson-Morozov plus Cayley transform"
     report["outputs"] = {
@@ -569,18 +578,20 @@ def _cmd_ks_orbit(payload: dict, args, report: dict) -> int:
     return EXIT_OK
 
 
-def _extra_term(pair: Any, location: str) -> tuple[int, np.ndarray]:
+def _extra_term(pair: Any, location: str, n: int) -> tuple[int, np.ndarray]:
     k, m = list_from_json(pair, location, length=2)
-    return int_from_json(k, location + "[0]"), matrix_from_json(m, location + "[1]")
+    return int_from_json(k, location + "[0]"), _matrix(m, location + "[1]", n)
 
 
 def _cmd_verify_model(payload: dict, args, report: dict) -> int:
     real = _realization(payload)
-    alpha = _field(payload, "alpha", realvec_from_json)
-    n = len(alpha)
-    s = _field(payload, "s", matrix_from_json, default=np.zeros((n, n), dtype=complex))
-    y = _field(payload, "y", matrix_from_json, default=None)
-    triple = None if y is None else complete_ks_triple(real, y)
+    n = real.n
+    alpha = _field(payload, "alpha", list_from_json, items=real_from_json, length=n)
+    s = _field(payload, "s", _matrix, default=np.zeros((n, n), dtype=complex), n=n)
+    y = _field(payload, "y", _matrix, default=None, n=n)
+    extra = _field(
+        payload, "extra_terms", list_from_json, default=[], items=functools.partial(_extra_term, n=n)
+    )
     grid_spec = _field(payload, "grid", object_from_json)
     r_max = _field(grid_spec, "r_max", real_from_json, "$.grid")
     r_min = _field(grid_spec, "r_min", real_from_json, "$.grid")
@@ -590,16 +601,14 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
         grid = radial_grid(r_max, r_min, count, n_theta=n_theta)
     except ValueError as exc:
         raise SchemaError("$.grid", str(exc)) from exc
-    extra_terms = _field(payload, "extra_terms", list_from_json, default=[], items=_extra_term)
     convention = _convention(payload, report)
 
     residual_kwargs = _tol(args)
     fd_step = _field(payload, "fd_step", real_from_json, default=None, above=0)
     if fd_step is not None:
         residual_kwargs["fd_step"] = fd_step
-    profile = hitchin_residual(
-        alpha, s, triple, grid, real, extra_terms=tuple(extra_terms), **residual_kwargs
-    )
+    triple = None if y is None else complete_ks_triple(real, y)
+    profile = hitchin_residual(alpha, s, triple, grid, real, extra_terms=tuple(extra), **residual_kwargs)
     rows = []
     for r, rho in zip(profile.radii, profile.rho):
         holonomy = holonomy_check(

@@ -13,6 +13,7 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+import functools
 import re as _re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -92,46 +93,42 @@ _LABEL_RE = _re.compile(
 
 @dataclass(frozen=True)
 class Realization:
-    """A concrete matrix model of one supported group."""
+    """A concrete matrix model of one supported group.
+
+    What depends on the family is read from its row of ``_FAMILIES``; an
+    unknown family is refused at construction.
+    """
 
     label: str
     family: str  # GL_C | SL_C | U | SU | SL_R | SU_pq
     n: int
     signature: tuple[int, int] | None = None
 
+    def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise UnsupportedGroup(f"unknown group family {self.family!r}")
+        if self.n < 1:
+            raise UnsupportedGroup(f"{self.label} needs n >= 1")
+
+    @property
+    def _row(self) -> _Family:
+        return _FAMILIES[self.family]
+
     # ----- involutions and conjugations ---------------------------------
 
     def theta(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if self.family in ("GL_C", "SL_C", "U", "SU"):
-            return -x.conj().T
-        if self.family == "SL_R":
-            return -x.T
-        if self.family == "SU_pq":
-            j = self._J()
-            return j @ x @ j
-        raise UnsupportedGroup(self.family)
+        return self._row.theta(self, np.asarray(x, dtype=complex))
 
     def sigma(self, x: np.ndarray) -> np.ndarray:
         """Conjugation of g^C over the real form (on the honest g^C model)."""
-        x = np.asarray(x, dtype=complex)
-        if self.family == "SL_R":
-            return x.conj()
-        if self.family == "SU_pq":
-            j = self._J()
-            return -j @ x.conj().T @ j
-        if self.family in ("U", "SU"):
-            return -x.conj().T
-        if self.family in ("GL_C", "SL_C"):
-            # on the m^C model (all of gl_n) the real points are the Hermitian matrices
-            return x.conj().T
-        raise UnsupportedGroup(self.family)
+        return self._row.sigma(self, np.asarray(x, dtype=complex))
 
     @staticmethod
     def tau(x: np.ndarray) -> np.ndarray:
         """-x^*, matrix by matrix over the leading axes of a stack."""
         return -np.asarray(x, dtype=complex).conj().swapaxes(-1, -2)
 
+    @functools.cached_property
     def _J(self) -> np.ndarray:
         p, q = self.signature
         return np.diag([1.0] * p + [-1.0] * q).astype(complex)
@@ -139,35 +136,10 @@ class Realization:
     # ----- subspace projections -----------------------------------------
 
     def project_hC(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if self.family in ("GL_C", "SL_C", "U", "SU"):
-            return x  # abstract model: h^C is a full copy of gl_n / sl_n
-        if self.family == "SL_R":
-            return (x - x.T) / 2
-        if self.family == "SU_pq":
-            p, _ = self.signature
-            out = x.copy()
-            out[:p, p:] = 0
-            out[p:, :p] = 0
-            return out
-        raise UnsupportedGroup(self.family)
+        return self._row.project_hC(self, np.asarray(x, dtype=complex))
 
     def project_mC(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if self.family in ("GL_C", "SL_C"):
-            return x
-        if self.family in ("U", "SU"):
-            return np.zeros_like(x)
-        if self.family == "SL_R":
-            sym = (x + x.T) / 2
-            return sym - np.trace(sym) / self.n * np.eye(self.n)
-        if self.family == "SU_pq":
-            p, _ = self.signature
-            out = np.zeros_like(x)
-            out[:p, p:] = x[:p, p:]
-            out[p:, :p] = x[p:, :p]
-            return out
-        raise UnsupportedGroup(self.family)
+        return self._row.project_mC(self, np.asarray(x, dtype=complex))
 
     def in_mC(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         return hs_norm(self.project_mC(x) - x) <= tol * (1 + hs_norm(x))
@@ -176,12 +148,9 @@ class Realization:
         return hs_norm(self.project_hC(x) - x) <= tol * (1 + hs_norm(x))
 
     def in_g(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        """Membership in the real form (fixed points of sigma on the g^C model)."""
-        if self.family in ("GL_C", "SL_C", "U", "SU"):
-            # the real Lie algebra of a complex/compact group model is gl_n(C)/u(n) itself
-            x = np.asarray(x, dtype=complex)
-            if self.family in ("U", "SU"):
-                return hs_norm(x + x.conj().T) <= tol * (1 + hs_norm(x))
+        """Membership in the real form (fixed points of sigma on the g^C model);
+        the real Lie algebra of a complex group model is gl_n(C)/sl_n(C) itself."""
+        if self._row.complex_group:
             return True
         return hs_norm(self.sigma(x) - x) <= tol * (1 + hs_norm(x))
 
@@ -189,70 +158,39 @@ class Realization:
 
     def basis_g(self) -> list[np.ndarray]:
         """Real basis of the real form g (as complex arrays)."""
-        n = self.n
-        out: list[np.ndarray] = []
-        if self.family == "SL_R":
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    m = np.zeros((n, n), dtype=complex)
-                    m[i, j] = 1
-                    out.append(m)
-            for i in range(n - 1):
-                m = np.zeros((n, n), dtype=complex)
-                m[i, i], m[i + 1, i + 1] = 1, -1
-                out.append(m)
-            return out
-        if self.family == "SU_pq":
-            p, q = self.signature
-            for i in range(n):
-                for j in range(i + 1, n):
-                    eps = 1.0 if (i < p) == (j < p) else -1.0
-                    m = np.zeros((n, n), dtype=complex)
-                    m[i, j], m[j, i] = 1, -eps
-                    out.append(m)
-                    m = np.zeros((n, n), dtype=complex)
-                    m[i, j], m[j, i] = 1j, 1j * eps
-                    out.append(m)
-            for i in range(n - 1):
-                m = np.zeros((n, n), dtype=complex)
-                m[i, i], m[i + 1, i + 1] = 1j, -1j
-                out.append(m)
-            return out
-        raise UnsupportedGroup(f"basis_g only provided for real forms, not {self.label}")
+        if not self.real_form:
+            raise UnsupportedGroup(f"basis_g only provided for real forms, not {self.label}")
+        return self._row.basis_g(self)
 
     def basis_hC(self) -> list[np.ndarray]:
-        n = self.n
-        if self.family in ("GL_C", "U"):
-            return _gl_basis(n)
-        if self.family in ("SL_C", "SU"):
-            return _sl_basis(n)
-        if self.family == "SL_R":
-            return [_unit(n, i, j) - _unit(n, j, i) for i in range(n) for j in range(i + 1, n)]
-        if self.family == "SU_pq":
-            p, q = self.signature
-            out = [_unit(n, i, j) for i in range(n) for j in range(n) if (i < p) == (j < p) and i != j]
-            out += _sl_diag_basis(n)
-            return out
-        raise UnsupportedGroup(self.family)
+        return self._row.basis_hC(self)
 
     def basis_mC(self) -> list[np.ndarray]:
-        n = self.n
-        if self.family in ("GL_C",):
-            return _gl_basis(n)
-        if self.family in ("SL_C",):
-            return _sl_basis(n)
-        if self.family in ("U", "SU"):
-            return []
-        if self.family == "SL_R":
-            out = [_unit(n, i, j) + _unit(n, j, i) for i in range(n) for j in range(i + 1, n)]
-            out += [_unit(n, i, i) - _unit(n, i + 1, i + 1) for i in range(n - 1)]
-            return out
-        if self.family == "SU_pq":
-            p, _ = self.signature
-            return [_unit(n, i, j) for i in range(n) for j in range(n) if (i < p) != (j < p)]
-        raise UnsupportedGroup(self.family)
+        return self._row.basis_mC(self)
+
+    # ----- the class of the group -----------------------------------------
+
+    @property
+    def real_form(self) -> bool:
+        """A noncompact real form: h^C and m^C are the +-1-eigenspaces of theta."""
+        return self._row.basis_g is not None
+
+    @property
+    def eigenlines(self) -> tuple | None:
+        """The two nilpotent m^C lines ((H+, Y+), (H-, Y-)), [H, Y] = -2Y, of
+        the rank-one models SL(2,R) and SU(1,1); None for every other model."""
+        return self._row.eigenlines if self.n == 2 else None
+
+    @property
+    def split_rank_one(self) -> bool:
+        """SL(2,R) in its split frame, where the triples have closed forms."""
+        return self._row.split and self.n == 2
+
+    @property
+    def hermitian_signature(self) -> tuple[int, int] | None:
+        """(p, q) of the Toledo pairing, None unless G is of Hermitian type; in
+        the split frame of SL(2,R) the two summands are the isotropic lines."""
+        return (1, 1) if self.eigenlines is not None else self.signature
 
     # ----- Cartan data ----------------------------------------------------
 
@@ -260,8 +198,8 @@ class Realization:
         """Hermitian torus element from weight coordinates (diagonal models)."""
         vals = [float(c) for c in coeffs]
         n = self.n
-        if self.family == "SL_R":
-            if n != 2:
+        if self._row.split:  # the compact torus is not diagonal in the split frame
+            if not self.split_rank_one:
                 raise UnsupportedGroup("cartan_element for SL(n,R) implemented for n = 2")
             if len(vals) != 1:
                 raise NotInCartan("SL(2,R) torus coordinate is one number")
@@ -269,7 +207,7 @@ class Realization:
             return a * np.array([[0, 1j], [-1j, 0]], dtype=complex)
         if len(vals) != n:
             raise NotInCartan(f"expected {n} diagonal coordinates")
-        if self.family in ("SL_C", "SU", "SU_pq") and abs(sum(vals)) > 1e-12:
+        if self._row.traceless and abs(sum(vals)) > 1e-12:
             raise NotInCartan("traceless model needs coordinates summing to zero")
         return np.diag(vals).astype(complex)
 
@@ -280,16 +218,118 @@ def _unit(n: int, i: int, j: int) -> np.ndarray:
     return m
 
 
-def _gl_basis(n: int) -> list[np.ndarray]:
-    return [_unit(n, i, j) for i in range(n) for j in range(n)]
+def _units(real: Realization, keep: Callable[[int, int], bool]) -> list[np.ndarray]:
+    n = real.n
+    return [_unit(n, i, j) for i in range(n) for j in range(n) if keep(i, j)]
 
 
 def _sl_diag_basis(n: int) -> list[np.ndarray]:
     return [_unit(n, i, i) - _unit(n, i + 1, i + 1) for i in range(n - 1)]
 
 
-def _sl_basis(n: int) -> list[np.ndarray]:
-    return [_unit(n, i, j) for i in range(n) for j in range(n) if i != j] + _sl_diag_basis(n)
+def _gl_basis(real: Realization) -> list[np.ndarray]:
+    return _units(real, lambda i, j: True)
+
+
+def _sl_basis(real: Realization) -> list[np.ndarray]:
+    return _units(real, lambda i, j: i != j) + _sl_diag_basis(real.n)
+
+
+def _su_pq_basis_g(real: Realization) -> list[np.ndarray]:
+    n, (p, _) = real.n, real.signature
+    out: list[np.ndarray] = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            eps = 1.0 if (i < p) == (j < p) else -1.0
+            out += [_unit(n, i, j) - eps * _unit(n, j, i), 1j * (_unit(n, i, j) + eps * _unit(n, j, i))]
+    return out + [1j * d for d in _sl_diag_basis(n)]
+
+
+def _theta_plus(real: Realization, x: np.ndarray) -> np.ndarray:
+    return (x + real.theta(x)) / 2
+
+
+def _theta_minus(real: Realization, x: np.ndarray) -> np.ndarray:
+    # both real forms are traceless, and theta(1) = -1 for SL(n,R)
+    out = (x - real.theta(x)) / 2
+    return out - np.trace(out) / real.n * np.eye(real.n)
+
+
+def _same(real: Realization, x: np.ndarray) -> np.ndarray:
+    return x  # abstract model: the subspace is a full copy of gl_n / sl_n
+
+
+def _zero(real: Realization, x: np.ndarray) -> np.ndarray:
+    return np.zeros_like(x)
+
+
+def _adjoint(real: Realization, x: np.ndarray) -> np.ndarray:
+    return x.conj().T
+
+
+def _neg_adjoint(real: Realization, x: np.ndarray) -> np.ndarray:
+    return -x.conj().T
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What one family of models fixes.  theta, sigma and the projections
+    map (realization, matrix) to a matrix; the bases take the realization."""
+
+    theta: Callable
+    sigma: Callable
+    project_hC: Callable
+    project_mC: Callable
+    basis_hC: Callable
+    basis_mC: Callable
+    traceless: bool = False
+    basis_g: Callable | None = None  # noncompact real forms only
+    complex_group: bool = False  # g is all of g^C
+    split: bool = False  # theta = -transpose
+    eigenlines: tuple | None = None  # of the rank-one (n = 2) model
+
+
+_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+# SL(2,R): the m^C eigenlines of ad(i*J0); SU(1,1): the off-diagonal units
+_SL2R_LINES = (
+    (-1j * _J2, np.array([[1, -1j], [-1j, -1]], dtype=complex) / 2),
+    (1j * _J2, np.array([[1, 1j], [1j, -1]], dtype=complex) / 2),
+)
+_SU11_LINES = (
+    (np.diag([-1.0, 1.0]).astype(complex), np.array([[0, 1], [0, 0]], dtype=complex)),
+    (np.diag([1.0, -1.0]).astype(complex), np.array([[0, 0], [1, 0]], dtype=complex)),
+)
+
+_FAMILIES = {
+    # on the m^C model (all of gl_n) the real points of GL(n,C) are the Hermitian matrices
+    "GL_C": _Family(_neg_adjoint, _adjoint, _same, _same, _gl_basis, _gl_basis, complex_group=True),
+    "SL_C": _Family(
+        _neg_adjoint, _adjoint, _same, _same, _sl_basis, _sl_basis, traceless=True, complex_group=True
+    ),
+    "U": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _gl_basis, lambda r: []),
+    "SU": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _sl_basis, lambda r: [], traceless=True),
+    "SL_R": _Family(
+        lambda r, x: -x.T,
+        lambda r, x: x.conj(),
+        _theta_plus,
+        _theta_minus,
+        lambda r: [_unit(r.n, i, j) - _unit(r.n, j, i) for i in range(r.n) for j in range(i + 1, r.n)],
+        lambda r: [_unit(r.n, i, j) + _unit(r.n, j, i) for i in range(r.n) for j in range(i + 1, r.n)]
+        + _sl_diag_basis(r.n),
+        traceless=True, basis_g=_sl_basis, split=True, eigenlines=_SL2R_LINES,
+    ),
+    "SU_pq": _Family(
+        lambda r, x: r._J @ x @ r._J,
+        lambda r, x: -r._J @ x.conj().T @ r._J,
+        _theta_plus,
+        _theta_minus,
+        # units inside the two diagonal blocks, then the traceless diagonal; units across them
+        lambda r: _units(r, lambda i, j: (i < r.signature[0]) == (j < r.signature[0]) and i != j)
+        + _sl_diag_basis(r.n),
+        lambda r: _units(r, lambda i, j: (i < r.signature[0]) != (j < r.signature[0])),
+        traceless=True, basis_g=_su_pq_basis_g, eigenlines=_SU11_LINES,
+    ),
+}
 
 
 def build_realization(label: str) -> Realization:
@@ -328,6 +368,9 @@ def _orthonormalize(basis: list[np.ndarray]) -> list[np.ndarray]:
     return [q[:, k].reshape(n, n) for k in range(q.shape[1])]
 
 
+SPACES = ("h^C", "m^C", "g^C")  # the model subspaces ad_eigendecompose acts on
+
+
 def ad_eigendecompose(
     real: Realization, a: np.ndarray, space: str = "m^C", tol: float = 1e-9
 ) -> list[tuple[float, list[np.ndarray]]]:
@@ -336,13 +379,9 @@ def ad_eigendecompose(
     a must act semisimply with real spectrum (Hermitian ad-operator in an
     orthonormal basis); otherwise NotInCartan is raised.
     """
-    basis = {"h^C": real.basis_hC, "m^C": real.basis_mC, "g^C": None}.get(space, "bad")
-    if basis == "bad":
-        raise ValueError(f"space must be one of h^C, m^C, g^C, got {space!r}")
-    if basis is None:
-        mats = real.basis_hC() + real.basis_mC()
-    else:
-        mats = basis()
+    if space not in SPACES:
+        raise ValueError(f"space must be one of {', '.join(SPACES)}, got {space!r}")
+    mats = (real.basis_hC() if space != "m^C" else []) + (real.basis_mC() if space != "h^C" else [])
     if not mats:
         return []
     mats = _orthonormalize(mats)
@@ -566,7 +605,7 @@ def normalize_kostant_sekiguchi(
     for m in (t.x, t.e, t.f):
         if not real.in_g(m, 1e-6):
             raise NotInModel("plain triple must lie in the real form g")
-    if real.family == "SL_R" and real.n == 2:
+    if real.split_rank_one:
         return _ks_real_closed_form_sl2(real, t)
 
     basis = real.basis_g()
@@ -696,28 +735,13 @@ def rank_sequence(m: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
     return tuple(seq)
 
 
-# SL(2,R): the m^C eigenlines of ad(i*J0) are spanned by these two nilpotents
-_U_PLUS = np.array([[1, -1j], [-1j, -1]], dtype=complex) / 2
-_U_MINUS = np.array([[1, 1j], [1j, -1]], dtype=complex) / 2
-
-
 def _component_signs(real: Realization, y: np.ndarray) -> tuple[int, ...] | None:
-    """For the 2x2 real-rank-one models: signs of the nonzero m^C eigencomponents."""
-    if real.n != 2 or real.family not in ("SL_R", "SU_pq"):
+    """For the rank-one models: signs of the nonzero m^C eigencomponents."""
+    if real.eigenlines is None:
         return None
-    if real.family == "SU_pq":
-        signs = []
-        if abs(y[0, 1]) > 1e-9 * (1 + hs_norm(y)):
-            signs.append(+1)
-        if abs(y[1, 0]) > 1e-9 * (1 + hs_norm(y)):
-            signs.append(-1)
-        return tuple(signs)
-    signs = []
-    if abs(np.vdot(_U_PLUS, y)) > 1e-9 * (1 + hs_norm(y)):
-        signs.append(+1)
-    if abs(np.vdot(_U_MINUS, y)) > 1e-9 * (1 + hs_norm(y)):
-        signs.append(-1)
-    return tuple(signs)
+    (_, plus), (_, minus) = real.eigenlines
+    floor = 1e-9 * (1 + hs_norm(y))
+    return tuple(sign for sign, line in ((+1, plus), (-1, minus)) if abs(np.vdot(line, y)) > floor)
 
 
 def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray, tol: float = 1e-10) -> OrbitCertificate:
@@ -727,13 +751,13 @@ def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray, tol: float = 1
     transform to a ks_normal triple; the certificate records the invariants
     of its nilpositive element.
     """
-    if real.family not in ("SL_R", "SU_pq"):
+    if not real.real_form:
         raise UnsupportedGroup("orbit map implemented for the real forms SL(n,R), SU(p,q)")
     e = np.asarray(e, dtype=complex)
     if hs_norm(e) < 1e-14:
         return OrbitCertificate(
             rank_sequence=tuple(0 for _ in range(real.n)),
-            component_signs=() if real.n == 2 else None,
+            component_signs=() if real.eigenlines is not None else None,
             representative=np.zeros_like(e),
             triple=None,
         )

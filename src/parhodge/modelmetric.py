@@ -34,7 +34,7 @@ import numpy as np
 from .liealg import Realization, SL2Triple, hs_norm
 from .liealg import _expm as expm
 from .nahodge import CommutationFailure, _realize, monodromy_factors
-from .parhiggs import alpha_matrix
+from .parhiggs import _turn_defect, alpha_matrix
 
 
 class NotSingleValued(ValueError):
@@ -103,16 +103,9 @@ def _polar(z) -> tuple[float, float]:
     return r, theta
 
 
-def _phase(a_mat: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
-    """exp(i theta (alpha_j - alpha_k)), the entrywise factor of Ad(exp(i theta alpha))."""
-    a = np.diag(a_mat).real
-    return np.exp(1j * np.multiply.outer(theta, a[:, None] - a[None, :]))
-
-
 def _check_angular_fix(a_mat: np.ndarray, fields: Sequence[tuple[str, np.ndarray]], tol: float):
-    turn = _phase(a_mat, 2 * math.pi)
     for name, v in fields:
-        if hs_norm(v * turn - v) > tol * (1 + hs_norm(v)):
+        if _turn_defect(a_mat, v) > tol * (1 + hs_norm(v)):
             raise NotSingleValued(
                 f"Ad(exp(2 pi i alpha)) does not fix {name}; "
                 "the angular conjugation would be multivalued"
@@ -120,7 +113,9 @@ def _check_angular_fix(a_mat: np.ndarray, fields: Sequence[tuple[str, np.ndarray
 
 
 def _angular_conj(a_mat: np.ndarray, theta: float | np.ndarray, v: np.ndarray) -> np.ndarray:
-    return v * _phase(a_mat, theta)
+    """Ad(exp(i theta alpha)) v: entry (j, k) times exp(i theta (alpha_j - alpha_k))."""
+    a = np.diag(a_mat).real
+    return v * np.exp(1j * np.multiply.outer(theta, a[:, None] - a[None, :]))
 
 
 def model_metric_eval(alpha, h_elem, z, tol: float = 1e-10) -> np.ndarray:

@@ -60,8 +60,6 @@ from .liealg import (
     Realization,
     SL2Triple,
     TripleCompletionFailure,
-    _U_MINUS,
-    _U_PLUS,
     _component_signs,
     _expm as expm,
     _logm as logm,
@@ -77,6 +75,7 @@ from .liealg import (
 )
 from .parhiggs import (
     ParabolicHiggsData,
+    _turn_defect,
     alpha_matrix,
     check_pole_orders,
     gr_res,
@@ -135,10 +134,9 @@ def y_orbit_certificate(real: Realization, y: np.ndarray, tol: float = 1e-9) -> 
     """Conjugation invariants of the H^C-orbit of a nilpotent ``y`` in m^C."""
     y = np.asarray(y, dtype=complex)
     if hs_norm(y) < 1e-13:
-        signs = () if (real.n == 2 and real.family in ("SL_R", "SU_pq")) else None
         return OrbitCertificate(
             rank_sequence=tuple(0 for _ in range(real.n)),
-            component_signs=signs,
+            component_signs=() if real.eigenlines is not None else None,
             representative=np.zeros_like(y),
             triple=None,
         )
@@ -156,9 +154,6 @@ def y_orbit_certificate(real: Realization, y: np.ndarray, tol: float = 1e-9) -> 
 # normalized sl2-triples through a nilpotent in m^C
 # ---------------------------------------------------------------------------
 
-_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-
-
 def complete_ks_triple(real: Realization, y: np.ndarray, tol: float = 1e-10) -> SL2Triple | None:
     """Normalized sl2-triple (H, X, Y') with X = -tau(Y') and H in i*h.
 
@@ -173,18 +168,15 @@ def complete_ks_triple(real: Realization, y: np.ndarray, tol: float = 1e-10) -> 
         raise TripleCompletionFailure("the nilpotent part must be nilpotent")
     if not real.in_mC(y, 1e-8):
         raise TripleCompletionFailure(f"y does not lie in the m^C model of {real.label}")
-    if real.family == "SL_R" and real.n == 2:
-        c_plus = complex(np.vdot(_U_PLUS, y))
-        c_minus = complex(np.vdot(_U_MINUS, y))
-        if min(abs(c_plus), abs(c_minus)) > 1e-8 * (1 + hs_norm(y)):
+    if real.split_rank_one:
+        lines = real.eigenlines
+        coeffs = [complex(np.vdot(line, y)) for _, line in lines]
+        if min(abs(c) for c in coeffs) > 1e-8 * (1 + hs_norm(y)):
             raise TripleCompletionFailure("y meets both eigenlines; it cannot be nilpotent")
-        if abs(c_plus) >= abs(c_minus):
-            phase = c_plus / abs(c_plus)
-            h, x_part, y_part = -1j * _J2, np.conj(phase) * _U_MINUS, phase * _U_PLUS
-        else:
-            phase = c_minus / abs(c_minus)
-            h, x_part, y_part = 1j * _J2, np.conj(phase) * _U_PLUS, phase * _U_MINUS
-        out = SL2Triple(x=h, e=x_part, f=y_part, flavor="ks_normal")
+        k = 0 if abs(coeffs[0]) >= abs(coeffs[1]) else 1  # the line y lies on
+        phase = coeffs[k] / abs(coeffs[k])
+        (h, line), (_, other) = lines[k], lines[1 - k]
+        out = SL2Triple(x=h.copy(), e=np.conj(phase) * other, f=phase * line, flavor="ks_normal")
         validate_triple(real, out, 1e-9)
         return out
     plain = jacobson_morozov(real, y)
@@ -290,15 +282,13 @@ def higgs_to_localsystem(
     a_mat = alpha_matrix(alpha)
     sc = 1 + hs_norm(s) + hs_norm(y)
     _check_commuting([("alpha, s", a_mat, s), ("s, Y", s, y)], tol, "residue data")
-    u = np.diag(np.exp(_TWO_PI_I * np.diag(a_mat)))
-    u_inv = np.diag(1 / np.diag(u))
-    if hs_norm(u @ y @ u_inv - y) > tol * sc:
+    if _turn_defect(a_mat, y) > tol * sc:
         raise CommutationFailure("residue data: Ad(exp 2*pi*i*alpha) does not fix Y")
     triple = complete_ks_triple(real, y, tol)
     if triple is not None:
         for name, part in (("H", triple.x), ("X", triple.e), ("Y", triple.f)):
             psc = 1 + hs_norm(part)
-            if hs_norm(u @ part @ u_inv - part) > 1e-8 * psc:
+            if _turn_defect(a_mat, part) > 1e-8 * psc:
                 raise TripleCompletionFailure(
                     f"normalized triple escaped the torus centralizer at {name}"
                 )
@@ -391,31 +381,16 @@ def _local_orbit_data(
     if hs_norm(n_mat) < 1e-12:
         return y_orbit_certificate(real, np.zeros((n, n), dtype=complex)), None
     ranks = rank_sequence(n_mat)
-    if real.n == 2 and real.family in ("SL_R", "SU_pq"):
-        if real.family == "SU_pq":
-            marker = float(n_mat[0, 0].real)
-            rep = np.zeros((2, 2), dtype=complex)
-            if abs(marker) < tol * hs_norm(n_mat):
-                raise NumericallyDefective("cannot resolve the orbit side from N")
-            if marker > 0:
-                rep[0, 1] = 1
-            else:
-                rep[1, 0] = 1
-        else:
-            marker = float(np.trace(np.imag(n_mat).astype(complex) @ _J2).real)
-            if abs(marker) < tol * hs_norm(n_mat):
-                raise NumericallyDefective("cannot resolve the orbit side from N")
-            rep = _U_PLUS if marker < 0 else _U_MINUS
-        triple = complete_ks_triple(real, rep, tol)
-        cert = OrbitCertificate(
-            rank_sequence=ranks,
-            component_signs=_component_signs(real, rep),
-            representative=rep,
-            triple=triple,
-        )
-        return cert, triple
     y = n_mat
-    if real.family in ("SL_R", "SU_pq"):
+    if real.eigenlines is not None:
+        # N = Y - H - X pairs with the neutral element H+ of the first line
+        # to -tr(H+ H) = -2 on that line and to +2 on the other
+        (h_plus, plus), (_, minus) = real.eigenlines
+        marker = float(np.trace(n_mat @ h_plus).real)
+        if abs(marker) < tol * hs_norm(n_mat):
+            raise NumericallyDefective("cannot resolve the orbit side from N")
+        y = plus if marker < 0 else minus
+    elif real.real_form:
         # N = Y - H - X with H in h^C and X, Y in m^C; the grading
         # [H, Y] = -2Y, [H, X] = 2X then separates Y from m = Y - X
         h = -real.project_hC(n_mat)
@@ -424,7 +399,7 @@ def _local_orbit_data(
     triple = complete_ks_triple(real, y, tol)
     cert = OrbitCertificate(
         rank_sequence=ranks,
-        component_signs=None,
+        component_signs=_component_signs(real, y),
         representative=triple.f if triple is not None else y,
         triple=triple,
     )
@@ -722,8 +697,7 @@ def hitchin_section(
             raise PoleOrderViolation(
                 f"differential coefficients below the allowed order: {offenders}"
             )
-        label = f"SL({n},R)" if n > 2 else "SL(2,R)"
-        data = make_data(genus, label, weights, laurent, degrees)
+        data = make_data(genus, f"SL({n},R)", weights, laurent, degrees)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected SL2R or SLnR_principal")
 
@@ -753,15 +727,12 @@ def _hermitian_signature(data: ParabolicHiggsData, signature: tuple[int, int] | 
         if p + q != data.n:
             raise ValueError(f"signature {signature} does not match rank {data.n}")
         return int(p), int(q)
-    real = build_realization(data.realization)
-    if real.family == "SU_pq":
-        return real.signature
-    if real.family == "SL_R" and real.n == 2:
-        # rank-2 split-frame data: the two summands are the two isotropic lines
-        return (1, 1)
-    raise NotHermitianType(
-        f"{data.realization} carries no Hermitian structure for the Toledo pairing"
-    )
+    hermitian = build_realization(data.realization).hermitian_signature
+    if hermitian is None:
+        raise NotHermitianType(
+            f"{data.realization} carries no Hermitian structure for the Toledo pairing"
+        )
+    return hermitian
 
 
 def toledo_character(p: int, q: int) -> tuple[Fraction, ...]:

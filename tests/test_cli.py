@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -444,6 +445,7 @@ def test_console_entry_point_subprocess(tmp_path):
 GRID = {"r_max": 1e-2, "r_min": 1e-4, "count": 2}
 VERIFY_MODEL = {"realization": "SU(1,1)", "alpha": [0, 0], "y": [[0, 0], [1, 0]], "grid": GRID}
 DIAG = [[1, 0], [0, -1]]
+H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[0, 0], [1, 0]]}
 
 
 @pytest.mark.parametrize(
@@ -482,6 +484,24 @@ DIAG = [[1, 0], [0, -1]]
         ("verify-model", {**VERIFY_MODEL, "grid": {**GRID, "count": 1}}, "$.grid"),
         ("stability", {"data": WALL_DATA, "mode": "x"}, "$.mode"),
         ("hitchin-section", {"mode": "x", "genus": 0, "n_punctures": 3}, "$.mode"),
+        # every matrix and weight is checked against the realization's rank before any work
+        ("translate-h2l", {**H2L, "realization": "SU(2,1)"}, "$.alpha"),
+        ("translate-h2l", {**H2L, "realization": "SU(2,1)", "alpha": [0, 0, 0]}, "$.s"),
+        ("translate-h2l", {**H2L, "y": [[0, 0, 0], [1, 0, 0], [0, 0, 0]]}, "$.y"),
+        ("translate-l2h", {"realization": "SU(2,1)", "monodromy": DIAG}, "$.monodromy"),
+        ("translate-l2h", {"realization": "SU(1,1)", "monodromy": DIAG, "beta": [[0]]}, "$.beta"),
+        ("verify-model", {**VERIFY_MODEL, "alpha": [0, 0, 0]}, "$.alpha"),
+        ("verify-model", {**VERIFY_MODEL, "s": [[0]]}, "$.s"),
+        ("verify-model", {**VERIFY_MODEL, "y": [[0, 0, 0]] * 3}, "$.y"),
+        ("verify-model", {**VERIFY_MODEL, "extra_terms": [[1, DIAG], [1, [[0]]]]}, "$.extra_terms[1][1]"),
+        ("verify-model", {**VERIFY_MODEL, "realization": "GL(0,C)", "alpha": []}, "$.realization"),
+        ("parabolic", {"realization": "GL(0,C)", "s": DIAG}, "$.realization"),
+        ("parabolic", {"realization": "GL(20,C)", "s": DIAG}, "$.s"),
+        ("parabolic", {"realization": "GL(2,C)", "s": DIAG, "space": "x"}, "$.space"),
+        ("ks-orbit", {"realization": "SL(3,R)", "e": [[0, 1], [0, 0]]}, "$.e"),
+        ("degree-relative", {"s": [[0, 1]], "sigma": DIAG}, "$.s"),
+        ("degree-relative", {"s": DIAG, "sigma": [[1, 0, 0]] * 3}, "$.sigma"),
+        ("degree-relative", {"sample": {"model": "GL(0,C)", "count": 1}}, "$.sample.model"),
     ],
 )
 def test_hostile_field_exits_3_with_location(tmp_path, command, payload, location):
@@ -489,6 +509,31 @@ def test_hostile_field_exits_3_with_location(tmp_path, command, payload, locatio
     assert code == 3
     assert report["error"]["type"] == "SchemaError"
     assert report["error"]["location"] == location
+
+
+def test_hecke_at_rank_41_builds_no_root_datum(tmp_path):
+    from parhodge import cartan
+
+    n = 41
+    data = ParabolicHiggsData(
+        genus=0,
+        realization=f"GL({n},C)",
+        punctures=(Puncture(weight=(Fraction(0),) * n),),
+        summand_degrees=(Fraction(0),) * n,
+        summand_ranks=(1,) * n,
+        c=(Fraction(0),) * n,
+    )
+    # entries all 1/41 mod 1 and sum 2: in the adjoint lattice, not in the simply-connected one
+    shift = [str(Fraction(1, n) + (k == 0)) for k in range(n)]
+    before = dict(cartan._ROOT_DATA)
+    for lattice, expect in (("adjoint", 0), ("simply_connected", 3)):
+        payload = {"data": to_json(data), "lambdas": [shift], "lattice": lattice}
+        start = time.perf_counter()
+        code, report = run_cli(tmp_path, "hecke", payload)
+        assert time.perf_counter() - start < 0.1
+        assert code == expect, report.get("error")
+    assert report["error"]["type"] == "NotInLattice"
+    assert cartan._ROOT_DATA == before
 
 
 @pytest.mark.parametrize(

@@ -50,20 +50,32 @@ def test_trace_form_signs():
     assert np.trace(s @ s).real > 0
 
 
-def test_involutions():
-    su = build_realization("SU(2,1)")
+@pytest.mark.parametrize(
+    "label", ["GL(3,C)", "SL(3,C)", "U(3)", "SU(3)", "SL(2,R)", "SL(3,R)", "SU(1,1)", "SU(2,1)"]
+)
+def test_involutions(label):
+    real = build_realization(label)
+    n = real.n
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert hs_norm(su.theta(su.theta(x)) - x) < 1e-12
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    theta, sigma = real.theta, real.sigma
+    assert hs_norm(theta(theta(x)) - x) < 1e-12
     # theta is a Lie algebra homomorphism
-    assert hs_norm(su.theta(comm(x, y)) - comm(su.theta(x), su.theta(y))) < 1e-10
-    # sigma is antilinear and involutive
-    assert hs_norm(su.sigma(1j * x) + 1j * su.sigma(x)) < 1e-12
-    assert hs_norm(su.sigma(su.sigma(x)) - x) < 1e-12
-    # h^C and m^C are the +-eigenspaces of theta
-    assert hs_norm(su.theta(su.project_hC(x)) - su.project_hC(x)) < 1e-12
-    assert hs_norm(su.theta(su.project_mC(x)) + su.project_mC(x)) < 1e-12
+    assert hs_norm(theta(comm(x, y)) - comm(theta(x), theta(y))) < 1e-10
+    # sigma is antilinear and involutive, and commutes with theta
+    assert hs_norm(sigma(1j * x) + 1j * sigma(x)) < 1e-12
+    assert hs_norm(sigma(sigma(x)) - x) < 1e-12
+    assert hs_norm(sigma(theta(x)) - theta(sigma(x))) < 1e-12
+    # the projections are idempotent
+    for project in (real.project_hC, real.project_mC):
+        assert hs_norm(project(project(x)) - project(x)) < 1e-12
+    if real.real_form:
+        # h^C and m^C are the +-eigenspaces of theta, and tau = sigma theta
+        assert hs_norm(theta(real.project_hC(x)) - real.project_hC(x)) < 1e-12
+        assert hs_norm(theta(real.project_mC(x)) + real.project_mC(x)) < 1e-12
+        assert hs_norm(sigma(theta(x)) - real.tau(x)) < 1e-12
+        assert real.in_g((x + sigma(x)) / 2)
 
 
 def test_ad_eigendecompose_gl3_multiplicities():

@@ -458,3 +458,79 @@ def test_validate_flags_bad_weight_and_eigencomponent():
     data2 = make_data(0, "GL(2,C)", [(HALF, -HALF)], [[(0, Fraction(1), E12 + E21)]], (0, 0))
     assert any("eigenvector" in p for p in validate(data2))
     assert validate(_sl2r_wall_data()) == []
+
+
+# ---------------------------------------------------------------------------
+# type-A closed forms against the root-datum path they replace
+# ---------------------------------------------------------------------------
+
+
+def _diag_to_coroot(diag):
+    """Diagonal coordinates to simple-coroot coordinates of the traceless part."""
+    mean = sum(diag, Fraction(0)) / len(diag)
+    central = [Fraction(d) - mean for d in diag]
+    return [sum(central[: k + 1], Fraction(0)) for k in range(len(diag) - 1)]
+
+
+@st.composite
+def _rank_and_vector(draw):
+    """A rank 2 <= n <= 13 and a rational vector whose entries share a few
+    denominators, so that both sides of every lattice and alcove test occur."""
+    n = draw(st.integers(2, 13))
+    den = draw(st.sampled_from([1, 2, 3, n, 2 * n]))
+    common = draw(st.integers(0, den - 1))
+    entries = [
+        Fraction(draw(st.integers(-2 * den, 2 * den)) if draw(st.booleans()) else common, den)
+        + draw(st.integers(-1, 1))
+        for _ in range(n)
+    ]
+    return n, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_and_vector())
+def test_alcove_closed_form_matches_the_root_datum(case):
+    from parhodge.cartan import alcove_membership, build_root_datum
+
+    n, weight = case
+    data = make_data(0, f"GL({n},C)", [tuple(weight)], [[]], (0,) * n)
+    outside = any("alcove" in p for p in validate(data))
+    coords = _diag_to_coroot(sorted(weight, reverse=True))
+    kind = alcove_membership(build_root_datum("A", n - 1), coords).kind
+    assert outside == (kind == "outside")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_and_vector(), st.sampled_from(["simply_connected", "adjoint"]))
+def test_lattice_closed_forms_match_the_root_datum(case, lattice):
+    from parhodge.cartan import build_root_datum, cochar_contains
+
+    n, lam = case
+    lam[-1] -= sum(lam, Fraction(0)) - round(sum(lam, Fraction(0)))  # integral central part
+    try:
+        hecke_transform([(0,) * n], [lam], (0,) * n, lattice=lattice)
+        accepted = True
+    except NotInLattice:
+        accepted = False
+    rd = build_root_datum("A", n - 1, lattice=lattice)
+    assert accepted == cochar_contains(rd, _diag_to_coroot(lam))
+
+
+def test_unknown_lattice_is_refused_at_every_rank():
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="unknown lattice"):
+            hecke_transform([(0,) * n], [(0,) * n], (0,) * n, lattice="x")
+
+
+def test_turn_defect_matches_the_conjugation_by_expm():
+    from scipy.linalg import expm
+
+    from parhodge.parhiggs import _turn_defect, alpha_matrix
+
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5):
+        a_mat = alpha_matrix([Fraction(int(k), 6) for k in rng.integers(-9, 9, n)])
+        u = expm(2j * np.pi * a_mat)
+        v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = np.linalg.norm(u @ v @ np.linalg.inv(u) - v)
+        assert abs(_turn_defect(a_mat, v) - want) < 1e-12 * (1 + want)
