@@ -52,7 +52,6 @@ from .jsonio import (
 )
 from .liealg import (
     SPACES,
-    ConvergenceFailure,
     NumericallyDefective,
     TripleCompletionFailure,
     UnsupportedGroup,
@@ -191,9 +190,11 @@ def _matrix(obj: Any, location: str, n: int | None = None) -> np.ndarray:
     return m
 
 
-def _signature(payload: dict) -> tuple[int, int] | None:
+def _signature(payload: dict, data) -> tuple[int, int] | None:
+    """The Toledo signature: the input's, else read from the data's own label."""
     raw = _field(payload, "signature", list_from_json, default=None, length=2)
     if raw is None:
+        _build_realization(data.realization, "$.data.realization")
         return None
     return tuple(int_from_json(x, f"$.signature[{i}]", lo=0) for i, x in enumerate(raw))
 
@@ -538,7 +539,7 @@ def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
 
 def _cmd_toledo(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    tau = toledo_invariant(data, signature=_signature(payload))
+    tau = toledo_invariant(data, signature=_signature(payload, data))
     report["outputs"] = {
         "tau": _tagged(tau, "exact character pairing"),
         "realization": data.realization,
@@ -550,7 +551,7 @@ def _cmd_mw_check(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
     result = milnor_wood_check(
         data,
-        signature=_signature(payload),
+        signature=_signature(payload, data),
         rank_plus=_field(payload, "rank_plus", int_from_json, default=None, lo=0),
         rank_minus=_field(payload, "rank_minus", int_from_json, default=None, lo=0),
     )
@@ -569,8 +570,8 @@ def _cmd_mw_check(payload: dict, args, report: dict) -> int:
 def _cmd_ks_orbit(payload: dict, args, report: dict) -> int:
     real = _realization(payload)
     e = _field(payload, "e", _matrix, n=real.n)
-    cert = kostant_sekiguchi_orbit_map(real, e, **_tol(args))
-    method = "Jacobson-Morozov plus Cayley transform"
+    cert = kostant_sekiguchi_orbit_map(real, e)
+    method = "complex-orbit invariants of e (Kostant-Sekiguchi keeps the G^C-orbit)"
     report["outputs"] = {
         "rank_sequence": _tagged(cert.rank_sequence, method),
         "component_signs": _tagged(cert.component_signs, method),
@@ -701,13 +702,7 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
         report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
         handler, _ = _COMMANDS[args.command]
         code = handler(object_from_json(payload), args, report)
-    except (
-        ConvergenceFailure,
-        GridTooCoarse,
-        SearchExhausted,
-        NonConvergence,
-        NumericallyDefective,
-    ) as exc:
+    except (GridTooCoarse, SearchExhausted, NonConvergence, NumericallyDefective) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_NO_CONVERGENCE
     except SchemaError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import re as _re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,10 +65,6 @@ class NumericallyDefective(RuntimeError):
 
 
 class TripleCompletionFailure(RuntimeError):
-    pass
-
-
-class ConvergenceFailure(RuntimeError):
     pass
 
 
@@ -361,11 +357,14 @@ def build_realization(label: str) -> Realization:
 # --------------------------------------------------------------------------
 
 
-def _orthonormalize(basis: list[np.ndarray]) -> list[np.ndarray]:
-    flat = np.stack([b.ravel() for b in basis]).T  # columns = basis vectors
-    q, r = np.linalg.qr(flat)
+def _restricted(basis: list[np.ndarray], apply: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns q spanning the row-major vectorized basis, and the
+    matrix q^H vec(L(q)) of a linear map L on n x n matrices; L receives the
+    whole (k, n, n) stack of the columns at once."""
     n = basis[0].shape[0]
-    return [q[:, k].reshape(n, n) for k in range(q.shape[1])]
+    q, _ = np.linalg.qr(np.stack([b.ravel() for b in basis]).T)
+    stack = q.T.reshape(-1, n, n)
+    return q, q.conj().T @ apply(stack).reshape(len(stack), -1).T
 
 
 SPACES = ("h^C", "m^C", "g^C")  # the model subspaces ad_eigendecompose acts on
@@ -384,19 +383,14 @@ def ad_eigendecompose(
     mats = (real.basis_hC() if space != "m^C" else []) + (real.basis_mC() if space != "h^C" else [])
     if not mats:
         return []
-    mats = _orthonormalize(mats)
     a = np.asarray(a, dtype=complex)
-    op = np.zeros((len(mats), len(mats)), dtype=complex)
-    for j, b in enumerate(mats):
-        img = comm(a, b)
-        for i, c in enumerate(mats):
-            op[i, j] = np.vdot(c, img)
+    q, op = _restricted(mats, lambda b: a @ b - b @ a)
     if np.linalg.norm(op - op.conj().T) > tol * (1 + np.linalg.norm(op)):
         raise NotInCartan("ad(a) is not Hermitian on this subspace; a is not a torus element")
     vals, vecs = np.linalg.eigh(op)
+    eigmats = (q @ vecs).T.reshape(-1, real.n, real.n)
     out: list[tuple[float, list[np.ndarray]]] = []
-    for k, lam in enumerate(vals):
-        mat = sum(vecs[i, k] * mats[i] for i in range(len(mats)))
+    for lam, mat in zip(vals, eigmats):
         if out and abs(lam - out[-1][0]) <= max(tol, 1e-9 * (1 + abs(lam))):
             out[-1][1].append(mat)
         else:
@@ -478,7 +472,6 @@ def _jordan_chains(e: np.ndarray, tol: float = 1e-9) -> list[list[np.ndarray]]:
     kernels = [np.zeros((n, 0), dtype=complex)] + [null_basis(powers[j]) for j in range(1, depth + 1)]
     chains: list[list[np.ndarray]] = []
     # choose chain tops level by level, from the deepest down
-    used = np.zeros((n, 0), dtype=complex)
     for j in range(depth, 0, -1):
         # span to quotient by: ker e^{j-1} plus e * (tops of longer chains), plus already chosen tops
         span_cols = [kernels[j - 1]]
@@ -511,17 +504,24 @@ def jacobson_morozov(real: Realization | None, e: np.ndarray, tol: float = 1e-8)
 
     Uses the Jordan normal form of e: per block of size d the standard triple
     has x = diag(d-1, d-3, ..., 1-d) and f with entries k(d-k) below the
-    diagonal.  Real input gives a real triple.
+    diagonal.  The triple is built for e / c, c a power of two within a
+    factor sqrt(2) of ||e||, so the chain cutoffs do not depend on the scale
+    of e; f is rescaled by 1/c.  Real input gives a real triple.
     """
     e = np.asarray(e, dtype=complex)
-    if hs_norm(e) < 1e-14:
+    scale = hs_norm(e)
+    if scale < 1e-14:
         raise ZeroElement("e = 0 has no sl2-triple")
     if not is_nilpotent(e, tol):
         raise NotNilpotent("jacobson_morozov needs a nilpotent element")
-    was_real = np.allclose(e.imag, 0, atol=1e-12 * (1 + hs_norm(e)))
+    # dividing by a power of two is exact: only the cutoffs see the new scale,
+    # the digits of the triple do not
+    step = 2.0 ** round(np.log2(scale))
+    unit = e / step
+    was_real = np.allclose(unit.imag, 0, atol=1e-12)
     n = e.shape[0]
-    chains = _jordan_chains(e)
-    cols, xs, fs = [], [], []
+    chains = _jordan_chains(unit)
+    cols = []
     x_std = np.zeros((n, n), dtype=complex)
     f_std = np.zeros((n, n), dtype=complex)
     pos = 0
@@ -539,11 +539,10 @@ def jacobson_morozov(real: Realization | None, e: np.ndarray, tol: float = 1e-8)
     f = p @ f_std @ p_inv
     if was_real:
         x, f = x.real.astype(complex), f.real.astype(complex)
-    t = SL2Triple(x=x, e=e, f=f, flavor="plain")
-    scale = 1 + hs_norm(x) + hs_norm(e) + hs_norm(f)
-    if hs_norm(comm(x, e) - 2 * e) > 1e-7 * scale or hs_norm(comm(e, f) - x) > 1e-7 * scale:
+    bound = 1e-7 * (1 + hs_norm(x) + hs_norm(unit) + hs_norm(f))
+    if hs_norm(comm(x, unit) - 2 * unit) > bound or hs_norm(comm(unit, f) - x) > bound:
         raise TripleCompletionFailure("Jordan-chain completion failed the bracket check")
-    return t
+    return SL2Triple(x=x, e=e, f=f / step, flavor="plain")
 
 
 def cayley_transform(real: Realization, t: SL2Triple, tol: float = 1e-8) -> SL2Triple:
@@ -573,138 +572,30 @@ def inverse_cayley_transform(real: Realization, t: SL2Triple, tol: float = 1e-8)
     return out
 
 
-def normalize_kostant_sekiguchi(
-    real: Realization,
-    t: SL2Triple,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> SL2Triple:
-    """Conjugate a triple into Kostant-Sekiguchi normal form.
+def normalize_kostant_sekiguchi(real: Realization, t: SL2Triple, tol: float = 1e-10) -> SL2Triple:
+    """Conjugate a normal triple (x in h^C; e, f in m^C) into ks_normal form f = sigma(e).
 
-    plain (in g)        -> ks_real   (theta(e) = -f), by descent over g
-    normal (in h^C,m^C) -> ks_normal (f = sigma(e)), by the torus scaling when
-                           the defect is a scaling, else by descent.
-
-    Descent directions include the noncompact part of the algebra: conjugation
-    by the compact group alone preserves ||theta(e)+f|| identically, so a
-    compact-only search cannot make progress.
+    The torus element that scales e by c and f by 1/c does it when
+    f = mu * sigma(e) with mu > 0, at c = sqrt(mu); any other defect is refused.
     """
     validate_triple(real, t, max(tol, 1e-8))
-    if t.flavor == "ks_real" or t.flavor == "ks_normal":
+    if t.flavor == "ks_normal":
         return t
-    if t.flavor == "normal":
-        fixed = _normalize_normal_by_scaling(real, t, tol)
-        if fixed is not None:
-            return fixed
+    if t.flavor != "normal":
+        raise NotInModel(f"normalize_kostant_sekiguchi takes a normal triple, not {t.flavor!r}")
+    se = real.sigma(t.e)
+    denom = float(np.vdot(se, se).real)
+    mu = complex(np.vdot(se, t.f)) / denom if denom else 0j
+    if (
+        hs_norm(t.f - mu * se) > 1e-8 * hs_norm(t.f)
+        or abs(mu.imag) > 1e-8 * abs(mu)
+        or mu.real <= 0
+    ):
         raise TripleCompletionFailure(
             "normal triple defect is not a torus scaling; conjugate it into a "
             "standard component first"
         )
-    if t.flavor != "plain":
-        raise NotInModel(f"cannot normalize flavor {t.flavor!r}")
-    for m in (t.x, t.e, t.f):
-        if not real.in_g(m, 1e-6):
-            raise NotInModel("plain triple must lie in the real form g")
-    if real.split_rank_one:
-        return _ks_real_closed_form_sl2(real, t)
-
-    basis = real.basis_g()
-    x, e, f = (np.asarray(m, dtype=complex) for m in (t.x, t.e, t.f))
-
-    def defect(e_, f_):
-        d = real.theta(e_) + f_
-        return float(np.vdot(d, d).real)
-
-    val = defect(e, f)
-    step = 0.5
-    it = 0
-    while val > tol * tol and it < max_iter:
-        it += 1
-        d = real.theta(e) + f
-        grads = []
-        for z in basis:
-            de = comm(z, e)
-            df = comm(z, f)
-            g = 2 * np.vdot(d, real.theta(de) + df).real
-            grads.append(g)
-        gvec = np.array(grads)
-        gn = np.linalg.norm(gvec)
-        if gn < 1e-15:
-            break
-        direction = sum(-g * z for g, z in zip(gvec, basis)) / gn
-        # backtracking line search on the conjugated defect
-        improved = False
-        s = step
-        for _ in range(40):
-            g_ = _expm(s * direction)
-            g_inv = np.linalg.inv(g_)
-            e2, f2 = g_ @ e @ g_inv, g_ @ f @ g_inv
-            v2 = defect(e2, f2)
-            if v2 < val - 1e-16:
-                x = g_ @ x @ g_inv
-                e, f, val = e2, f2, v2
-                improved = True
-                step = min(s * 1.5, 1.0)
-                break
-            s *= 0.5
-        if not improved:
-            break
-    if val > 1e-12 * max(1.0, hs_norm(e) ** 2):
-        raise ConvergenceFailure(
-            f"Kostant-Sekiguchi descent stalled with defect {val ** 0.5:.3e}"
-        )
-    out = SL2Triple(x=x, e=e, f=f, flavor="ks_real")
-    validate_triple(real, out, 1e-6)
-    return out
-
-
-def _ks_real_closed_form_sl2(real: Realization, t: SL2Triple) -> SL2Triple:
-    """Exact ks_real representative of a plain triple in sl(2,R).
-
-    In the basis (e u, u), u a lowest-weight vector of x, the triple becomes
-    the standard one; the fixed orthogonal change Q then lands on the triple
-    with f = e^T.  The determinant sign of the chain basis decides which of
-    the two nilpotent SL(2,R)-orbits we are in, so the target is reflected
-    accordingly and the overall conjugation stays orientation-preserving.
-    """
-    x = np.asarray(t.x, dtype=complex).real
-    e = np.asarray(t.e, dtype=complex).real
-    vals, vecs = np.linalg.eig(x)
-    k = int(np.argmin(np.abs(vals - (-1))))
-    if abs(vals[k] + 1) > 1e-6:
-        raise TripleCompletionFailure("x has no eigenvalue -1; not an sl2-triple over R")
-    u = vecs[:, k].real
-    if np.linalg.norm(u) < 1e-9:  # eigenvector came out imaginary; rotate the phase
-        u = vecs[:, k].imag
-    p = np.stack([e @ u, u], axis=1)
-    det = float(np.linalg.det(p))
-    if abs(det) < 1e-12:
-        raise TripleCompletionFailure("degenerate chain basis")
-    x_hat = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    e_hat = 0.5 * np.array([[1.0, 1.0], [-1.0, -1.0]])
-    if det < 0:
-        r = np.diag([1.0, -1.0])
-        x_hat, e_hat = r @ x_hat @ r, r @ e_hat @ r
-    f_hat = e_hat.T
-    out = SL2Triple(
-        x=x_hat.astype(complex), e=e_hat.astype(complex), f=f_hat.astype(complex), flavor="ks_real"
-    )
-    validate_triple(real, out, 1e-9)
-    return out
-
-
-def _normalize_normal_by_scaling(real: Realization, t: SL2Triple, tol: float):
-    """If f = mu * sigma(e) with mu > 0, rescale by the torus to reach f = sigma(e)."""
-    se = real.sigma(t.e)
-    denom = float(np.vdot(se, se).real)
-    if denom < 1e-28:
-        return None
-    mu = complex(np.vdot(se, t.f)) / denom
-    if hs_norm(t.f - mu * se) > 1e-8 * (1 + hs_norm(t.f)):
-        return None
-    if abs(mu.imag) > 1e-8 or mu.real <= 0:
-        return None
-    c = float(mu.real) ** 0.5
+    c = mu.real ** 0.5
     out = SL2Triple(t.x, c * t.e, t.f / c, "ks_normal")
     validate_triple(real, out, 1e-7)
     return out
@@ -721,17 +612,21 @@ class OrbitCertificate:
 
     rank_sequence: tuple[int, ...]
     component_signs: tuple[int, ...] | None  # rank-one models: which ad(h)-eigenline
-    representative: np.ndarray = field(compare=False, repr=False, default=None)
-    triple: SL2Triple | None = field(compare=False, repr=False, default=None)
 
 
 def rank_sequence(m: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
+    """Ranks of m, m^2, ..., m^n, read on the powers of m / ||m||: they have
+    norm at most 1, so the cutoff tol does not depend on the scale of m."""
     m = np.asarray(m, dtype=complex)
+    scale = hs_norm(m)
+    if scale == 0:
+        return tuple(0 for _ in range(m.shape[0]))
+    unit = m / scale
     seq = []
     acc = np.eye(m.shape[0], dtype=complex)
     for _ in range(m.shape[0]):
-        acc = acc @ m
-        seq.append(int(np.linalg.matrix_rank(acc, tol=tol * max(1.0, hs_norm(acc)))))
+        acc = acc @ unit
+        seq.append(int(np.linalg.matrix_rank(acc, tol=tol)))
     return tuple(seq)
 
 
@@ -740,16 +635,18 @@ def _component_signs(real: Realization, y: np.ndarray) -> tuple[int, ...] | None
     if real.eigenlines is None:
         return None
     (_, plus), (_, minus) = real.eigenlines
-    floor = 1e-9 * (1 + hs_norm(y))
+    floor = 1e-9 * hs_norm(y)
     return tuple(sign for sign, line in ((+1, plus), (-1, minus)) if abs(np.vdot(line, y)) > floor)
 
 
-def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray, tol: float = 1e-10) -> OrbitCertificate:
+def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray) -> OrbitCertificate:
     """Nilpotent G-orbit in g  ->  H^C-orbit certificate in m^C.
 
-    Chains: Jacobson-Morozov in g, descent to a ks_real triple, Cayley
-    transform to a ks_normal triple; the certificate records the invariants
-    of its nilpositive element.
+    The Kostant-Sekiguchi image y of e lies in the G^C-orbit of e
+    (Sekiguchi 1987), so the rank sequence of e is that of y.  On the
+    rank-one models the eigenline of y is the sign of Im tr(e H+), H+ the
+    neutral element of the first eigenline; |Im tr(e H+)| = ||e|| on every
+    nilpotent of sl(2,R) and su(1,1), so the sign never degenerates.
     """
     if not real.real_form:
         raise UnsupportedGroup("orbit map implemented for the real forms SL(n,R), SU(p,q)")
@@ -758,22 +655,16 @@ def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray, tol: float = 1
         return OrbitCertificate(
             rank_sequence=tuple(0 for _ in range(real.n)),
             component_signs=() if real.eigenlines is not None else None,
-            representative=np.zeros_like(e),
-            triple=None,
         )
     if not real.in_g(e, 1e-8):
         raise NotInModel("e must lie in the real form")
-    plain = jacobson_morozov(real, e)
-    # project the triple into g when rounding pushed it off (real forms are closed here)
-    ks = normalize_kostant_sekiguchi(real, plain, tol=max(tol, 1e-9))
-    normal = cayley_transform(real, ks)
-    y = normal.e
-    return OrbitCertificate(
-        rank_sequence=rank_sequence(y),
-        component_signs=_component_signs(real, y),
-        representative=y,
-        triple=normal,
-    )
+    if not is_nilpotent(e, 1e-8):
+        raise NotNilpotent("the orbit map needs a nilpotent element")
+    signs = None
+    if real.eigenlines is not None:
+        (h_plus, _), _ = real.eigenlines
+        signs = (1 if np.trace(e @ h_plus).imag > 0 else -1,)
+    return OrbitCertificate(rank_sequence=rank_sequence(e), component_signs=signs)
 
 
 # --------------------------------------------------------------------------

@@ -137,16 +137,12 @@ def y_orbit_certificate(real: Realization, y: np.ndarray, tol: float = 1e-9) -> 
         return OrbitCertificate(
             rank_sequence=tuple(0 for _ in range(real.n)),
             component_signs=() if real.eigenlines is not None else None,
-            representative=np.zeros_like(y),
-            triple=None,
         )
     if not is_nilpotent(y, max(tol, 1e-9)):
         raise NotInModel("orbit certificates are defined for nilpotent elements")
     return OrbitCertificate(
         rank_sequence=rank_sequence(y, tol),
         component_signs=_component_signs(real, y),
-        representative=y,
-        triple=None,
     )
 
 
@@ -400,8 +396,6 @@ def _local_orbit_data(
     cert = OrbitCertificate(
         rank_sequence=ranks,
         component_signs=_component_signs(real, y),
-        representative=triple.f if triple is not None else y,
-        triple=triple,
     )
     return cert, triple
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liealg import NotInCartan, Realization, ad_eigendecompose, comm, hs_norm, trace_form
-from .liealg import _expm as expm
+from .liealg import _expm as expm, _restricted
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,12 @@ def _fixed_space(mats: list[np.ndarray], u: np.ndarray, tol: float) -> list[np.n
     if not mats:
         return []
     u_inv = np.linalg.inv(u)
-    flat = np.stack([m.ravel() for m in mats]).T
-    q, _ = np.linalg.qr(flat)
-    cols = q.shape[1]
-    n = mats[0].shape[0]
-    op = np.zeros((cols, cols), dtype=complex)
-    for j in range(cols):
-        b = q[:, j].reshape(n, n)
-        img = (u @ b @ u_inv - b).ravel()
-        op[:, j] = q.conj().T @ img
+    q, op = _restricted(mats, lambda b: u @ b @ u_inv - b)
     _, s, vh = np.linalg.svd(op)
     top = s[0] if len(s) and s[0] > 1 else 1.0
-    kernel = [vh[k].conj() for k in range(cols) if k >= int(np.sum(s > tol * top))]
-    return [sum(v[i] * q[:, i].reshape(n, n) for i in range(cols)) for v in kernel]
+    rank = int(np.sum(s > tol * top))
+    n = mats[0].shape[0]
+    return list((q @ vh[rank:].conj().T).T.reshape(-1, n, n))
 
 
 def levi_centralizer_tilde(

@@ -502,6 +502,9 @@ H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[
         ("degree-relative", {"s": [[0, 1]], "sigma": DIAG}, "$.s"),
         ("degree-relative", {"s": DIAG, "sigma": [[1, 0, 0]] * 3}, "$.sigma"),
         ("degree-relative", {"sample": {"model": "GL(0,C)", "count": 1}}, "$.sample.model"),
+        # without a signature the Toledo pairing reads the data's own label
+        ("toledo", {"data": {**WALL_DATA, "realization": "x"}}, "$.data.realization"),
+        ("mw-check", {"data": {**WALL_DATA, "realization": "x"}}, "$.data.realization"),
     ],
 )
 def test_hostile_field_exits_3_with_location(tmp_path, command, payload, location):
@@ -582,19 +585,51 @@ def test_usage_error_between_calls_leaves_reports_unchanged(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_convergence_failure_exits_4(tmp_path, monkeypatch):
-    from parhodge import cli
-    from parhodge.liealg import ConvergenceFailure
+J3 = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+GL3_NILPOTENT = {"realization": "GL(3,C)", "alpha": [0, 0, 0], "s": [[0] * 3] * 3}
 
-    def stalled(*args, **kwargs):
-        raise ConvergenceFailure("Kostant-Sekiguchi descent stalled")
 
-    monkeypatch.setattr(cli, "kostant_sekiguchi_orbit_map", stalled)
-    code, report = run_cli(
-        tmp_path, "ks-orbit", {"realization": "SL(2,R)", "e": [[0, 1], [0, 0]]}
-    )
-    assert code == 4
-    assert report["error"]["type"] == "ConvergenceFailure"
+def certificate_of(report: dict):
+    """(rank_sequence, component_signs) as ks-orbit or translate-h2l report them."""
+    outputs = report["outputs"]
+    if report["command"] == "ks-orbit":
+        return outputs["rank_sequence"]["value"], outputs["component_signs"]["value"]
+    if report["command"] == "translate-h2l":
+        cert = outputs["entry"]["certificate"]
+        return cert["rank_sequence"], cert["component_signs"]
+    return None
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1, 1e8])
+@pytest.mark.parametrize(
+    "command, payload, key, nilpotent, certificate",
+    [
+        ("ks-orbit", {"realization": "SL(3,R)"}, "e", J3, ([2, 1, 0], None)),
+        ("ks-orbit", {"realization": "SL(2,R)"}, "e", [[0, 1], [0, 0]], ([1, 0], [1])),
+        ("translate-h2l", GL3_NILPOTENT, "y", J3, ([2, 1, 0], None)),
+        ("verify-model", {**GL3_NILPOTENT, "grid": GRID}, "y", J3, None),
+    ],
+)
+def test_nilpotent_scale_does_not_change_the_outcome(
+    tmp_path, scale, command, payload, key, nilpotent, certificate
+):
+    scaled = [[scale * x for x in row] for row in nilpotent]
+    code, report = run_cli(tmp_path, command, {**payload, key: scaled})
+    assert code == 0, report.get("error")
+    assert certificate_of(report) == certificate
+
+
+def test_ks_orbit_builds_no_triple(tmp_path, monkeypatch):
+    from parhodge import liealg
+
+    calls = []
+    for name in ("_expm", "jacobson_morozov"):
+        monkeypatch.setattr(liealg, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    principal = [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
+    code, report = run_cli(tmp_path, "ks-orbit", {"realization": "SL(4,R)", "e": principal})
+    assert code == 0
+    assert certificate_of(report) == ([3, 2, 1, 0], None)
+    assert calls == []
 
 
 # one valid input per command, optional fields included so that they get mutated too
@@ -708,7 +743,9 @@ print(json.dumps(loaded))
 
 
 def test_only_the_numeric_commands_load_scipy(tmp_path):
-    commands = ["rootsys", "alcove-normalize", "genericity", "hecke", "stability", "verify-model"]
+    commands = [
+        "rootsys", "alcove-normalize", "genericity", "hecke", "stability", "ks-orbit", "verify-model"
+    ]
     runs = []
     for command in commands:
         source = tmp_path / f"{command}.json"
@@ -725,4 +762,4 @@ def test_only_the_numeric_commands_load_scipy(tmp_path):
     assert loaded[0] is False  # importing the CLI
     assert [command for command, _, _ in loaded[1:]] == commands
     assert all(code in (0, 2) for _, code, _ in loaded[1:])
-    assert [scipy for _, _, scipy in loaded[1:]] == [False] * 5 + [True]
+    assert [scipy for _, _, scipy in loaded[1:]] == [False] * 6 + [True]

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from parhodge.liealg import (
+    SPACES,
     NotInvertible,
     NotInModel,
     NotNilpotent,
     SL2Triple,
     UnsupportedGroup,
     ZeroElement,
+    _restricted,
     ad_eigendecompose,
     build_realization,
     cayley_transform,
@@ -124,15 +126,18 @@ def test_jacobson_morozov_mixed_block_and_errors():
 
 
 def test_jacobson_morozov_scaling_covariance():
-    # (x of JM(c^2 e)) is conjugate to (x of JM(e)): equal eigenvalue multisets
+    # (x of JM(c e)) is conjugate to (x of JM(e)): equal eigenvalue multisets,
+    # and scaling the triple of c e back by 1/c gives a triple through e
     gl4 = build_realization("GL(4,C)")
     rng = np.random.default_rng(3)
     e = np.triu(rng.standard_normal((4, 4)), k=1).astype(complex)
     t1 = jacobson_morozov(gl4, e)
-    t2 = jacobson_morozov(gl4, 9.0 * e)
     v1 = np.sort(np.linalg.eigvals(t1.x).real)
-    v2 = np.sort(np.linalg.eigvals(t2.x).real)
-    assert np.allclose(v1, v2, atol=1e-7)
+    for c in (1e-12, 1e-8, 9.0, 1e8):
+        t2 = jacobson_morozov(gl4, c * e)
+        v2 = np.sort(np.linalg.eigvals(t2.x).real)
+        assert np.allclose(v1, v2, atol=1e-7)
+        validate_triple(gl4, t2.scaled(1 / c), tol=1e-7)
 
 
 def test_cayley_transform_round_trip():
@@ -153,30 +158,6 @@ def test_cayley_transform_round_trip():
         assert hs_norm(a - b) < 1e-12
 
 
-def test_normalize_ks_sl2r_closed_form():
-    sl2r = build_realization("SL(2,R)")
-    x = np.diag([1.0, -1.0]).astype(complex)
-    e = np.array([[0, 1], [0, 0]], dtype=complex)
-    f = np.array([[0, 0], [1, 0]], dtype=complex)
-    out = normalize_kostant_sekiguchi(sl2r, SL2Triple(x, e, f, "plain"))
-    assert out.flavor == "ks_real"
-    assert hs_norm(sl2r.theta(out.e) + out.f) < 1e-10
-
-
-def test_normalize_ks_descent_su11():
-    # a ks_real triple in su(1,1), conjugated off normal form by a noncompact element
-    su11 = build_realization("SU(1,1)")
-    s = np.array([[0, 1], [1, 0]], dtype=complex)
-    e = 0.5 * np.array([[1j, -1j], [1j, -1j]], dtype=complex)
-    f = 0.5 * np.array([[-1j, -1j], [1j, 1j]], dtype=complex)
-    validate_triple(su11, SL2Triple(s, e, f, "ks_real"))
-    g = expm(0.3 * np.array([[0, -1j], [1j, 0]], dtype=complex))
-    gi = np.linalg.inv(g)
-    t = SL2Triple(g @ s @ gi, g @ e @ gi, g @ f @ gi, "plain")
-    out = normalize_kostant_sekiguchi(su11, t)
-    assert hs_norm(su11.theta(out.e) + out.f) < 1e-5
-
-
 def test_normal_triple_torus_scaling():
     su11 = build_realization("SU(1,1)")
     x = np.diag([1.0, -1.0]).astype(complex)
@@ -186,6 +167,8 @@ def test_normal_triple_torus_scaling():
     assert out.flavor == "ks_normal"
     assert abs(abs(out.e[0, 1]) - 1.0) < 1e-10
     assert hs_norm(su11.sigma(out.e) - out.f) < 1e-10
+    with pytest.raises(NotInModel):  # only normal triples are normalized
+        normalize_kostant_sekiguchi(su11, SL2Triple(x, e, f, "plain"))
 
 
 def test_orbit_map_bijection_sl2r():
@@ -257,7 +240,9 @@ def test_jordan_not_invertible():
 
 def test_rank_sequence():
     e = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
-    assert rank_sequence(e) == (2, 1, 0)
+    for c in (1e-12, 1e-8, 1.0, 1e8):
+        assert rank_sequence(c * e) == (2, 1, 0)
+    assert rank_sequence(np.zeros((3, 3))) == (0, 0, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -292,3 +277,49 @@ def test_jacobson_morozov_random_nilpotents(seed):
         e[0, n - 1] = 1.0
     t = jacobson_morozov(gl, e)
     validate_triple(gl, t, tol=1e-6)
+
+
+def restricted_by_columns(basis, apply):
+    """The per-column loop that the batched restricted operator replaced:
+    entry (i, j) is <q_i, L(q_j)> for the orthonormalized basis q."""
+    n = basis[0].shape[0]
+    q, _ = np.linalg.qr(np.stack([b.ravel() for b in basis]).T)
+    op = np.zeros((q.shape[1], q.shape[1]), dtype=complex)
+    for j in range(q.shape[1]):
+        img = apply(q[:, j].reshape(n, n))
+        for i in range(q.shape[1]):
+            op[i, j] = np.vdot(q[:, i], img.ravel())
+    return q, op
+
+
+SMALL_MODELS = [
+    f"{group}({n}{field})"
+    for n in range(2, 6)
+    for group, field in (("GL", ",C"), ("SL", ",C"), ("U", ""), ("SU", ""), ("SL", ",R"))
+] + [f"SU({p},{q})" for p in range(1, 5) for q in range(1, 6 - p)]
+
+
+@pytest.mark.parametrize("label", SMALL_MODELS)
+def test_restricted_operator_matches_the_column_loop(label):
+    real = build_realization(label)
+    n = real.n
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    s = (a + a.conj().T) / 2  # Hermitian: ad(s) is Hermitian on every subspace
+    u = expm(1j * s)
+    u_inv = np.linalg.inv(u)
+    ad, twist = (lambda b: s @ b - b @ s), (lambda b: u @ b @ u_inv - b)
+    for space in SPACES:
+        basis = (real.basis_hC() if space != "m^C" else []) + (real.basis_mC() if space != "h^C" else [])
+        eig = ad_eigendecompose(real, s, space=space)
+        if not basis:
+            assert eig == []
+            continue
+        for apply in (ad, twist):
+            q, op = _restricted(basis, apply)
+            q_ref, op_ref = restricted_by_columns(basis, apply)
+            assert np.array_equal(q, q_ref)
+            assert np.allclose(op, op_ref, rtol=0, atol=1e-13 * (1 + np.abs(op_ref).max()))
+            if apply is ad:
+                got = [lam for lam, mats in eig for _ in mats]
+                assert np.allclose(got, np.linalg.eigvalsh(op_ref), rtol=0, atol=1e-12)
