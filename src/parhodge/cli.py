@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -158,11 +159,18 @@ def _tol(args) -> dict:
     return {} if args.tolerance is None else {"tol": args.tolerance}
 
 
-def _build_realization(label: str, location: str):
+@contextmanager
+def _label_at(location: str):
+    """An unrecognized group label is the input's fault, at location."""
     try:
-        return build_realization(label)
+        yield
     except UnsupportedGroup as exc:
         raise SchemaError(location, str(exc)) from exc
+
+
+def _build_realization(label: str, location: str):
+    with _label_at(location):
+        return build_realization(label)
 
 
 def _realization(payload: dict):
@@ -190,11 +198,9 @@ def _matrix(obj: Any, location: str, n: int | None = None) -> np.ndarray:
     return m
 
 
-def _signature(payload: dict, data) -> tuple[int, int] | None:
-    """The Toledo signature: the input's, else read from the data's own label."""
+def _signature(payload: dict) -> tuple[int, int] | None:
     raw = _field(payload, "signature", list_from_json, default=None, length=2)
     if raw is None:
-        _build_realization(data.realization, "$.data.realization")
         return None
     return tuple(int_from_json(x, f"$.signature[{i}]", lo=0) for i, x in enumerate(raw))
 
@@ -539,7 +545,8 @@ def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
 
 def _cmd_toledo(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    tau = toledo_invariant(data, signature=_signature(payload, data))
+    with _label_at("$.data.realization"):
+        tau = toledo_invariant(data, signature=_signature(payload))
     report["outputs"] = {
         "tau": _tagged(tau, "exact character pairing"),
         "realization": data.realization,
@@ -549,12 +556,13 @@ def _cmd_toledo(payload: dict, args, report: dict) -> int:
 
 def _cmd_mw_check(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    result = milnor_wood_check(
-        data,
-        signature=_signature(payload, data),
-        rank_plus=_field(payload, "rank_plus", int_from_json, default=None, lo=0),
-        rank_minus=_field(payload, "rank_minus", int_from_json, default=None, lo=0),
-    )
+    with _label_at("$.data.realization"):
+        result = milnor_wood_check(
+            data,
+            signature=_signature(payload),
+            rank_plus=_field(payload, "rank_plus", int_from_json, default=None, lo=0),
+            rank_minus=_field(payload, "rank_minus", int_from_json, default=None, lo=0),
+        )
     method = "exact character pairing"
     report["outputs"] = {
         "ok": result.ok,

@@ -447,9 +447,11 @@ def validate_triple(real: Realization, t: SL2Triple, tol: float = 1e-8) -> None:
 def is_nilpotent(m: np.ndarray, tol: float = 1e-8) -> bool:
     # power test, not eigenvalues: the spectrum of a defective matrix
     # scatters like norm * eps**(1/n) in floating point, while ||m^n||
-    # stays at rounding level
+    # stays at rounding level.  Dividing by the Frobenius norm instead of the
+    # spectral norm would shrink m^n by up to (||m||_F / ||m||_2)^n, and a
+    # 16-cycle permutation would pass as nilpotent
     m = np.asarray(m, dtype=complex)
-    scale = np.linalg.norm(m)
+    scale = np.linalg.norm(m, 2)
     if scale == 0:
         return True
     power = np.linalg.matrix_power(m / scale, m.shape[0])
@@ -457,19 +459,21 @@ def is_nilpotent(m: np.ndarray, tol: float = 1e-8) -> bool:
 
 
 def _jordan_chains(e: np.ndarray, tol: float = 1e-9) -> list[list[np.ndarray]]:
-    """Jordan chains of a nilpotent matrix, longest blocks first."""
+    """Jordan chains of a nilpotent matrix, longest blocks first.
+
+    e^k counts as zero below tol * ||e||^k (spectral norms), the size its
+    rounding scales with, so no cutoff depends on the scale of e.
+    """
     n = e.shape[0]
-    powers = [np.eye(n, dtype=complex)]
-    while np.linalg.norm(powers[-1]) > tol and len(powers) <= n:
-        powers.append(powers[-1] @ e)
-    depth = len(powers) - 1  # e^depth = 0
-
-    def null_basis(m):
-        u, s, vh = np.linalg.svd(m)
-        r = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
-        return vh[r:].conj().T  # columns
-
-    kernels = [np.zeros((n, 0), dtype=complex)] + [null_basis(powers[j]) for j in range(1, depth + 1)]
+    norm = np.linalg.norm(e, 2)
+    # kernels[k] = ker e^k as columns, up to the first k with e^k = 0
+    kernels = [np.zeros((n, 0), dtype=complex)]
+    power = np.eye(n, dtype=complex)
+    while len(kernels) <= n and kernels[-1].shape[1] < n:
+        power = power @ e
+        _, s, vh = np.linalg.svd(power)
+        kernels.append(vh[int(np.sum(s > tol * norm ** len(kernels))):].conj().T)
+    depth = len(kernels) - 1  # e^depth = 0
     chains: list[list[np.ndarray]] = []
     # choose chain tops level by level, from the deepest down
     for j in range(depth, 0, -1):
@@ -505,12 +509,13 @@ def jacobson_morozov(real: Realization | None, e: np.ndarray, tol: float = 1e-8)
     Uses the Jordan normal form of e: per block of size d the standard triple
     has x = diag(d-1, d-3, ..., 1-d) and f with entries k(d-k) below the
     diagonal.  The triple is built for e / c, c a power of two within a
-    factor sqrt(2) of ||e||, so the chain cutoffs do not depend on the scale
-    of e; f is rescaled by 1/c.  Real input gives a real triple.
+    factor sqrt(2) of the spectral norm of e, so neither the bracket check
+    nor the powers of e see its scale; f is rescaled by 1/c.  Real input
+    gives a real triple.
     """
     e = np.asarray(e, dtype=complex)
-    scale = hs_norm(e)
-    if scale < 1e-14:
+    scale = np.linalg.norm(e, 2)
+    if scale == 0:
         raise ZeroElement("e = 0 has no sl2-triple")
     if not is_nilpotent(e, tol):
         raise NotNilpotent("jacobson_morozov needs a nilpotent element")
@@ -615,10 +620,11 @@ class OrbitCertificate:
 
 
 def rank_sequence(m: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
-    """Ranks of m, m^2, ..., m^n, read on the powers of m / ||m||: they have
-    norm at most 1, so the cutoff tol does not depend on the scale of m."""
+    """Ranks of m, m^2, ..., m^n, read on the powers of m / ||m||_2: a Jordan
+    block keeps spectral norm 1 in every nonzero power, so the cutoff tol
+    depends neither on the scale of m nor on its size."""
     m = np.asarray(m, dtype=complex)
-    scale = hs_norm(m)
+    scale = np.linalg.norm(m, 2)
     if scale == 0:
         return tuple(0 for _ in range(m.shape[0]))
     unit = m / scale
@@ -651,20 +657,28 @@ def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray) -> OrbitCertif
     if not real.real_form:
         raise UnsupportedGroup("orbit map implemented for the real forms SL(n,R), SU(p,q)")
     e = np.asarray(e, dtype=complex)
-    if hs_norm(e) < 1e-14:
+    scale = np.linalg.norm(e, 2)
+    if scale == 0:
         return OrbitCertificate(
             rank_sequence=tuple(0 for _ in range(real.n)),
             component_signs=() if real.eigenlines is not None else None,
         )
-    if not real.in_g(e, 1e-8):
+    if not real.in_g(e / scale, 1e-8):
         raise NotInModel("e must lie in the real form")
     if not is_nilpotent(e, 1e-8):
         raise NotNilpotent("the orbit map needs a nilpotent element")
+    ranks = rank_sequence(e)
+    # the rank of a nilpotent's k-th power is lower than the (k-1)-th by the
+    # number of Jordan blocks of size >= k, a count that never grows, and the
+    # n-th power is 0; a near-nilpotent read at the rank cutoff can break this
+    drops = [a - b for a, b in zip((real.n,) + ranks, ranks)]
+    if ranks[-1] != 0 or any(a < b for a, b in zip(drops, drops[1:])):
+        raise NotNilpotent(f"e has rank sequence {ranks}, which no nilpotent has")
     signs = None
     if real.eigenlines is not None:
         (h_plus, _), _ = real.eigenlines
         signs = (1 if np.trace(e @ h_plus).imag > 0 else -1,)
-    return OrbitCertificate(rank_sequence=rank_sequence(e), component_signs=signs)
+    return OrbitCertificate(rank_sequence=ranks, component_signs=signs)
 
 
 # --------------------------------------------------------------------------

@@ -619,6 +619,49 @@ def test_nilpotent_scale_does_not_change_the_outcome(
     assert certificate_of(report) == certificate
 
 
+@pytest.mark.parametrize("n", [16, 20])
+def test_long_jordan_block_outcome_does_not_depend_on_scale(tmp_path, n):
+    def outcome(command, payload, key, scale):
+        block = [[scale if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+        code, report = run_cli(tmp_path, command, {**payload, key: block})
+        if code:
+            return code, report["error"]["type"], None
+        return code, None, certificate_of(report)
+
+    scales = (1e-8, 1, 1e8)
+    ks = [outcome("ks-orbit", {"realization": f"SL({n},R)"}, "e", c) for c in scales]
+    assert ks == [(0, None, (list(range(n - 1, -1, -1)), None))] * 3
+    payload = {"realization": f"GL({n},C)", "alpha": [0] * n, "s": [[0] * n] * n}
+    h2l = [outcome("translate-h2l", payload, "y", c) for c in scales]
+    assert h2l == [h2l[1]] * 3
+
+
+def test_ks_orbit_reads_a_tiny_nilpotent_as_nonzero(tmp_path):
+    tiny = [[1e-15 * x for x in row] for row in J3]
+    code, report = run_cli(tmp_path, "ks-orbit", {"realization": "SL(3,R)", "e": tiny})
+    assert code == 0
+    assert certificate_of(report) == ([2, 1, 0], None)
+
+
+CYCLE16 = [[1 if j == (i + 1) % 16 else 0 for j in range(16)] for i in range(16)]
+
+
+@pytest.mark.parametrize(
+    "label, e",
+    [
+        # (e / ||e||)^2 = 5e-9 * I passes the power test of nilpotency, but
+        # its ranks (2, 2) belong to no nilpotent orbit
+        ("SL(2,R)", [[0, 1], [5e-9, 0]]),
+        # a 16-cycle permutation: (e / ||e||_F)^16 = 4^-16 * I
+        ("SL(16,R)", CYCLE16),
+    ],
+)
+def test_ks_orbit_refuses_a_near_nilpotent_with_no_orbit(tmp_path, label, e):
+    code, report = run_cli(tmp_path, "ks-orbit", {"realization": label, "e": e})
+    assert code == 3
+    assert report["error"]["type"] == "NotNilpotent"
+
+
 def test_ks_orbit_builds_no_triple(tmp_path, monkeypatch):
     from parhodge import liealg
 

@@ -19,6 +19,7 @@ from parhodge.liealg import (
     comm,
     hs_norm,
     inverse_cayley_transform,
+    is_nilpotent,
     jacobson_morozov,
     jordan_additive,
     jordan_multiplicative,
@@ -243,6 +244,37 @@ def test_rank_sequence():
     for c in (1e-12, 1e-8, 1.0, 1e8):
         assert rank_sequence(c * e) == (2, 1, 0)
     assert rank_sequence(np.zeros((3, 3))) == (0, 0, 0)
+
+
+def jordan_block(n: int) -> np.ndarray:
+    return np.diag(np.ones(n - 1), 1).astype(complex)
+
+
+# 2**0.51 sits just above sqrt(2): the nearest power of two is 2, and the
+# k-th power of the block divided by it has norm 0.71^k, 5e-10 at k = 63
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 2**0.51, 1e8])
+@pytest.mark.parametrize("n", [2, 5, 10, 16, 17, 20, 64])
+def test_long_jordan_blocks_at_every_scale(n, scale):
+    # the k-th power of a Jordan block keeps spectral norm 1 for k < n, while
+    # its Frobenius-normalized power shrinks like (n - 1)^(-k/2)
+    e = scale * jordan_block(n)
+    assert rank_sequence(e) == tuple(range(n - 1, -1, -1))
+    gl = build_realization(f"GL({n},C)")
+    t = jacobson_morozov(gl, e)
+    validate_triple(gl, t.scaled(1 / scale), tol=1e-7)
+    assert np.allclose(np.sort(np.linalg.eigvals(t.x).real), np.arange(1 - n, n, 2), atol=1e-7)
+
+
+@pytest.mark.parametrize("n", [3, 16, 20])
+def test_cyclic_permutation_is_not_nilpotent(n):
+    # a Jordan block closed into an n-cycle has the n-th roots of unity as
+    # eigenvalues; divided by its Frobenius norm sqrt(n), its n-th power is
+    # n^(-n/2) * identity, below any fixed cutoff for n >= 16
+    cycle = jordan_block(n)
+    cycle[n - 1, 0] = 1
+    assert not is_nilpotent(cycle)
+    with pytest.raises(NotNilpotent):
+        jacobson_morozov(None, cycle)
 
 
 @settings(max_examples=40, deadline=None)
