@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -119,6 +120,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """--tolerance: a finite number > 0, so no NaN reaches a kernel or a report."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 @functools.cache  # built by the first cli_dispatch and shared by the later ones
 def _build_parser() -> _Parser:
     # no abbreviated options: an unechoed sink spelled "--out" would enter the
@@ -131,7 +143,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", metavar="FILE", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=None, help="RNG seed for sampled instances")
         p.add_argument(
-            "--tolerance", type=float, default=None, help="override the default numeric tolerance"
+            "--tolerance", type=_tolerance, default=None, help="override the default numeric tolerance"
         )
         if name == "verify-model":
             p.add_argument("--csv", metavar="FILE", help="also write the residual table as CSV")

@@ -22,18 +22,11 @@ import numpy as np
 
 
 # importing scipy.linalg is more than half of a cold ``import parhodge.cli`` and
-# no exact command needs it, so it is loaded at the first matrix
-# exponential/logarithm
+# no exact command needs it, so it is loaded at the first matrix exponential
 def _expm(a: np.ndarray) -> np.ndarray:
     from scipy.linalg import expm
 
     return expm(a)
-
-
-def _logm(a: np.ndarray) -> np.ndarray:
-    from scipy.linalg import logm
-
-    return logm(a)
 
 
 class UnsupportedGroup(ValueError):
@@ -725,7 +718,11 @@ def _cluster(vals: np.ndarray, tol: float, scale: float) -> list[complex]:
     return [complex(np.mean(g)) for g in groups]
 
 
-def jordan_additive(m: np.ndarray, tol: float = 1e-8, max_iter: int = 60) -> tuple[np.ndarray, np.ndarray]:
+# Newton steps before the Jordan-Chevalley iteration gives up
+_JORDAN_MAX_ITER = 60
+
+
+def jordan_additive(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Additive Jordan-Chevalley decomposition m = s + n by the Newton iteration
     on the squarefree characteristic polynomial of the clustered spectrum."""
     m = np.asarray(m, dtype=complex)
@@ -746,7 +743,7 @@ def jordan_additive(m: np.ndarray, tol: float = 1e-8, max_iter: int = 60) -> tup
         return q, dq
 
     s = m.copy()
-    for _ in range(max_iter):
+    for _ in range(_JORDAN_MAX_ITER):
         q, dq = ev(s)
         if hs_norm(q) <= 1e-13 * scale ** max(1, len(reps)):
             break
@@ -772,6 +769,7 @@ class JordanFactors:
     unipotent: np.ndarray
     semisimple: np.ndarray
     nilpotent_log: np.ndarray  # log of the unipotent factor
+    hyperbolic_log: np.ndarray  # log of the hyperbolic factor
 
 
 def jordan_multiplicative(g: np.ndarray, tol: float = 1e-8) -> JordanFactors:
@@ -798,6 +796,7 @@ def jordan_multiplicative(g: np.ndarray, tol: float = 1e-8) -> JordanFactors:
                 p = p @ (s - mu * np.eye(n)) / (lam - mu)
         projs.append(p)
     g_h = sum(abs(lam) * p for lam, p in zip(reps, projs))
+    log_h = sum(np.log(abs(lam)) * p for lam, p in zip(reps, projs))
     g_e = sum((lam / abs(lam)) * p for lam, p in zip(reps, projs))
     log_u = np.zeros_like(g)
     acc = u - np.eye(n)
@@ -811,8 +810,10 @@ def jordan_multiplicative(g: np.ndarray, tol: float = 1e-8) -> JordanFactors:
         for name, mval in (("h", g_h), ("e", g_e), ("u", u)):
             if np.max(np.abs(mval.imag)) > 1e-7 * scale:
                 raise NumericallyDefective(f"real input produced complex factor {name}")
-        g_h, g_e, u, log_u = (z.real.astype(complex) for z in (g_h, g_e, u, log_u))
-    fac = JordanFactors(elliptic=g_e, hyperbolic=g_h, unipotent=u, semisimple=s, nilpotent_log=log_u)
+        g_h, g_e, u, log_u, log_h = (z.real.astype(complex) for z in (g_h, g_e, u, log_u, log_h))
+    fac = JordanFactors(
+        elliptic=g_e, hyperbolic=g_h, unipotent=u, semisimple=s, nilpotent_log=log_u, hyperbolic_log=log_h
+    )
     err = hs_norm(g_e @ g_h @ u - g)
     if err > 1e-7 * scale:
         raise NumericallyDefective(f"reconstruction error {err:.2e}")

@@ -257,6 +257,10 @@ def _sup_norm(stack: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(stack, axis=(-2, -1))))
 
 
+# largest weighted gap between the finite-difference and analytic curvature
+_FD_TOL = 1e-4
+
+
 def hitchin_residual(
     alpha,
     s,
@@ -265,13 +269,12 @@ def hitchin_residual(
     realization,
     extra_terms: Sequence[tuple[int, np.ndarray]] = (),
     fd_step: float = 1e-3,
-    fd_tol: float = 1e-4,
     tol: float = 1e-8,
 ) -> ResidualProfile:
     """Weighted Hermite-Einstein residual of the model metric over a grid.
 
     Raises GridTooCoarse when the finite-difference curvature drifts from
-    the analytic one beyond ``fd_tol`` in the weighted norm (a sign that
+    the analytic one beyond 1e-4 in the weighted norm (a sign that
     ``fd_step`` and the radii resolve nothing).
     """
     real = _realize(realization)
@@ -292,10 +295,10 @@ def hitchin_residual(
         worst_fd = _sup_norm(weight * r * r * (analytic - fd))
         rho.append(worst_res)
         mismatch.append(worst_fd)
-        if worst_fd > fd_tol:
+        if worst_fd > _FD_TOL:
             raise GridTooCoarse(
                 f"finite-difference curvature off by {worst_fd:.3e} at r={r:g} "
-                f"(threshold {fd_tol:g}); refine fd_step"
+                f"(threshold {_FD_TOL:g}); refine fd_step"
             )
     return ResidualProfile(
         radii=tuple(grid.radii), rho=tuple(rho), fd_mismatch=tuple(mismatch), fd_step=fd_step

@@ -62,7 +62,6 @@ from .liealg import (
     TripleCompletionFailure,
     _component_signs,
     _expm as expm,
-    _logm as logm,
     build_realization,
     comm,
     hs_norm,
@@ -133,7 +132,7 @@ def _realize(realization) -> Realization:
 def y_orbit_certificate(real: Realization, y: np.ndarray, tol: float = 1e-9) -> OrbitCertificate:
     """Conjugation invariants of the H^C-orbit of a nilpotent ``y`` in m^C."""
     y = np.asarray(y, dtype=complex)
-    if hs_norm(y) < 1e-13:
+    if not y.any():
         return OrbitCertificate(
             rank_sequence=tuple(0 for _ in range(real.n)),
             component_signs=() if real.eigenlines is not None else None,
@@ -158,7 +157,7 @@ def complete_ks_triple(real: Realization, y: np.ndarray, tol: float = 1e-10) -> 
     Returns None for y = 0.
     """
     y = np.asarray(y, dtype=complex)
-    if hs_norm(y) < 1e-13:
+    if not y.any():
         return None
     if not is_nilpotent(y, max(tol, 1e-9)):
         raise TripleCompletionFailure("the nilpotent part must be nilpotent")
@@ -441,8 +440,7 @@ def localsystem_to_higgs(
     alpha = tuple(float(angles[k]) / (2 * math.pi) for k in order)
     vecs = vecs[:, order]
 
-    log_h = logm(jf.hyperbolic)
-    a_part = np.asarray(log_h, dtype=complex) / c
+    a_part = jf.hyperbolic_log / c
     if beta is None:
         beta_mat = np.zeros_like(m)
     else:

@@ -554,6 +554,27 @@ def test_abbreviated_option_exits_3(tmp_path, options):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("parabolic", {"realization": "GL(2,C)", "s": [[1, 0], [0, -1]]}),
+        ("degree-relative", {"s": [[1, 0], [0, -1]], "sigma": [[0, 1], [1, 0]]}),
+    ],
+)
+def test_non_finite_or_non_positive_tolerance_exits_3(tmp_path, command, payload, value):
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(payload))
+    out = tmp_path / "report.json"
+    argv = [command, "--input", str(source), "--output", str(out)]
+    code, report = cli_dispatch([*argv, f"--tolerance={value}"])
+    assert code == 3
+    assert report["error"]["type"] == "UsageError"
+    assert "finite number > 0" in report["error"]["message"]
+    assert not out.exists()
+    assert cli_dispatch([*argv, "--tolerance=1e-9"])[0] == 0
+
+
 def test_parser_reuse_keeps_no_option_from_an_earlier_call(tmp_path):
     def dispatch(command, payload, *options):
         source = tmp_path / f"{command}.json"
@@ -600,7 +621,7 @@ def certificate_of(report: dict):
     return None
 
 
-@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1, 1e8])
+@pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e-8, 1, 1e8])
 @pytest.mark.parametrize(
     "command, payload, key, nilpotent, certificate",
     [
@@ -617,6 +638,12 @@ def test_nilpotent_scale_does_not_change_the_outcome(
     code, report = run_cli(tmp_path, command, {**payload, key: scaled})
     assert code == 0, report.get("error")
     assert certificate_of(report) == certificate
+    if command == "verify-model":
+        unit = run_cli(tmp_path, command, {**payload, key: nilpotent})[1]["outputs"]["table"]
+        table = report["outputs"]["table"]
+        assert len(table) == len(unit)
+        for row, unit_row in zip(table, unit):
+            assert row == pytest.approx(unit_row, rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [16, 20])

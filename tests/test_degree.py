@@ -129,3 +129,113 @@ def test_reciprocity_random(seed):
     v1 = relative_degree(s, sigma).value
     v2 = relative_degree(sigma, s).value
     assert abs(v1 - v2) < 1e-6
+
+
+# --------------------------------------------------------------------------
+# the flow against its earlier form, which rescaled every column in log space
+# --------------------------------------------------------------------------
+
+
+def _log_scaled_relative_degree(s, sigma, tol=1e-9):
+    """relative_degree as it was before the column rescaling was dropped:
+    (value, trace length, method, converged), or NonConvergence."""
+    s = np.asarray(s, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    n = s.shape[0]
+    scale = (1 + np.linalg.norm(s)) * (1 + np.linalg.norm(sigma))
+    if np.linalg.norm(s @ sigma - sigma @ s) <= 1e-12 * scale:
+        return float(np.trace(s @ sigma).real), 1, "commuting", True
+    lam, v_sig = np.linalg.eigh(sigma)
+    d, u_s = np.linalg.eigh(s)
+    ds = np.diag(d).astype(complex)
+
+    def flow_qr(frame, dt):
+        y_all = v_sig.conj().T @ frame
+        cols = []
+        for j in range(n):
+            y = y_all[:, j]
+            mags = np.abs(y)
+            expo = np.where(mags > 0, dt * lam + np.log(np.maximum(mags, 1e-300)), -np.inf)
+            cols.append(v_sig @ (y * np.exp(dt * lam - np.max(expo))))
+        return np.linalg.qr(np.stack(cols, axis=1))[0]
+
+    dt_cap = 15.0 / max(float(lam[-1] - lam[0]), 1e-12)
+    trace = []
+    prev = None
+    frame = u_s
+    t = 0.0
+    dt = min(1.0, dt_cap)
+    for _ in range(4096):
+        frame = flow_qr(frame, dt)
+        t += dt
+        val = float(np.trace(frame @ ds @ frame.conj().T @ sigma).real)
+        trace.append((t, val))
+        if prev is not None and abs(val - prev) < tol:
+            return val, len(trace), "qr_flow", True
+        prev = val
+        dt = min(2.0 * dt, dt_cap)
+        if t > 2.0**20:
+            break
+    raise NonConvergence(trace)
+
+
+def _unit_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = (a + a.conj().T) / 2
+    return m / np.linalg.norm(m)
+
+
+def _assert_matches_log_scaled(s, sigma):
+    res = relative_degree(s, sigma)
+    value, length, method, converged = _log_scaled_relative_degree(s, sigma)
+    assert abs(res.value - value) <= 1e-12
+    assert (len(res.t_trace), res.method, res.converged) == (length, method, converged)
+
+
+def test_flow_matches_log_scaled_flow_on_random_unit_pairs():
+    rng = np.random.default_rng(8)
+    pairs = 0
+    for n, count in ((2, 60), (3, 60), (4, 40), (8, 20), (16, 12), (32, 8)):
+        for _ in range(count):
+            _assert_matches_log_scaled(_unit_hermitian(rng, n), _unit_hermitian(rng, n))
+            pairs += 1
+    assert pairs >= 200
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_flow_matches_log_scaled_flow_on_repeated_eigenvalues(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        u = _unitary(rng, n)
+        # one eigenvalue of multiplicity n - 1, then two of multiplicity n / 2
+        for weights in ([0.0] * (n - 1) + [1.0], [-1.0] * (n // 2) + [1.0] * (n - n // 2)):
+            sigma = u @ np.diag(weights).astype(complex) @ u.conj().T
+            s = _unit_hermitian(rng, n)
+            _assert_matches_log_scaled(s, sigma)
+            _assert_matches_log_scaled(sigma, s)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-11])
+def test_flow_matches_log_scaled_flow_on_nearly_commuting_pairs(eps):
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 4):
+        for _ in range(5):
+            u = _unitary(rng, n)
+            a = np.sort(rng.standard_normal(n))
+            b = np.sort(rng.standard_normal(n))
+            tilt = u @ (np.eye(n) + 1j * eps * _unit_hermitian(rng, n))
+            tilt, _ = np.linalg.qr(tilt)
+            s = u @ np.diag(a).astype(complex) @ u.conj().T
+            sigma = tilt @ np.diag(b).astype(complex) @ tilt.conj().T
+            _assert_matches_log_scaled(s, sigma)
+
+
+def test_flow_and_log_scaled_flow_both_give_up_at_zero_tolerance():
+    rng = np.random.default_rng(12)
+    s, sigma = _unit_hermitian(rng, 3), _unit_hermitian(rng, 3)
+    with pytest.raises(NonConvergence) as new:
+        relative_degree(s, sigma, tol=0)
+    with pytest.raises(NonConvergence) as old:
+        _log_scaled_relative_degree(s, sigma, tol=0)
+    assert len(new.value.trace) == len(old.value.trace)
+    assert max(abs(a[1] - b[1]) for a, b in zip(new.value.trace, old.value.trace)) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from parhodge.liealg import (
     SPACES,
@@ -232,6 +232,42 @@ def test_jordan_additive_conjugated_block(k):
     s, n = jordan_additive(p @ (semi + nil) @ p_inv)
     assert np.allclose(s, p @ semi @ p_inv, atol=1e-10)
     assert np.allclose(n, p @ nil @ p_inv, atol=1e-10)
+
+
+# relative gap between the first two eigenvalues; "defective" also joins them
+# by a Jordan block
+_GAPS = {"simple": None, "close": 1e-4, "clustered": 1e-14, "repeated": 0.0, "defective": 0.0}
+
+
+def _positive_spectrum_factor(rng, n, kind, real):
+    """p (diag(lam) + nil) p^-1 with lam of random modulus in [e^-1, e]."""
+    p = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    mods = np.exp(rng.uniform(-1, 1, n))
+    if real:
+        lam = mods * rng.choice([-1.0, 1.0], n)
+    else:
+        p = p + 0.3j * rng.standard_normal((n, n))
+        lam = mods * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    if _GAPS[kind] is not None:
+        lam[1] = lam[0] * (1 + _GAPS[kind])
+    nil = np.zeros((n, n))
+    if kind == "defective":
+        nil[0, 1] = 1.0
+    return p @ (np.diag(lam) + nil) @ np.linalg.inv(p)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("kind", sorted(_GAPS))
+def test_hyperbolic_log_matches_scipy_logm(kind, real):
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4):
+        for _ in range(15):
+            g = _positive_spectrum_factor(rng, n, kind, real)
+            fac = jordan_multiplicative(g)
+            oracle = logm(fac.hyperbolic)
+            assert hs_norm(fac.hyperbolic_log - oracle) < 1e-9 * (1 + hs_norm(oracle))
+            if real:
+                assert not fac.hyperbolic_log.imag.any()
 
 
 def test_jordan_not_invertible():
