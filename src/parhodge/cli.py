@@ -457,12 +457,25 @@ def _cmd_stability(payload: dict, args, report: dict) -> int:
     return EXIT_OK if verdict.verdict != "unstable" else EXIT_NEGATIVE_VERDICT
 
 
+def _weight_rows(obj: Any, location: str) -> list[tuple[Fraction, ...]]:
+    """One weight row per puncture, all non-empty and of one length n."""
+    rows = list_from_json(obj, location, items=fracvec_from_json)
+    for i, row in enumerate(rows):
+        if not row or len(row) != len(rows[0]):
+            raise SchemaError(
+                f"{location}[{i}]", f"every weight row needs the same n >= 1 entries, got {len(row)}"
+            )
+    return rows
+
+
 def _cmd_genericity(payload: dict, args, report: dict) -> int:
-    result = genericity_check(
-        _field(payload, "weights", list_from_json, items=fracvec_from_json),
-        max_combinations=_field(payload, "max_combinations", int_from_json, default=200000),
-    )
-    method = "exhaustive integer-character enumeration"
+    weights = _field(payload, "weights", _weight_rows)
+    budget = _field(payload, "max_combinations", int_from_json, default=200000, lo=1)
+    try:
+        result = genericity_check(weights, max_combinations=budget)
+    except ValueError as exc:  # the sweep outgrew the budget
+        raise SchemaError("$.weights", str(exc)) from exc
+    method = "integer residue-set sweep"
     report["outputs"] = {
         "generic": result.generic,
         "character": _plain(result.character),

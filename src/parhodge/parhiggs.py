@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, Sequence
 
 import numpy as np
@@ -791,35 +792,61 @@ def genericity_check(weights: Sequence[Sequence], max_combinations: int = 200000
 
     The determinant character is integral iff the total weight sum is an
     integer; a rank-k proper reduction admits integer degree solutions with
-    equal slopes iff ``n * sum_S alpha - k * sum alpha`` lies in gcd(n,k) Z,
-    swept over every per-puncture choice of a k-element coordinate subset.
+    equal slopes iff ``n * sum_S alpha - k * sum alpha`` lies in gcd(n,k) Z
+    for some per-puncture choice of k-element coordinate subsets S.
+
+    Scaled by the lcm D of the denominators, that is a sum of per-puncture
+    integer residues hitting ``k * D * sum alpha`` modulo ``gcd(n,k) * D``.
+    The residue sets reachable from each puncture to the last decide it, and
+    a forward walk that keeps the remainder reachable recovers the first
+    witness in puncture-major ``combinations`` order.  ``max_combinations``
+    bounds C(n, k) and the residue sums formed at each suffix step, hence the
+    size of every suffix set.
     """
     ws = [_fracs(w) for w in weights]
     if not ws:
         return GenericityResult(generic=False, character="det", value=Fraction(0))
     n = len(ws[0])
+    for i, w in enumerate(ws):
+        if not w or len(w) != n:
+            raise ValueError(f"weight row {i} has {len(w)} entries; every row needs the same n >= 1")
     total = sum((sum(w, Fraction(0)) for w in ws), Fraction(0))
     if total.denominator == 1:
         return GenericityResult(generic=False, character="det", value=total)
-    from itertools import combinations, product
-
+    d = math.lcm(*(a.denominator for w in ws for a in w))
+    scaled = [[a.numerator * (d // a.denominator) for a in w] for w in ws]
+    scaled_total = sum(map(sum, scaled))
     for k in range(1, n):
-        g = math.gcd(n, k)
-        per_puncture = [
-            [sum((w[j] for j in subset), Fraction(0)) for subset in combinations(range(n), k)]
-            for w in ws
-        ]
-        count = 1
-        for choices in per_puncture:
-            count *= len(choices)
-        if count > max_combinations:
-            raise ValueError("character sweep exceeds the combination budget")
-        for pick in product(*per_puncture):
-            v = n * sum(pick, Fraction(0)) - k * total
-            if v % g == 0:
-                return GenericityResult(
-                    generic=False,
-                    character=f"rank-{k} reduction slope equality",
-                    value=v,
+        if math.comb(n, k) > max_combinations:
+            raise ValueError(
+                f"rank-{k} sweep: C({n},{k}) = {math.comb(n, k)} exceeds"
+                f" max_combinations = {max_combinations}"
+            )
+        modulus = math.gcd(n, k) * d
+        subsets = list(combinations(range(n), k))
+        residues = [[n * sum(a[j] for j in s) % modulus for s in subsets] for a in scaled]
+        reach = [{0}]
+        for row in reversed(residues):
+            distinct, after = set(row), reach[-1]
+            sums = len(distinct) * len(after)
+            if sums > max_combinations:
+                raise ValueError(
+                    f"rank-{k} sweep: a suffix step forms {sums} residue sums, over"
+                    f" max_combinations = {max_combinations}"
                 )
+            reach.append({(r + s) % modulus for r in distinct for s in after})
+        reach.reverse()  # reach[i]: the residues the punctures i, i+1, ... can sum to
+        need = k * scaled_total % modulus
+        if need not in reach[0]:
+            continue
+        chosen = Fraction(0)
+        for w, row, after in zip(ws, residues, reach[1:]):
+            j = next(j for j, r in enumerate(row) if (need - r) % modulus in after)
+            need = (need - row[j]) % modulus
+            chosen += sum(w[i] for i in subsets[j])
+        return GenericityResult(
+            generic=False,
+            character=f"rank-{k} reduction slope equality",
+            value=n * chosen - k * total,
+        )
     return GenericityResult(generic=True, character=None, value=None)

@@ -505,6 +505,8 @@ H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[
         # without a signature the Toledo pairing reads the data's own label
         ("toledo", {"data": {**WALL_DATA, "realization": "x"}}, "$.data.realization"),
         ("mw-check", {"data": {**WALL_DATA, "realization": "x"}}, "$.data.realization"),
+        ("genericity", {"weights": [["1/3"]], "max_combinations": 0}, "$.max_combinations"),
+        ("genericity", {"weights": [["1/3"]], "max_combinations": -5}, "$.max_combinations"),
     ],
 )
 def test_hostile_field_exits_3_with_location(tmp_path, command, payload, location):
@@ -512,6 +514,28 @@ def test_hostile_field_exits_3_with_location(tmp_path, command, payload, locatio
     assert code == 3
     assert report["error"]["type"] == "SchemaError"
     assert report["error"]["location"] == location
+
+
+@pytest.mark.parametrize(
+    "weights, location",
+    [
+        ([["1/3", "1/5", "1/7"], ["1/11"]], "$.weights[1]"),  # used to escape as an IndexError
+        ([["1/3", "1/5"], ["1/7", "1/11", "1/13"]], "$.weights[1]"),  # used to be cut to n = 2
+        ([[]], "$.weights[0]"),  # used to report a det wall
+        ([[f"1/{q}" for q in range(2, 152)]], "$.weights"),  # C(150,3) is over the budget
+    ],
+)
+def test_hostile_weight_rows_exit_3_with_the_same_bytes(tmp_path, weights, location):
+    reports = []
+    for _ in range(2):
+        start = time.perf_counter()
+        code, report = run_cli(tmp_path, "genericity", {"weights": weights})
+        assert time.perf_counter() - start < 0.1
+        assert code == 3
+        assert report["error"]["type"] == "SchemaError"
+        assert report["error"]["location"] == location
+        reports.append((tmp_path / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_hecke_at_rank_41_builds_no_root_datum(tmp_path):

@@ -1,6 +1,8 @@
 """Pole orders, graded residue, gauges, stability, Hecke and genericity."""
 
+import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from parhodge.jsonio import SchemaError
 from parhodge.liealg import rank_sequence
 from parhodge.parhiggs import (
     GaugeReport,
+    GenericityResult,
     LaurentTerm,
     MissingEigenbasis,
     InadmissiblePoles,
@@ -416,6 +419,114 @@ def test_genericity_subset_wall():
     # the total is non-integral: (1/2, 0) at two punctures has total 1
     res = genericity_check([(HALF, 0), (HALF, 0)])
     assert not res.generic
+
+
+def _reference_genericity(weights, max_combinations=200000):
+    """The product-order Fraction enumerator the residue sweep replaced, frozen as its oracle."""
+    ws = [tuple(Fraction(v) for v in w) for w in weights]
+    if not ws:
+        return GenericityResult(generic=False, character="det", value=Fraction(0))
+    n = len(ws[0])
+    total = sum((sum(w, Fraction(0)) for w in ws), Fraction(0))
+    if total.denominator == 1:
+        return GenericityResult(generic=False, character="det", value=total)
+    for k in range(1, n):
+        g = math.gcd(n, k)
+        per_puncture = [
+            [sum((w[j] for j in subset), Fraction(0)) for subset in combinations(range(n), k)]
+            for w in ws
+        ]
+        count = 1
+        for choices in per_puncture:
+            count *= len(choices)
+        if count > max_combinations:
+            raise ValueError("character sweep exceeds the combination budget")
+        for pick in product(*per_puncture):
+            v = n * sum(pick, Fraction(0)) - k * total
+            if v % g == 0:
+                return GenericityResult(
+                    generic=False,
+                    character=f"rank-{k} reduction slope equality",
+                    value=v,
+                )
+    return GenericityResult(generic=True, character=None, value=None)
+
+
+def _random_weights(rng, n, punctures, q=None):
+    """Weights over one shared denominator q, or over mixed denominators 1..9."""
+    if q is not None or rng.random() < 0.5:
+        q = q or int(rng.choice([2, 3, 4, 6, 10, 12]))
+        return [[Fraction(int(rng.integers(0, q)), q) for _ in range(n)] for _ in range(punctures)]
+    return [
+        [Fraction(int(rng.integers(0, 7)), int(rng.integers(1, 10))) for _ in range(n)]
+        for _ in range(punctures)
+    ]
+
+
+def _plant(rng, weights, k):
+    """Move one weight so that the rank-k slope equality holds on random subsets."""
+    n = len(weights[0])
+    subsets = [[int(j) for j in rng.choice(n, k, replace=False)] for _ in weights]
+    moved = subsets[-1][0]
+    weights[-1][moved] = Fraction(0)
+    chosen = sum(w[j] for w, s in zip(weights, subsets) for j in s)
+    total = sum(map(sum, weights))
+    # n * (chosen + x) - k * (total + x) = gcd(n, k) * t
+    t = int(rng.integers(-3, 4))
+    weights[-1][moved] = (math.gcd(n, k) * t - n * chosen + k * total) / (n - k)
+
+
+def test_genericity_matches_the_product_enumerator():
+    rng = np.random.default_rng(2024)
+    shapes = [
+        (n, punctures)
+        for n in range(2, 7)
+        for punctures in range(1, 7)
+        if max(math.comb(n, k) for k in range(1, n)) ** punctures <= 3000
+    ]
+    planted_hits = 0
+    for _ in range(250):
+        n, punctures = shapes[int(rng.integers(len(shapes)))]
+        # plant at 2 <= k <= n/2: the rank-k and rank-(n-k) walls coincide (S <-> its
+        # complement), and a prime denominator seldom meets a rank-1 wall first
+        k = int(rng.integers(2, n // 2 + 1)) if n >= 4 and rng.random() < 0.5 else None
+        weights = _random_weights(rng, n, punctures, q=None if k is None else 10007)
+        if k is not None:
+            _plant(rng, weights, k)
+        got, want = genericity_check(weights), _reference_genericity(weights)
+        assert (got, type(got.value)) == (want, type(want.value)), weights
+        if k is not None and got.character not in (None, "det", "rank-1 reduction slope equality"):
+            planted_hits += 1
+    assert planted_hits >= 30
+
+
+def test_genericity_budget_still_refuses_coprime_denominators():
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))][:36]
+    weights = [[Fraction(1, primes[6 * i + j]) for j in range(6)] for i in range(6)]
+    # every C(6,k) <= 20 fits: the suffix residue sets outgrow the budget
+    with pytest.raises(ValueError, match="suffix step .* max_combinations = 1000"):
+        genericity_check(weights, max_combinations=1000)
+    with pytest.raises(ValueError):
+        _reference_genericity(weights, max_combinations=1000)
+
+
+def test_genericity_decides_shared_denominators_past_the_product_count():
+    # C(6,2)^3 = 3375 rank-2 picks overrun a budget of 1000, but the residues
+    # live modulo gcd(6,2) * 2 = 4: no rank-1 wall (6 * sum is an integer, the
+    # total is not), the rank-2 wall at the first pair that holds the half
+    weights = [[HALF, 0, 0, 0, 0, 0]] + [[0] * 6] * 2
+    with pytest.raises(ValueError):
+        _reference_genericity(weights, max_combinations=1000)
+    res = genericity_check(weights, max_combinations=1000)
+    assert (res.generic, res.character, res.value) == (
+        False, "rank-2 reduction slope equality", Fraction(2)
+    )
+
+
+@pytest.mark.parametrize("weights", [[(HALF, 0), (HALF,)], [(), ()], [()]])
+def test_genericity_refuses_ragged_or_empty_rows(weights):
+    with pytest.raises(ValueError, match="weight row"):
+        genericity_check(weights)
 
 
 # ---------------------------------------------------------------------------
