@@ -308,6 +308,24 @@ def _new_report(command: str, argv: Sequence[str], args) -> dict:
     }
 
 
+def _first_non_finite(value: Any) -> str | None:
+    """Path below ``value`` to its first NaN or infinite number, in rendered
+    (sorted-key) order, as ".key[i]..."; None when every number is finite."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else ""
+    if isinstance(value, dict):
+        items, step = sorted(value.items()), ".{}"
+    elif isinstance(value, (list, tuple)):
+        items, step = enumerate(value), "[{}]"
+    else:
+        return None
+    for key, item in items:
+        rest = _first_non_finite(item)
+        if rest is not None:
+            return step.format(key) + rest
+    return None
+
+
 def _render(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -735,6 +753,11 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
         report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
         handler, _ = _COMMANDS[args.command]
         code = handler(object_from_json(payload), args, report)
+        # a report is JSON, which has no NaN or Infinity: an overflow is a failure
+        path = _first_non_finite(report["outputs"])
+        if path is not None:
+            report["outputs"] = {}
+            raise NumericallyDefective(f"non-finite number at $.outputs{path}")
     except (GridTooCoarse, SearchExhausted, NonConvergence, NumericallyDefective) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_NO_CONVERGENCE

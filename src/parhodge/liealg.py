@@ -21,14 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-# importing scipy.linalg is more than half of a cold ``import parhodge.cli`` and
-# no exact command needs it, so it is loaded at the first matrix exponential
-def _expm(a: np.ndarray) -> np.ndarray:
-    from scipy.linalg import expm
-
-    return expm(a)
-
-
 class UnsupportedGroup(ValueError):
     pass
 
@@ -72,6 +64,40 @@ def hs_norm(a: np.ndarray) -> float:
 def trace_form(x: np.ndarray, y: np.ndarray) -> complex:
     """Complex bilinear trace form tr(xy)."""
     return complex(np.trace(np.asarray(x, dtype=complex) @ np.asarray(y, dtype=complex)))
+
+
+# Every matrix exponential in the library has an exponent whose structure the
+# caller already knows, Hermitian up to a scalar or nilpotent, and each has a
+# closed form.
+
+
+def _exp_hermitian(h: np.ndarray, c) -> np.ndarray:
+    """exp(c h) for Hermitian h, as V diag(exp(c lambda)) V^H from one eigh.
+
+    ``c`` is a scalar or an array of scalars; for an array the exponentials
+    stack along its axes.  Raises NotInModel unless h is Hermitian to 1e-9
+    relative.
+    """
+    h = np.asarray(h, dtype=complex)
+    d = h - h.conj().T
+    if np.vdot(d, d).real > 1e-18 * np.vdot(h, h).real:  # squared Frobenius norms
+        raise NotInModel("the exponent is not Hermitian")
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(np.multiply.outer(c, lam))[..., None, :]) @ v.conj().T
+
+
+def _nilpotent_series(n_mat: np.ndarray, c=1) -> list[np.ndarray]:
+    """(c N)^k / k! for k = 0 .. n-1: the whole series of exp(c N) when N^n = 0."""
+    m = c * np.asarray(n_mat, dtype=complex)
+    terms = [np.eye(m.shape[0], dtype=complex)]
+    for k in range(1, m.shape[0]):
+        terms.append(terms[-1] @ m / k)
+    return terms
+
+
+def _exp_nilpotent(n_mat: np.ndarray, c) -> np.ndarray:
+    """exp(c N) for nilpotent N, as the finite sum of ``_nilpotent_series``."""
+    return sum(_nilpotent_series(n_mat, c))
 
 
 _LABEL_RE = _re.compile(

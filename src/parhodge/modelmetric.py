@@ -15,7 +15,10 @@ solves the Hermite-Einstein equation identically; a nonzero residual profile
 requires higher-order Higgs terms, which ``hitchin_residual`` accepts in the
 holomorphic gauge and transports itself.  ``holonomy_check`` transports around
 a circle in closed form and compares with the predicted monodromy factors of
-the translation dictionary.
+the translation dictionary.  The transport is exp(2 pi i alpha) times the
+exponential of -2 pi i (s + tau(s)) + pi i N / ln r, N = Y - H - X; s + tau(s)
+commutes with N (checked), so that exponential is the product of the
+exponentials of a Hermitian matrix (times -2 pi) and of a nilpotent one.
 
 alpha is diagonal, so Ad(exp(i theta alpha)) multiplies entry (j, k) by the
 phase exp(i theta (alpha_j - alpha_k)).  ``connection_angular_part``,
@@ -31,8 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .liealg import Realization, SL2Triple, hs_norm
-from .liealg import _expm as expm
+from .liealg import Realization, SL2Triple, _exp_hermitian, _exp_nilpotent, comm, hs_norm
 from .nahodge import CommutationFailure, _realize, monodromy_factors
 from .parhiggs import _turn_defect, alpha_matrix
 
@@ -131,8 +133,8 @@ def model_metric_eval(alpha, h_elem, z, tol: float = 1e-10) -> np.ndarray:
     r, theta = _polar(z)
     _check_angular_fix(a_mat, [("H", h_elem)], tol)
     radial = np.exp(-math.log(r) * np.diag(a_mat).real)  # the diagonal of |z|^-alpha
-    # expm(c Ad(u) H) = Ad(u) expm(c H) for u = exp(i theta alpha)
-    log_factor = _angular_conj(a_mat, theta, expm(math.log(-2 * math.log(r)) * h_elem))
+    # exp(c Ad(u) H) = Ad(u) exp(c H) for u = exp(i theta alpha), and H is Hermitian
+    log_factor = _angular_conj(a_mat, theta, _exp_hermitian(h_elem, math.log(-2 * math.log(r))))
     return log_factor * np.outer(radial, radial)
 
 
@@ -170,11 +172,12 @@ def higgs_field_part(
         h_elem = np.zeros_like(a_mat) if triple is None else triple.x
         # g0 = |z|^alpha (-ln|z|^2)^(-H_theta/2); the Higgs field transforms
         # by Ad(g0^{-1}), and (-ln|z|^2)^(-H_theta/2) = Ad(exp(i theta alpha)) E
-        # for the one exponential E below
+        # for E = exp(c H) below; H is Hermitian, so one eigh gives E and E^-1
         radial = np.exp(math.log(r) * np.diag(a_mat).real)  # the diagonal of |z|^alpha
-        log_part = expm(-0.5 * math.log(-log_z2) * h_elem)
+        c = -0.5 * math.log(-log_z2)
+        log_part, log_part_inv = _exp_hermitian(h_elem, (c, -c))
         g0 = radial[:, None] * _angular_conj(a_mat, theta, log_part)
-        g0_inv = _angular_conj(a_mat, theta, np.linalg.inv(log_part)) / radial[None, :]
+        g0_inv = _angular_conj(a_mat, theta, log_part_inv) / radial[None, :]
         spin = np.exp(1j * np.asarray(theta))[..., None, None]  # z / |z|
         for k, psi in extra_terms:
             if int(k) < 1:
@@ -392,21 +395,39 @@ def holonomy_check(
     the rotating frame V = exp(-i theta alpha) U the coefficients are
     constant and
         U(2 pi) = exp(2 pi i alpha) exp(-2 pi i (s + tau(s) - N / ln r^2)).
-    The deviations compare U(2 pi) against the predicted semisimple (Levi)
-    part and the full predicted monodromy; ``tol`` bounds the commutation
-    checks.  The holonomy converges to the Levi part as r -> 0 (exactly, for
-    Y = 0).
+    s + tau(s) commutes with N: the checks of the model data give
+    [s, H] = [s, X] = [s, Y] = [s, tau(s)] = 0, and X = -tau(Y) on a
+    normalized triple carries them over to tau(s) (so does the normality of
+    s, which makes tau(s) = -s^H a polynomial in s).  So the exponential
+    splits into closed forms,
+        U(2 pi) = exp(2 pi i alpha) exp(-2 pi i (s + tau(s))) exp(pi i N / ln r),
+    the middle factor from the Hermitian i (s + tau(s)) and the last a finite
+    series.  Those checks hold to a tolerance, and a triple that is not
+    normalized can turn their slack into a commutator of order one, so
+    [s + tau(s), N] is checked too (CommutationFailure).  The deviations
+    compare U(2 pi) against the predicted semisimple (Levi) part and the full
+    predicted monodromy; ``tol`` bounds the commutation checks.  The holonomy
+    converges to the Levi part as r -> 0 (exactly, for Y = 0).
     """
     real = _realize(realization)
     a_mat = alpha_matrix(alpha)
     s = np.asarray(s, dtype=complex)
     if not 0 < r < 1:
         raise ValueError("need a circle radius in (0, 1)")
-    _validate_model_data(real, a_mat, s, triple, max(tol, 1e-9))
+    tol = max(tol, 1e-9)
+    _validate_model_data(real, a_mat, s, triple, tol)
 
     g_e, g_h, g_u, n_mat = monodromy_factors(alpha, s, triple, real, convention=convention)
-    # g_e is exp(2 pi i alpha) under every convention
-    numeric = g_e @ expm(-2j * math.pi * (s + real.tau(s) - n_mat / (2 * math.log(r))))
+    skew = s + real.tau(s)
+    if triple is not None:  # else N = 0
+        if hs_norm(comm(skew, n_mat)) > tol * (1 + hs_norm(skew)) * (1 + hs_norm(n_mat)):
+            raise CommutationFailure(
+                "s + tau(s) does not commute with N = Y - H - X; the triple is not normalized"
+            )
+    # g_e is exp(2 pi i alpha) under every convention, and under "2pi_i" g_h is
+    # exp(-2 pi i (s + tau(s)))
+    hyperbolic = g_h if convention == "2pi_i" else _exp_hermitian(1j * skew, -2 * math.pi)
+    numeric = g_e @ hyperbolic @ _exp_nilpotent(n_mat, 1j * math.pi / math.log(r))
     levi = g_e @ g_h
     full = levi @ g_u
     return HolonomyReport(

@@ -61,7 +61,8 @@ from .liealg import (
     SL2Triple,
     TripleCompletionFailure,
     _component_signs,
-    _expm as expm,
+    _exp_hermitian,
+    _exp_nilpotent,
     build_realization,
     comm,
     hs_norm,
@@ -238,14 +239,20 @@ def monodromy_factors(
     a_vals = np.array([float(a) for a in alpha])
     g_e = np.diag(np.exp(_TWO_PI_I * a_vals))
     c = _noncompact_scale(convention)
-    g_h = expm(c * (-s - real.tau(s)))
+    g_h = _hyperbolic(real, s, c)
     if triple is None:
         n_nil = np.zeros_like(s)
         g_u = np.eye(s.shape[0], dtype=complex)
     else:
         n_nil = triple.f - triple.x - triple.e
-        g_u = expm(c * n_nil)
+        g_u = _exp_nilpotent(n_nil, c)
     return g_e, g_h, g_u, n_nil
+
+
+def _hyperbolic(real: Realization, s: np.ndarray, c: complex) -> np.ndarray:
+    """exp(c (-s - tau(s))).  s + tau(s) = s - s^H is skew-Hermitian for every
+    s, so i (s + tau(s)) is Hermitian and the exponent is c i times it."""
+    return _exp_hermitian(1j * (s + real.tau(s)), 1j * c)
 
 
 def _check_commuting(pairs, tol: float, context: str) -> None:
@@ -462,8 +469,8 @@ def localsystem_to_higgs(
     cert, triple = _local_orbit_data(real, n_mat, tol)
 
     g_e_rebuilt = vecs @ np.diag(np.exp(_TWO_PI_I * np.array(alpha))) @ np.linalg.inv(vecs)
-    g_h_rebuilt = expm(c * (-s - real.tau(s)))
-    g_u_rebuilt = expm(c * n_mat)
+    g_h_rebuilt = _hyperbolic(real, s, c)
+    g_u_rebuilt = _exp_nilpotent(n_mat, c)
     for name, rebuilt, fac in (
         ("elliptic", g_e_rebuilt, jf.elliptic),
         ("hyperbolic", g_h_rebuilt, jf.hyperbolic),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liealg import NotInCartan, Realization, ad_eigendecompose, comm, hs_norm, trace_form
-from .liealg import _expm as expm, _restricted
+from .liealg import _exp_hermitian, _restricted
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def levi_centralizer_tilde(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Fixed spaces of Ad(e^{2 pi i alpha}) on (m^C, h^C): the residue ambient
     space m~0 and the Lie algebra of the stabilizer inside H^C."""
-    u = expm(2j * np.pi * np.asarray(alpha, dtype=complex))
+    u = _exp_hermitian(alpha, 2j * np.pi)  # alpha is Hermitian (Realization.cartan_element)
     m_tilde = _fixed_space(real.basis_mC(), u, tol)
     stab = _fixed_space(real.basis_hC(), u, tol)
     return m_tilde, stab

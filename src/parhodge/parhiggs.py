@@ -36,7 +36,7 @@ from .jsonio import (
     parse_document,
     str_from_json,
 )
-from .liealg import jordan_additive
+from .liealg import _nilpotent_series, jordan_additive
 
 
 class MissingEigenbasis(ValueError):
@@ -411,17 +411,14 @@ def is_parabolic_gauge(
 def exp_pole_gauge(n_mat: np.ndarray, tol: float = 1e-12) -> list[tuple[int, np.ndarray]]:
     """Laurent coefficients of ``exp(n / z)`` for nilpotent ``n`` (plus identity)."""
     m = np.asarray(n_mat, dtype=complex)
-    size = m.shape[0]
-    terms = [(0, np.eye(size, dtype=complex))]
-    power = np.eye(size, dtype=complex)
-    for k in range(1, size + 1):
-        power = power @ m / k
+    series = _nilpotent_series(m)
+    if np.linalg.norm(series[-1] @ m / m.shape[0]) > tol:  # ||N^n / n!||
+        raise ValueError("exp_pole_gauge requires a nilpotent argument")
+    terms = [(0, series[0])]
+    for k, power in enumerate(series[1:], 1):
         if np.linalg.norm(power) <= tol:
             break
         terms.append((-k, power))
-    else:
-        if np.linalg.norm(power @ m) > tol:
-            raise ValueError("exp_pole_gauge requires a nilpotent argument")
     return terms
 
 

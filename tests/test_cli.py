@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -517,6 +518,26 @@ def test_hostile_field_exits_3_with_location(tmp_path, command, payload, locatio
 
 
 @pytest.mark.parametrize(
+    "s, location",
+    [
+        # Im s00 = 100: the hyperbolic factor exp(2 pi i (s^H - s)) overflows
+        ([[[0, 100], 0], [0, 0]], "$.outputs.table[0].holonomy_deviation"),
+        ([[1e300, 0], [0, 0]], "$.outputs.table[0].rho"),  # the residual overflows
+    ],
+)
+def test_non_finite_output_exits_4(tmp_path, s, location):
+    payload = {"realization": "GL(2,C)", "alpha": [0, 0], "s": s, "grid": GRID}
+    with np.errstate(all="ignore"):
+        code, report = run_cli(tmp_path, "verify-model", payload)
+    assert code == 4
+    assert report["error"] == {
+        "type": "NumericallyDefective",
+        "message": f"non-finite number at {location}",
+    }
+    json.dumps(report, allow_nan=False)  # the report is JSON
+
+
+@pytest.mark.parametrize(
     "weights, location",
     [
         ([["1/3", "1/5", "1/7"], ["1/11"]], "$.weights[1]"),  # used to escape as an IndexError
@@ -717,7 +738,7 @@ def test_ks_orbit_builds_no_triple(tmp_path, monkeypatch):
     from parhodge import liealg
 
     calls = []
-    for name in ("_expm", "jacobson_morozov"):
+    for name in ("_exp_hermitian", "_exp_nilpotent", "jacobson_morozov"):
         monkeypatch.setattr(liealg, name, lambda *args, _name=name, **kwargs: calls.append(_name))
     principal = [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
     code, report = run_cli(tmp_path, "ks-orbit", {"realization": "SL(4,R)", "e": principal})
@@ -836,10 +857,8 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_the_numeric_commands_load_scipy(tmp_path):
-    commands = [
-        "rootsys", "alcove-normalize", "genericity", "hecke", "stability", "ks-orbit", "verify-model"
-    ]
+def test_no_command_loads_scipy(tmp_path):
+    commands = list(VALID_INPUTS)
     runs = []
     for command in commands:
         source = tmp_path / f"{command}.json"
@@ -856,4 +875,4 @@ def test_only_the_numeric_commands_load_scipy(tmp_path):
     assert loaded[0] is False  # importing the CLI
     assert [command for command, _, _ in loaded[1:]] == commands
     assert all(code in (0, 2) for _, code, _ in loaded[1:])
-    assert [scipy for _, _, scipy in loaded[1:]] == [False] * 6 + [True]
+    assert [scipy for _, _, scipy in loaded[1:]] == [False] * len(commands)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from parhodge.liealg import (
     SL2Triple,
     UnsupportedGroup,
     ZeroElement,
+    _exp_hermitian,
+    _exp_nilpotent,
     _restricted,
     ad_eigendecompose,
     build_realization,
@@ -391,3 +395,87 @@ def test_restricted_operator_matches_the_column_loop(label):
             if apply is ad:
                 got = [lam for lam, mats in eig for _ in mats]
                 assert np.allclose(got, np.linalg.eigvalsh(op_ref), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# structured exponentials against scipy.linalg.expm
+# ---------------------------------------------------------------------------
+
+
+def _unitary(rng, n: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _spectrum(rng, n: int, kind: str) -> np.ndarray:
+    if kind == "simple":
+        return rng.uniform(-3, 3, n)
+    if kind == "repeated":  # pairs of equal eigenvalues
+        return np.repeat(rng.uniform(-3, 3, (n + 1) // 2), 2)[:n]
+    # clustered: every gap 1e-14, and one far eigenvalue when n > 2
+    vals = rng.uniform(-3, 3) + 1e-14 * np.arange(n)
+    if n > 2:
+        vals[-1] = rng.uniform(-3, 3)
+    return vals
+
+
+EXP_SCALARS = [1.0, -0.4, 2j * np.pi, 0.3 - 1.7j]
+
+
+@pytest.mark.parametrize("seed, kind", enumerate(["simple", "repeated", "clustered"]))
+@pytest.mark.parametrize("c", EXP_SCALARS)
+def test_exp_hermitian_matches_expm(seed, kind, c):
+    rng = np.random.default_rng([seed, EXP_SCALARS.index(c)])
+    for n in range(1, 8):
+        for _ in range(6):
+            v = _unitary(rng, n)
+            h = (v * _spectrum(rng, n, kind)) @ v.conj().T  # Hermitian up to rounding
+            want = expm(c * h)
+            assert hs_norm(_exp_hermitian(h, c) - want) <= 1e-12 * hs_norm(want), (kind, n)
+            # a stack of scalars gives the stack of exponentials
+            plus, minus = _exp_hermitian(h, (c, -c))
+            assert hs_norm(plus - want) <= 1e-12 * hs_norm(want)
+            assert hs_norm(minus - expm(-c * h)) <= 1e-12 * hs_norm(minus)
+
+
+def test_exp_hermitian_refuses_a_non_hermitian_exponent():
+    rng = np.random.default_rng(11)
+    v = _unitary(rng, 3)
+    h = (v * rng.uniform(-1, 1, 3)) @ v.conj().T
+    skew = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=complex)
+    _exp_hermitian(h + 1e-12 * skew, 1.0)  # within 1e-9 relative
+    for bad in (h + 1e-6 * skew, np.array([[0, 1], [0, 0]], dtype=complex), 1j * h):
+        with pytest.raises(NotInModel):
+            _exp_hermitian(bad, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20])
+def test_exp_nilpotent_matches_expm_on_jordan_blocks(n, scale):
+    offset = np.subtract.outer(np.arange(n), np.arange(n))  # i - j
+    for c in (1.0, 2j * np.pi):
+        got = _exp_nilpotent(scale * jordan_block(n), c)
+        # entry (i, j) of exp(c t J) is (c t)^(j - i) / (j - i)! exactly
+        exact = np.array(
+            [[(c * scale) ** -k / math.factorial(-k) if k <= 0 else 0 for k in row] for row in offset]
+        )
+        assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact))
+        # scaling and squaring in expm loses up to 1.5e-3 relative on blocks
+        # of size 13 and 20 at scales above 1 (against the exact entries), so
+        # there the exact entries are the only oracle
+        if n <= 8 or scale <= 1:
+            want = expm(c * scale * jordan_block(n))
+            assert hs_norm(got - want) <= 1e-12 * hs_norm(want), c
+
+
+def test_exp_nilpotent_matches_expm_on_conjugated_nilpotents():
+    rng = np.random.default_rng(2005)
+    for _ in range(200):
+        n = int(rng.integers(2, 8))
+        # a random Jordan form: cut a superdiagonal into blocks
+        j = np.diag((rng.random(n - 1) < 0.7).astype(float), 1).astype(complex)
+        g = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        nil = 10 ** rng.uniform(-3, 1) * g @ j @ np.linalg.inv(g)
+        c = EXP_SCALARS[int(rng.integers(len(EXP_SCALARS)))]
+        want = expm(c * nil)
+        assert hs_norm(_exp_nilpotent(nil, c) - want) <= 1e-10 * hs_norm(want)

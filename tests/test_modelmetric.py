@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from parhodge import modelmetric
 from parhodge.cli import cli_dispatch
-from parhodge.liealg import build_realization, hs_norm
+from parhodge.liealg import SL2Triple, build_realization, hs_norm
 from parhodge.modelmetric import (
     GridTooCoarse,
     IntegratorFailure,
@@ -287,6 +287,37 @@ def test_closed_form_holonomy_matches_rk4_reference():
         assert hs_norm(report.numeric - reference) < 1e-9, (alpha, model, r)
 
 
+def test_factorized_holonomy_matches_expm_of_the_summed_exponent():
+    rng = np.random.default_rng(2015)
+    for alpha, s, triple, model in _holonomy_instances(rng):
+        r = 10 ** rng.uniform(-6, -2)
+        real = build_realization(model)
+        n_mat = np.zeros_like(s) if triple is None else triple.f - triple.x - triple.e
+        exponent = -2j * math.pi * (s + real.tau(s) - n_mat / (2 * math.log(r)))
+        want = np.diag(np.exp(2j * math.pi * np.array(alpha))) @ expm(exponent)
+        for convention in ("2pi_i", "2pi"):  # the transport does not depend on it
+            got = holonomy_check(alpha, s, triple, r, model, convention=convention).numeric
+            assert hs_norm(got - want) <= 1e-12 * hs_norm(want), (alpha, model, r, convention)
+
+
+def test_holonomy_refuses_an_exponent_that_does_not_split():
+    # a triple conjugated by a non-unitary g is not normalized, and
+    # s = lambda + E with E = g diag(0, 0, 1) g^-1 commutes with it exactly;
+    # for lambda = 1e5, [s, tau(s)] = [E, -E^H] passes the normality check
+    # (relative to (1 + ||s||)^2), but E - E^H does not commute with N
+    g = np.array([[1, 0, 0.5], [0, 1, 0], [0.5j, 0, 1]], dtype=complex)
+    g_inv = np.linalg.inv(g)
+    x, e, f = (g @ np.asarray(m, dtype=complex) @ g_inv for m in (
+        np.diag([1, -1, 0]), [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+    ))
+    triple = SL2Triple(x, e, f)
+    s = 1e5 * np.eye(3) + g @ np.diag([0, 0, 1]) @ g_inv
+    with pytest.raises(CommutationFailure, match="N = Y - H - X"):
+        holonomy_check((0, 0, 0), s, triple, 1e-3, "GL(3,C)")
+    # the same triple with s a multiple of the identity splits
+    holonomy_check((0, 0, 0), 1e5 * np.eye(3), triple, 1e-3, "GL(3,C)")
+
+
 def test_phase_arithmetic_matches_the_expm_formulas():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -367,17 +398,20 @@ def test_batched_residual_matches_per_angle_loop():
 
 def test_verify_model_makes_few_expm_calls_and_no_rk4(tmp_path, monkeypatch):
     calls = {"expm": 0, "rk4": 0}
-    real_expm = modelmetric.expm
 
-    def counted_expm(a):
-        calls["expm"] += 1
-        return real_expm(a)
+    def counted(exp):
+        def wrapper(*args):
+            calls["expm"] += 1
+            return exp(*args)
+
+        return wrapper
 
     def no_rk4(*args, **kwargs):
         calls["rk4"] += 1
         raise AssertionError("verify-model reached the RK4 reference")
 
-    monkeypatch.setattr(modelmetric, "expm", counted_expm)
+    for name in ("_exp_hermitian", "_exp_nilpotent"):
+        monkeypatch.setattr(modelmetric, name, counted(getattr(modelmetric, name)))
     monkeypatch.setattr(modelmetric, "_rk4_circle", no_rk4)
     source = tmp_path / "cusp.json"
     source.write_text(

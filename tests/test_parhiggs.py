@@ -212,6 +212,17 @@ def test_gauge_exp_pole_in_minus_one_eigenspace():
     assert is_parabolic_gauge(gauge, (-HALF, HALF)).bounded
 
 
+def test_exp_pole_gauge_reads_the_nilpotent_series():
+    j3 = np.diag([1.0, 1.0], 1).astype(complex)
+    gauge = exp_pole_gauge(2 * j3)
+    assert [k for k, _ in gauge] == [0, -1, -2]
+    for (_, got), want in zip(gauge, (np.eye(3), 2 * j3, 2 * j3 @ j3)):
+        assert np.array_equal(got, want)
+    for not_nilpotent in (np.eye(2), j3 + j3.T):
+        with pytest.raises(ValueError, match="nilpotent"):
+            exp_pole_gauge(not_nilpotent)
+
+
 def test_gauge_holomorphic_with_value_in_parabolic():
     terms = [(0, np.eye(2) + 0.3 * E12), (1, E21)]
     assert is_parabolic_gauge(terms, (-HALF, HALF)).bounded
