@@ -820,27 +820,33 @@ def genericity_check(weights: Sequence[Sequence], max_combinations: int = 200000
                 f" max_combinations = {max_combinations}"
             )
         modulus = math.gcd(n, k) * d
-        subsets = list(combinations(range(n), k))
-        residues = [[n * sum(a[j] for j in s) % modulus for s in subsets] for a in scaled]
+        rows = [[n * a % modulus for a in row] for row in scaled]
         reach = [{0}]
-        for row in reversed(residues):
-            distinct, after = set(row), reach[-1]
+        for row in reversed(rows):
+            # combinations of the entries run in ``combinations(range(n), k)`` order
+            distinct = {r % modulus for r in map(sum, combinations(row, k))}
+            after = reach[-1]
             sums = len(distinct) * len(after)
             if sums > max_combinations:
                 raise ValueError(
                     f"rank-{k} sweep: a suffix step forms {sums} residue sums, over"
                     f" max_combinations = {max_combinations}"
                 )
-            reach.append({(r + s) % modulus for r in distinct for s in after})
+            # the last puncture (after == {0}) reaches exactly its own residues
+            reach.append({(r + s) % modulus for r in distinct for s in after} if after != {0} else distinct)
         reach.reverse()  # reach[i]: the residues the punctures i, i+1, ... can sum to
         need = k * scaled_total % modulus
         if need not in reach[0]:
             continue
         chosen = Fraction(0)
-        for w, row, after in zip(ws, residues, reach[1:]):
-            j = next(j for j, r in enumerate(row) if (need - r) % modulus in after)
-            need = (need - row[j]) % modulus
-            chosen += sum(w[i] for i in subsets[j])
+        for w, row, after in zip(ws, rows, reach[1:]):
+            subset, r = next(
+                (subset, r)
+                for subset, r in zip(combinations(range(n), k), map(sum, combinations(row, k)))
+                if (need - r) % modulus in after
+            )
+            need = (need - r) % modulus
+            chosen += sum(w[i] for i in subset)
         return GenericityResult(
             generic=False,
             character=f"rank-{k} reduction slope equality",
