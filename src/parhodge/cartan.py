@@ -4,11 +4,25 @@ Weight coordinates are always given in the basis of simple coroots, so the
 simply-connected cocharacter lattice is exactly ``Z^rank``.  Roots are stored
 as covectors: tuples of values on the simple coroots.  Everything here is a
 ``Fraction``; no floats enter.
+
+Normalization looks for k*a + lambda, lambda in the coroot lattice Q^vee,
+inside the open star {|root| < 1}.  The star is W times the open fundamental
+alcove with its inner walls added, so its volume |W| vol(alcove) is the
+covolume of Q^vee: it is an open fundamental domain, and each k*a has at most
+one representative in it.  In the ambient coordinates of ``_ambient_tables``
+one rounding step finds it, however many walls lie in between: for A_r lower
+the s largest fractional parts by 1 (s their sum); for C_r (Q^vee = Z^r) round
+every coordinate; for B_r and D_r (the even-sum lattice) round every
+coordinate and, if the rounded sum is odd, move the one farthest from its
+integer to the other side (the D_n decoder of Conway and Sloane, IEEE Trans.
+Inf. Theory 28, 1982).  Each k costs O(rank log rank) ``Fraction`` operations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import floor
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -151,6 +165,53 @@ def _ambient_tables(cartan_type: str, rank: int):
     return simples, positives, coroot
 
 
+def _ambient_point(cartan_type: str, c: Sequence[Fraction]) -> list[Fraction]:
+    """Ambient coordinates of sum_i c_i alpha_i^vee."""
+    x = [c[0]] + [c[j] - c[j - 1] for j in range(1, len(c))]
+    if cartan_type == "A":
+        x.append(-c[-1])  # alpha_r^vee = e_r - e_(r+1)
+    elif cartan_type == "B":
+        x[-1] += c[-1]  # alpha_r^vee = 2 e_r
+    elif cartan_type == "D":
+        x[-2] += c[-1]  # alpha_r^vee = e_(r-1) + e_r
+    return x
+
+
+def _coroot_point(cartan_type: str, y: Sequence[Fraction]) -> Vec:
+    """Simple-coroot coordinates of y: its partial sums, with a type-dependent tail."""
+    c = list(accumulate(y))
+    if cartan_type == "A":
+        c.pop()  # the coordinates sum to 0
+    elif cartan_type == "B":
+        c[-1] /= 2
+    elif cartan_type == "D":
+        c[-2], c[-1] = (c[-2] - y[-1]) / 2, (c[-2] + y[-1]) / 2
+    return tuple(c)
+
+
+def _star_point(cartan_type: str, x: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]] | None:
+    """The representative y of x modulo Q^vee inside the open star and its dominant image, or None."""
+    if cartan_type == "A":
+        # integer vectors of sum 0: fractional parts summing to s, the s largest lowered by 1
+        y = [v - floor(v) for v in x]
+        for i in sorted(range(len(y)), key=y.__getitem__, reverse=True)[: int(sum(y))]:
+            y[i] -= 1
+        return (y, sorted(y, reverse=True)) if max(y) - min(y) < 1 else None
+    n = [round(v) for v in x]
+    y = [v - m for v, m in zip(x, n)]
+    if cartan_type != "C" and sum(n) % 2:
+        # the even-sum lattice: move the coordinate farthest from its integer to the other side
+        i = max(range(len(y)), key=lambda j: abs(y[j]))
+        y[i] -= 1 if y[i] >= 0 else -1
+    d = sorted((abs(v) for v in y), reverse=True)
+    # the binding roots: 2 e_i for C, e_i + e_j for B and D
+    if (2 * d[0] if cartan_type == "C" else d[0] + d[1]) >= 1:
+        return None
+    if cartan_type == "D" and sum(v < 0 for v in y) % 2:
+        d[-1] = -d[-1]  # even sign changes only; a zero entry absorbs the parity
+    return y, d
+
+
 @dataclass(frozen=True)
 class RootDatum:
     """A classical root datum with coordinates in the simple-coroot basis.
@@ -275,39 +336,6 @@ def in_A_prime(rd: RootDatum, a: Sequence, scope: str = "h", m_weights: Iterable
     return all(abs(_dot(c, v)) < 1 for c in covecs)
 
 
-def _simple_reflect(rd: RootDatum, i: int, a: Vec) -> Vec:
-    # s_i(a) = a - alpha_i(a) * alpha_i^vee; the simple coroot is the i-th basis vector
-    val = _dot(rd.simple_roots[i], a)
-    return tuple(x - val if k == i else x for k, x in enumerate(a))
-
-
-def weyl_reduce(rd: RootDatum, a: Sequence) -> tuple[tuple[int, ...], Vec]:
-    """Reduce a to the dominant chamber; returns (word of simple reflections, dominant rep).
-
-    The word lists indices in the order applied, always choosing the first
-    simple index with negative value, so the output is deterministic.
-    """
-    v = _as_vec(a, rd.rank)
-    word: list[int] = []
-    guard = 0
-    while True:
-        neg = next((i for i in range(rd.rank) if _dot(rd.simple_roots[i], v) < 0), None)
-        if neg is None:
-            return tuple(word), v
-        v = _simple_reflect(rd, neg, v)
-        word.append(neg)
-        guard += 1
-        if guard > 100_000:
-            raise RuntimeError("weyl_reduce did not terminate (corrupted root datum?)")
-
-
-def apply_word(rd: RootDatum, word: Sequence[int], a: Sequence) -> Vec:
-    v = _as_vec(a, rd.rank)
-    for i in word:
-        v = _simple_reflect(rd, i, v)
-    return v
-
-
 @dataclass(frozen=True)
 class AlcoveNormalization:
     k: int
@@ -319,50 +347,21 @@ class AlcoveNormalization:
 def alcove_normalize(rd: RootDatum, a: Sequence, search_bound: int = 64) -> AlcoveNormalization:
     """Find minimal k <= search_bound and a lattice vector with k*a + v in W*(open star).
 
-    Reduces k*a into the fundamental alcove of the affine Weyl group by exact
-    affine reflections, recording the linear part of each step as a (root,
-    coroot) pair.  Every linear reflection is an involution, so replaying the
-    record in reverse on the reduced point gives k*a + lattice vector.  The
-    open-star test is the strict one, so points landing exactly on a wall of
-    level 1 are rejected and the next k is tried.
+    ``_star_point`` finds the representative of k*a in the open star, if any
+    (see the module docstring); a level-1 wall is outside, so the next k is tried.
     """
     v0 = _as_vec(a, rd.rank)
-    n = rd.rank
-    simple = [(rd.simple_roots[i], tuple(Fraction(int(i == j)) for j in range(n))) for i in range(n)]
+    t = rd.cartan_type
+    x0 = _ambient_point(t, v0)
     for k in range(1, search_bound + 1):
-        cur = tuple(k * x for x in v0)
-        applied: list[tuple[Covec, Vec]] = []  # cur == w @ (k*a + lam), w the product of these
-        guard = 0
-        while True:
-            word, cur = weyl_reduce(rd, cur)
-            applied.extend(simple[i] for i in word)
-            hot = next(
-                (
-                    j
-                    for j, root in enumerate(rd.positive_roots)
-                    if _dot(root, cur) > 1
-                ),
-                None,
-            )
-            if hot is None:
-                break
-            root, coroot = rd.positive_roots[hot], rd.coroots[hot]
-            excess = _dot(root, cur) - 1
-            # affine reflection s_{root,1} = translation by coroot after s_root
-            cur = tuple(x - excess * c for x, c in zip(cur, coroot))
-            applied.append((root, coroot))
-            guard += 1
-            if guard > 100_000:
-                raise RuntimeError("affine reduction did not terminate")
-        if all(abs(_dot(root, cur)) < 1 for root in rd.positive_roots):
-            normalized = cur
-            for root, coroot in reversed(applied):
-                val = _dot(root, normalized)
-                normalized = tuple(x - val * c for x, c in zip(normalized, coroot))
-            lam = tuple(y - k * x for y, x in zip(normalized, v0))
-            if not in_A_prime(rd, normalized):
-                raise RuntimeError("internal: normalized point escaped the open star")
-            return AlcoveNormalization(k=k, lattice_vector=lam, normalized=normalized, dominant=cur)
+        found = _star_point(t, [k * x for x in x0])
+        if found is None:
+            continue
+        normalized, dominant = (_coroot_point(t, y) for y in found)
+        lam = tuple(c - k * x for c, x in zip(normalized, v0))
+        if not in_A_prime(rd, normalized):
+            raise RuntimeError("internal: normalized point escaped the open star")
+        return AlcoveNormalization(k=k, lattice_vector=lam, normalized=normalized, dominant=dominant)
     raise SearchExhausted(search_bound)
 
 

@@ -692,12 +692,14 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
         ),
         "fd_step": _plain(profile.fd_step),
     }
-    if args.csv:
-        lines = ["r,rho,holonomy_deviation"]
-        for row in rows:
-            lines.append(f"{row['r']!r},{row['rho']!r},{row['holonomy_deviation']!r}")
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
+
+
+def _write_residual_csv(path: str, table: list[dict]) -> None:
+    lines = ["r,rho,holonomy_deviation"]
+    for row in table:
+        lines.append(f"{row['r']!r},{row['rho']!r},{row['holonomy_deviation']!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # name -> (handler, help line); the parser lists the commands in this order
@@ -758,6 +760,8 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
         if path is not None:
             report["outputs"] = {}
             raise NumericallyDefective(f"non-finite number at $.outputs{path}")
+        if getattr(args, "csv", None):  # only a report that passed the check gets a CSV
+            _write_residual_csv(args.csv, report["outputs"]["table"])
     except (GridTooCoarse, SearchExhausted, NonConvergence, NumericallyDefective) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_NO_CONVERGENCE

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -13,15 +14,14 @@ from parhodge.cartan import (
     UnsupportedType,
     alcove_membership,
     alcove_normalize,
-    apply_word,
     build_root_datum,
     cochar_contains,
     in_A_prime,
-    weyl_reduce,
     _ROOT_DATA,
     _ambient_tables,
     _build_root_datum,
 )
+from reflection_oracle import alcove_normalize_by_reflection, apply_word, weyl_reduce
 
 
 def _weyl_order(rd):
@@ -194,6 +194,27 @@ def test_alcove_normalize_exhaustion():
         # root value exactly 1 needs k = 2, so a bound of 1 must exhaust
         alcove_normalize(rd, [Q(1, 2)], search_bound=1)
     assert exc.value.bound == 1
+
+
+def _normalize_or_exhausted(normalize, rd, point, bound):
+    try:
+        res = normalize(rd, point, search_bound=bound)
+    except SearchExhausted as exc:
+        return ("exhausted", exc.bound)
+    return (res.k, res.lattice_vector, res.normalized, res.dominant)
+
+
+@pytest.mark.parametrize("cartan_type,rank", SUPPORTED)
+def test_alcove_normalize_matches_reflection_replay(cartan_type, rank):
+    # oracle: the affine reflection loop; small denominators keep its wall count low,
+    # and bounds 1-3 make some points exhaust the search on both sides
+    rd = build_root_datum(cartan_type, rank)
+    rng = random.Random(f"{cartan_type}{rank}")
+    for bound in (1, 2, 3, 64):
+        q = rng.randint(2, 6)
+        point = [Q(rng.randint(-2 * q, 2 * q), q) for _ in range(rank)]
+        want = _normalize_or_exhausted(alcove_normalize_by_reflection, rd, point, bound)
+        assert _normalize_or_exhausted(alcove_normalize, rd, point, bound) == want
 
 
 @st.composite

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parhodge
+from parhodge.cartan import build_root_datum, in_A_prime
 from parhodge.cli import cli_dispatch, main
 from parhodge.nahodge import hitchin_section
 from parhodge.parhiggs import ParabolicHiggsData, Puncture, to_json
@@ -80,6 +81,31 @@ def test_alcove_normalize_membership(tmp_path):
     outputs = report["outputs"]
     assert outputs["normalized"]["value"] == ["1/3", "1/2"]
     assert outputs["membership"] == "interior"
+
+
+@pytest.mark.parametrize(
+    "cartan_type, point",
+    [
+        ("A", ["400001/2"]),  # used to exit 1 after 5 s of affine reflections
+        ("B", [f"{10**6 + 37 * i}/{3 + i % 5}" for i in range(12)]),
+    ],
+)
+def test_alcove_normalize_far_point_is_fast(tmp_path, cartan_type, point):
+    rd = build_root_datum(cartan_type, len(point))  # built outside the timed call
+    start = time.perf_counter()
+    code, report = run_cli(
+        tmp_path, "alcove-normalize", {"cartan_type": cartan_type, "rank": len(point), "point": point}
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    outputs = report["outputs"]
+    k = outputs["k"]["value"]
+    lam, normalized = (
+        [Fraction(x) for x in outputs[key]["value"]] for key in ("lattice_vector", "normalized")
+    )
+    assert normalized == [k * Fraction(x) + l for x, l in zip(point, lam)]
+    assert in_A_prime(rd, normalized)
+    assert all(l.denominator == 1 for l in lam)  # the coroot lattice, in simple-coroot coordinates
 
 
 def test_parabolic_dimensions(tmp_path):
@@ -527,9 +553,11 @@ def test_hostile_field_exits_3_with_location(tmp_path, command, payload, locatio
 )
 def test_non_finite_output_exits_4(tmp_path, s, location):
     payload = {"realization": "GL(2,C)", "alpha": [0, 0], "s": s, "grid": GRID}
+    csv_path = tmp_path / "table.csv"
     with np.errstate(all="ignore"):
-        code, report = run_cli(tmp_path, "verify-model", payload)
+        code, report = run_cli(tmp_path, "verify-model", payload, extra=["--csv", str(csv_path)])
     assert code == 4
+    assert not csv_path.exists()  # no table of NaN rows beside a failed report
     assert report["error"] == {
         "type": "NumericallyDefective",
         "message": f"non-finite number at {location}",
