@@ -17,6 +17,8 @@ import functools
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -62,6 +64,7 @@ from .liealg import (
 )
 from .modelmetric import (
     GridTooCoarse,
+    circle_transport,
     hitchin_residual,
     holonomy_check,
     radial_grid,
@@ -330,10 +333,33 @@ def _render(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to path over its old bytes, then cut the old tail off.
+
+    Opening with O_TRUNC would empty a non-empty file first, and on ext4 the
+    close() after such a truncation starts a writeback of the file, which cost
+    more than the rest of a small command.  Like open(path, "w"), this follows
+    symlinks, keeps the inode and applies the umask.  Only a regular file is
+    cut: ftruncate fails on /dev/null, /dev/stdout or a FIFO.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:  # after a failed write too: no old byte may follow the new ones
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def _emit(report: dict, args) -> None:
     text = _render(report)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_file(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -661,11 +687,11 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
         residual_kwargs["fd_step"] = fd_step
     triple = None if y is None else complete_ks_triple(real, y)
     profile = hitchin_residual(alpha, s, triple, grid, real, extra_terms=tuple(extra), **residual_kwargs)
+    # the checks and the factors that do not depend on r, once for the table
+    transport = circle_transport(alpha, s, triple, real, convention=convention, **_tol(args))
     rows = []
     for r, rho in zip(profile.radii, profile.rho):
-        holonomy = holonomy_check(
-            alpha, s, triple, r, real, convention=convention, **_tol(args)
-        )
+        holonomy = holonomy_check(alpha, s, triple, r, real, transport=transport)
         rows.append(
             {
                 "r": r,
@@ -699,7 +725,7 @@ def _write_residual_csv(path: str, table: list[dict]) -> None:
     lines = ["r,rho,holonomy_deviation"]
     for row in table:
         lines.append(f"{row['r']!r},{row['rho']!r},{row['holonomy_deviation']!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 # name -> (handler, help line); the parser lists the commands in this order
@@ -776,7 +802,12 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_PRECONDITION
     report["exit_code"] = code
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as exc:  # the report has nowhere to go: send it where usage errors go
+        report["error"] = {"type": type(exc).__name__, "message": f"cannot write the report: {exc}"}
+        report["exit_code"] = code = EXIT_PRECONDITION
+        sys.stderr.write(_render(report))
     return code, report
 
 

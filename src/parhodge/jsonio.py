@@ -117,15 +117,23 @@ def real_from_json(obj: Any, location: str, above: float | None = None) -> float
     return x
 
 
-def complex_from_json(obj: Any, location: str) -> complex:
-    """A finite complex number, given as a JSON number or an [re, im] pair."""
+def _complex(obj: Any) -> complex | None:
+    """The value of a finite JSON number or [re, im] pair; None for anything else."""
     if isinstance(obj, list) and len(obj) == 2:
         re, im = _finite(obj[0]), _finite(obj[1])
         if re is not None and im is not None:
             return complex(re, im)
     elif _finite(obj) is not None:
         return complex(obj)
-    raise SchemaError(location, f"expected a number or [re, im], got {obj!r}")
+    return None
+
+
+def complex_from_json(obj: Any, location: str) -> complex:
+    """A finite complex number, given as a JSON number or an [re, im] pair."""
+    z = _complex(obj)
+    if z is None:
+        raise SchemaError(location, f"expected a number or [re, im], got {obj!r}")
+    return z
 
 
 def str_from_json(obj: Any, location: str, choices: tuple[str, ...] | None = None) -> str:
@@ -208,7 +216,11 @@ def matrix_from_json(obj: Any, location: str = "$") -> np.ndarray:
     for i, row in enumerate(obj):
         if not isinstance(row, list):
             raise SchemaError(f"{location}[{i}]", "expected a list row")
-        rows.append([complex_from_json(z, f"{location}[{i}][{j}]") for j, z in enumerate(row)])
+        values = [_complex(z) for z in row]
+        if None in values:  # spell a location only for the entry that is refused
+            j = values.index(None)
+            complex_from_json(row[j], f"{location}[{i}][{j}]")  # raises SchemaError
+        rows.append(values)
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise SchemaError(location, "ragged matrix rows")

@@ -378,6 +378,52 @@ def _rk4_holonomy(
     raise IntegratorFailure(f"no convergence to {tol:g} after {steps} steps (est {est:.3e})")
 
 
+@dataclass(frozen=True)
+class CircleTransport:
+    """The part of the circle holonomy that does not depend on the radius:
+    U(2 pi) = ``rotation`` exp(pi i N / ln r), and the predicted monodromy."""
+
+    rotation: np.ndarray  # exp(2 pi i alpha) exp(-2 pi i (s + tau(s)))
+    nilpotent: np.ndarray  # N = Y - H - X
+    predicted_levi: np.ndarray
+    predicted_full: np.ndarray
+
+
+def circle_transport(
+    alpha,
+    s,
+    triple: SL2Triple | None,
+    realization,
+    convention: str = "2pi_i",
+    tol: float = 1e-10,
+) -> CircleTransport:
+    """Checks the model data and builds the radius-independent factors of
+    ``holonomy_check``, so that a table over many radii does this once."""
+    real = _realize(realization)
+    a_mat = alpha_matrix(alpha)
+    s = np.asarray(s, dtype=complex)
+    tol = max(tol, 1e-9)
+    _validate_model_data(real, a_mat, s, triple, tol)
+
+    g_e, g_h, g_u, n_mat = monodromy_factors(alpha, s, triple, real, convention=convention)
+    skew = s + real.tau(s)
+    if triple is not None:  # else N = 0
+        if hs_norm(comm(skew, n_mat)) > tol * (1 + hs_norm(skew)) * (1 + hs_norm(n_mat)):
+            raise CommutationFailure(
+                "s + tau(s) does not commute with N = Y - H - X; the triple is not normalized"
+            )
+    # g_e is exp(2 pi i alpha) under every convention, and under "2pi_i" g_h is
+    # exp(-2 pi i (s + tau(s)))
+    hyperbolic = g_h if convention == "2pi_i" else _exp_hermitian(1j * skew, -2 * math.pi)
+    levi = g_e @ g_h
+    return CircleTransport(
+        rotation=g_e @ hyperbolic,
+        nilpotent=n_mat,
+        predicted_levi=levi,
+        predicted_full=levi @ g_u,
+    )
+
+
 def holonomy_check(
     alpha,
     s,
@@ -386,6 +432,7 @@ def holonomy_check(
     realization,
     convention: str = "2pi_i",
     tol: float = 1e-10,
+    transport: CircleTransport | None = None,
 ) -> HolonomyReport:
     """Parallel transport of the angular model connection once around |z| = r.
 
@@ -408,33 +455,21 @@ def holonomy_check(
     compare U(2 pi) against the predicted semisimple (Levi) part and the full
     predicted monodromy; ``tol`` bounds the commutation checks.  The holonomy
     converges to the Levi part as r -> 0 (exactly, for Y = 0).
+
+    Only the last factor depends on r.  ``transport``, the
+    ``circle_transport`` of these same data, skips the checks and the other
+    factors; without it they are computed here.
     """
-    real = _realize(realization)
-    a_mat = alpha_matrix(alpha)
-    s = np.asarray(s, dtype=complex)
     if not 0 < r < 1:
         raise ValueError("need a circle radius in (0, 1)")
-    tol = max(tol, 1e-9)
-    _validate_model_data(real, a_mat, s, triple, tol)
-
-    g_e, g_h, g_u, n_mat = monodromy_factors(alpha, s, triple, real, convention=convention)
-    skew = s + real.tau(s)
-    if triple is not None:  # else N = 0
-        if hs_norm(comm(skew, n_mat)) > tol * (1 + hs_norm(skew)) * (1 + hs_norm(n_mat)):
-            raise CommutationFailure(
-                "s + tau(s) does not commute with N = Y - H - X; the triple is not normalized"
-            )
-    # g_e is exp(2 pi i alpha) under every convention, and under "2pi_i" g_h is
-    # exp(-2 pi i (s + tau(s)))
-    hyperbolic = g_h if convention == "2pi_i" else _exp_hermitian(1j * skew, -2 * math.pi)
-    numeric = g_e @ hyperbolic @ _exp_nilpotent(n_mat, 1j * math.pi / math.log(r))
-    levi = g_e @ g_h
-    full = levi @ g_u
+    if transport is None:
+        transport = circle_transport(alpha, s, triple, realization, convention=convention, tol=tol)
+    numeric = transport.rotation @ _exp_nilpotent(transport.nilpotent, 1j * math.pi / math.log(r))
     return HolonomyReport(
         numeric=numeric,
-        predicted_levi=levi,
-        predicted_full=full,
-        deviation_levi=hs_norm(numeric - levi),
-        deviation_full=hs_norm(numeric - full),
+        predicted_levi=transport.predicted_levi,
+        predicted_full=transport.predicted_full,
+        deviation_levi=hs_norm(numeric - transport.predicted_levi),
+        deviation_full=hs_norm(numeric - transport.predicted_full),
         steps=0,
     )

@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, exit codes, report determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parhodge
+from parhodge import cli, modelmetric
 from parhodge.cartan import build_root_datum, in_A_prime
-from parhodge.cli import cli_dispatch, main
-from parhodge.nahodge import hitchin_section
+from parhodge.cli import _render, _write_file, cli_dispatch, main
+from parhodge.nahodge import hitchin_section, monodromy_factors
 from parhodge.parhiggs import ParabolicHiggsData, Puncture, to_json
 
 WALL_DATA = to_json(hitchin_section("SL2R", 0, 3))
@@ -495,6 +497,8 @@ H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[
         ),
         ("degree-relative", {"s": [[[True, 0], 0], [0, 0]], "sigma": DIAG}, "$.s[0][0]"),
         ("degree-relative", {"s": [[float("nan"), 0], [0, 0]], "sigma": DIAG}, "$.s[0][0]"),
+        ("degree-relative", {"s": DIAG, "sigma": [[1, 0], [0, [0, "x"]]]}, "$.sigma[1][1]"),
+        ("degree-relative", {"s": [[1, 0], 3], "sigma": DIAG}, "$.s[1]"),
         (
             "translate-l2h",
             {"realization": "SU(1,1)", "monodromy": [[1, [0, float("inf")]], [0, 1]]},
@@ -904,3 +908,179 @@ def test_no_command_loads_scipy(tmp_path):
     assert [command for command, _, _ in loaded[1:]] == commands
     assert all(code in (0, 2) for _, code, _ in loaded[1:])
     assert [scipy for _, _, scipy in loaded[1:]] == [False] * len(commands)
+
+
+# ---------------------------------------------------------------------------
+# the report writer: --output and --csv are written over their old bytes
+# ---------------------------------------------------------------------------
+
+
+def rootsys_to(tmp_path, out, rank):
+    source = tmp_path / f"rootsys{rank}.json"
+    source.write_text(json.dumps({"cartan_type": "A", "rank": rank}))
+    return cli_dispatch(["rootsys", "--input", str(source), "--output", str(out)])
+
+
+def test_short_report_over_a_long_one_leaves_no_stale_tail(tmp_path):
+    out = tmp_path / "report.json"
+    _, long_report = rootsys_to(tmp_path, out, 4)
+    inode = out.stat().st_ino
+    code, short_report = rootsys_to(tmp_path, out, 1)
+    assert code == 0
+    assert len(_render(short_report)) < len(_render(long_report))
+    assert out.read_bytes() == _render(short_report).encode("utf-8")
+    assert out.stat().st_ino == inode  # written in place, not replaced
+
+
+def test_write_file_replaces_the_contents(tmp_path):
+    path = tmp_path / "f.txt"
+    for text in ("x" * 5000, "short\n", "", "é and ∞\n"):
+        _write_file(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_a_failed_write_leaves_no_old_byte_after_the_new_ones(tmp_path, monkeypatch):
+    path = tmp_path / "f.txt"
+    path.write_text("o" * 100)
+    write = os.write
+
+    def short_writes_then_full(fd, data):  # 10 bytes a call, then a full disk
+        if len(data) > 10:
+            return write(fd, data[:10])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", short_writes_then_full)
+    with pytest.raises(OSError):
+        _write_file(str(path), "n" * 50)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"n" * 40
+
+
+def test_absent_output_is_created_with_the_mode_of_open(tmp_path):
+    out = tmp_path / "new.json"
+    code, report = rootsys_to(tmp_path, out, 2)
+    assert code == 0
+    assert out.read_bytes() == _render(report).encode("utf-8")
+    with open(tmp_path / "reference", "w"):
+        pass
+    assert out.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("x" * 5000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, report = rootsys_to(tmp_path, link, 1)
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == _render(report).encode("utf-8")
+
+
+def test_output_to_dev_null_exits_0(tmp_path):
+    code, report = rootsys_to(tmp_path, "/dev/null", 2)
+    assert code == 0
+    assert "error" not in report
+
+
+UNWRITABLE_OUTPUTS = [
+    pytest.param(lambda tmp: tmp / "missing" / "dir" / "x.json", "FileNotFoundError", id="missing-dir"),
+    pytest.param(lambda tmp: tmp, "IsADirectoryError", id="directory"),
+    pytest.param(
+        lambda tmp: tmp / "readonly.json",
+        "PermissionError",
+        id="read-only-file",
+        marks=pytest.mark.skipif(
+            hasattr(os, "geteuid") and os.geteuid() == 0, reason="root writes through file modes"
+        ),
+    ),
+    pytest.param(
+        lambda tmp: "/dev/full",  # opens, then every write fails with ENOSPC
+        "OSError",
+        id="device-full",
+        marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+    ),
+]
+
+
+@pytest.mark.parametrize("make_path, error_type", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_exits_3_with_the_report_on_stderr(tmp_path, capsys, make_path, error_type):
+    readonly = tmp_path / "readonly.json"
+    readonly.write_text("old report\n")
+    readonly.chmod(0o444)
+    code, report = rootsys_to(tmp_path, make_path(tmp_path), 1)
+    assert code == 3
+    assert report["exit_code"] == 3
+    assert report["error"]["type"] == error_type
+    assert report["error"]["message"].startswith("cannot write the report: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == report
+    assert readonly.read_text() == "old report\n"
+
+
+def test_csv_goes_through_the_report_writer(tmp_path, monkeypatch):
+    written = []
+
+    def recording(path, text):
+        written.append(path)
+        return _write_file(path, text)
+
+    monkeypatch.setattr(cli, "_write_file", recording)
+    csv_path = tmp_path / "table.csv"
+    for count in (5, 2):  # a short table over a long one
+        code, report = run_cli(
+            tmp_path,
+            "verify-model",
+            {**VERIFY_MODEL, "grid": {**GRID, "count": count}},
+            extra=["--csv", str(csv_path)],
+        )
+        assert code == 0
+        lines = csv_path.read_text().splitlines()
+        assert len(lines) == 1 + count
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [
+            row["r"] for row in report["outputs"]["table"]
+        ]
+    assert written == [str(csv_path), str(tmp_path / "report.json")] * 2
+
+
+def test_verify_model_builds_the_monodromy_factors_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return monodromy_factors(*args, **kwargs)
+
+    monkeypatch.setattr(modelmetric, "monodromy_factors", counting)
+    code, report = run_cli(
+        tmp_path, "verify-model", {**VERIFY_MODEL, "grid": {**GRID, "count": 5}}
+    )
+    assert code == 0
+    assert len(report["outputs"]["table"]) == 5
+    assert len(calls) == 1
+
+
+def test_bench_decks_through_one_reused_output_give_the_rendered_bytes(tmp_path):
+    # every report lands on one path, as in the benchmark loop, so each one is
+    # written over the bytes of the one before
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    out = tmp_path / "report.json"
+    source = tmp_path / "input.json"
+    ops = [
+        op
+        for seed in range(3)
+        for workload in workloads.WORKLOADS.values()
+        for op in workloads.generate(workload, seed, copies=1)
+    ]
+    assert len(ops) == 321
+    for op in ops:
+        source.write_text(json.dumps(op.payload))
+        code, report = cli_dispatch(
+            [op.command, "--input", str(source), "--output", str(out), *op.extra]
+        )
+        assert code == op.expect_code, (op.slot, report.get("error"))
+        assert out.read_bytes() == _render(report).encode("utf-8"), op.slot

@@ -19,6 +19,7 @@ from parhodge.modelmetric import (
     RadialGrid,
     _angular_conj,
     _rk4_holonomy,
+    circle_transport,
     curvature_pair,
     higgs_field_part,
     hitchin_residual,
@@ -300,6 +301,20 @@ def test_factorized_holonomy_matches_expm_of_the_summed_exponent():
             assert hs_norm(got - want) <= 1e-12 * hs_norm(want), (alpha, model, r, convention)
 
 
+def test_one_circle_transport_serves_every_radius():
+    rng = np.random.default_rng(12)
+    for alpha, s, triple, model in _holonomy_instances(rng):
+        for convention in ("2pi_i", "2pi"):
+            transport = circle_transport(alpha, s, triple, model, convention=convention)
+            for r in (1e-2, 3e-4, 1e-6):
+                shared = holonomy_check(alpha, s, triple, r, model, transport=transport)
+                alone = holonomy_check(alpha, s, triple, r, model, convention=convention)
+                for field in ("numeric", "predicted_levi", "predicted_full"):
+                    assert np.array_equal(getattr(shared, field), getattr(alone, field))
+                assert shared.deviation_levi == alone.deviation_levi
+                assert shared.deviation_full == alone.deviation_full
+
+
 def test_holonomy_refuses_an_exponent_that_does_not_split():
     # a triple conjugated by a non-unitary g is not normalized, and
     # s = lambda + E with E = g diag(0, 0, 1) g^-1 commutes with it exactly;
@@ -314,6 +329,8 @@ def test_holonomy_refuses_an_exponent_that_does_not_split():
     s = 1e5 * np.eye(3) + g @ np.diag([0, 0, 1]) @ g_inv
     with pytest.raises(CommutationFailure, match="N = Y - H - X"):
         holonomy_check((0, 0, 0), s, triple, 1e-3, "GL(3,C)")
+    with pytest.raises(CommutationFailure, match="N = Y - H - X"):
+        circle_transport((0, 0, 0), s, triple, "GL(3,C)")
     # the same triple with s a multiple of the identity splits
     holonomy_check((0, 0, 0), 1e5 * np.eye(3), triple, 1e-3, "GL(3,C)")
 
