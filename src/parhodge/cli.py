@@ -36,7 +36,7 @@ from .cartan import (
     alcove_normalize,
     build_root_datum,
 )
-from .degree import NonConvergence, relative_degree
+from .degree import NonConvergence, relative_degree, relative_position
 from .jsonio import (
     SchemaError,
     bool_from_json,
@@ -452,14 +452,14 @@ def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
         return EXIT_OK
     s = _field(payload, "s", _matrix)
     sigma = _field(payload, "sigma", _matrix, n=len(s))
-    result = relative_degree(s, sigma, **_tol(args))
+    result = relative_position(s, sigma, **_tol(args))
     report["outputs"] = {
         "value": _tagged(result.value, result.method),
-        "converged": result.converged,
-        "t_final": _tagged(result.t_trace[-1][0], result.method),
-        "trace_length": len(result.t_trace),
+        "converged": True,  # the position is decided in finitely many steps
+        "permutation": _plain(result.permutation),
+        "min_pivot_ratio": _tagged(result.min_pivot_ratio, result.method),
     }
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _cmd_degree_parabolic(payload: dict, args, report: dict) -> int:
@@ -681,14 +681,15 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
         raise SchemaError("$.grid", str(exc)) from exc
     convention = _convention(payload, report)
 
-    residual_kwargs = _tol(args)
     fd_step = _field(payload, "fd_step", real_from_json, default=None, above=0)
-    if fd_step is not None:
-        residual_kwargs["fd_step"] = fd_step
+    residual_kwargs = {} if fd_step is None else {"fd_step": fd_step}
     triple = None if y is None else complete_ks_triple(real, y)
-    profile = hitchin_residual(alpha, s, triple, grid, real, extra_terms=tuple(extra), **residual_kwargs)
-    # the checks and the factors that do not depend on r, once for the table
+    # the checks of the model data and the factors that do not depend on r,
+    # once for the command
     transport = circle_transport(alpha, s, triple, real, convention=convention, **_tol(args))
+    profile = hitchin_residual(
+        alpha, s, triple, grid, real, extra_terms=tuple(extra), transport=transport, **residual_kwargs
+    )
     rows = []
     for r, rho in zip(profile.radii, profile.rho):
         holonomy = holonomy_check(alpha, s, triple, r, real, transport=transport)
@@ -719,6 +720,15 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
         "fd_step": _plain(profile.fd_step),
     }
     return EXIT_OK
+
+
+def _discard(path: str) -> None:
+    """Remove a regular file this run wrote; a device or FIFO is left alone."""
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        pass  # nothing is left to remove, or it cannot be: the exit code already says so
 
 
 def _write_residual_csv(path: str, table: list[dict]) -> None:
@@ -776,6 +786,7 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
         return EXIT_OK, {}
 
     report = _new_report(args.command, argv, args)
+    csv_path = None
     try:
         raw, payload = _load_input(args)
         report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
@@ -787,7 +798,8 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
             report["outputs"] = {}
             raise NumericallyDefective(f"non-finite number at $.outputs{path}")
         if getattr(args, "csv", None):  # only a report that passed the check gets a CSV
-            _write_residual_csv(args.csv, report["outputs"]["table"])
+            csv_path = args.csv
+            _write_residual_csv(csv_path, report["outputs"]["table"])
     except (GridTooCoarse, SearchExhausted, NonConvergence, NumericallyDefective) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_NO_CONVERGENCE
@@ -808,6 +820,8 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
         report["error"] = {"type": type(exc).__name__, "message": f"cannot write the report: {exc}"}
         report["exit_code"] = code = EXIT_PRECONDITION
         sys.stderr.write(_render(report))
+    if csv_path and code != EXIT_OK:  # a table must not outlive the run that failed
+        _discard(csv_path)
     return code, report
 
 

@@ -1,12 +1,14 @@
 """Relative degrees: the asymptotic pairing that drives every parabolic-degree
 and local-system-degree computation.
 
-Two routes are provided and must agree:
+Three routes are provided and must agree:
 
   * relative_degree: numeric limit of t |-> <s . e^{-t sigma}, sigma>, computed
     by pushing the ascending eigenvalue flag of s through e^{t sigma} in capped
     steps and re-orthonormalizing (QR) after each; the step cap keeps every
     factor of a step in [e^-15, 1], so no overflow occurs even at t = 2^20.
+  * relative_position: the same limit read off the relative position (the
+    Bruhat cell) of the two eigenflags, by one elimination.
   * relative_degree_filtration: the exact pairing of two weighted flags
     sum a_i b_j m_ij with m_ij the graded intersection dimensions.
 
@@ -44,12 +46,31 @@ class RelativeDegreeResult:
     converged: bool
 
 
+@dataclass(frozen=True)
+class RelativePosition:
+    """The relative degree read off the Bruhat cell of the two eigenflags.
+
+    ``permutation[i]`` is the index of the sigma-eigenvalue (ascending) that
+    the i-th eigenvalue of s (ascending) pairs with, and ``min_pivot_ratio``
+    the smallest accepted |pivot| / ||column||: how close the decision came to
+    the cutoff ``tol``.  A commuting pair takes no elimination, and both are
+    None.
+    """
+
+    value: float
+    permutation: tuple[int, ...] | None
+    min_pivot_ratio: float | None
+    method: str
+
+
 # the flow gives up once t exceeds 2^_MAX_EXP
 _MAX_EXP = 20
 
 
-def relative_degree(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> RelativeDegreeResult:
-    """Limit of <s . e^{-t sigma}, sigma> for Hermitian s, sigma (trace pairing)."""
+def _eigenframe(s: np.ndarray, sigma: np.ndarray) -> float | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check that s and sigma are Hermitian.  Return tr(s sigma) when they
+    commute, else (d, lam, M): the ascending spectra of s and sigma and
+    M = V_sigma^H U_s, the eigenbasis of s in that of sigma."""
     s = np.asarray(s, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     scale = (1 + hs_norm(s)) * (1 + hs_norm(sigma))
@@ -57,29 +78,35 @@ def relative_degree(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> Rela
         if hs_norm(m - m.conj().T) > 1e-10 * scale:
             raise ValueError(f"{name} must be Hermitian")
     if hs_norm(comm(s, sigma)) <= 1e-12 * scale:
-        v = float(np.trace(s @ sigma).real)
-        return RelativeDegreeResult(value=v, t_trace=((0.0, v),), method="commuting", converged=True)
-
+        return float(np.trace(s @ sigma).real)
     lam, v_sig = np.linalg.eigh(sigma)
     d, u_s = np.linalg.eigh(s)  # ascending: columns span the increasing flag of s
-    ds = np.diag(d).astype(complex)
+    return d, lam, v_sig.conj().T @ u_s
 
-    # iterated QR sweeps: re-orthonormalize after every step so the flag stays
-    # well conditioned, and cap the per-step exponent spread so one sweep never
+
+def relative_degree(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> RelativeDegreeResult:
+    """Limit of <s . e^{-t sigma}, sigma> for Hermitian s, sigma (trace pairing)."""
+    frame = _eigenframe(s, sigma)
+    if isinstance(frame, float):
+        return RelativeDegreeResult(value=frame, t_trace=((0.0, frame),), method="commuting", converged=True)
+    d, lam, frame = frame
+
+    # iterated QR sweeps in the eigenbasis of sigma, where e^{dt sigma} is a row
+    # scaling: re-orthonormalize after every step so the flag stays well
+    # conditioned, and cap the per-step exponent spread so one sweep never
     # drives the subdominant eigencomponents below machine precision
     spread = float(lam[-1] - lam[0])
     dt_cap = 15.0 / max(spread, 1e-12)
     trace: list[tuple[float, float]] = []
     prev = None
-    frame = u_s
     t = 0.0
     dt = min(1.0, dt_cap)
     for _ in range(4096):
         # dt <= dt_cap keeps each factor in [e^-15, 1], so e^{dt sigma} needs no rescaling
         grow = np.exp(dt * (lam - lam[-1]))[:, None]
-        frame, _ = np.linalg.qr(v_sig @ (grow * (v_sig.conj().T @ frame)))
+        frame, _ = np.linalg.qr(grow * frame)
         t += dt
-        val = float(np.trace(frame @ ds @ frame.conj().T @ sigma).real)
+        val = float(lam @ (frame.real**2 + frame.imag**2) @ d)
         trace.append((t, val))
         if prev is not None and abs(val - prev) < tol:
             return RelativeDegreeResult(
@@ -90,6 +117,44 @@ def relative_degree(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> Rela
         if t > 2.0**_MAX_EXP:
             break
     raise NonConvergence(trace)
+
+
+def relative_position(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> RelativePosition:
+    """The limit of ``relative_degree`` from the relative position of the two
+    eigenflags (the Tits relative position, Kapovich-Leeb-Millson).
+
+    The flow carries the i-th eigenvector of s (ascending) to the highest
+    sigma-eigenvector it still reaches once the earlier ones are spent.  So the
+    columns of M = V_sigma^H U_s are eliminated left to right, each pivoting on
+    its bottom-most entry above tol * ||column|| among the rows not yet used;
+    with pi(i) the pivot row of column i the value is sum_i d_i lam_pi(i), the
+    pairing ``relative_degree_filtration`` computes from intersection ranks.
+    Repeated eigenvalues need no special case.
+    """
+    frame = _eigenframe(s, sigma)
+    if isinstance(frame, float):
+        return RelativePosition(value=frame, permutation=None, min_pivot_ratio=None, method="commuting")
+    d, lam, m = frame
+    perm = []
+    worst = 1.0
+    for i in range(len(d)):
+        col = m[:, i]  # zero in the rows already used
+        mags = np.abs(col)
+        norm = float(np.linalg.norm(mags))
+        rows = np.flatnonzero(mags > tol * norm)
+        if not rows.size:  # only a cutoff near 1 or above: the largest entry is >= norm / sqrt(n)
+            raise ValueError(f"no entry of column {i} exceeds tol * ||column|| at tol = {tol:g}")
+        p = int(rows[-1])
+        worst = min(worst, float(mags[p]) / norm)
+        m[:, i + 1 :] -= np.outer(col / col[p], m[p, i + 1 :])
+        m[p, i + 1 :] = 0  # what the subtraction leaves there is rounding
+        perm.append(p)
+    return RelativePosition(
+        value=float(d @ lam[perm]),
+        permutation=tuple(perm),
+        min_pivot_ratio=worst,
+        method="bruhat relative position",
+    )
 
 
 # --------------------------------------------------------------------------

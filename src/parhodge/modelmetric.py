@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,10 +45,6 @@ class NotSingleValued(ValueError):
 
 class GridTooCoarse(ValueError):
     """Finite-difference and analytic curvature disagree beyond the threshold."""
-
-
-class IntegratorFailure(ValueError):
-    """Step refinement did not reach the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +269,21 @@ def hitchin_residual(
     extra_terms: Sequence[tuple[int, np.ndarray]] = (),
     fd_step: float = 1e-3,
     tol: float = 1e-8,
+    transport: CircleTransport | None = None,
 ) -> ResidualProfile:
     """Weighted Hermite-Einstein residual of the model metric over a grid.
 
     Raises GridTooCoarse when the finite-difference curvature drifts from
     the analytic one beyond 1e-4 in the weighted norm (a sign that
-    ``fd_step`` and the radii resolve nothing).
+    ``fd_step`` and the radii resolve nothing).  ``tol`` bounds the checks of
+    the model data; ``transport``, the ``circle_transport`` of these same
+    data, has made them already, and then they are skipped.
     """
     real = _realize(realization)
     a_mat = alpha_matrix(alpha)
     s = np.asarray(s, dtype=complex)
-    _validate_model_data(real, a_mat, s, triple, tol)
+    if transport is None:
+        _validate_model_data(real, a_mat, s, triple, tol)
 
     thetas = grid.thetas
     rho = []
@@ -326,58 +326,6 @@ class HolonomyReport:
     steps: int
 
 
-def _rk4_circle(coeff: Callable[[np.ndarray], np.ndarray], n: int, dim: int) -> np.ndarray:
-    h = 2 * math.pi / n
-    c = coeff(np.arange(2 * n + 1) * (h / 2))  # the coefficient at every half step
-    u = np.eye(dim, dtype=complex)
-    for k in range(n):
-        k1 = c[2 * k] @ u
-        k2 = c[2 * k + 1] @ (u + h / 2 * k1)
-        k3 = c[2 * k + 1] @ (u + h / 2 * k2)
-        k4 = c[2 * k + 2] @ (u + h * k3)
-        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return u
-
-
-def _rk4_holonomy(
-    alpha,
-    s,
-    triple: SL2Triple | None,
-    r: float,
-    realization,
-    tol: float = 1e-10,
-    max_doublings: int = 8,
-) -> tuple[np.ndarray, int, float]:
-    """Reference for ``holonomy_check``: U(2 pi) integrated by RK4.
-
-    The step count doubles from 128 until two sweeps agree to ``tol``
-    (Richardson estimate, absolute); returns (U, steps, estimate).  Raises
-    IntegratorFailure after ``max_doublings`` refinements.  A sweep holds its
-    coefficients in memory, so the default stops at 32768 steps (a few MB).
-    """
-    real = _realize(realization)
-    a_mat = alpha_matrix(alpha)
-    s = np.asarray(s, dtype=complex)
-    base = -a_mat + s + real.tau(s)
-    n_mat = np.zeros_like(s) if triple is None else triple.f - triple.x - triple.e
-    log_z2 = 2 * math.log(r)
-
-    def coeff(theta: np.ndarray) -> np.ndarray:
-        return -1j * (base - _angular_conj(a_mat, theta, n_mat) / log_z2)
-
-    steps = 128
-    u_prev = _rk4_circle(coeff, steps, a_mat.shape[0])
-    est = math.inf
-    for _ in range(max_doublings):
-        steps *= 2
-        u_next = _rk4_circle(coeff, steps, a_mat.shape[0])
-        est = hs_norm(u_next - u_prev) / 15.0  # RK4 Richardson estimate
-        u_prev = u_next
-        if est < tol / 2:  # absolute: the acceptance tolerances are absolute
-            return u_prev, steps, est
-    raise IntegratorFailure(f"no convergence to {tol:g} after {steps} steps (est {est:.3e})")
-
-
 @dataclass(frozen=True)
 class CircleTransport:
     """The part of the circle holonomy that does not depend on the radius:
@@ -395,14 +343,13 @@ def circle_transport(
     triple: SL2Triple | None,
     realization,
     convention: str = "2pi_i",
-    tol: float = 1e-10,
+    tol: float = 1e-9,
 ) -> CircleTransport:
     """Checks the model data and builds the radius-independent factors of
     ``holonomy_check``, so that a table over many radii does this once."""
     real = _realize(realization)
     a_mat = alpha_matrix(alpha)
     s = np.asarray(s, dtype=complex)
-    tol = max(tol, 1e-9)
     _validate_model_data(real, a_mat, s, triple, tol)
 
     g_e, g_h, g_u, n_mat = monodromy_factors(alpha, s, triple, real, convention=convention)
@@ -431,7 +378,7 @@ def holonomy_check(
     r: float,
     realization,
     convention: str = "2pi_i",
-    tol: float = 1e-10,
+    tol: float = 1e-9,
     transport: CircleTransport | None = None,
 ) -> HolonomyReport:
     """Parallel transport of the angular model connection once around |z| = r.

@@ -33,7 +33,6 @@ the chosen realization, ``alpha`` is the vector of diagonal weights.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +48,6 @@ from .jsonio import (
     matrix_from_json,
     matrix_to_json,
     object_from_json,
-    parse_document,
     realvec_from_json,
     str_from_json,
 )
@@ -590,14 +588,6 @@ def entry_from_json(obj: dict) -> PunctureDictionaryEntry:
             field_from_json(obj, "warnings", list_from_json, default=[], items=str_from_json)
         ),
     )
-
-
-def entry_dumps(entry: PunctureDictionaryEntry) -> str:
-    return json.dumps(entry_to_json(entry), sort_keys=True, separators=(",", ":"))
-
-
-def entry_loads(text: str) -> PunctureDictionaryEntry:
-    return entry_from_json(parse_document(text))
 
 
 # ---------------------------------------------------------------------------

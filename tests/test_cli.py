@@ -1019,6 +1019,44 @@ def test_unwritable_output_exits_3_with_the_report_on_stderr(tmp_path, capsys, m
     assert readonly.read_text() == "old report\n"
 
 
+@pytest.mark.parametrize("make_path, error_type", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_leaves_no_csv(tmp_path, capsys, make_path, error_type):
+    readonly = tmp_path / "readonly.json"
+    readonly.write_text("old report\n")
+    readonly.chmod(0o444)
+    source = tmp_path / "model.json"
+    source.write_text(json.dumps(VERIFY_MODEL))
+    csv_path = tmp_path / "table.csv"
+    code, report = cli_dispatch(
+        ["verify-model", "--input", str(source), "--output", str(make_path(tmp_path)), "--csv", str(csv_path)]
+    )
+    assert code == 3
+    assert report["error"]["type"] == error_type
+    assert json.loads(capsys.readouterr().err) == report
+    assert not csv_path.exists()
+
+
+def test_a_failed_csv_write_leaves_no_csv(tmp_path, monkeypatch):
+    write = os.write
+    csv_fds = set()
+
+    def full_disk_inside_the_csv(fd, data):  # 10 bytes of the table, then ENOSPC
+        if bytes(data[:6]) == b"r,rho,":
+            csv_fds.add(fd)
+            return write(fd, data[:10])
+        if fd in csv_fds:
+            csv_fds.discard(fd)  # the report may get the same descriptor number
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", full_disk_inside_the_csv)
+    csv_path = tmp_path / "table.csv"
+    code, report = run_cli(tmp_path, "verify-model", VERIFY_MODEL, extra=["--csv", str(csv_path)])
+    assert code == 3
+    assert report["error"]["type"] == "OSError"
+    assert not csv_path.exists()
+
+
 def test_csv_goes_through_the_report_writer(tmp_path, monkeypatch):
     written = []
 

@@ -18,11 +18,9 @@ SRC = Path(parhodge.__file__).parent
 KNOWN_UNREFERENCED = {
     "cartan.cochar_contains",
     "degree.local_system_degree",
-    "modelmetric._rk4_holonomy",
     "modelmetric.model_metric_eval",
     "nahodge.canonical_alpha",
-    "nahodge.entry_dumps",
-    "nahodge.entry_loads",
+    "nahodge.entry_from_json",  # the reader of the record entry_to_json writes
     "nahodge.puncture_entry",
     "parabolic.chi_vanishing_defect",
     "parabolic.levi_centralizer_tilde",
