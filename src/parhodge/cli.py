@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import math
 import os
 import stat
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -84,6 +84,7 @@ from .parabolic import parabolic_from
 from .parhiggs import (
     STABILITY_MODES,
     ReductionCertificate,
+    coordinate_pairing,
     from_json as higgs_from_json,
     genericity_check,
     gr_res,
@@ -311,6 +312,9 @@ def _new_report(command: str, argv: Sequence[str], args) -> dict:
     }
 
 
+_INT, _FLOAT, _NUMBER = {int}, {float}, {int, float}
+
+
 def _first_non_finite(value: Any) -> str | None:
     """Path below ``value`` to its first NaN or infinite number, in rendered
     (sorted-key) order, as ".key[i]..."; None when every number is finite."""
@@ -319,6 +323,11 @@ def _first_non_finite(value: Any) -> str | None:
     if isinstance(value, dict):
         items, step = sorted(value.items()), ".{}"
     elif isinstance(value, (list, tuple)):
+        # a list of ints, or of floats, is cleared in one C pass; ints skip
+        # math.isfinite, which overflows on a huge one, and are finite anyway
+        kinds = set(map(type, value))
+        if kinds <= _INT or kinds == _FLOAT and all(map(math.isfinite, value)):
+            return None
         items, step = enumerate(value), "[{}]"
     else:
         return None
@@ -330,7 +339,55 @@ def _first_non_finite(value: Any) -> str | None:
 
 
 def _render(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``
+    (the oracle of tests/test_cli.py) for a report whose keys are strings."""
+    return _json_text(report, "\n") + "\n"
+
+
+def _json_float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_JSON_SCALAR = {
+    str: _json_string,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value: Any, newline: str) -> str:
+    """``value`` as json.dumps(indent=2, sort_keys=True) spells it; ``newline``
+    is the line break plus the indentation of the line ``value`` starts on."""
+    scalar = _JSON_SCALAR.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds <= _NUMBER:  # exact types: a bool or a subclass has its own spelling
+            text = repr(list(value))  # a 1-tuple's repr would be "(x,)"
+            if "n" not in text:  # else a nan or inf, which JSON spells NaN or Infinity
+                return "[" + inner + text[1:-1].replace(", ", "," + inner) + newline + "]"
+        if kinds <= _JSON_SCALAR.keys():
+            items = [_JSON_SCALAR[type(item)](item) for item in value]
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_string(key) + ": " + _json_text(item, inner) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    for kind, scalar in _JSON_SCALAR.items():  # a subclass, such as numpy's float64
+        if isinstance(value, kind):
+            return scalar(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_file(path: str, text: str) -> None:
@@ -466,7 +523,7 @@ def _cmd_degree_parabolic(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
     red = _reduction_from_json(payload, "$")
     pardeg = pardeg_reduction(data, red)
-    central = sum((Fraction(a) * Fraction(b) for a, b in zip(data.c, red.chi)), Fraction(0))
+    central = coordinate_pairing(data.c, red.chi)
     method = "exact double-filtration pairing"
     report["outputs"] = {
         "label": red.label,

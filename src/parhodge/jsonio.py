@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable
 
 import numpy as np
@@ -206,12 +207,47 @@ def fracvec_from_json(obj: Any, location: str = "$") -> tuple[Fraction, ...]:
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
+_LIST, _PAIR, _PART = {list}, {2}, {int, float}
+
+
+def _pairs_matrix(obj: list) -> np.ndarray | None:
+    """The matrix of equal-width rows of [re, im] pairs of finite JSON numbers,
+    read in C; None for anything else, which the entry reader then refuses or
+    reads one entry at a time."""
+    if type(obj[0]) is not list:
+        return None
+    width = len(obj[0])
+    pairs = []
+    for row in obj:
+        if type(row) is not list or len(row) != width:
+            return None
+        pairs += row
+    if not set(map(type, pairs)) <= _LIST or not set(map(len, pairs)) <= _PAIR:
+        return None
+    parts = list(chain.from_iterable(pairs))
+    if not set(map(type, parts)) <= _PART:  # exact types: a bool is no number
+        return None
+    try:
+        flat = np.array(parts, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not np.isfinite(flat).all():  # 1e400 parses to inf
+        return None
+    # a view keeps the sign of each part; re + 1j * im would turn -0.0j into +0.0j
+    return flat.view(complex).reshape(len(obj), width)
 
 
 def matrix_from_json(obj: Any, location: str = "$") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(location, "expected a non-empty nested list matrix")
+    m = _pairs_matrix(obj)
+    if m is not None:
+        return m
     rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list):

@@ -513,8 +513,11 @@ def _pairing_against_weight(
     return relative_degree_filtration(a_steps, a_weights, chi_steps, chi_weights)
 
 
-def _central_pairing(c: Sequence[Fraction], chi: Sequence[Fraction]) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(c, chi)), Fraction(0))
+def coordinate_pairing(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """Exact sum_k u_k v_k of two weights on the coordinate frame: the central
+    twist <c, chi>, and the pairing of the coordinate flags of alpha and chi,
+    whose m_ij counts the coordinates k with alpha_k = a_i and chi_k = b_j."""
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
 def pardeg_reduction(data: ParabolicHiggsData, red: ReductionCertificate):
@@ -524,10 +527,17 @@ def pardeg_reduction(data: ParabolicHiggsData, red: ReductionCertificate):
         total = Fraction(red.degree)
     else:
         total = sum((x * d for x, d in zip(chi, data.summand_degrees)), Fraction(0))
-    chi_steps_default, chi_weights = coordinate_flag(chi)
+    chi_flag = None  # built only for a pairing that needs it
     for i, p in enumerate(data.punctures):
-        steps = chi_steps_default if red.flags is None else red.flags[i]
-        total = total - _pairing_against_weight(p.weight, p.flag, steps, chi_weights)
+        # two coordinate flags pair in closed form; an empty chi or one whose
+        # length differs from the weight takes the flag pairing, which refuses it
+        if p.flag is None and red.flags is None and chi and len(chi) == len(p.weight):
+            total = total - coordinate_pairing(p.weight, chi)
+            continue
+        if chi_flag is None:
+            chi_flag = coordinate_flag(chi)
+        steps = chi_flag[0] if red.flags is None else red.flags[i]
+        total = total - _pairing_against_weight(p.weight, p.flag, steps, chi_flag[1])
     return total
 
 
@@ -561,7 +571,7 @@ def stability_check(
     table = []
     worst = None
     for red in rows:
-        value = pardeg_reduction(data, red) - _central_pairing(data.c, red.chi)
+        value = pardeg_reduction(data, red) - coordinate_pairing(data.c, red.chi)
         central = len(set(red.chi)) <= 1
         table.append((red.label, "chi_s", value))
         if central:
@@ -589,7 +599,7 @@ def stability_check(
         return StabilityVerdict(
             verdict="stable", witness=None, slope_table=tuple(table), note=note
         )
-    zero_rows = [r for r in rows if len(set(r.chi)) > 1 and pardeg_reduction(data, r) - _central_pairing(data.c, r.chi) == 0]
+    zero_rows = [r for r in rows if len(set(r.chi)) > 1 and pardeg_reduction(data, r) - coordinate_pairing(data.c, r.chi) == 0]
     if zero_rows and all(r.levi_reduction for r in zero_rows):
         return StabilityVerdict(
             verdict="polystable", witness=zero_rows[0].label, slope_table=tuple(table), note=note

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1122,3 +1123,124 @@ def test_bench_decks_through_one_reused_output_give_the_rendered_bytes(tmp_path)
         )
         assert code == op.expect_code, (op.slot, report.get("error"))
         assert out.read_bytes() == _render(report).encode("utf-8"), op.slot
+        assert _render(report) == _json_dumps(report), op.slot
+
+
+def _json_dumps(value) -> str:
+    """The report format: _render must give these bytes."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.lists(st.integers() | st.floats()),  # the number-list path of the renderer
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_render_spells_what_json_dumps_spells(value):
+    assert _render({"outputs": value}) == _json_dumps({"outputs": value})
+    assert _render(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5],
+        [1.0, float("nan")],
+        [10**30, -(10**30), 0, 2.5],
+        [True, 1, 1.0, False, None],
+        (1.5,),
+        ((), [], {}, "", (0,)),
+        {"tab\t \"quote\" back\\slash \u00e9 \U0001f600 \x00 \u2028": ["\ud800", "é"]},
+        [np.float64(0.1), 2.5, np.float64("nan")],
+        {"z": (1, 2), "a": {"b": None, "a": [None, True, "x"]}},
+    ],
+)
+def test_render_spells_hostile_values_as_json_dumps_does(value):
+    assert _render(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [{"a": object()}, [1, {1j}], {1: 0, "a": 1}, {(1,): 0}])
+def test_render_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        _json_dumps(value)
+    with pytest.raises(TypeError):
+        _render(value)
+
+
+def test_render_takes_only_string_keys():
+    # every report key is a string (_plain turns keys into strings)
+    with pytest.raises(TypeError):
+        _render({1: "a"})
+
+
+def _first_non_finite_walk(value):
+    """The scan cli._first_non_finite must agree with, one element at a time."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else ""
+    if isinstance(value, dict):
+        items, step = sorted(value.items()), ".{}"
+    elif isinstance(value, (list, tuple)):
+        items, step = enumerate(value), "[{}]"
+    else:
+        return None
+    for key, item in items:
+        rest = _first_non_finite_walk(item)
+        if rest is not None:
+            return step.format(key) + rest
+    return None
+
+
+_NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+_finite_numbers = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_finite_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=2) | _finite_numbers | st.lists(_finite_numbers),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+def _plant(value, rnd, p):
+    """A copy of value with NaN or an infinity put in place of some leaves and
+    into some lists, each with probability p."""
+    if isinstance(value, dict):
+        return {key: _plant(item, rnd, p) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [_plant(item, rnd, p) for item in value]
+        if rnd.random() < p:
+            items.insert(rnd.randint(0, len(items)), rnd.choice(_NON_FINITE))
+        return type(value)(items)
+    return rnd.choice(_NON_FINITE) if rnd.random() < p else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_finite_values, st.randoms(use_true_random=False), st.sampled_from([0.0, 0.05, 0.3]))
+def test_first_non_finite_names_the_path_the_walk_names(value, rnd, p):
+    planted = _plant({"outputs": value}, rnd, p)
+    assert cli._first_non_finite(planted) == _first_non_finite_walk(planted)
+
+
+@pytest.mark.parametrize(
+    "value, path",
+    [
+        ([10**400, 1.5, float("nan")], "[2]"),  # math.isfinite(10**400) would overflow
+        ([10**400, 2], None),
+        ((0.5, -float("inf")), "[1]"),
+        ({"b": [float("inf")], "a": [1.0, float("nan")]}, ".a[1]"),
+        ([True, float("nan")], "[1]"),
+    ],
+)
+def test_first_non_finite_reads_number_lists_in_order(value, path):
+    assert cli._first_non_finite(value) == _first_non_finite_walk(value) == path

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parhodge import parhiggs
+from parhodge.degree import FlagError, relative_degree_filtration
 from parhodge.jsonio import SchemaError
 from parhodge.liealg import rank_sequence
 from parhodge.parhiggs import (
@@ -22,6 +24,8 @@ from parhodge.parhiggs import (
     ReductionCertificate,
     check_pole_orders,
     conjugate_laurent,
+    coordinate_flag,
+    coordinate_pairing,
     dumps,
     exp_pole_gauge,
     genericity_check,
@@ -296,6 +300,61 @@ def test_pardeg_scales_linearly_in_character(scale, chi0, chi1, d0, num):
         data, ReductionCertificate("r", chi=tuple(scale * x for x in chi))
     )
     assert scaled == scale * base
+
+
+_tied_values = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(1), Fraction(-2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.tuples(_tied_values, _tied_values), min_size=n, max_size=n)))
+def test_coordinate_flags_pair_to_the_dot_product_of_their_weights(pairs):
+    alpha, chi = zip(*pairs)
+    a_steps, a_weights = coordinate_flag(alpha)
+    chi_steps, chi_weights = coordinate_flag(chi)
+    exact = relative_degree_filtration(a_steps, a_weights, chi_steps, chi_weights)
+    assert coordinate_pairing(alpha, chi) == exact
+    assert type(exact) is Fraction
+
+
+def _counted_flag_pairings(monkeypatch) -> dict:
+    calls = {"relative_degree_filtration": 0}
+    inner = parhiggs.relative_degree_filtration
+
+    def counted(*args):
+        calls["relative_degree_filtration"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(parhiggs, "relative_degree_filtration", counted)
+    return calls
+
+
+def test_coordinate_flags_pair_without_the_flag_pairing(monkeypatch):
+    calls = _counted_flag_pairings(monkeypatch)
+    weights = [(Fraction(0), Fraction(1, 2)), (Fraction(1, 3), Fraction(0))]
+    data = make_data(0, "GL(2,C)", weights, None, (1, -1))
+    chi = (Fraction(1), Fraction(-1))
+    value = pardeg_reduction(data, ReductionCertificate("r", chi=chi))
+    assert calls["relative_degree_filtration"] == 0
+    # deg(sigma, chi) = 1 + 1; the punctures pair to -1/2 and 1/3
+    assert value == 2 - Fraction(-1, 2) - Fraction(1, 3)
+
+
+def test_a_puncture_flag_still_takes_the_flag_pairing(monkeypatch):
+    calls = _counted_flag_pairings(monkeypatch)
+    flag = [[[1], [1]], [[1, 0], [1, 1]]]  # line through (1, 1), then C^2
+    data = make_data(0, "GL(2,C)", [(Fraction(0), Fraction(1, 2))], None, (1, -1), flags=[flag])
+    pardeg_reduction(data, ReductionCertificate("r", chi=(Fraction(1), Fraction(-1))))
+    assert calls["relative_degree_filtration"] == 1
+
+
+@pytest.mark.parametrize(
+    "chi, message",
+    [((1, -1, 0), "flag_b must end with the full space"), ((1,), "flag_b must end with the full space"), ((), "flags need at least one step")],
+)
+def test_a_chi_of_the_wrong_length_is_still_refused(chi, message):
+    data = make_data(0, "GL(2,C)", [(Fraction(0), Fraction(1, 2))], None, (0, -1))
+    with pytest.raises(FlagError, match=message):
+        pardeg_reduction(data, ReductionCertificate("r", chi=tuple(Fraction(x) for x in chi)))
 
 
 def test_exhaustive_small_stable_with_note():
