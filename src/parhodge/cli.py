@@ -715,7 +715,7 @@ def _cmd_ks_orbit(payload: dict, args, report: dict) -> int:
 
 def _extra_term(pair: Any, location: str, n: int) -> tuple[int, np.ndarray]:
     k, m = list_from_json(pair, location, length=2)
-    return int_from_json(k, location + "[0]"), _matrix(m, location + "[1]", n)
+    return int_from_json(k, location + "[0]", lo=1), _matrix(m, location + "[1]", n)
 
 
 def _cmd_verify_model(payload: dict, args, report: dict) -> int:
@@ -738,7 +738,8 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
         raise SchemaError("$.grid", str(exc)) from exc
     convention = _convention(payload, report)
 
-    fd_step = _field(payload, "fd_step", real_from_json, default=None, above=0)
+    # the finite difference reads the connection at r (1 - fd_step) > 0
+    fd_step = _field(payload, "fd_step", real_from_json, default=None, above=0, below=1)
     residual_kwargs = {} if fd_step is None else {"fd_step": fd_step}
     triple = None if y is None else complete_ks_triple(real, y)
     # the checks of the model data and the factors that do not depend on r,

@@ -103,7 +103,9 @@ def int_from_json(obj: Any, location: str, lo: int | None = None, hi: int | None
     return obj
 
 
-def real_from_json(obj: Any, location: str, above: float | None = None) -> float:
+def real_from_json(
+    obj: Any, location: str, above: float | None = None, below: float | None = None
+) -> float:
     """A finite real number, given as a JSON number or an exact 'p/q' string."""
     x = _finite(obj)
     if x is None and isinstance(obj, str):
@@ -115,6 +117,8 @@ def real_from_json(obj: Any, location: str, above: float | None = None) -> float
         raise SchemaError(location, f"expected a finite number or 'p/q', got {obj!r}")
     if above is not None and not x > above:
         raise SchemaError(location, f"expected a number > {above}, got {x}")
+    if below is not None and not x < below:
+        raise SchemaError(location, f"expected a number < {below}, got {x}")
     return x
 
 

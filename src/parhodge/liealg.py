@@ -14,6 +14,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import functools
+import math
 import re as _re
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -198,7 +199,8 @@ class Realization:
 
     @property
     def split_rank_one(self) -> bool:
-        """SL(2,R) in its split frame, where the triples have closed forms."""
+        """SL(2,R) in its split frame, whose compact torus is not diagonal.
+        The closed-form triples of both rank-one models key on ``eigenlines``."""
         return self._row.split and self.n == 2
 
     @property
@@ -619,7 +621,8 @@ def normalize_kostant_sekiguchi(real: Realization, t: SL2Triple, tol: float = 1e
             "normal triple defect is not a torus scaling; conjugate it into a "
             "standard component first"
         )
-    c = mu.real ** 0.5
+    # correctly rounded, so c scales exactly with e under powers of two
+    c = math.sqrt(mu.real)
     out = SL2Triple(t.x, c * t.e, t.f / c, "ks_normal")
     validate_triple(real, out, 1e-7)
     return out

@@ -286,12 +286,30 @@ def hitchin_residual(
         _validate_model_data(real, a_mat, s, triple, tol)
 
     thetas = grid.thetas
+    if triple is None:
+        n = a_mat.shape[0]
+        analytic = fd = np.zeros((n, n), dtype=complex)
+    else:
+        # the (theta, n, n) stacks of Ad(exp(i theta alpha)) H and Y do not
+        # depend on r; per radius the loop only rescales them, with the
+        # operations of curvature_pair and higgs_field_part
+        ad_h = _angular_conj(a_mat, thetas, triple.x)
+        ad_y = _angular_conj(a_mat, thetas, triple.f)
     rho = []
     mismatch = []
     for r in grid.radii:
-        weight = (2 * math.log(r)) ** 2
-        analytic, fd = curvature_pair(alpha, triple, r, thetas, fd_step=fd_step)
-        c_phi = higgs_field_part(alpha, s, triple, r, thetas, extra_terms=extra_terms)
+        log_z2 = 2 * math.log(r)
+        weight = log_z2**2
+        if triple is not None:
+            analytic = ad_h / (r * log_z2) ** 2
+            step = fd_step * r
+            plus = a_mat - ad_h / (2 * math.log(r + step))
+            minus = a_mat - ad_h / (2 * math.log(r - step))
+            fd = (plus - minus) / (2 * step) / (2 * r)
+        if extra_terms:
+            c_phi = higgs_field_part(alpha, s, triple, r, thetas, extra_terms=extra_terms)
+        else:
+            c_phi = s if triple is None else s - ad_y / log_z2
         tau_c = real.tau(c_phi)
         bracket = c_phi @ tau_c - tau_c @ c_phi
         worst_res = _sup_norm(weight * (r * r * analytic - bracket))

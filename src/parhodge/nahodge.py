@@ -153,17 +153,26 @@ def complete_ks_triple(real: Realization, y: np.ndarray, tol: float = 1e-10) -> 
 
     Y' is the torus-normalized representative of the H^C-orbit of ``y``
     (same orbit certificate, unit scale with the phase of ``y`` kept).
-    Returns None for y = 0.
+    Returns None for y = 0.  Nothing here sees the scale of ``y``: it is
+    first divided by a power of two near its largest entry, which is exact
+    and keeps mu = |c|^2 of the torus normalization from overflow and
+    underflow.  On the rank-one models SL(2,R) and SU(1,1) the triple is
+    closed-form: y lies on one eigenline (H_k, Y_k), and with phi the phase
+    of its coordinate there it is (H_k, conj(phi) Y_other, phi Y_k).  The
+    other models run Jacobson-Morozov and the torus normalization.
     """
     y = np.asarray(y, dtype=complex)
     if not y.any():
         return None
+    # exact: the largest entry of y lands in [1/2, 1); the caps keep 2**k and
+    # the 1/2**k of complex division finite, and only bite on extreme entries
+    y = y / 2.0 ** min(max(math.frexp(float(np.abs(y).max()))[1], -1021), 1023)
     if not is_nilpotent(y, max(tol, 1e-9)):
         raise TripleCompletionFailure("the nilpotent part must be nilpotent")
     if not real.in_mC(y, 1e-8):
         raise TripleCompletionFailure(f"y does not lie in the m^C model of {real.label}")
-    if real.split_rank_one:
-        lines = real.eigenlines
+    lines = real.eigenlines
+    if lines is not None:
         coeffs = [complex(np.vdot(line, y)) for _, line in lines]
         if min(abs(c) for c in coeffs) > 1e-8 * (1 + hs_norm(y)):
             raise TripleCompletionFailure("y meets both eigenlines; it cannot be nilpotent")

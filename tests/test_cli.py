@@ -526,6 +526,9 @@ H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[
         ("verify-model", {**VERIFY_MODEL, "s": [[0]]}, "$.s"),
         ("verify-model", {**VERIFY_MODEL, "y": [[0, 0, 0]] * 3}, "$.y"),
         ("verify-model", {**VERIFY_MODEL, "extra_terms": [[1, DIAG], [1, [[0]]]]}, "$.extra_terms[1][1]"),
+        ("verify-model", {**VERIFY_MODEL, "extra_terms": [[1, DIAG], [0, DIAG]]}, "$.extra_terms[1][0]"),
+        ("verify-model", {**VERIFY_MODEL, "fd_step": 5.0}, "$.fd_step"),
+        ("verify-model", {**VERIFY_MODEL, "fd_step": 1}, "$.fd_step"),
         ("verify-model", {**VERIFY_MODEL, "realization": "GL(0,C)", "alpha": []}, "$.realization"),
         ("parabolic", {"realization": "GL(0,C)", "s": DIAG}, "$.realization"),
         ("parabolic", {"realization": "GL(20,C)", "s": DIAG}, "$.s"),

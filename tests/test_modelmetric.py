@@ -13,7 +13,7 @@ from rk4_oracle import IntegratorFailure, rk4_holonomy
 
 from parhodge import modelmetric
 from parhodge.cli import cli_dispatch
-from parhodge.liealg import SL2Triple, build_realization, hs_norm
+from parhodge.liealg import SL2Triple, build_realization, hs_norm, jacobson_morozov
 from parhodge.modelmetric import (
     GridTooCoarse,
     NotSingleValued,
@@ -446,3 +446,45 @@ def test_verify_model_makes_few_expm_calls_and_no_rk4(tmp_path, monkeypatch):
     assert len(table) == 5
     assert all(row["ode_steps"] == 0 for row in table)
     assert 0 < calls["expm"] <= 2 * len(table)
+
+
+def _verify_model_table(tmp_path, payload):
+    source = tmp_path / "model.json"
+    source.write_text(json.dumps(payload))
+    code, report = cli_dispatch(
+        ["verify-model", "--input", str(source), "--output", str(tmp_path / "out.json")]
+    )
+    assert code == 0, report.get("error")
+    return report["outputs"]["table"]
+
+
+@pytest.mark.parametrize("model", ["SU(1,1)", "SU(2,1)"])
+def test_verify_model_cusp_table_does_not_see_the_scale_of_y(tmp_path, monkeypatch, model):
+    from parhodge import nahodge
+
+    calls = {"jacobson_morozov": 0}
+
+    def counted(*args, **kwargs):
+        calls["jacobson_morozov"] += 1
+        return jacobson_morozov(*args, **kwargs)
+
+    monkeypatch.setattr(nahodge, "jacobson_morozov", counted)
+    n = build_realization(model).n
+    grid = {"r_max": 1e-2, "r_min": 1e-6, "count": 5}  # the README cusp on SU(1,1)
+    tables = []
+    for c in (1, 1e200, 1e-200):
+        y = [[0] * n for _ in range(n)]
+        y[n - 1][0] = c
+        payload = {"realization": model, "alpha": [0] * n, "y": y, "grid": grid}
+        tables.append(_verify_model_table(tmp_path, payload))
+    # the triple is normalized, so the tables agree up to the rounding of the
+    # normalization; the closed form of the rank-one models keeps only the phase
+    for table in tables[1:]:
+        assert [row["r"] for row in table] == [row["r"] for row in tables[0]]
+        for row, ref in zip(table, tables[0]):
+            assert max(row["rho"], ref["rho"]) < 1e-14  # the pure cusp: rounding noise
+            for key in ("holonomy_deviation", "holonomy_deviation_full"):
+                assert row[key] == pytest.approx(ref[key], rel=1e-12)
+        assert table == tables[0] or n > 2
+    # the rank-one models complete their triples in closed form
+    assert calls["jacobson_morozov"] == (0 if n == 2 else 3)

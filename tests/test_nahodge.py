@@ -13,7 +13,10 @@ from parhodge.liealg import (
     TripleCompletionFailure,
     build_realization,
     hs_norm,
+    SL2Triple,
     is_nilpotent,
+    jacobson_morozov,
+    normalize_kostant_sekiguchi,
     rank_sequence,
 )
 from parhodge.nahodge import (
@@ -430,6 +433,32 @@ def test_complete_ks_triple_unbalanced_chain_refused():
     y = np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0]], dtype=complex)
     with pytest.raises(TripleCompletionFailure):
         complete_ks_triple(build_realization("GL(3,C)"), y)
+
+
+@pytest.mark.parametrize("label", ["SL(2,R)", "SU(1,1)"])
+def test_rank_one_closed_form_matches_jacobson_morozov(label):
+    # the closed form against the path it replaced: Jacobson-Morozov through
+    # y, flipped to a normal triple, then the torus normalization
+    real = build_realization(label)
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        (_, line) = real.eigenlines[rng.integers(2)]
+        y = 10 ** rng.uniform(-3, 3) * np.exp(2j * math.pi * rng.uniform()) * line
+        plain = jacobson_morozov(real, y)
+        flipped = SL2Triple(x=-plain.x, e=plain.f, f=y, flavor="normal")
+        oracle = normalize_kostant_sekiguchi(real, flipped)
+        t = complete_ks_triple(real, y)
+        for got, want in ((t.x, oracle.x), (t.e, oracle.e), (t.f, oracle.f)):
+            assert hs_norm(got - want) <= 1e-12 * hs_norm(want)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e200, 1e-200])
+def test_complete_ks_triple_membership_check_does_not_see_the_scale(c):
+    # E21 is not symmetric, so it is outside the m^C model of SL(2,R); read
+    # at the scale of y, the membership tolerance 1e-8 (1 + |y|) used to wave
+    # it through at |c| = 1e200 (inf) and at |c| = 1e-200 (above |y|)
+    with pytest.raises(TripleCompletionFailure, match="m\\^C model"):
+        complete_ks_triple(build_realization("SL(2,R)"), c * E21)
 
 
 def test_complete_ks_triple_rejects_nonnilpotent():

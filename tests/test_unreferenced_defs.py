@@ -18,7 +18,7 @@ SRC = Path(parhodge.__file__).parent
 KNOWN_UNREFERENCED = {
     "cartan.cochar_contains",
     "degree.local_system_degree",
-    "modelmetric.model_metric_eval",
+    "modelmetric.model_metric_eval",  # the adapted metric h0 of the local model, a paper statement
     "nahodge.canonical_alpha",
     "nahodge.entry_from_json",  # the reader of the record entry_to_json writes
     "nahodge.puncture_entry",
