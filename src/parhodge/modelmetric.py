@@ -287,8 +287,7 @@ def hitchin_residual(
 
     thetas = grid.thetas
     if triple is None:
-        n = a_mat.shape[0]
-        analytic = fd = np.zeros((n, n), dtype=complex)
+        analytic = fd = np.zeros(a_mat.shape, dtype=complex)
     else:
         # the (theta, n, n) stacks of Ad(exp(i theta alpha)) H and Y do not
         # depend on r; per radius the loop only rescales them, with the
