@@ -12,6 +12,11 @@ or malformed-input error (the report carries a location for schema errors);
 """
 from __future__ import annotations
 
+if __name__ == "__main__":  # python -m parhodge.cli: before numpy is imported
+    from . import one_blas_thread
+
+    one_blas_thread()
+
 import argparse
 import functools
 import hashlib
@@ -36,7 +41,7 @@ from .cartan import (
     alcove_normalize,
     build_root_datum,
 )
-from .degree import NonConvergence, relative_degree, relative_position
+from .degree import NonConvergence, relative_degrees, relative_position
 from .jsonio import (
     SchemaError,
     bool_from_json,
@@ -488,6 +493,10 @@ def _sample_hermitian_pair(real, rng: np.random.Generator) -> tuple[np.ndarray, 
     return out[0], out[1]
 
 
+# pairs the sample sweep draws and flows at a time, so its memory does not grow with count
+_SAMPLE_CHUNK = 64
+
+
 def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
     if "sample" in payload:
         spec = object_from_json(payload["sample"], "$.sample")
@@ -496,11 +505,14 @@ def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
         count = _field(spec, "count", int_from_json, "$.sample", default=100, lo=1)
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         worst = 0.0
-        for _ in range(count):
-            s, sigma = _sample_hermitian_pair(real, rng)
-            forward = relative_degree(s, sigma, **_tol(args))
-            backward = relative_degree(sigma, s, **_tol(args))
-            worst = max(worst, abs(forward.value - backward.value))
+        for start in range(0, count, _SAMPLE_CHUNK):
+            # both orders of each drawn pair, side by side: (s, sigma), (sigma, s)
+            pairs = [_sample_hermitian_pair(real, rng) for _ in range(min(_SAMPLE_CHUNK, count - start))]
+            s_stack = np.array([m for s, sigma in pairs for m in (s, sigma)])
+            sigma_stack = np.array([m for s, sigma in pairs for m in (sigma, s)])
+            results = relative_degrees(s_stack, sigma_stack, **_tol(args))
+            for forward, backward in zip(results[::2], results[1::2]):
+                worst = max(worst, abs(forward.value - backward.value))
         report["outputs"] = {
             "model": model,
             "count": count,

@@ -3,10 +3,13 @@ and local-system-degree computation.
 
 Three routes are provided and must agree:
 
-  * relative_degree: numeric limit of t |-> <s . e^{-t sigma}, sigma>, computed
-    by pushing the ascending eigenvalue flag of s through e^{t sigma} in capped
-    steps and re-orthonormalizing (QR) after each; the step cap keeps every
-    factor of a step in [e^-15, 1], so no overflow occurs even at t = 2^20.
+  * relative_degrees: numeric limit of t |-> <s . e^{-t sigma}, sigma> for
+    each pair of a stack, computed by pushing the ascending eigenvalue flag of
+    s through e^{t sigma} in capped steps and re-orthonormalizing (QR) after
+    each; the step cap keeps every factor of a step in [e^-15, 1], so no
+    overflow occurs even at t = 2^20.  All pairs of the stack step together,
+    one stacked QR per step, and each leaves once its value settles; this is
+    the only flow kernel, and relative_degree is its stack of one.
   * relative_position: the same limit read off the relative position (the
     Bruhat cell) of the two eigenflags, by one elimination.
   * relative_degree_filtration: the exact pairing of two weighted flags
@@ -67,56 +70,105 @@ class RelativePosition:
 _MAX_EXP = 20
 
 
-def _eigenframe(s: np.ndarray, sigma: np.ndarray) -> float | tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _commuting_trace(s: np.ndarray, sigma: np.ndarray) -> float | None:
     """Check that s and sigma are Hermitian.  Return tr(s sigma) when they
-    commute, else (d, lam, M): the ascending spectra of s and sigma and
-    M = V_sigma^H U_s, the eigenbasis of s in that of sigma."""
-    s = np.asarray(s, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    commute, else None."""
     scale = (1 + hs_norm(s)) * (1 + hs_norm(sigma))
     for name, m in (("s", s), ("sigma", sigma)):
         if hs_norm(m - m.conj().T) > 1e-10 * scale:
             raise ValueError(f"{name} must be Hermitian")
     if hs_norm(comm(s, sigma)) <= 1e-12 * scale:
         return float(np.trace(s @ sigma).real)
+    return None
+
+
+def relative_degrees(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> list[RelativeDegreeResult]:
+    """``relative_degree`` of every pair (s[i], sigma[i]) of two (k, n, n) stacks.
+
+    Each pair is checked on its own and a commuting pair keeps tr(s sigma).
+    The others flow together: one stacked eigh per side, then per step one
+    stacked QR over the pairs still running, each with its own step cap, step
+    and time, until its value settles.  A pair's error (ValueError for a
+    non-Hermitian side, NonConvergence) is raised only after the whole stack
+    ran, and the first one in stack order wins, as a loop over the pairs
+    would raise it.
+    """
+    s = np.asarray(s, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    if len(s) != len(sigma):
+        raise ValueError(f"{len(s)} matrices s against {len(sigma)} matrices sigma")
+    out: list = [None] * len(s)
+    flowing = []
+    for i in range(len(s)):
+        try:
+            value = _commuting_trace(s[i], sigma[i])
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        if value is None:
+            flowing.append(i)
+        else:
+            out[i] = RelativeDegreeResult(value=value, t_trace=((0.0, value),), method="commuting", converged=True)
+    if flowing:
+        for i, result in zip(flowing, _qr_flows(s[flowing], sigma[flowing], tol)):
+            out[i] = result
+    for result in out:
+        if isinstance(result, Exception):
+            raise result
+    return out
+
+
+def _qr_flows(s: np.ndarray, sigma: np.ndarray, tol: float) -> list:
+    """The QR flow of each non-commuting pair: a RelativeDegreeResult or a
+    NonConvergence per pair.
+
+    The flow runs in the eigenbasis of sigma, where e^{dt sigma} is a row
+    scaling: it re-orthonormalizes after every step so the flag stays well
+    conditioned, and caps the per-step exponent spread so one sweep never
+    drives the subdominant eigencomponents below machine precision.
+    """
     lam, v_sig = np.linalg.eigh(sigma)
     d, u_s = np.linalg.eigh(s)  # ascending: columns span the increasing flag of s
-    return d, lam, v_sig.conj().T @ u_s
+    frames = np.swapaxes(v_sig.conj(), 1, 2) @ u_s
+    # dt <= dt_cap keeps each factor in [e^-15, 1], so e^{dt sigma} needs no rescaling
+    dt_cap = 15.0 / np.maximum(lam[:, -1] - lam[:, 0], 1e-12)
+    dt = np.minimum(1.0, dt_cap)
+    t = np.zeros(len(s))
+    shifted = lam - lam[:, -1:]
+    out: list = [None] * len(s)
+    traces: list[list[tuple[float, float]]] = [[] for _ in s]
+    prev: list[float | None] = [None] * len(s)
+    running = np.arange(len(s))
+    for _ in range(4096):
+        grow = np.exp(dt[running, None] * shifted[running])[:, :, None]
+        stepped, _ = np.linalg.qr(grow * frames[running])
+        frames[running] = stepped
+        t[running] += dt[running]
+        weights = stepped.real**2 + stepped.imag**2
+        keep = []
+        for j, i in enumerate(running):
+            val = float(lam[i] @ weights[j] @ d[i])
+            traces[i].append((float(t[i]), val))
+            if prev[i] is not None and abs(val - prev[i]) < tol:
+                out[i] = RelativeDegreeResult(value=val, t_trace=tuple(traces[i]), method="qr_flow", converged=True)
+            elif t[i] > 2.0**_MAX_EXP:
+                out[i] = NonConvergence(traces[i])
+            else:
+                prev[i] = val
+                keep.append(i)
+        running = np.array(keep, dtype=int)
+        if not keep:
+            return out
+        dt[running] = np.minimum(2.0 * dt[running], dt_cap[running])
+    for i in running:
+        out[i] = NonConvergence(traces[i])
+    return out
 
 
 def relative_degree(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> RelativeDegreeResult:
-    """Limit of <s . e^{-t sigma}, sigma> for Hermitian s, sigma (trace pairing)."""
-    frame = _eigenframe(s, sigma)
-    if isinstance(frame, float):
-        return RelativeDegreeResult(value=frame, t_trace=((0.0, frame),), method="commuting", converged=True)
-    d, lam, frame = frame
-
-    # iterated QR sweeps in the eigenbasis of sigma, where e^{dt sigma} is a row
-    # scaling: re-orthonormalize after every step so the flag stays well
-    # conditioned, and cap the per-step exponent spread so one sweep never
-    # drives the subdominant eigencomponents below machine precision
-    spread = float(lam[-1] - lam[0])
-    dt_cap = 15.0 / max(spread, 1e-12)
-    trace: list[tuple[float, float]] = []
-    prev = None
-    t = 0.0
-    dt = min(1.0, dt_cap)
-    for _ in range(4096):
-        # dt <= dt_cap keeps each factor in [e^-15, 1], so e^{dt sigma} needs no rescaling
-        grow = np.exp(dt * (lam - lam[-1]))[:, None]
-        frame, _ = np.linalg.qr(grow * frame)
-        t += dt
-        val = float(lam @ (frame.real**2 + frame.imag**2) @ d)
-        trace.append((t, val))
-        if prev is not None and abs(val - prev) < tol:
-            return RelativeDegreeResult(
-                value=val, t_trace=tuple(trace), method="qr_flow", converged=True
-            )
-        prev = val
-        dt = min(2.0 * dt, dt_cap)
-        if t > 2.0**_MAX_EXP:
-            break
-    raise NonConvergence(trace)
+    """Limit of <s . e^{-t sigma}, sigma> for Hermitian s, sigma (trace pairing):
+    ``relative_degrees`` on a stack of one."""
+    return relative_degrees(np.asarray(s, dtype=complex)[None], np.asarray(sigma, dtype=complex)[None], tol)[0]
 
 
 def relative_position(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> RelativePosition:
@@ -131,10 +183,14 @@ def relative_position(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> Re
     pairing ``relative_degree_filtration`` computes from intersection ranks.
     Repeated eigenvalues need no special case.
     """
-    frame = _eigenframe(s, sigma)
-    if isinstance(frame, float):
-        return RelativePosition(value=frame, permutation=None, min_pivot_ratio=None, method="commuting")
-    d, lam, m = frame
+    s = np.asarray(s, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    value = _commuting_trace(s, sigma)
+    if value is not None:
+        return RelativePosition(value=value, permutation=None, min_pivot_ratio=None, method="commuting")
+    lam, v_sig = np.linalg.eigh(sigma)
+    d, u_s = np.linalg.eigh(s)
+    m = v_sig.conj().T @ u_s  # the eigenbasis of s in that of sigma
     perm = []
     worst = 1.0
     for i in range(len(d)):

@@ -728,6 +728,12 @@ def _linked(vals, gap: float) -> list[list[complex]]:
     return groups
 
 
+def _means(groups: list[list[complex]]) -> list[complex]:
+    """The mean of each group, the groups ordered by their first member."""
+    groups.sort(key=lambda g: _order(g[0]))
+    return [complex(np.mean(g)) for g in groups]
+
+
 def _cluster(vals: np.ndarray, tol: float, scale: float) -> list[complex]:
     """Means of the groups of eigenvalues that are numerically one eigenvalue.
 
@@ -743,51 +749,93 @@ def _cluster(vals: np.ndarray, tol: float, scale: float) -> list[complex]:
             groups.append(chain)
         else:
             groups += _linked(chain, tol * scale)
-    groups.sort(key=lambda g: _order(g[0]))
-    return [complex(np.mean(g)) for g in groups]
+    return _means(groups)
 
 
 # Newton steps before the Jordan-Chevalley iteration gives up
 _JORDAN_MAX_ITER = 60
 
+# relative gap below which the polar split interpolates on one node: sqrt(eps)
+_NODE_GAP = math.sqrt(np.finfo(float).eps)
 
-def jordan_additive(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Additive Jordan-Chevalley decomposition m = s + n by the Newton iteration
-    on the squarefree characteristic polynomial of the clustered spectrum."""
-    m = np.asarray(m, dtype=complex)
-    scale = max(1.0, hs_norm(m))
-    vals = np.linalg.eigvals(m)
-    reps = _cluster(vals, tol, scale)
-    if len(reps) == len(vals):
-        return m.copy(), np.zeros_like(m)
+# the largest eigenbasis condition number that still reads as diagonalizable:
+# eps^(-1/4), halfway in log scale between an orthonormal basis (1) and the
+# eigenbasis of a defective pair, whose eigenvectors lie within sqrt(eps)
+_EIGENBASIS_COND = np.finfo(float).eps ** -0.25
+
+
+def _semisimple_part(m: np.ndarray, reps: list[complex], scale: float) -> np.ndarray:
+    """The Newton iteration s <- s - q'(s)^-1 q(s) from s = m, q the monic
+    polynomial with roots reps."""
     coeffs = np.poly(np.array(reps))
+    eye = np.eye(m.shape[0], dtype=complex)
 
     def ev(a):  # q(a), q'(a)
-        n = a.shape[0]
         q = np.zeros_like(a)
         dq = np.zeros_like(a)
         for c in coeffs:
             dq = dq @ a + q
-            q = q @ a + c * np.eye(n, dtype=complex)
+            q = q @ a + c * eye
         return q, dq
 
     s = m.copy()
     for _ in range(_JORDAN_MAX_ITER):
         q, dq = ev(s)
         if hs_norm(q) <= 1e-13 * scale ** max(1, len(reps)):
-            break
+            return s
         try:
             delta = np.linalg.solve(dq, q)
         except np.linalg.LinAlgError as exc:
             raise NumericallyDefective("Jordan-Chevalley Newton step singular") from exc
         s = s - delta
         if hs_norm(delta) < 1e-15 * scale:
-            break
-    else:
-        raise NumericallyDefective("Jordan-Chevalley iteration did not converge")
+            return s
+    raise NumericallyDefective("Jordan-Chevalley iteration did not converge")
+
+
+def _jordan_split(
+    m: np.ndarray, vals: np.ndarray, tol: float, scale: float
+) -> tuple[np.ndarray, np.ndarray, list[complex] | None]:
+    """(s, n, nodes): m = s + n from the spectrum vals of m, and the spectrum
+    of s clustered into interpolation nodes for functions of s, or None when
+    the caller must cluster eigvals(s) at tol itself.
+
+    Merging is right for a defective block, whose computed eigenvalues
+    scatter; it is wrong for distinct eigenvalues closer than the clustering
+    radius, and then the remainder is not nilpotent.  So a remainder that
+    fails the test sends the split to finer groups, linked by steps up to
+    tol * scale, and at last to every eigenvalue on its own: s = m, n = 0.
+    That last step claims m is diagonalizable, so it needs an eigenbasis
+    with condition number at most _EIGENBASIS_COND; the scattered eigenvalues
+    of a defective block come with nearly parallel eigenvectors instead.
+    After such a retry the nodes are linked by steps up to _NODE_GAP * scale,
+    where the two errors of interpolation on close eigenvalues meet: merging
+    two nodes moves f(s) by about their gap, keeping them apart leaves the
+    Lagrange projectors a rounding error of about eps * scale / gap.
+    """
+    reps = _cluster(vals, tol, scale)
+    if len(reps) == len(vals):
+        return m.copy(), np.zeros_like(m), reps
+    s = _semisimple_part(m, reps, scale)
     n_part = m - s
-    if not is_nilpotent(n_part, 1e-6):
+    if is_nilpotent(n_part, 1e-6):
+        return s, n_part, None
+    finer = _means(_linked(vals, tol * scale))
+    if len(reps) < len(finer) < len(vals):
+        s = _semisimple_part(m, finer, scale)
+        n_part = m - s
+        if is_nilpotent(n_part, 1e-6):
+            return s, n_part, _means(_linked(np.linalg.eigvals(s), _NODE_GAP * scale))
+    if np.linalg.cond(np.linalg.eig(m)[1]) > _EIGENBASIS_COND:
         raise NumericallyDefective("nilpotent part check failed after the iteration")
+    return m.copy(), np.zeros_like(m), _means(_linked(vals, _NODE_GAP * scale))
+
+
+def jordan_additive(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Additive Jordan-Chevalley decomposition m = s + n by the Newton iteration
+    on the squarefree characteristic polynomial of the clustered spectrum."""
+    m = np.asarray(m, dtype=complex)
+    s, n_part, _ = _jordan_split(m, np.linalg.eigvals(m), tol, max(1.0, hs_norm(m)))
     return s, n_part
 
 
@@ -814,27 +862,32 @@ def jordan_multiplicative(g: np.ndarray, tol: float = 1e-8) -> JordanFactors:
     vals = np.linalg.eigvals(g)
     if np.min(np.abs(vals)) < 1e-10 * scale:
         raise NotInvertible("Jordan factorization needs an invertible matrix")
-    s, nil = jordan_additive(g, tol)
+    s, _, reps = _jordan_split(g, vals, tol, scale)
     u = np.linalg.solve(s, g)  # unipotent: I + s^{-1} nil
-    reps = _cluster(np.linalg.eigvals(s), tol, scale)
+    if reps is None:  # eigenvalues merged: cluster the spectrum of s itself
+        reps = _cluster(np.linalg.eigvals(s), tol, scale)
+    eye = np.eye(n, dtype=complex)
+    shifted = [s - mu * eye for mu in reps]
     projs = []
     for lam in reps:
-        p = np.eye(n, dtype=complex)
-        for mu in reps:
+        p = eye
+        for mu, s_mu in zip(reps, shifted):
             if mu != lam:
-                p = p @ (s - mu * np.eye(n)) / (lam - mu)
+                p = p @ s_mu / (lam - mu)
         projs.append(p)
     g_h = sum(abs(lam) * p for lam, p in zip(reps, projs))
     log_h = sum(np.log(abs(lam)) * p for lam, p in zip(reps, projs))
     g_e = sum((lam / abs(lam)) * p for lam, p in zip(reps, projs))
     log_u = np.zeros_like(g)
-    acc = u - np.eye(n)
+    u_minus = u - eye
+    acc = u_minus
     sign = 1.0
     for k in range(1, n + 1):
         log_u = log_u + sign * acc / k
-        acc = acc @ (u - np.eye(n))
+        acc = acc @ u_minus
         sign = -sign
-    was_real = np.allclose(g.imag, 0, atol=1e-12 * scale)
+    # elementwise, so a NaN reads as not real
+    was_real = bool(np.all(np.abs(g.imag) <= 1e-12 * scale))
     if was_real:
         for name, mval in (("h", g_h), ("e", g_e), ("u", u)):
             if np.max(np.abs(mval.imag)) > 1e-7 * scale:

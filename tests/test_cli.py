@@ -472,6 +472,60 @@ def test_console_entry_point_subprocess(tmp_path):
     assert report["outputs"]["rank"] == 2
 
 
+# run one command the way ``python -m parhodge.cli`` (argv[1] "module") or the
+# console entry (argv[1] "entry") does, then print the BLAS variables it left
+BLAS_PROBE = """
+import json, os, runpy, sys
+import parhodge
+assert "numpy" not in sys.modules, "importing the package loaded numpy"
+how, argv = sys.argv[1], json.loads(sys.argv[2])
+sys.argv = ["parhodge", *argv]
+try:
+    if how == "module":
+        runpy.run_module("parhodge.cli", run_name="__main__", alter_sys=True)
+    else:
+        sys.exit(parhodge.main())
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, {var: os.environ.get(var) for var in parhodge.BLAS_THREAD_VARS}]))
+"""
+
+
+def _blas_probe(tmp_path, how, preset):
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"sample": {"model": "GL(3,C)", "count": 3}}))
+    target = tmp_path / f"report-{how}-{len(preset)}.json"
+    env = {var: value for var, value in child_env().items() if var not in parhodge.BLAS_THREAD_VARS}
+    argv = ["degree-relative", "--input", str(source), "--output", str(target)]
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, how, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env={**env, **preset},
+        check=True,
+    )
+    code, seen = json.loads(proc.stdout)
+    assert code == 0
+    return seen, target.read_bytes()
+
+
+@pytest.mark.parametrize("how", ["module", "entry"])
+def test_one_shot_runs_default_to_one_blas_thread(tmp_path, how):
+    seen, report = _blas_probe(tmp_path, how, {})
+    assert seen == {var: "1" for var in parhodge.BLAS_THREAD_VARS}
+    # a count the caller set is kept, and the report does not depend on it
+    seen, preset_report = _blas_probe(tmp_path, how, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"})
+    assert seen == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1", "BLIS_NUM_THREADS": "1"}
+    assert preset_report == report
+
+
+def test_importing_the_cli_leaves_the_blas_variables_alone():
+    probe = "import json, os, parhodge.cli; print(json.dumps([os.environ.get(v) for v in parhodge.BLAS_THREAD_VARS]))"
+    env = {var: value for var, value in child_env().items() if var not in parhodge.BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout) == [None] * len(parhodge.BLAS_THREAD_VARS)
+
+
 GRID = {"r_max": 1e-2, "r_min": 1e-4, "count": 2}
 VERIFY_MODEL = {"realization": "SU(1,1)", "alpha": [0, 0], "y": [[0, 0], [1, 0]], "grid": GRID}
 DIAG = [[1, 0], [0, -1]]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
@@ -16,8 +17,10 @@ from parhodge.degree import (
     local_system_degree,
     relative_degree,
     relative_degree_filtration,
+    relative_degrees,
     relative_position,
 )
+from flow_oracle import reciprocity_gap, relative_degree_one
 
 
 def _unitary(rng, n):
@@ -481,24 +484,190 @@ def _count_calls(monkeypatch, name):
         return original(*args, **kwargs)
 
     for module in (degree, cli):
-        monkeypatch.setattr(module, name, counted)
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
+def _count_flows(monkeypatch):
+    """The number of pairs in each stack the QR flow kernel runs: every flow,
+    from the library or the CLI, goes through ``degree._qr_flows``."""
+    stacks = []
+    original = degree._qr_flows
+
+    def counted(s, sigma, tol):
+        stacks.append(len(s))
+        return original(s, sigma, tol)
+
+    monkeypatch.setattr(degree, "_qr_flows", counted)
+    return stacks
+
+
 def test_pair_mode_runs_the_position_kernel_and_no_flow(tmp_path, monkeypatch):
-    flows = _count_calls(monkeypatch, "relative_degree")
+    flows = _count_flows(monkeypatch)
     positions = _count_calls(monkeypatch, "relative_position")
     rng = np.random.default_rng(9)
     code, _ = _pair_report(tmp_path, _unit_hermitian(rng, 8), _unit_hermitian(rng, 8))
     assert code == 0
-    assert (len(flows), len(positions)) == (0, 1)
+    assert (flows, len(positions)) == ([], 1)
+
+
+def _sample_flows(tmp_path, monkeypatch, count):
+    """(pairs per flow stack, relative_position calls) of one sample sweep."""
+    flows = _count_flows(monkeypatch)
+    positions = _count_calls(monkeypatch, "relative_position")
+    source = tmp_path / "sample.json"
+    source.write_text(json.dumps({"sample": {"model": "GL(3,C)", "count": count}}))
+    code, _ = cli_dispatch(["degree-relative", "--input", str(source), "--output", str(tmp_path / "out.json")])
+    assert code == 0
+    return flows, len(positions)
 
 
 def test_sample_mode_runs_the_flow_in_both_orders(tmp_path, monkeypatch):
-    flows = _count_calls(monkeypatch, "relative_degree")
-    positions = _count_calls(monkeypatch, "relative_position")
+    assert _sample_flows(tmp_path, monkeypatch, 7) == ([14], 0)
+
+
+def test_sample_mode_flows_in_fixed_size_chunks(tmp_path, monkeypatch):
+    # 2 * count flows, at most 2 * _SAMPLE_CHUNK per stack
+    assert cli._SAMPLE_CHUNK == 64
+    assert _sample_flows(tmp_path, monkeypatch, 130) == ([128, 128, 4], 0)
+
+
+# --------------------------------------------------------------------------
+# the stacked flow against the single-pair oracle
+# --------------------------------------------------------------------------
+
+
+def _oracle_stack(s, sigma, tol=None):
+    """flow_oracle.relative_degree_one pair by pair: the results, or the
+    first error as a loop over the pairs raises it."""
+    kwargs = {} if tol is None else {"tol": tol}
+    return [relative_degree_one(a, b, **kwargs) for a, b in zip(s, sigma)]
+
+
+def _fields(result):
+    return (result.value, result.t_trace, result.method, result.converged)
+
+
+def _mixed_stack(rng, n, k):
+    """k pairs of n x n Hermitian matrices: random pairs, commuting pairs and
+    pairs with near-degenerate spectra, in random order."""
+    s, sigma = [], []
+    for _ in range(k):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            a, b = _unit_hermitian(rng, n), _unit_hermitian(rng, n)
+        elif kind == 1:  # one eigenbasis: a commuting pair
+            u = _unitary(rng, n)
+            a = u @ np.diag(rng.standard_normal(n)) @ u.conj().T
+            b = u @ np.diag(rng.standard_normal(n)) @ u.conj().T
+        else:  # eigenvalues that coincide or differ by ~1e-9
+            close = np.sort(rng.standard_normal(n))
+            close[1:] = np.where(rng.random(n - 1) < 0.5, close[:-1], close[:-1] + 1e-9)
+            u = _unitary(rng, n)
+            a = u @ np.diag(close) @ u.conj().T
+            b = _unit_hermitian(rng, n)
+            if rng.random() < 0.5:
+                a, b = b, a
+        s.append(a)
+        sigma.append(b)
+    return np.array(s), np.array(sigma)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6, 1e-12])
+def test_stacked_flow_matches_the_single_pair_oracle_bit_for_bit(tol):
+    rng = np.random.default_rng(21)
+    methods = set()
+    for n in range(1, 9):
+        for _ in range(6):
+            s, sigma = _mixed_stack(rng, n, int(rng.integers(1, 12)))
+            got = relative_degrees(s, sigma) if tol is None else relative_degrees(s, sigma, tol=tol)
+            want = _oracle_stack(s, sigma, tol)
+            assert [_fields(r) for r in got] == [_fields(r) for r in want]
+            # relative_degree is the stack of one
+            one = relative_degree(s[0], sigma[0]) if tol is None else relative_degree(s[0], sigma[0], tol=tol)
+            assert _fields(one) == _fields(want[0])
+            methods |= {r.method for r in got}
+    assert methods == {"commuting", "qr_flow"}
+
+
+def _first_error(call):
+    with pytest.raises((NonConvergence, ValueError)) as info:
+        call()
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ("commuting", "flow", "flow"),
+        ("flow", "non_hermitian", "flow"),
+        ("non_hermitian", "flow"),
+        ("commuting", "non_hermitian_sigma", "non_hermitian"),
+    ],
+)
+def test_stacked_flow_raises_the_first_error_in_stack_order(kinds):
+    # at tol 0 no flow settles: every flowing pair fails with NonConvergence
+    rng = np.random.default_rng(23)
+    s, sigma = [], []
+    for kind in kinds:
+        a, b = _unit_hermitian(rng, 3), _unit_hermitian(rng, 3)
+        if kind == "commuting":
+            b = a @ a
+        elif kind == "non_hermitian":
+            a = a + 0.1j * np.eye(3)
+        elif kind == "non_hermitian_sigma":
+            b = b + np.triu(np.ones((3, 3)), 1)
+        s.append(a)
+        sigma.append(b)
+    got = _first_error(lambda: relative_degrees(np.array(s), np.array(sigma), tol=0))
+    want = _first_error(lambda: _oracle_stack(s, sigma, tol=0))
+    assert (type(got), str(got)) == (type(want), str(want))
+    if isinstance(want, NonConvergence):
+        assert got.trace == want.trace
+
+
+def test_stacks_of_different_lengths_are_refused():
+    rng = np.random.default_rng(24)
+    s = np.array([_unit_hermitian(rng, 2) for _ in range(3)])
+    with pytest.raises(ValueError, match="3 matrices s against 2 matrices sigma"):
+        relative_degrees(s, s[:2])
+
+
+def _sample_report(tmp_path, count, seed, *extra):
     source = tmp_path / "sample.json"
-    source.write_text(json.dumps({"sample": {"model": "GL(3,C)", "count": 7}}))
-    code, _ = cli_dispatch(["degree-relative", "--input", str(source), "--output", str(tmp_path / "out.json")])
+    source.write_text(json.dumps({"sample": {"model": "GL(2,C)", "count": count}}))
+    target = tmp_path / "out.json"
+    code, report = cli_dispatch(
+        ["degree-relative", "--input", str(source), "--output", str(target), "--seed", str(seed), *extra]
+    )
     assert code == 0
-    assert (len(flows), len(positions)) == (14, 0)
+    return target.read_bytes(), report["outputs"]["max_reciprocity_gap"]["value"]
+
+
+@pytest.mark.parametrize("count", [1, 7, 130])
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_sample_report_is_byte_identical_to_the_oracle_sweep(tmp_path, monkeypatch, count, tol):
+    extra = () if tol is None else (f"--tolerance={tol}",)
+    stacked, gap = _sample_report(tmp_path, count, 31, *extra)
+    # the pair-by-pair sweep draws the same pairs and takes the same maximum
+    assert gap == reciprocity_gap(2, count, 31, **({} if tol is None else {"tol": tol}))
+    monkeypatch.setattr(cli, "relative_degrees", lambda s, sigma, **kw: _oracle_stack(s, sigma, kw.get("tol")))
+    looped, _ = _sample_report(tmp_path, count, 31, *extra)
+    assert stacked == looped
+
+
+def test_sample_sweep_memory_does_not_grow_with_count(tmp_path):
+    def peak(count):
+        _sample_report(tmp_path, 1, 0)  # warm: parser, imports, caches
+        tracemalloc.start()
+        try:
+            _sample_report(tmp_path, count, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(100), peak(1000)
+    # one chunk's stacks and traces, whatever the count; all 2000 flows held at
+    # once would take several hundred KB more
+    assert large <= 1.25 * small + 32 * 1024, (small, large)

@@ -1,10 +1,14 @@
+import json
 import math
 
+import jordan_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
+
+from parhodge.cli import cli_dispatch
 
 from parhodge.liealg import (
     SPACES,
@@ -479,3 +483,95 @@ def test_exp_nilpotent_matches_expm_on_conjugated_nilpotents():
         c = EXP_SCALARS[int(rng.integers(len(EXP_SCALARS)))]
         want = expm(c * nil)
         assert hs_norm(_exp_nilpotent(nil, c) - want) <= 1e-10 * hs_norm(want)
+
+
+# --------------------------------------------------------------------------
+# the Jordan split against its frozen form, and the close pairs it now splits
+# --------------------------------------------------------------------------
+
+_NOT_NILPOTENT = ("NumericallyDefective", "nilpotent part check failed after the iteration")
+
+
+def _outcome(fn, m, tol):
+    """(None, result) or ((error type, message), None)."""
+    try:
+        return None, fn(m, tol=tol)
+    except (ValueError, RuntimeError) as exc:  # LinAlgError is a ValueError
+        return (type(exc).__name__, str(exc)), None
+
+
+def _same_arrays(got, want) -> bool:
+    if isinstance(want, tuple):  # jordan_additive: (s, n)
+        return all(np.array_equal(a, b) for a, b in zip(got, want))
+    return all(np.array_equal(getattr(got, f), getattr(want, f)) for f in want.__dataclass_fields__)
+
+
+def _conjugated_jordan(rng, n, real):
+    """p J p^-1 with J a random Jordan form: each eigenvalue repeats its
+    predecessor with a 1 above it with probability 0.4."""
+    p = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
+    j = np.diag(rng.standard_normal(n) + (0 if real else 1j * rng.standard_normal(n)))
+    for i in range(n - 1):
+        if rng.random() < 0.4:
+            j[i + 1, i + 1] = j[i, i]
+            j[i, i + 1] = 1
+    return p @ j @ np.linalg.inv(p)
+
+
+def test_jordan_split_matches_the_frozen_oracle():
+    rng = np.random.default_rng(7)
+    inputs = [(_conjugated_jordan(rng, int(rng.integers(1, 7)), bool(rng.integers(0, 2))), 1e-8) for _ in range(3000)]
+    inputs += [(_positive_spectrum_factor(rng, n, kind, real), 1e-6) for kind in _GAPS for real in (False, True) for n in (2, 3, 4)]
+    inputs += [(np.array([[1.0, np.nan], [0.0, 1.0]]), 1e-8), (np.diag([1.0, 0.0]), 1e-8)]
+    seen = {"factors": 0, "refused": 0, "not_nilpotent": 0}
+    for m, tol in inputs:
+        for ours, frozen in ((jordan_additive, jordan_oracle.jordan_additive), (jordan_multiplicative, jordan_oracle.jordan_multiplicative)):
+            want_error, want = _outcome(frozen, m, tol)
+            got_error, got = _outcome(ours, m, tol)
+            if want_error == _NOT_NILPOTENT and got_error is None:
+                continue  # close distinct eigenvalues, which the retry splits
+            assert got_error == want_error, (m, got_error, want_error)
+            if want_error is None:
+                assert _same_arrays(got, want), m
+            kind = "factors" if want_error is None else "not_nilpotent" if want_error == _NOT_NILPOTENT else "refused"
+            seen[kind] += 1
+    # the guard of the last retry refuses the defective inputs it cannot split
+    assert seen["factors"] > 5000 and seen["refused"] > 10 and seen["not_nilpotent"] >= 2
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_translate_l2h_splits_two_close_distinct_eigenvalues(tmp_path, gap):
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, -s], [s, c]])
+    mono = rot @ np.diag([2.0, 2.0 * (1 + gap)]) @ rot.T
+    source = tmp_path / "in.json"
+    source.write_text(json.dumps({"realization": "GL(2,C)", "monodromy": mono.tolist()}))
+    code, report = cli_dispatch(["translate-l2h", "--input", str(source), "--output", str(tmp_path / "out.json")])
+    assert code == 0, report.get("error")
+
+
+def test_close_distinct_eigenvalues_are_decided():
+    # 45 complex conjugated matrices, n = 2..4, with two eigenvalues at a
+    # relative gap of 1e-7..1e-10: the split leaves no nilpotent part
+    rng = np.random.default_rng(25)
+    for k in range(45):
+        n = 2 + k % 3
+        p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lam[1] = lam[0] * (1 + 10.0 ** -(7 + (k // 3) % 4))
+        m = p @ np.diag(lam) @ np.linalg.inv(p)
+        scale = max(1.0, hs_norm(m))
+        s, nil = jordan_additive(m)
+        assert hs_norm(nil) <= 1e-6 * scale
+        fac = jordan_multiplicative(m)
+        assert hs_norm(fac.nilpotent_log) <= 1e-6 * scale
+        assert hs_norm(fac.elliptic @ fac.hyperbolic @ fac.unipotent - m) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_perturbed_jordan_block_keeps_its_nilpotent_part(n):
+    rng = np.random.default_rng(n)
+    m = 3 * np.eye(n) + jordan_block(n) + 1e-14 * rng.standard_normal((n, n))
+    s, nil = jordan_additive(m)
+    assert hs_norm(nil - jordan_block(n)) < 1e-6
+    assert hs_norm(s - 3 * np.eye(n)) < 1e-6
