@@ -15,6 +15,7 @@ from parhodge.liealg import (
     NotInvertible,
     NotInModel,
     NotNilpotent,
+    NumericallyDefective,
     SL2Triple,
     UnsupportedGroup,
     ZeroElement,
@@ -575,3 +576,24 @@ def test_perturbed_jordan_block_keeps_its_nilpotent_part(n):
     s, nil = jordan_additive(m)
     assert hs_norm(nil - jordan_block(n)) < 1e-6
     assert hs_norm(s - 3 * np.eye(n)) < 1e-6
+
+
+@pytest.mark.parametrize("nu", [1e-3, 1e-4])
+def test_jordan_block_beside_a_close_pair_splits_into_finer_groups(nu):
+    # a 2-block (off-diagonal nu) at 1 beside eigenvalues 1 + 1e-4 and
+    # 1 + 1.1e-4: at tol 1e-6 all four merge, and the remainder is not
+    # nilpotent; the groups linked at tol * scale keep the block's part
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        p = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+        j = np.diag([1.0, 1.0, 1 + 1e-4, 1 + 1.1e-4])
+        j[0, 1] = nu
+        m = p @ j @ np.linalg.inv(p)
+        nil = p @ np.diag([nu, 0.0, 0.0], 1) @ np.linalg.inv(p)
+        with pytest.raises(NumericallyDefective, match="nilpotent part check failed"):
+            jordan_oracle.jordan_additive(m, tol=1e-6)
+        s, n = jordan_additive(m, tol=1e-6)
+        assert hs_norm(n - nil) <= 5e-6 * hs_norm(m)  # tol-level
+        assert hs_norm(n) >= 0.5 * hs_norm(nil)
+        fac = jordan_multiplicative(m, tol=1e-6)
+        assert hs_norm(fac.elliptic @ fac.hyperbolic @ fac.unipotent - m) <= 1e-7 * hs_norm(m)
