@@ -2,8 +2,11 @@
 
 Weight coordinates are always given in the basis of simple coroots, so the
 simply-connected cocharacter lattice is exactly ``Z^rank``.  Roots are stored
-as covectors: tuples of values on the simple coroots.  Everything here is a
-``Fraction``; no floats enter.
+as covectors: tuples of values on the simple coroots.  Coordinates and
+results are ``Fraction``s; no floats enter.  Root values on coroots are
+integers, so the membership tests read the positive roots on a point as
+integer numerators over one common denominator instead of summing
+``Fraction`` products.
 
 Normalization looks for k*a + lambda, lambda in the coroot lattice Q^vee,
 inside the open star {|root| < 1}.  The star is W times the open fundamental
@@ -19,10 +22,11 @@ Inf. Theory 28, 1982).  Each k costs O(rank log rank) ``Fraction`` operations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import floor
+from math import floor, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -218,7 +222,8 @@ class RootDatum:
 
     positive_roots are covectors (values on the simple coroots); coroots are
     coordinate vectors in the simple-coroot basis; inner_product is the Gram
-    matrix of the simple coroots.
+    matrix of the simple coroots.  positive_root_ints holds the same
+    covectors as tuples of ``int``, which they are.
     """
 
     cartan_type: str
@@ -229,6 +234,7 @@ class RootDatum:
     cochar_lattice_basis: tuple[Vec, ...]
     inner_product: tuple[tuple[Fraction, ...], ...]
     lattice: str
+    positive_root_ints: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     def root_value(self, root: Covec, a: Sequence) -> Fraction:
         v = _as_vec(a, self.rank)
@@ -293,7 +299,16 @@ def _build_root_datum(cartan_type: str, rank: int, lattice: str) -> RootDatum:
         cochar_lattice_basis=basis,
         inner_product=gram,
         lattice=lattice,
+        positive_root_ints=tuple(tuple(x.numerator for x in c) for c in positive_covecs),
     )
+
+
+def _root_numerators(rd: RootDatum, v: Vec) -> tuple[list[int], int]:
+    """(nums, d): the value of the idx-th positive root on v is nums[idx] / d,
+    d the lcm of the denominators of v."""
+    d = lcm(*(x.denominator for x in v))
+    scaled = [x.numerator * (d // x.denominator) for x in v]
+    return [sum(map(mul, root, scaled)) for root in rd.positive_root_ints], d
 
 
 @dataclass(frozen=True)
@@ -308,13 +323,13 @@ def alcove_membership(rd: RootDatum, a: Sequence) -> MembershipResult:
     v = _as_vec(a, rd.rank)
     walls: list[tuple[int, int]] = []
     violations: list[tuple[int, Fraction]] = []
-    for idx, root in enumerate(rd.positive_roots):
-        val = _dot(root, v)
-        if val < 0 or val > 1:
-            violations.append((idx, val))
-        elif val == 0:
+    nums, d = _root_numerators(rd, v)
+    for idx, num in enumerate(nums):
+        if num < 0 or num > d:
+            violations.append((idx, Fraction(num, d)))
+        elif num == 0:
             walls.append((idx, 0))
-        elif val == 1:
+        elif num == d:
             walls.append((idx, 1))
     if violations:
         return MembershipResult("outside", tuple(walls), tuple(violations))
@@ -326,14 +341,15 @@ def alcove_membership(rd: RootDatum, a: Sequence) -> MembershipResult:
 def in_A_prime(rd: RootDatum, a: Sequence, scope: str = "h", m_weights: Iterable[Covec] | None = None) -> bool:
     """Open-star test: all ad-eigenvalues of a on the chosen scope lie in (-1,1)."""
     v = _as_vec(a, rd.rank)
-    covecs: list[Covec] = list(rd.positive_roots)
+    weights: list[Covec] = []
     if scope == "g":
         if m_weights is None:
             raise MissingWeights("scope 'g' needs the m-weight covectors of the realization")
-        covecs.extend(tuple(_frac(x) for x in w) for w in m_weights)
+        weights = [tuple(_frac(x) for x in w) for w in m_weights]
     elif scope != "h":
         raise ValueError(f"scope must be 'h' or 'g', got {scope!r}")
-    return all(abs(_dot(c, v)) < 1 for c in covecs)
+    nums, d = _root_numerators(rd, v)
+    return all(-d < num < d for num in nums) and all(abs(_dot(w, v)) < 1 for w in weights)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,20 @@ def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hs_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
+    """Frobenius norm; inf only when the norm itself exceeds the float range.
+
+    The sum of squares overflows once entries pass about 1e154.  Then the
+    matrix is divided by the power of two at its largest entry and the norm
+    multiplied back, both exact, so hs_norm(2^k a) = 2^k hs_norm(a).
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = float(np.linalg.norm(a))
+    if norm == math.inf:
+        big = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+        if math.isfinite(big):
+            scale = 2.0 ** math.frexp(big)[1]
+            norm = float(np.linalg.norm(a / scale)) * scale
+    return norm
 
 
 def trace_form(x: np.ndarray, y: np.ndarray) -> complex:
@@ -833,8 +846,14 @@ def _jordan_split(
 
 def jordan_additive(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Additive Jordan-Chevalley decomposition m = s + n by the Newton iteration
-    on the squarefree characteristic polynomial of the clustered spectrum."""
+    on the squarefree characteristic polynomial of the clustered spectrum.
+
+    A finite strictly triangular m is nilpotent as it stands: s = 0, n = m.
+    """
     m = np.asarray(m, dtype=complex)
+    square = m.ndim == 2 and m.shape[0] == m.shape[1]
+    if square and np.isfinite(m).all() and not (np.tril(m).any() and np.triu(m).any()):
+        return np.zeros_like(m), m.copy()
     s, n_part, _ = _jordan_split(m, np.linalg.eigvals(m), tol, max(1.0, hs_norm(m)))
     return s, n_part
 

@@ -72,10 +72,10 @@ from .liealg import (
     validate_triple,
 )
 from .parhiggs import (
+    InadmissiblePoles,
     ParabolicHiggsData,
     _turn_defect,
     alpha_matrix,
-    check_pole_orders,
     gr_res,
     make_data,
 )
@@ -700,12 +700,12 @@ def hitchin_section(
         raise ValueError(f"unknown mode {mode!r}; expected SL2R or SLnR_principal")
 
     for i in range(n_punctures):
-        report = check_pole_orders(data, i)
-        if report.kind == "inadmissible":
+        try:
+            res = gr_res(data, i)
+        except InadmissiblePoles as exc:
             raise PoleOrderViolation(
-                f"puncture {i}: inadmissible coefficients {report.offenders}"
-            )
-        res = gr_res(data, i)
+                f"puncture {i}: inadmissible coefficients {exc.offenders}"
+            ) from exc
         expected = tuple(range(data.n - 1, -1, -1))
         if rank_sequence(res.nilpotent) != expected:
             raise PoleOrderViolation(

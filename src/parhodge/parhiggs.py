@@ -46,6 +46,10 @@ class MissingEigenbasis(ValueError):
 class InadmissiblePoles(ValueError):
     """Requested an operation that needs parabolic pole orders."""
 
+    def __init__(self, i: int, offenders: tuple[tuple[Fraction, int], ...]):
+        super().__init__(f"puncture {i}: offending components {offenders}")
+        self.offenders = offenders
+
 
 class NotInLattice(ValueError):
     """A Hecke shift is not in the declared cocharacter lattice."""
@@ -352,7 +356,7 @@ def gr_res(data: ParabolicHiggsData, i: int, tol: float = 1e-9) -> GradedResidue
     """
     report = check_pole_orders(data, i, tol=tol)
     if report.kind == "inadmissible":
-        raise InadmissiblePoles(f"puncture {i}: offending components {report.offenders}")
+        raise InadmissiblePoles(i, report.offenders)
     p = data.punctures[i]
     n = data.n
     total = np.zeros((n, n), dtype=complex)

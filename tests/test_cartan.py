@@ -20,7 +20,9 @@ from parhodge.cartan import (
     _ROOT_DATA,
     _ambient_tables,
     _build_root_datum,
+    _solve_exact,
 )
+import membership_oracle
 from reflection_oracle import alcove_normalize_by_reflection, apply_word, weyl_reduce
 
 
@@ -123,6 +125,9 @@ def test_root_datum_coroots_and_coweights(cartan_type, rank, lattice):
     rd = build_root_datum(cartan_type, rank, lattice)
     assert rd == _build_root_datum(cartan_type, rank, lattice)  # the shared datum is unchanged
     assert sorted(rd.positive_roots) == sorted(by_covec)
+    # root values on coroots are integers, which the integer kernel reads
+    assert rd.positive_root_ints == rd.positive_roots
+    assert all(type(x) is int for root in rd.positive_root_ints for x in root)
     for root, coroot in zip(rd.positive_roots, rd.coroots):
         ambient = tuple(sum(c * b[i] for c, b in zip(coroot, basis_amb)) for i in range(len(basis_amb[0])))
         assert ambient == coroot_amb(by_covec[root])
@@ -153,6 +158,67 @@ def test_in_A_prime_scopes():
     assert in_A_prime(rd, [Q(1, 4)], scope="g", m_weights=[(Q(2),), (Q(-2),)])
     with pytest.raises(MissingWeights):
         in_A_prime(rd, [Q(1, 4)], scope="g")
+
+
+def _oracle_points(rng, rd):
+    """Points inside the fundamental alcove, on its walls at levels 0 and 1,
+    and outside it, with denominators up to 10**30."""
+    rank = rd.rank
+    # fundamental coweights: alpha_i(w_j) = delta_ij
+    coweights = _solve_exact(rd.simple_roots, [[int(i == j) for i in range(rank)] for j in range(rank)])
+    # the alcove's vertices besides 0: w_j / a_j, a_j the mark of the highest
+    # root, the root largest on the sum of the coweights
+    rho = [sum(w[i] for w in coweights) for i in range(rank)]
+    highest = max(rd.positive_roots, key=lambda r: rd.root_value(r, rho))
+    vertices = [tuple(x / rd.root_value(highest, w) for x in w) for w in coweights]
+
+    def den():
+        return rng.randint(1, 10 ** rng.randint(0, 30))
+
+    def rational():
+        d = den()
+        return Q(rng.randint(-3 * d, 3 * d), d)
+
+    points = [tuple(Q(0) for _ in range(rank)), tuple(Q(rng.randint(-2, 2)) for _ in range(rank))]
+    for k in range(3):
+        # a convex combination of 0 and the vertices, the first one interior;
+        # a zero weight on 0 puts the point on the level-1 wall, a zero
+        # weight on a vertex on a level-0 wall
+        d = den()
+        weights = [rng.randint(1, d) * (k == 0 or rng.random() < 0.5) for _ in range(rank + 1)]
+        total = sum(weights) or 1
+        point = tuple(sum(w * v[i] for w, v in zip(weights[1:], vertices)) / total for i in range(rank))
+        points += [point, tuple(-x for x in point)]  # the image under -1 meets the star at value -1
+    for level in (0, 1):
+        # on the wall of one random root, wherever the other roots fall
+        root = rng.choice(rd.positive_roots)
+        point = [rational() for _ in range(rank)]
+        j = next(i for i, c in enumerate(root) if c)
+        point[j] = 0
+        point[j] = (level - rd.root_value(root, point)) / root[j]
+        points.append(tuple(point))
+    points += [tuple(rational() / 4 for _ in range(rank)), tuple(rational() for _ in range(rank))]
+    return points
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+@pytest.mark.parametrize("cartan_type,rank", SUPPORTED)
+def test_membership_matches_the_fraction_oracle(cartan_type, rank, lattice):
+    rd = build_root_datum(cartan_type, rank, lattice)
+    rng = random.Random(f"{cartan_type}{rank}{lattice}")
+    kinds, stars = set(), set()
+    for point in _oracle_points(rng, rd):
+        want = membership_oracle.alcove_membership(rd, point)
+        got = alcove_membership(rd, point)
+        assert got == want, point
+        assert all(type(val) is Q for _, val in got.violations)
+        weights = [tuple(Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rank)) for _ in range(2)]
+        for kwargs in ({}, {"scope": "g", "m_weights": weights}):
+            star = in_A_prime(rd, point, **kwargs)
+            assert star == membership_oracle.in_A_prime(rd, point, **kwargs), (point, kwargs)
+            stars.add(star)
+        kinds.add(got.kind)
+    assert kinds == {"interior", "boundary", "outside"} and stars == {True, False}
 
 
 def test_weyl_reduce_is_idempotent_and_exact():

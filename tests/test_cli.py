@@ -111,6 +111,51 @@ def test_alcove_normalize_far_point_is_fast(tmp_path, cartan_type, point):
     assert all(l.denominator == 1 for l in lam)  # the coroot lattice, in simple-coroot coordinates
 
 
+def _counting(monkeypatch, modules, name):
+    """Calls of ``name`` through any of ``modules``, each recorded by its arguments."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("cartan_type", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("point", [[f"{10**6 + 37 * i}/{3 + i % 5}" for i in range(7)], ["1/2"] + ["0"] * 6])
+def test_alcove_normalize_reads_root_values_as_integers(tmp_path, monkeypatch, cartan_type, point):
+    from parhodge import cartan
+
+    build_root_datum(cartan_type, len(point))  # the datum build sums Fraction products
+    dots = _counting(monkeypatch, [cartan], "_dot")
+    code, _ = run_cli(tmp_path, "alcove-normalize", {"cartan_type": cartan_type, "rank": len(point), "point": point})
+    assert code == 0
+    assert dots == []
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"mode": "SL2R", "genus": 0, "n_punctures": 3, "q_terms": [[[2, 0, 1.5]], [], [[2, 2, 0.5]]]},
+        {"mode": "SLnR_principal", "genus": 2, "n_punctures": 2, "rank": 4},
+    ],
+)
+def test_hitchin_section_checks_each_puncture_once_and_solves_no_eigenproblem(tmp_path, monkeypatch, payload):
+    from parhodge import nahodge, parhiggs
+
+    checks = _counting(monkeypatch, [parhiggs, nahodge], "check_pole_orders")
+    eigensolves = _counting(monkeypatch, [np.linalg], "eigvals")
+    code, _ = run_cli(tmp_path, "hitchin-section", payload)
+    assert code == 0
+    assert [i for _, i in checks] == list(range(payload["n_punctures"]))
+    assert eigensolves == []
+
+
 def test_parabolic_dimensions(tmp_path):
     code, report = run_cli(
         tmp_path,
@@ -1138,6 +1183,17 @@ def test_csv_goes_through_the_report_writer(tmp_path, monkeypatch):
             row["r"] for row in report["outputs"]["table"]
         ]
     assert written == [str(csv_path), str(tmp_path / "report.json")] * 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("c", [1.0, 1e150, 1e160, 1e200])
+def test_verify_model_refuses_a_non_commuting_s_at_every_scale(tmp_path, c):
+    # past c ~ 1e154 the sum of squares overflows; hs_norm(s) must stay finite,
+    # or every relative check of the form x > tol * (1 + hs_norm(s)) passes
+    payload = {"realization": "GL(2,C)", "alpha": ["1/4", "-1/4"], "s": [[c, c], [0, 0]], "y": [[0, 0], [0, 0]], "grid": GRID}
+    code, report = run_cli(tmp_path, "verify-model", payload)
+    assert code == 3
+    assert report["error"]["type"] == "CommutationFailure"
 
 
 def test_verify_model_builds_the_monodromy_factors_once(tmp_path, monkeypatch):

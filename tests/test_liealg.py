@@ -597,3 +597,67 @@ def test_jordan_block_beside_a_close_pair_splits_into_finer_groups(nu):
         assert hs_norm(n) >= 0.5 * hs_norm(nil)
         fac = jordan_multiplicative(m, tol=1e-6)
         assert hs_norm(fac.elliptic @ fac.hyperbolic @ fac.unipotent - m) <= 1e-7 * hs_norm(m)
+
+
+def _strictly_triangular(rng, n: int, exponent: int) -> np.ndarray:
+    """A random strictly upper or lower triangular n x n matrix, real or
+    complex, scaled by 2^exponent, with -0.0 in some of its zero entries."""
+    m = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if rng.integers(2) else 0)
+    m = np.triu(m * 2.0**exponent * (rng.random((n, n)) < 0.7), 1)
+    m[np.tril(rng.random((n, n)) < 0.5)] = -0.0
+    return m.T.copy() if rng.integers(2) else m
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_strictly_triangular_matrices_split_exactly():
+    # the old Newton loop stops at once when hs_norm(m) <= 1e-13 (its scale
+    # is max(1, hs_norm(m))) and calls such an m semisimple; everywhere else
+    # it reaches the exact split (0, m) too
+    rng = np.random.default_rng(41)
+    below_stop = 0
+    for _ in range(2000):
+        m = _strictly_triangular(rng, int(rng.integers(1, 9)), int(rng.choice([-600, -30, 0, 30, 600])))
+        s, nil = jordan_additive(m)
+        assert not s.any() and np.array_equal(nil, m)
+        assert np.array_equal(np.signbit(nil.real), np.signbit(m.real))
+        want_s, want_n = jordan_oracle.jordan_additive(m)
+        if hs_norm(m) > 1e-13:
+            assert np.array_equal(s, want_s) and np.array_equal(nil, want_n), m
+        else:
+            assert np.array_equal(want_s, m) and not want_n.any()
+            below_stop += 1
+    assert 300 < below_stop < 700
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_or_diagonal_entries_take_the_iteration():
+    rng = np.random.default_rng(43)
+    refused = 0
+    for k in range(400):
+        n = int(rng.integers(1, 9))
+        m = _strictly_triangular(rng, n, int(rng.choice([-600, 0, 600])))
+        i, j = rng.integers(n, size=2)
+        if k % 2:
+            m[i, j] = rng.choice([np.inf, -np.inf, np.nan])
+        else:
+            m[i, i] = rng.standard_normal() * 2.0 ** int(rng.integers(-10, 10))
+        want_error, want = _outcome(jordan_oracle.jordan_additive, m, 1e-8)
+        got_error, got = _outcome(jordan_additive, m, 1e-8)
+        if want_error == _NOT_NILPOTENT and got_error is None:
+            continue  # a diagonal entry inside the clustering radius of 0, which the retry splits
+        assert got_error == want_error, (m, got_error, want_error)
+        if want_error is None:
+            assert _same_arrays(got, want), m
+        refused += want_error is not None
+    assert refused >= 150
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("k", [520, 700, 1000])
+def test_hs_norm_scales_by_powers_of_two_past_overflow(k):
+    # the sum of squares overflows from k = 512 on; the norm itself does not
+    rng = np.random.default_rng(k)
+    for n in (1, 2, 3, 5, 8):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert hs_norm(a * 2.0**k) == 2.0**k * hs_norm(a)
+        assert hs_norm(a.real * 2.0**k) == 2.0**k * hs_norm(a.real)

@@ -548,6 +548,19 @@ def test_section_pole_order_violations():
         hitchin_section("SL2R", 0, 3, q_terms=[[(3, 1, 1.0)], [], []])
 
 
+def test_section_reports_inadmissible_poles_as_a_pole_order_violation(monkeypatch):
+    from parhodge import nahodge
+    from parhodge.parhiggs import InadmissiblePoles
+
+    def inadmissible(data, i):
+        raise InadmissiblePoles(i, ((Fraction(1), 0),))
+
+    monkeypatch.setattr(nahodge, "gr_res", inadmissible)
+    with pytest.raises(PoleOrderViolation) as exc:
+        hitchin_section("SL2R", 0, 3)
+    assert str(exc.value) == "puncture 0: inadmissible coefficients ((Fraction(1, 1), 0),)"
+
+
 def test_section_bad_topology():
     with pytest.raises(BadTopology):
         hitchin_section("SL2R", 0, 2)

@@ -16,7 +16,7 @@ import parhodge
 SRC = Path(parhodge.__file__).parent
 
 KNOWN_UNREFERENCED = {
-    "cartan.cochar_contains",
+    "cartan.cochar_contains",  # the cocharacter-lattice test of lambda that the acceptance gate and the benchmark oracle read
     "degree.local_system_degree",
     "modelmetric.model_metric_eval",  # the adapted metric h0 of the local model, a paper statement
     "nahodge.canonical_alpha",
