@@ -58,6 +58,16 @@ def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _pow2_at(x: float) -> float:
+    """2^k for the binary exponent k of x > 0, so x / 2^k lies in [1/2, 1).
+
+    k is capped to [-1021, 1023], where 2^k and 1 / 2^k are both finite, so
+    past 2^1023 the quotient lies in [1, 2) and below 2^-1022 under 1/2.
+    Dividing by 2^k is exact.
+    """
+    return 2.0 ** min(max(math.frexp(x)[1], -1021), 1023)
+
+
 def hs_norm(a: np.ndarray) -> float:
     """Frobenius norm; inf only when the norm itself exceeds the float range.
 
@@ -70,7 +80,7 @@ def hs_norm(a: np.ndarray) -> float:
     if norm == math.inf:
         big = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
         if math.isfinite(big):
-            scale = 2.0 ** math.frexp(big)[1]
+            scale = _pow2_at(big)
             norm = float(np.linalg.norm(a / scale)) * scale
     return norm
 
@@ -849,12 +859,21 @@ def jordan_additive(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.nd
     on the squarefree characteristic polynomial of the clustered spectrum.
 
     A finite strictly triangular m is nilpotent as it stands: s = 0, n = m.
+    That shortcut is taken only where the iteration reaches the same split,
+    for hs_norm(m) > 1e-13; below it the Newton step stops at once and
+    returns s = m.
     """
     m = np.asarray(m, dtype=complex)
+    norm = hs_norm(m)
     square = m.ndim == 2 and m.shape[0] == m.shape[1]
-    if square and np.isfinite(m).all() and not (np.tril(m).any() and np.triu(m).any()):
+    if (
+        norm > 1e-13
+        and square
+        and np.isfinite(m).all()
+        and not (np.tril(m).any() and np.triu(m).any())
+    ):
         return np.zeros_like(m), m.copy()
-    s, n_part, _ = _jordan_split(m, np.linalg.eigvals(m), tol, max(1.0, hs_norm(m)))
+    s, n_part, _ = _jordan_split(m, np.linalg.eigvals(m), tol, max(1.0, norm))
     return s, n_part
 
 

@@ -61,6 +61,7 @@ from .liealg import (
     _component_signs,
     _exp_hermitian,
     _exp_nilpotent,
+    _pow2_at,
     build_realization,
     comm,
     hs_norm,
@@ -164,9 +165,8 @@ def complete_ks_triple(real: Realization, y: np.ndarray, tol: float = 1e-10) -> 
     y = np.asarray(y, dtype=complex)
     if not y.any():
         return None
-    # exact: the largest entry of y lands in [1/2, 1); the caps keep 2**k and
-    # the 1/2**k of complex division finite, and only bite on extreme entries
-    y = y / 2.0 ** min(max(math.frexp(float(np.abs(y).max()))[1], -1021), 1023)
+    # exact: the largest entry of y lands in [1/2, 1), save on extreme entries
+    y = y / _pow2_at(float(np.abs(y).max()))
     if not is_nilpotent(y, max(tol, 1e-9)):
         raise TripleCompletionFailure("the nilpotent part must be nilpotent")
     if not real.in_mC(y, 1e-8):

@@ -1186,14 +1186,29 @@ def test_csv_goes_through_the_report_writer(tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("c", [1.0, 1e150, 1e160, 1e200])
+@pytest.mark.parametrize("c", [1.0, 1e150, 1e160, 1e200, 1e308])
 def test_verify_model_refuses_a_non_commuting_s_at_every_scale(tmp_path, c):
     # past c ~ 1e154 the sum of squares overflows; hs_norm(s) must stay finite,
-    # or every relative check of the form x > tol * (1 + hs_norm(s)) passes
+    # or every relative check of the form x > tol * (1 + hs_norm(s)) passes;
+    # at 1e308 the largest entry lies past 2^1023
     payload = {"realization": "GL(2,C)", "alpha": ["1/4", "-1/4"], "s": [[c, c], [0, 0]], "y": [[0, 0], [0, 0]], "grid": GRID}
     code, report = run_cli(tmp_path, "verify-model", payload)
     assert code == 3
     assert report["error"]["type"] == "CommutationFailure"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_verify_model_reports_an_s_whose_norm_exceeds_the_float_range(tmp_path):
+    # hs_norm(s) = sqrt(2) * 1.7e308 reads inf, so the commutation checks pass
+    # and the table overflows; the command still ends in a report
+    payload = {"realization": "GL(2,C)", "alpha": ["1/4", "-1/4"], "s": [[1.7e308, 1.7e308], [0, 0]], "y": [[0, 0], [0, 0]], "grid": GRID}
+    code, report = run_cli(tmp_path, "verify-model", payload)
+    assert code == 4
+    assert report["error"] == {
+        "type": "NumericallyDefective",
+        "message": "non-finite number at $.outputs.table[0].holonomy_deviation",
+    }
 
 
 def test_verify_model_builds_the_monodromy_factors_once(tmp_path, monkeypatch):

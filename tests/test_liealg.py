@@ -610,23 +610,26 @@ def _strictly_triangular(rng, n: int, exponent: int) -> np.ndarray:
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_strictly_triangular_matrices_split_exactly():
-    # the old Newton loop stops at once when hs_norm(m) <= 1e-13 (its scale
-    # is max(1, hs_norm(m))) and calls such an m semisimple; everywhere else
-    # it reaches the exact split (0, m) too
+    # the Newton loop stops at once when hs_norm(m) <= 1e-13 (its scale is
+    # max(1, hs_norm(m))) and calls such an m semisimple, so those keep the
+    # iteration; everywhere else it reaches the exact split (0, m) too
     rng = np.random.default_rng(41)
     below_stop = 0
     for _ in range(2000):
         m = _strictly_triangular(rng, int(rng.integers(1, 9)), int(rng.choice([-600, -30, 0, 30, 600])))
         s, nil = jordan_additive(m)
-        assert not s.any() and np.array_equal(nil, m)
-        assert np.array_equal(np.signbit(nil.real), np.signbit(m.real))
         want_s, want_n = jordan_oracle.jordan_additive(m)
+        assert np.array_equal(s, want_s) and np.array_equal(nil, want_n), m
         if hs_norm(m) > 1e-13:
-            assert np.array_equal(s, want_s) and np.array_equal(nil, want_n), m
+            assert not s.any() and np.array_equal(nil, m)
+            assert np.array_equal(np.signbit(nil.real), np.signbit(m.real))
         else:
-            assert np.array_equal(want_s, m) and not want_n.any()
+            assert np.array_equal(s, m) and not nil.any()
             below_stop += 1
     assert 300 < below_stop < 700
+    for split in (jordan_oracle.jordan_additive, jordan_additive):  # 0 x 0 keeps the iteration too
+        with pytest.raises(ZeroDivisionError):
+            split(np.zeros((0, 0)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -653,11 +656,22 @@ def test_non_finite_or_diagonal_entries_take_the_iteration():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("k", [520, 700, 1000])
+@pytest.mark.parametrize("k", [520, 700, 1000, 1023])
 def test_hs_norm_scales_by_powers_of_two_past_overflow(k):
-    # the sum of squares overflows from k = 512 on; the norm itself does not
+    # the sum of squares overflows from k = 512 on; the norm itself does not,
+    # save at k = 1023 for a norm of 2 or more, where both sides read inf
     rng = np.random.default_rng(k)
     for n in (1, 2, 3, 5, 8):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # the largest real or imaginary part lands in [1, 2): past 2^1023 at k = 1023
+        a /= 2.0 ** (math.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1] - 1)
         assert hs_norm(a * 2.0**k) == 2.0**k * hs_norm(a)
         assert hs_norm(a.real * 2.0**k) == 2.0**k * hs_norm(a.real)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_hs_norm_reaches_the_top_of_the_float_range():
+    a = np.array([[1.5, 0.25], [0, -0.5]])
+    assert hs_norm(a * 2.0**1023) == 2.0**1023 * hs_norm(a) < math.inf
+    assert hs_norm(np.full((2, 2), 1.7e308)) == math.inf
+    assert hs_norm(np.array([[1e308, 1e308], [0, 0]])) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
