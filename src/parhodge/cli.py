@@ -769,7 +769,6 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
                 "rho": rho,
                 "holonomy_deviation": holonomy.deviation_levi,
                 "holonomy_deviation_full": holonomy.deviation_full,
-                "ode_steps": holonomy.steps,
             }
         )
     if any(rows[i]["rho"] < rows[i + 1]["rho"] for i in range(len(rows) - 1)):
@@ -782,7 +781,6 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
             "holonomy_deviation_full": (
                 "closed-form circle holonomy vs full three-factor prediction"
             ),
-            "ode_steps": "always 0: the circle holonomy is computed in closed form",
         },
         "fd_mismatch": _tagged(
             profile.fd_mismatch, "central finite difference of the connection in r"

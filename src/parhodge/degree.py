@@ -301,11 +301,12 @@ class LocalSystemDegree:
 
 
 def local_system_degree(beta_list, s: np.ndarray, zeta: np.ndarray | None = None) -> LocalSystemDegree:
-    """deg(sigma_s) = -sum_i mu_{beta_i}(s); slope subtracts the central twist <zeta, s>."""
-    per = []
-    for beta in beta_list:
-        res = relative_degree(np.asarray(beta, dtype=complex), np.asarray(s, dtype=complex))
-        per.append(res.value)
+    """deg(sigma_s) = -sum_i mu_{beta_i}(s); slope subtracts the central twist <zeta, s>.
+
+    Each mu_{beta_i}(s) is read off the relative position of the eigenflags,
+    which holds in non-generic position too (beta_i and s sharing an
+    eigenvector), where the flow can stop short of its limit."""
+    per = [relative_position(beta, s).value for beta in beta_list]
     value = -float(sum(per))
     slope = value
     if zeta is not None:

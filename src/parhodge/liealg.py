@@ -1,6 +1,6 @@
 """Matrix models of the supported real/complex reductive groups, sl2-triples,
-Jacobson-Morozov, Kostant-Sekiguchi normalization, Cayley transform and the
-multiplicative Jordan decomposition.
+Jacobson-Morozov, Kostant-Sekiguchi normalization and the multiplicative
+Jordan decomposition.
 
 Conventions used throughout:
   * theta is the Cartan involution, tau(M) = -M^H the compact conjugation,
@@ -452,7 +452,7 @@ class SL2Triple:
     x: np.ndarray
     e: np.ndarray
     f: np.ndarray
-    flavor: str = "plain"  # plain | normal | ks_real | ks_normal
+    flavor: str = "plain"  # plain | normal | ks_normal
 
     def scaled(self, c: complex) -> "SL2Triple":
         return SL2Triple(self.x, c * self.e, self.f / c, self.flavor)
@@ -472,12 +472,6 @@ def validate_triple(real: Realization, t: SL2Triple, tol: float = 1e-8) -> None:
     if t.flavor == "normal":
         if not (real.in_mC(t.e, tol) and real.in_mC(t.f, tol) and real.in_hC(t.x, tol)):
             raise NotInModel("normal triple needs e,f in m^C and x in h^C")
-        return
-    if t.flavor == "ks_real":
-        if not (real.in_g(t.x, tol) and real.in_g(t.e, tol) and real.in_g(t.f, tol)):
-            raise NotInModel("ks_real triple must lie in the real form")
-        if hs_norm(real.theta(t.e) + t.f) > tol * scale:
-            raise NotInModel("ks_real needs theta(e) = -f")
         return
     if t.flavor == "ks_normal":
         if not (real.in_mC(t.e, tol) and real.in_mC(t.f, tol) and real.in_hC(t.x, tol)):
@@ -592,33 +586,6 @@ def jacobson_morozov(real: Realization | None, e: np.ndarray, tol: float = 1e-8)
     if hs_norm(comm(x, unit) - 2 * unit) > bound or hs_norm(comm(unit, f) - x) > bound:
         raise TripleCompletionFailure("Jordan-chain completion failed the bracket check")
     return SL2Triple(x=x, e=e, f=f / step, flavor="plain")
-
-
-def cayley_transform(real: Realization, t: SL2Triple, tol: float = 1e-8) -> SL2Triple:
-    """ks_real -> ks_normal: (x,e,f) |-> (H,X,Y) = (i(e-f), (e+f+ix)/2, (e+f-ix)/2)."""
-    if t.flavor != "ks_real":
-        raise NotInModel("cayley_transform expects a ks_real triple")
-    validate_triple(real, t, tol)
-    h = 1j * (t.e - t.f)
-    x_new = (t.e + t.f + 1j * t.x) / 2
-    y_new = (t.e + t.f - 1j * t.x) / 2
-    out = SL2Triple(x=h, e=x_new, f=y_new, flavor="ks_normal")
-    validate_triple(real, out, max(tol, 1e-8))
-    return out
-
-
-def inverse_cayley_transform(real: Realization, t: SL2Triple, tol: float = 1e-8) -> SL2Triple:
-    """ks_normal -> ks_real: (H,X,Y) |-> ((X+Y-iH)/2, (X+Y+iH)/2 swapped into (x,e,f))."""
-    if t.flavor != "ks_normal":
-        raise NotInModel("inverse_cayley_transform expects a ks_normal triple")
-    validate_triple(real, t, tol)
-    h, x_big, y_big = t.x, t.e, t.f
-    e = (x_big + y_big - 1j * h) / 2
-    f = (x_big + y_big + 1j * h) / 2
-    x = -1j * (x_big - y_big)
-    out = SL2Triple(x=x, e=e, f=f, flavor="ks_real")
-    validate_triple(real, out, max(tol, 1e-8))
-    return out
 
 
 def normalize_kostant_sekiguchi(real: Realization, t: SL2Triple, tol: float = 1e-10) -> SL2Triple:

@@ -345,30 +345,6 @@ def higgs_to_localsystem(
     )
 
 
-def puncture_entry(
-    data: ParabolicHiggsData,
-    i: int,
-    realization=None,
-    convention: str = "2pi_i",
-    tol: float = 1e-10,
-) -> PunctureDictionaryEntry:
-    """Dictionary entry of puncture ``i``, with (s, Y) read off the graded residue.
-
-    ``realization`` overrides the stored label when the residue matrices are
-    presented in a different frame of the same group; split rank-two data with
-    off-diagonal residues is the block model SU(1,1).
-    """
-    res = gr_res(data, i)
-    return higgs_to_localsystem(
-        data.punctures[i].weight,
-        res.semisimple,
-        res.nilpotent,
-        data.realization if realization is None else realization,
-        convention=convention,
-        tol=tol,
-    )
-
-
 def canonical_alpha(alpha: Sequence) -> tuple[float, ...]:
     """The weight vector normalized the way the inverse translation reports it:
     each coordinate moved to (-1/2, 1/2] by an integer shift, then sorted

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import NotInCartan, Realization, ad_eigendecompose, comm, hs_norm, trace_form
-from .liealg import _exp_hermitian, _restricted
+from .liealg import Realization, _exp_hermitian, _restricted, ad_eigendecompose, trace_form
 
 
 @dataclass(frozen=True)
@@ -47,17 +46,6 @@ def parabolic_from(real: Realization, s: np.ndarray, space: str = "g^C", tol: fl
         n_basis=n,
         eigenvalues=tuple(lam for lam, _ in eig),
     )
-
-
-def chi_vanishing_defect(real: Realization, datum: ParabolicDatum) -> float:
-    """Max |chi_s| over n_s and over brackets of the Levi basis (should be ~0)."""
-    worst = 0.0
-    for b in datum.n_basis:
-        worst = max(worst, abs(datum.chi(b)))
-    for i, a in enumerate(datum.l_basis):
-        for b in datum.l_basis[i + 1 :]:
-            worst = max(worst, abs(datum.chi(comm(a, b))))
-    return worst
 
 
 def p1_subalgebra(real: Realization, alpha: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:

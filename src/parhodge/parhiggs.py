@@ -11,7 +11,6 @@ data in exact rational arithmetic whenever the inputs are rational.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -33,7 +32,6 @@ from .jsonio import (
     matrix_from_json,
     matrix_to_json,
     object_from_json,
-    parse_document,
     str_from_json,
 )
 from .liealg import _nilpotent_series, jordan_additive
@@ -170,39 +168,6 @@ def _turn_defect(a_mat: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(v * np.exp(2j * np.pi * (a[:, None] - a[None, :])) - v))
 
 
-def validate(data: ParabolicHiggsData, tol: float = 1e-9) -> list[str]:
-    """Return the list of violated invariants (empty when the data is coherent)."""
-    problems: list[str] = []
-    n = data.n
-    if data.c and len(data.c) != n:
-        problems.append("central parameter length differs from the rank")
-    for i, p in enumerate(data.punctures):
-        if len(p.weight) != n:
-            problems.append(f"puncture {i}: weight length differs from the rank")
-            continue
-        # type A: the positive roots take the values w_i - w_j on a weight
-        if p.weight and max(p.weight) - min(p.weight) > 1:
-            problems.append(f"puncture {i}: weight lies outside the closed alcove")
-        if p.flag is not None:
-            dims = [np.asarray(step, dtype=complex).shape[1] for step in p.flag]
-            expected = []
-            total = 0
-            for _, idxs in _ascending_groups(p.weight):
-                total += len(idxs)
-                expected.append(total)
-            if dims != expected:
-                problems.append(f"puncture {i}: flag step dimensions do not match the weight multiplicities")
-        amat = alpha_matrix(p.weight)
-        for t in p.laurent:
-            m = np.asarray(t.matrix, dtype=complex)
-            defect = np.linalg.norm(amat @ m - m @ amat - float(t.eigenvalue) * m)
-            if defect > tol * max(1.0, np.linalg.norm(m)):
-                problems.append(
-                    f"puncture {i}: order-{t.order} term is not an ad(alpha) eigenvector of eigenvalue {t.eigenvalue}"
-                )
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # JSON round trip (schema "parhiggs-v1")
 # ---------------------------------------------------------------------------
@@ -284,14 +249,6 @@ def from_json(obj: dict) -> ParabolicHiggsData:
         summand_ranks=tuple(rank for _, rank in summands),
         c=field_from_json(obj, "c", fracvec_from_json, default=tuple(Fraction(0) for _ in degrees)),
     )
-
-
-def dumps(data: ParabolicHiggsData) -> str:
-    return json.dumps(to_json(data), sort_keys=True, separators=(",", ":"))
-
-
-def loads(text: str) -> ParabolicHiggsData:
-    return from_json(parse_document(text))
 
 
 # ---------------------------------------------------------------------------

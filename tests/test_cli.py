@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -1185,30 +1186,32 @@ def test_csv_goes_through_the_report_writer(tmp_path, monkeypatch):
     assert written == [str(csv_path), str(tmp_path / "report.json")] * 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("c", [1.0, 1e150, 1e160, 1e200, 1e308])
+@pytest.mark.parametrize("c", [1.0, 1e150, 1e160, 1e200, 1e308, 1.7e308])
 def test_verify_model_refuses_a_non_commuting_s_at_every_scale(tmp_path, c):
-    # past c ~ 1e154 the sum of squares overflows; hs_norm(s) must stay finite,
-    # or every relative check of the form x > tol * (1 + hs_norm(s)) passes;
-    # at 1e308 the largest entry lies past 2^1023
+    # past c ~ 1e154 the sum of squares overflows, and at 1.7e308 the norm of
+    # s itself exceeds the float range; the checks read s over the power of two
+    # at its largest entry, so none of them sees that scale
     payload = {"realization": "GL(2,C)", "alpha": ["1/4", "-1/4"], "s": [[c, c], [0, 0]], "y": [[0, 0], [0, 0]], "grid": GRID}
-    code, report = run_cli(tmp_path, "verify-model", payload)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run_cli(tmp_path, "verify-model", payload)
     assert code == 3
     assert report["error"]["type"] == "CommutationFailure"
+    assert [str(w.message) for w in caught] == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_verify_model_reports_an_s_whose_norm_exceeds_the_float_range(tmp_path):
-    # hs_norm(s) = sqrt(2) * 1.7e308 reads inf, so the commutation checks pass
-    # and the table overflows; the command still ends in a report
-    payload = {"realization": "GL(2,C)", "alpha": ["1/4", "-1/4"], "s": [[1.7e308, 1.7e308], [0, 0]], "y": [[0, 0], [0, 0]], "grid": GRID}
-    code, report = run_cli(tmp_path, "verify-model", payload)
-    assert code == 4
-    assert report["error"] == {
-        "type": "NumericallyDefective",
-        "message": "non-finite number at $.outputs.table[0].holonomy_deviation",
-    }
+@pytest.mark.parametrize("r_min", [1e-150, 1e-160, 1e-300])
+def test_verify_model_decides_a_cusp_at_a_tiny_r_min(tmp_path, r_min):
+    # (r ln r^2)^2 underflows near r = 1e-160; the r^2 weight of the residual
+    # is folded in before any division by it
+    payload = {**VERIFY_MODEL, "grid": {"r_max": 1e-2, "r_min": r_min, "count": 3}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run_cli(tmp_path, "verify-model", payload)
+    assert code == 0, report.get("error")
+    assert [str(w.message) for w in caught] == []
+    assert report["outputs"]["table"][-1]["r"] == pytest.approx(r_min, rel=1e-12)
+    assert all(row["rho"] < 1e-12 for row in report["outputs"]["table"])
 
 
 def test_verify_model_builds_the_monodromy_factors_once(tmp_path, monkeypatch):

@@ -429,6 +429,16 @@ def test_pair_mode_is_exact_on_a_shared_eigenvector(tmp_path, n):
         assert abs(report["outputs"]["value"]["value"] - exact) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_local_system_degree_is_exact_on_a_shared_eigenvector(n):
+    rng = np.random.default_rng(500 + n)
+    for _ in range(10):
+        beta, s, u_beta, v_s, d, lam = _shared_eigenvector_pair(rng, n)
+        exact = relative_degree_filtration(_flag(u_beta), list(d), _flag(v_s), list(lam))
+        out = local_system_degree([beta], s)
+        assert abs(out.value + exact) <= 1e-9
+
+
 def test_pair_mode_decides_close_sigma_eigenvalues(tmp_path):
     rng = np.random.default_rng(17)
     lam = [0.0, 1e-5, 1.0]

@@ -33,7 +33,6 @@ from parhodge.nahodge import (
     localsystem_to_higgs,
     milnor_wood_check,
     monodromy_factors,
-    puncture_entry,
     toledo_character,
     toledo_invariant,
     y_orbit_certificate,
@@ -45,7 +44,6 @@ from parhodge.parhiggs import (
     make_data,
     pardeg_reduction,
     stability_check,
-    validate,
 )
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -404,16 +402,19 @@ def test_round_trip_rank_three_nilpotent(model):
             assert hs_norm(getattr(back.triple, part) - getattr(fwd.triple, part)) < 1e-8
 
 
-def test_puncture_entry_reads_graded_residue():
+def test_section_residue_translates_in_the_block_frame():
     data = hitchin_section("SL2R", 0, 3)
+    res = gr_res(data, 0)
+    weight = data.punctures[0].weight
     # the section's residues are off-diagonal: that is the block frame
-    entry = puncture_entry(data, 0, realization="SU(1,1)")
+    entry = higgs_to_localsystem(weight, res.semisimple, res.nilpotent, "SU(1,1)")
     assert entry.realization == "SU(1,1)"
     assert np.allclose(entry.elliptic, -I2, atol=1e-12)  # wall weight
     assert entry.y_certificate.rank_sequence == (1, 0)
     assert entry.y_certificate.component_signs == (-1,)
     with pytest.raises(TripleCompletionFailure):
-        puncture_entry(data, 0)  # E21 is not in the symmetric frame
+        # E21 is not in the symmetric frame
+        higgs_to_localsystem(weight, res.semisimple, res.nilpotent, data.realization)
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +522,9 @@ def test_entry_json_schema_errors_carry_locations():
 
 def test_section_rank_two_matches_the_wall_instance():
     data = hitchin_section("SL2R", 0, 3)
-    assert validate(data) == []
+    assert [check_pole_orders(data, i).kind for i in range(3)] == ["parabolic"] * 3
     assert data.punctures[0].weight == (-HALF, HALF)
     assert data.summand_degrees == (Fraction(-1), Fraction(1))
-    assert check_pole_orders(data, 0).kind == "parabolic"
     line = ReductionCertificate(label="flag L", chi=(Fraction(1), Fraction(0)), phi_compatible=False)
     assert pardeg_reduction(data, line) == HALF
     split = ReductionCertificate(label="split", chi=(Fraction(1), Fraction(-1)), phi_compatible=True)
@@ -570,7 +570,7 @@ def test_section_bad_topology():
 
 def test_section_principal_rank_three():
     data = hitchin_section("SLnR_principal", 0, 3, rank=3)
-    assert validate(data) == []
+    assert [check_pole_orders(data, i).kind for i in range(3)] == ["parabolic"] * 3
     assert data.summand_degrees == (Fraction(-2), Fraction(0), Fraction(2))
     assert data.punctures[0].weight == (0, 0, 0)
     res = gr_res(data, 0)

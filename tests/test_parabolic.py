@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
 
-from parhodge.liealg import build_realization
+from parhodge.liealg import Realization, build_realization, comm
 from parhodge.parabolic import (
-    chi_vanishing_defect,
+    ParabolicDatum,
     levi_centralizer_tilde,
     p1_subalgebra,
     parabolic_from,
 )
+
+
+def chi_vanishing_defect(real: Realization, datum: ParabolicDatum) -> float:
+    """Max |chi_s| over n_s and over brackets of the Levi basis (should be ~0)."""
+    worst = 0.0
+    for b in datum.n_basis:
+        worst = max(worst, abs(datum.chi(b)))
+    for i, a in enumerate(datum.l_basis):
+        for b in datum.l_basis[i + 1 :]:
+            worst = max(worst, abs(datum.chi(comm(a, b))))
+    return worst
 
 
 def test_parabolic_from_sl2r_unit_vector():
