@@ -125,6 +125,8 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, "_Parser"]  # on the top-level parser: each command's own subparser
+
     def error(self, message: str):  # keep exit code 2 reserved for verdicts
         raise _UsageError(message)
 
@@ -146,8 +148,9 @@ def _build_parser() -> _Parser:
     # report's argv and change its bytes
     parser = _Parser(prog="parhodge", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.commands = {}
     for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p = parser.commands[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--input", metavar="FILE", help="JSON input document")
         p.add_argument("--output", metavar="FILE", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=None, help="RNG seed for sampled instances")
@@ -159,6 +162,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``.  When argv names a command, its own
+    subparser reads the rest: the top level would only hand the same strings on
+    to it, through a subparser action, a second namespace and a copy."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no command, an unknown one, or a top-level option
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 # ---------------------------------------------------------------------------
 # input plumbing
 # ---------------------------------------------------------------------------
@@ -167,7 +183,13 @@ def _build_parser() -> _Parser:
 def _load_input(args) -> tuple[bytes, Any]:
     if args.input is None:
         raise SchemaError("$", "this command requires --input FILE")
-    raw = Path(args.input).read_bytes()
+    try:
+        with open(args.input, "rb") as source:
+            raw = source.read()
+    except OSError:
+        # read the name as Path reads it, which drops a trailing "/" and takes
+        # "" for ".", and let its error name the file as Path names it
+        raw = Path(args.input).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -418,8 +440,14 @@ def _write_file(path: str, text: str) -> None:
             os.close(fd)
 
 
-def _emit(report: dict, args) -> None:
-    text = _render(report)
+def _failed(report: dict, code: int, **error) -> str:
+    """Record the error and exit code in report; its rendered text."""
+    report["error"] = error
+    report["exit_code"] = code
+    return _render(report)
+
+
+def _emit(text: str, args) -> None:
     if args.output:
         _write_file(args.output, text)
     else:
@@ -836,9 +864,8 @@ _COMMANDS: dict[str, tuple[Callable[[dict, Any, dict], int], str]] = {
 def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
     """Run one subcommand; return (exit code, report). Also emits the report."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         report = {
             "schema": REPORT_SCHEMA,
@@ -850,7 +877,7 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
         sys.stderr.write(_render(report))
         return EXIT_PRECONDITION, report
     if args.command is None:
-        parser.print_help()
+        _build_parser().print_help()
         return EXIT_OK, {}
 
     report = _new_report(args.command, argv, args)
@@ -859,35 +886,34 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
         raw, payload = _load_input(args)
         report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
         handler, _ = _COMMANDS[args.command]
-        code = handler(object_from_json(payload), args, report)
-        # a report is JSON, which has no NaN or Infinity: an overflow is a failure
-        path = _first_non_finite(report["outputs"])
-        if path is not None:
-            report["outputs"] = {}
-            raise NumericallyDefective(f"non-finite number at $.outputs{path}")
+        report["exit_code"] = handler(object_from_json(payload), args, report)
+        text = _render(report)
+        # a report is JSON, which has no NaN or Infinity: an overflow is a
+        # failure.  Only a text that spells one can hold one; a string may
+        # spell one too, and then the walk finds no number
+        if "NaN" in text or "Infinity" in text:
+            path = _first_non_finite(report["outputs"])
+            if path is not None:
+                report["outputs"] = {}
+                raise NumericallyDefective(f"non-finite number at $.outputs{path}")
         if getattr(args, "csv", None):  # only a report that passed the check gets a CSV
             csv_path = args.csv
             _write_residual_csv(csv_path, report["outputs"]["table"])
     except (GridTooCoarse, SearchExhausted, NonConvergence, NumericallyDefective) as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_NO_CONVERGENCE
+        text = _failed(report, EXIT_NO_CONVERGENCE, type=type(exc).__name__, message=str(exc))
     except SchemaError as exc:
-        report["error"] = {
-            "type": "SchemaError",
-            "location": exc.location,
-            "message": str(exc),
-        }
-        code = EXIT_PRECONDITION
+        text = _failed(
+            report, EXIT_PRECONDITION, type="SchemaError", location=exc.location, message=str(exc)
+        )
     except (ValueError, TripleCompletionFailure, OSError) as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_PRECONDITION
-    report["exit_code"] = code
+        text = _failed(report, EXIT_PRECONDITION, type=type(exc).__name__, message=str(exc))
+    code = report["exit_code"]
     try:
-        _emit(report, args)
+        _emit(text, args)
     except OSError as exc:  # the report has nowhere to go: send it where usage errors go
-        report["error"] = {"type": type(exc).__name__, "message": f"cannot write the report: {exc}"}
-        report["exit_code"] = code = EXIT_PRECONDITION
-        sys.stderr.write(_render(report))
+        code = EXIT_PRECONDITION
+        message = f"cannot write the report: {exc}"
+        sys.stderr.write(_failed(report, code, type=type(exc).__name__, message=message))
     if csv_path and code != EXIT_OK:  # a table must not outlive the run that failed
         _discard(csv_path)
     return code, report

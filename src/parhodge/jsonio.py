@@ -29,37 +29,56 @@ class SchemaError(ValueError):
         self.location = location
 
 
+class _NonFinite(Exception):
+    """A NaN or Infinity literal, raised where the decoder reads it."""
+
+
+def _refuse(name: str):
+    raise _NonFinite(name)
+
+
 _NON_FINITE = object()  # stands in for a NaN or Infinity literal until it is located
 
-
-def _walk(obj: Any, location: str = "$"):
-    """Every (location, value) pair of a parsed document, depth first."""
-    yield location, obj
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _walk(value, f"{location}.{key}")
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            yield from _walk(value, f"{location}[{i}]")
+# one decoder for every document: the first NaN or Infinity literal stops it
+_DECODER = json.JSONDecoder(parse_constant=_refuse)
+# the decoder that places that literal; it keeps each object as the tuple of
+# its (key, value) pairs, so a literal under a key that a later duplicate of
+# the key overwrites is found as well
+_LOCATOR = json.JSONDecoder(parse_constant=lambda name: _NON_FINITE, object_pairs_hook=tuple)
 
 
-def parse_document(text: str) -> Any:
-    """``json.loads`` that refuses NaN and Infinity, naming where they sit."""
-    seen = []
-
-    def constant(name: str) -> object:
-        seen.append(name)
-        return _NON_FINITE
-
+def _decode(decoder: json.JSONDecoder, text: str) -> Any:
     try:
-        obj = json.loads(text, parse_constant=constant)
+        return decoder.decode(text)
     except json.JSONDecodeError as exc:
         where = f"$ (line {exc.lineno}, column {exc.colno})"
         raise SchemaError(where, "input is not valid JSON") from exc
-    if seen:
-        where = next(location for location, value in _walk(obj) if value is _NON_FINITE)
-        raise SchemaError(where, f"{seen[0]} is not a finite number")
-    return obj
+    except RecursionError as exc:  # nested past what the decoder can recurse into
+        raise SchemaError("$", "input is nested too deeply to read") from exc
+
+
+def _first_literal(doc: Any) -> str:
+    """Location of the first literal in a document that _LOCATOR decoded and
+    that holds one, in document order.  The walk keeps its own stack, so a
+    document as deep as the decoder can read is walked too."""
+    stack = [("$", doc)]
+    while stack:
+        location, value = stack.pop()
+        if value is _NON_FINITE:
+            return location
+        if type(value) is tuple:  # an object, as its pairs
+            stack += [(f"{location}.{key}", item) for key, item in reversed(value)]
+        elif type(value) is list:
+            stack += [(f"{location}[{i}]", value[i]) for i in reversed(range(len(value)))]
+
+
+def parse_document(text: str) -> Any:
+    """``json.loads`` that refuses NaN and Infinity, naming where the first sits."""
+    try:
+        return _decode(_DECODER, text)
+    except _NonFinite as exc:
+        name = exc.args[0]
+    raise SchemaError(_first_literal(_decode(_LOCATOR, text)), f"{name} is not a finite number")
 
 
 _REQUIRED = object()

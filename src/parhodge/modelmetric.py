@@ -76,13 +76,14 @@ class RadialGrid:
 
 
 def radial_grid(r_max: float, r_min: float, count: int, n_theta: int = 64) -> RadialGrid:
-    """Geometric sequence of ``count`` radii from r_max down to r_min."""
+    """Geometric sequence of ``count`` radii from r_max down to r_min, both
+    ends as given: the last radius is r_min itself, not r_max·ratio^(count−1)."""
     if not 0 < r_min < r_max < 1:
         raise ValueError("need 0 < r_min < r_max < 1")
     if count < 2:
         raise ValueError("need at least two radii")
     ratio = (r_min / r_max) ** (1.0 / (count - 1))
-    return RadialGrid(radii=tuple(r_max * ratio**k for k in range(count)), n_theta=n_theta)
+    return RadialGrid(radii=(*(r_max * ratio**k for k in range(count - 1)), r_min), n_theta=n_theta)
 
 
 # ---------------------------------------------------------------------------

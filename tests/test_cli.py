@@ -1,6 +1,8 @@
 """Command-line surface: dispatch, exit codes, report determinism."""
 
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -1210,7 +1212,7 @@ def test_verify_model_decides_a_cusp_at_a_tiny_r_min(tmp_path, r_min):
         code, report = run_cli(tmp_path, "verify-model", payload)
     assert code == 0, report.get("error")
     assert [str(w.message) for w in caught] == []
-    assert report["outputs"]["table"][-1]["r"] == pytest.approx(r_min, rel=1e-12)
+    assert [row["r"] for row in report["outputs"]["table"][::2]] == [1e-2, r_min]
     assert all(row["rho"] < 1e-12 for row in report["outputs"]["table"])
 
 
@@ -1375,3 +1377,215 @@ def test_first_non_finite_names_the_path_the_walk_names(value, rnd, p):
 )
 def test_first_non_finite_reads_number_lists_in_order(value, path):
     assert cli._first_non_finite(value) == _first_non_finite_walk(value) == path
+
+
+# ---------------------------------------------------------------------------
+# the shell around every command: argv, input and report, each against the
+# path it replaced
+# ---------------------------------------------------------------------------
+
+
+def test_a_literal_under_an_overwritten_duplicate_key_exits_3_at_the_key(tmp_path):
+    # the reader used to look for the literal in the parsed document, where the
+    # second "cartan_type" had replaced it, and crashed with StopIteration
+    raw = '{"cartan_type": NaN, "cartan_type": "A", "rank": 2}'
+    code, report = run_cli(tmp_path, "rootsys", raw=raw)
+    assert code == 3
+    assert report["error"] == {
+        "type": "SchemaError",
+        "location": "$.cartan_type",
+        "message": "$.cartan_type: NaN is not a finite number",
+    }
+
+
+DEEP_ERROR = {"type": "SchemaError", "location": "$", "message": "$: input is nested too deeply to read"}
+
+
+def test_input_nested_past_the_recursion_limit_exits_3(tmp_path):
+    raw = '{"cartan_type": "A", "rank": 2, "unread": ' + "[" * 100_000
+    code, report = run_cli(tmp_path, "rootsys", raw=raw)
+    assert code == 3
+    assert report["error"] == DEEP_ERROR
+
+
+def test_one_shot_run_on_deep_input_exits_3_without_a_traceback(tmp_path):
+    source = tmp_path / "input.json"
+    depth = sys.getrecursionlimit() + 10
+    source.write_text('{"cartan_type": "A", "rank": 2, "unread": ' + "[" * depth + "]" * depth + "}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "parhodge.cli", "rootsys", "--input", str(source)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert json.loads(proc.stdout)["error"] == DEEP_ERROR
+
+
+def _argv_outcome(parse, argv):
+    """What parsing argv gives: a namespace, a usage error, or an exit with help."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            return "namespace", vars(parse(list(argv)))
+    except cli._UsageError as exc:
+        return "usage", str(exc), printed.getvalue()
+    except SystemExit as exc:
+        return "exit", exc.code, printed.getvalue()
+
+
+def _every_option(command):
+    options = [["--input", "in.json"], ["--output", "out.json"], ["--seed", "7"], ["--tolerance", "1e-9"]]
+    return options + [["--csv", "t.csv"]] if command == "verify-model" else options
+
+
+ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["no-such-command"],
+    ["--input", "in.json", "rootsys"],
+    ["-x"],
+    *([command, *option] for command in cli._COMMANDS for option in _every_option(command)),
+    *([command, *sum(_every_option(command), [])] for command in cli._COMMANDS),
+    *([command, "-h"] for command in cli._COMMANDS),
+    ["rootsys", "--seed", "x"],
+    ["rootsys", "--tolerance", "nan"],
+    ["rootsys", "--tolerance", "0"],
+    ["rootsys", "--tolerance=-1"],
+    ["stability", "--csv", "t.csv"],
+    ["rootsys", "--out", "x"],
+    ["verify-model", "--cs", "x"],
+    ["rootsys", "stray"],
+    ["rootsys", "rootsys"],
+    ["rootsys", "--input"],
+    ["rootsys", "--seed"],
+    ["rootsys", "--", "x"],
+    ["rootsys", "--input", "a", "--input", "b"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_per_command_parsing_gives_what_the_top_level_parser_gives(argv):
+    assert _argv_outcome(cli._parse_args, argv) == _argv_outcome(cli._build_parser().parse_args, argv)
+
+
+_argv_heads = st.sampled_from([[command] for command in cli._COMMANDS] + [[], ["nope"], ["-h"], ["--seed", "1"]])
+_argv_tails = st.lists(
+    st.sampled_from(
+        [
+            ["--input", "in.json"],
+            ["--input=in.json"],
+            ["--output", "out.json"],
+            ["--seed", "3"],
+            ["--seed", "x"],
+            ["--seed=-2"],
+            ["--tolerance", "nan"],
+            ["--tolerance", "0"],
+            ["--tolerance", "-1"],
+            ["--tolerance=1e-3"],
+            ["--csv", "t.csv"],
+            ["--out", "x"],
+            ["--in", "x"],
+            ["--input"],
+            ["--seed"],
+            ["stray"],
+            ["rootsys"],
+            ["-h"],
+            ["--"],
+            ["-x"],
+        ]
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv_heads, _argv_tails)
+def test_random_argv_parses_as_the_top_level_parser_parses_it(head, tail):
+    argv = head + [token for option in tail for token in option]
+    assert _argv_outcome(cli._parse_args, argv) == _argv_outcome(cli._build_parser().parse_args, argv)
+
+
+def _counting_walk(monkeypatch):
+    calls = []
+
+    def walk(value):
+        calls.append(value)
+        return walk.original(value)
+
+    walk.original = cli._first_non_finite
+    monkeypatch.setattr(cli, "_first_non_finite", walk)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["NaN", "Infinity", "-Infinity"])
+def test_a_string_that_spells_a_literal_passes_the_output_check(tmp_path, monkeypatch, label):
+    calls = _counting_walk(monkeypatch)
+    payload = {"data": WALL_DATA, "reductions": [{"label": label, "chi": [1, -1]}]}
+    code, report = run_cli(tmp_path, "stability", payload)
+    assert code == 0, report.get("error")
+    assert report["outputs"]["slope_table"][0]["label"] == label
+    assert (tmp_path / "report.json").read_text() == _json_dumps(report)
+    # the text spells the label, so the walk runs, and finds no number
+    assert calls and calls[0] is report["outputs"]
+
+
+def test_an_input_path_that_spells_a_literal_passes_the_output_check(tmp_path, monkeypatch):
+    calls = _counting_walk(monkeypatch)
+    source = tmp_path / "NaN-Infinity.json"
+    source.write_text(json.dumps({"cartan_type": "A", "rank": 2}))
+    out = tmp_path / "report.json"
+    code, report = cli_dispatch(["rootsys", "--input", str(source), "--output", str(out)])
+    assert code == 0, report.get("error")
+    assert out.read_text() == _json_dumps(report)
+    assert calls and calls[0] is report["outputs"]
+    # a report whose text spells no literal holds no non-finite number: no walk
+    calls.clear()
+    plain = source.rename(tmp_path / "plain.json")
+    assert cli_dispatch(["rootsys", "--input", str(plain), "--output", str(out)])[0] == 0
+    assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_values, st.randoms(use_true_random=False), st.sampled_from([0.0, 0.05, 0.3]))
+def test_planted_non_finite_outputs_exit_4_at_the_path_the_walk_names(tmp_path_factory, value, rnd, p):
+    planted = _plant(value, rnd, p)
+
+    def handler(payload, args, report):
+        report["outputs"] = planted
+        return 0
+
+    work = tmp_path_factory.mktemp("planted")
+    source, out = work / "input.json", work / "report.json"
+    source.write_text(json.dumps({"cartan_type": "A", "rank": 2}))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(cli._COMMANDS, "rootsys", (handler, "planted outputs"))
+        code, report = cli_dispatch(["rootsys", "--input", str(source), "--output", str(out)])
+    path = _first_non_finite_walk(planted)
+    if path is None:
+        assert code == 0
+        assert report["outputs"] is planted
+    else:
+        assert code == 4
+        assert report["outputs"] == {}
+        assert report["error"] == {"type": "NumericallyDefective", "message": f"non-finite number at $.outputs{path}"}
+    assert out.read_text() == _json_dumps(report)
+
+
+IMPORT_PROBE = """
+import argparse, gc
+from parhodge import cli
+parsers = [o for o in gc.get_objects() if isinstance(o, argparse.ArgumentParser)]
+print(cli._build_parser.cache_info().currsize, len(parsers))
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the top-level parser and the subparsers it holds are built by the first
+    # dispatch: built at import, they would cost every importer, and the
+    # benchmark's setup_s, which times a bare import
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=child_env(), check=True
+    )
+    assert proc.stdout.split() == ["0", "0"]

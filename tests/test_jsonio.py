@@ -1,14 +1,17 @@
-"""The matrix codec: the [re, im] reader read in C against the per-entry one."""
+"""The matrix codec: the [re, im] reader read in C against the per-entry one;
+the document reader against the one that built a decoder per call."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import document_oracle
 from parhodge import jsonio
-from parhodge.jsonio import SchemaError, complex_from_json, matrix_from_json, matrix_to_json
+from parhodge.jsonio import SchemaError, complex_from_json, matrix_from_json, matrix_to_json, parse_document
 
 
 def _entry_reader(obj, location="$"):
@@ -124,3 +127,103 @@ def test_matrix_to_json_gives_the_floats_of_the_entry_writer(shape):
 def test_matrix_to_json_refuses_a_non_matrix():
     with pytest.raises(ValueError, match="2-d"):
         matrix_to_json(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# the document reader
+# ---------------------------------------------------------------------------
+
+
+def _read(parse, text):
+    try:
+        return "document", parse(text)
+    except SchemaError as exc:
+        return "error", exc.location, str(exc)
+
+
+_SPELLINGS = ["NaN", "Infinity", "-Infinity", "nan", "inf", "a.b", "c[0]", ""]
+_NON_FINITE_FLOATS = [float("nan"), float("inf"), -float("inf")]
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_SPELLINGS)  # a string that spells a literal is a string
+    | st.text(max_size=3)
+)
+_keys = st.sampled_from(_SPELLINGS) | st.text(max_size=3)
+
+
+def _planted(scalars):
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
+        max_leaves=25,
+    )
+
+
+# json.dumps spells the planted floats as the literals NaN, Infinity and
+# -Infinity; a dict has no duplicate key, which the oracle cannot place
+_documents = _planted(_scalars | st.sampled_from(_NON_FINITE_FLOATS)).map(json.dumps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+def test_the_reader_refuses_or_accepts_as_the_oracle_does(text):
+    assert _read(parse_document, text) == _read(document_oracle.parse_document, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents, st.data())
+def test_the_reader_places_broken_documents_as_the_oracle_does(text, data):
+    # a literal before, at or after the point where the document breaks off
+    cut = data.draw(st.integers(0, len(text)))
+    tail = data.draw(st.sampled_from(["", "}", ",", " NaN", "\ufeff", "]]"]))
+    for broken in (text[:cut] + tail, "\ufeff" + text):
+        assert _read(parse_document, broken) == _read(document_oracle.parse_document, broken)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "template, location",
+    [
+        ('{{"k": {L}, "k": "A", "rank": 2}}', "$.k"),
+        ('{{"a": 1, "b": {L}, "a": 2}}', "$.b"),
+        ('{{"a": {{"k": {L}, "k": 1}}, "b": 2}}', "$.a.k"),
+        ('{{"a": {{"k": {L}}}, "a": 1}}', "$.a.k"),
+        ('{{"xs": [{{"k": 1}}, {{"k": {L}, "k": 2}}]}}', "$.xs[1].k"),
+        ('[{{"k": 0}}, {{"j": [1, {{"k": {L}, "k": 1}}]}}]', "$[1].j[1].k"),
+        ('{{"k": {L}, "k": NaN}}', "$.k"),
+    ],
+)
+def test_a_literal_under_an_overwritten_duplicate_key_is_refused_where_it_sits(literal, template, location):
+    # the oracle's walk found no marker under such a key and raised StopIteration
+    with pytest.raises(SchemaError) as caught:
+        parse_document(template.format(L=literal))
+    assert caught.value.location == location
+    assert str(caught.value) == f"{location}: {literal} is not a finite number"
+
+
+def _too_deep(depth):
+    return [
+        '{"unread": ' + "[" * depth,  # never closed: the decoder recurses first
+        "[" * depth + "]" * depth,
+        '{"a": [NaN, ' + "[" * depth + "]" * depth + "]}",  # only the locating decode goes deep
+    ]
+
+
+@pytest.mark.parametrize("depth", [sys.getrecursionlimit() + 10, 100_000])
+def test_a_document_nested_past_the_recursion_limit_is_refused_at_the_root(depth):
+    for text in _too_deep(depth):
+        with pytest.raises(SchemaError) as caught:
+            parse_document(text)
+        assert caught.value.location == "$"
+        assert str(caught.value) == "$: input is nested too deeply to read"
+
+
+def test_a_literal_deep_in_a_readable_document_is_placed():
+    depth = sys.getrecursionlimit() // 2
+    text = "[" * depth + '{"x": -Infinity}' + "]" * depth
+    with pytest.raises(SchemaError) as caught:
+        parse_document(text)
+    assert caught.value.location == "$" + "[0]" * depth + ".x"

@@ -111,6 +111,13 @@ def test_radial_grid_geometric():
     assert len(grid.thetas) == 64
 
 
+@pytest.mark.parametrize("r_max, r_min, count", [(1e-2, 1e-300, 3), (0.5, 1e-7, 9), (1e-2, 1e-6, 5), (0.9, 0.1, 7)])
+def test_radial_grid_ends_on_both_bounds(r_max, r_min, count):
+    # r_max * ratio**(count - 1) can miss r_min by an ulp: 1e-300 came out as 9.999999999999999e-301
+    radii = radial_grid(r_max, r_min, count).radii
+    assert (radii[0], radii[-1], len(radii)) == (r_max, r_min, count)
+
+
 def test_radial_grid_invariants():
     with pytest.raises(ValueError):
         RadialGrid(radii=(1e-3, 1e-2))  # increasing
