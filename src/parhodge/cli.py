@@ -183,13 +183,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def _load_input(args) -> tuple[bytes, Any]:
     if args.input is None:
         raise SchemaError("$", "this command requires --input FILE")
-    try:
-        with open(args.input, "rb") as source:
-            raw = source.read()
-    except OSError:
-        # read the name as Path reads it, which drops a trailing "/" and takes
-        # "" for ".", and let its error name the file as Path names it
-        raw = Path(args.input).read_bytes()
+    raw = Path(args.input).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -339,7 +333,7 @@ def _new_report(command: str, argv: Sequence[str], args) -> dict:
     }
 
 
-_INT, _FLOAT, _NUMBER = {int}, {float}, {int, float}
+_NUMBER = {int, float}
 
 
 def _first_non_finite(value: Any) -> str | None:
@@ -350,11 +344,6 @@ def _first_non_finite(value: Any) -> str | None:
     if isinstance(value, dict):
         items, step = sorted(value.items()), ".{}"
     elif isinstance(value, (list, tuple)):
-        # a list of ints, or of floats, is cleared in one C pass; ints skip
-        # math.isfinite, which overflows on a huge one, and are finite anyway
-        kinds = set(map(type, value))
-        if kinds <= _INT or kinds == _FLOAT and all(map(math.isfinite, value)):
-            return None
         items, step = enumerate(value), "[{}]"
     else:
         return None

@@ -442,6 +442,28 @@ def test_unreadable_input_exits_3(tmp_path):
     assert report["error"]["type"] == "FileNotFoundError"
 
 
+def test_input_path_with_a_trailing_slash_reads_the_file(tmp_path):
+    # --input names a path as pathlib reads it, which drops a trailing "/"
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"cartan_type": "A", "rank": 2}))
+    plain, slashed = tmp_path / "plain.json", tmp_path / "slashed.json"
+    code, report = cli_dispatch(["rootsys", "--input", f"{source}/", "--output", str(slashed)])
+    assert code == 0, report.get("error")
+    assert slashed.read_text() == _json_dumps(report)
+    assert cli_dispatch(["rootsys", "--input", str(source), "--output", str(plain)])[0] == 0
+    assert slashed.read_text() == plain.read_text().replace(f'"{source}"', f'"{source}/"')
+
+
+def test_empty_input_path_is_refused_as_a_directory():
+    # pathlib reads "" as ".", the working directory
+    code, report = cli_dispatch(["rootsys", "--input", ""])
+    assert code == 3
+    assert report["error"] == {
+        "type": "IsADirectoryError",
+        "message": f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '.'",
+    }
+
+
 def test_reports_are_byte_deterministic(tmp_path):
     source = tmp_path / "input.json"
     source.write_text(
