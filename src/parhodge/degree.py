@@ -165,10 +165,10 @@ def _qr_flows(s: np.ndarray, sigma: np.ndarray, tol: float) -> list:
     return out
 
 
-def relative_degree(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> RelativeDegreeResult:
+def relative_degree(s: np.ndarray, sigma: np.ndarray) -> RelativeDegreeResult:
     """Limit of <s . e^{-t sigma}, sigma> for Hermitian s, sigma (trace pairing):
-    ``relative_degrees`` on a stack of one."""
-    return relative_degrees(np.asarray(s, dtype=complex)[None], np.asarray(sigma, dtype=complex)[None], tol)[0]
+    ``relative_degrees`` on a stack of one, at its default tolerance."""
+    return relative_degrees(np.asarray(s, dtype=complex)[None], np.asarray(sigma, dtype=complex)[None])[0]
 
 
 def relative_position(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> RelativePosition:

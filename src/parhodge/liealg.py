@@ -496,10 +496,10 @@ def is_nilpotent(m: np.ndarray, tol: float = 1e-8) -> bool:
     return bool(np.linalg.norm(power) <= tol)
 
 
-def _jordan_chains(e: np.ndarray, tol: float = 1e-9) -> list[list[np.ndarray]]:
+def _jordan_chains(e: np.ndarray) -> list[list[np.ndarray]]:
     """Jordan chains of a nilpotent matrix, longest blocks first.
 
-    e^k counts as zero below tol * ||e||^k (spectral norms), the size its
+    e^k counts as zero below 1e-9 * ||e||^k (spectral norms), the size its
     rounding scales with, so no cutoff depends on the scale of e.
     """
     n = e.shape[0]
@@ -510,7 +510,7 @@ def _jordan_chains(e: np.ndarray, tol: float = 1e-9) -> list[list[np.ndarray]]:
     while len(kernels) <= n and kernels[-1].shape[1] < n:
         power = power @ e
         _, s, vh = np.linalg.svd(power)
-        kernels.append(vh[int(np.sum(s > tol * norm ** len(kernels))):].conj().T)
+        kernels.append(vh[int(np.sum(s > 1e-9 * norm ** len(kernels))):].conj().T)
     depth = len(kernels) - 1  # e^depth = 0
     chains: list[list[np.ndarray]] = []
     # choose chain tops level by level, from the deepest down
@@ -530,7 +530,7 @@ def _jordan_chains(e: np.ndarray, tol: float = 1e-9) -> list[list[np.ndarray]]:
         else:
             proj = cand
         u, s, vh = np.linalg.svd(proj, full_matrices=False)
-        new_tops = [u[:, k] for k in range(len(s)) if s[k] > tol * max(1.0, s[0] if len(s) else 1.0)]
+        new_tops = [u[:, k] for k in range(len(s)) if s[k] > 1e-9 * max(1.0, s[0] if len(s) else 1.0)]
         for top in new_tops:
             chain = [top]
             for _ in range(j - 1):
@@ -541,7 +541,7 @@ def _jordan_chains(e: np.ndarray, tol: float = 1e-9) -> list[list[np.ndarray]]:
     return chains
 
 
-def jacobson_morozov(real: Realization | None, e: np.ndarray, tol: float = 1e-8) -> SL2Triple:
+def jacobson_morozov(e: np.ndarray) -> SL2Triple:
     """Complete a nonzero nilpotent matrix to an sl2-triple (x, e, f).
 
     Uses the Jordan normal form of e: per block of size d the standard triple
@@ -555,7 +555,7 @@ def jacobson_morozov(real: Realization | None, e: np.ndarray, tol: float = 1e-8)
     scale = np.linalg.norm(e, 2)
     if scale == 0:
         raise ZeroElement("e = 0 has no sl2-triple")
-    if not is_nilpotent(e, tol):
+    if not is_nilpotent(e):
         raise NotNilpotent("jacobson_morozov needs a nilpotent element")
     # dividing by a power of two is exact: only the cutoffs see the new scale,
     # the digits of the triple do not
@@ -588,13 +588,13 @@ def jacobson_morozov(real: Realization | None, e: np.ndarray, tol: float = 1e-8)
     return SL2Triple(x=x, e=e, f=f / step, flavor="plain")
 
 
-def normalize_kostant_sekiguchi(real: Realization, t: SL2Triple, tol: float = 1e-10) -> SL2Triple:
+def normalize_kostant_sekiguchi(real: Realization, t: SL2Triple) -> SL2Triple:
     """Conjugate a normal triple (x in h^C; e, f in m^C) into ks_normal form f = sigma(e).
 
     The torus element that scales e by c and f by 1/c does it when
     f = mu * sigma(e) with mu > 0, at c = sqrt(mu); any other defect is refused.
     """
-    validate_triple(real, t, max(tol, 1e-8))
+    validate_triple(real, t)
     if t.flavor == "ks_normal":
         return t
     if t.flavor != "normal":
@@ -631,9 +631,18 @@ class OrbitCertificate:
     component_signs: tuple[int, ...] | None  # rank-one models: which ad(h)-eigenline
 
 
-def rank_sequence(m: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
+def _zero_certificate(real: Realization) -> OrbitCertificate:
+    """The certificate of the zero orbit: every power has rank 0, and on the
+    rank-one models no eigenline carries a component."""
+    return OrbitCertificate(
+        rank_sequence=(0,) * real.n,
+        component_signs=() if real.eigenlines is not None else None,
+    )
+
+
+def rank_sequence(m: np.ndarray) -> tuple[int, ...]:
     """Ranks of m, m^2, ..., m^n, read on the powers of m / ||m||_2: a Jordan
-    block keeps spectral norm 1 in every nonzero power, so the cutoff tol
+    block keeps spectral norm 1 in every nonzero power, so the cutoff 1e-9
     depends neither on the scale of m nor on its size."""
     m = np.asarray(m, dtype=complex)
     scale = np.linalg.norm(m, 2)
@@ -644,7 +653,7 @@ def rank_sequence(m: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
     acc = np.eye(m.shape[0], dtype=complex)
     for _ in range(m.shape[0]):
         acc = acc @ unit
-        seq.append(int(np.linalg.matrix_rank(acc, tol=tol)))
+        seq.append(int(np.linalg.matrix_rank(acc, tol=1e-9)))
     return tuple(seq)
 
 
@@ -671,10 +680,7 @@ def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray) -> OrbitCertif
     e = np.asarray(e, dtype=complex)
     scale = np.linalg.norm(e, 2)
     if scale == 0:
-        return OrbitCertificate(
-            rank_sequence=tuple(0 for _ in range(real.n)),
-            component_signs=() if real.eigenlines is not None else None,
-        )
+        return _zero_certificate(real)
     if not real.in_g(e / scale, 1e-8):
         raise NotInModel("e must lie in the real form")
     if not is_nilpotent(e, 1e-8):

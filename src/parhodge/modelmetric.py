@@ -117,7 +117,7 @@ def _angular_conj(a_mat: np.ndarray, theta: float | np.ndarray, v: np.ndarray) -
     return v * np.exp(1j * np.multiply.outer(theta, a[:, None] - a[None, :]))
 
 
-def model_metric_eval(alpha, h_elem, z, tol: float = 1e-10) -> np.ndarray:
+def model_metric_eval(alpha, h_elem, z) -> np.ndarray:
     """The adapted metric at a point of the punctured disc.
 
     ``z`` is a nonzero complex number inside the unit disc, or an (r, theta)
@@ -128,7 +128,7 @@ def model_metric_eval(alpha, h_elem, z, tol: float = 1e-10) -> np.ndarray:
     a_mat = alpha_matrix(alpha)
     h_elem = np.asarray(h_elem, dtype=complex)
     r, theta = _polar(z)
-    _check_angular_fix(a_mat, [("H", h_elem)], tol)
+    _check_angular_fix(a_mat, [("H", h_elem)], 1e-10)
     radial = np.exp(-math.log(r) * np.diag(a_mat).real)  # the diagonal of |z|^-alpha
     # exp(c Ad(u) H) = Ad(u) exp(c H) for u = exp(i theta alpha), and H is Hermitian
     log_factor = _angular_conj(a_mat, theta, _exp_hermitian(h_elem, math.log(-2 * math.log(r))))
@@ -272,22 +272,21 @@ def hitchin_residual(
     realization,
     extra_terms: Sequence[tuple[int, np.ndarray]] = (),
     fd_step: float = 1e-3,
-    tol: float = 1e-8,
     transport: CircleTransport | None = None,
 ) -> ResidualProfile:
     """Weighted Hermite-Einstein residual of the model metric over a grid.
 
     Raises GridTooCoarse when the finite-difference curvature drifts from
     the analytic one beyond 1e-4 in the weighted norm (a sign that
-    ``fd_step`` and the radii resolve nothing).  ``tol`` bounds the checks of
-    the model data; ``transport``, the ``circle_transport`` of these same
-    data, has made them already, and then they are skipped.
+    ``fd_step`` and the radii resolve nothing).  The model data are checked
+    to 1e-8; ``transport``, the ``circle_transport`` of these same data, has
+    checked them already, and then the checks are skipped.
     """
     real = _realize(realization)
     a_mat = alpha_matrix(alpha)
     s = np.asarray(s, dtype=complex)
     if transport is None:
-        _validate_model_data(real, a_mat, s, triple, tol)
+        _validate_model_data(real, a_mat, s, triple, 1e-8)
 
     thetas = grid.thetas
     if triple is None:
@@ -401,7 +400,6 @@ def holonomy_check(
     r: float,
     realization,
     convention: str = "2pi_i",
-    tol: float = 1e-9,
     transport: CircleTransport | None = None,
 ) -> HolonomyReport:
     """Parallel transport of the angular model connection once around |z| = r.
@@ -423,8 +421,8 @@ def holonomy_check(
     normalized can turn their slack into a commutator of order one, so
     [s + tau(s), N] is checked too (CommutationFailure).  The deviations
     compare U(2 pi) against the predicted semisimple (Levi) part and the full
-    predicted monodromy; ``tol`` bounds the commutation checks.  The holonomy
-    converges to the Levi part as r -> 0 (exactly, for Y = 0).
+    predicted monodromy.  The holonomy converges to the Levi part as r -> 0
+    (exactly, for Y = 0).
 
     Only the last factor depends on r.  ``transport``, the
     ``circle_transport`` of these same data, skips the checks and the other
@@ -433,7 +431,7 @@ def holonomy_check(
     if not 0 < r < 1:
         raise ValueError("need a circle radius in (0, 1)")
     if transport is None:
-        transport = circle_transport(alpha, s, triple, realization, convention=convention, tol=tol)
+        transport = circle_transport(alpha, s, triple, realization, convention=convention)
     numeric = transport.rotation @ _exp_nilpotent(transport.nilpotent, 1j * math.pi / math.log(r))
     return HolonomyReport(
         numeric=numeric,

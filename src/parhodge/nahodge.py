@@ -62,6 +62,7 @@ from .liealg import (
     _exp_hermitian,
     _exp_nilpotent,
     _pow2_at,
+    _zero_certificate,
     build_realization,
     comm,
     hs_norm,
@@ -129,18 +130,15 @@ def _realize(realization) -> Realization:
 # ---------------------------------------------------------------------------
 
 
-def y_orbit_certificate(real: Realization, y: np.ndarray, tol: float = 1e-9) -> OrbitCertificate:
+def y_orbit_certificate(real: Realization, y: np.ndarray) -> OrbitCertificate:
     """Conjugation invariants of the H^C-orbit of a nilpotent ``y`` in m^C."""
     y = np.asarray(y, dtype=complex)
     if not y.any():
-        return OrbitCertificate(
-            rank_sequence=tuple(0 for _ in range(real.n)),
-            component_signs=() if real.eigenlines is not None else None,
-        )
-    if not is_nilpotent(y, max(tol, 1e-9)):
+        return _zero_certificate(real)
+    if not is_nilpotent(y, 1e-9):
         raise NotInModel("orbit certificates are defined for nilpotent elements")
     return OrbitCertificate(
-        rank_sequence=rank_sequence(y, tol),
+        rank_sequence=rank_sequence(y),
         component_signs=_component_signs(real, y),
     )
 
@@ -182,7 +180,7 @@ def complete_ks_triple(real: Realization, y: np.ndarray, tol: float = 1e-10) -> 
         out = SL2Triple(x=h.copy(), e=np.conj(phase) * other, f=phase * line, flavor="ks_normal")
         validate_triple(real, out, 1e-9)
         return out
-    plain = jacobson_morozov(real, y)
+    plain = jacobson_morozov(y)
     flipped = SL2Triple(x=-plain.x, e=plain.f, f=y, flavor="normal")
     try:
         validate_triple(real, flipped, 1e-7)
@@ -362,9 +360,8 @@ def _local_orbit_data(
     real: Realization, n_mat: np.ndarray, tol: float
 ) -> tuple[OrbitCertificate, SL2Triple | None]:
     """Orbit certificate and normalized triple recovered from N = Y - H - X."""
-    n = real.n
     if hs_norm(n_mat) < 1e-12:
-        return y_orbit_certificate(real, np.zeros((n, n), dtype=complex)), None
+        return _zero_certificate(real), None
     ranks = rank_sequence(n_mat)
     y = n_mat
     if real.eigenlines is not None:
@@ -597,18 +594,21 @@ def hitchin_section(
     differential contributes ``a`` at order k of the local frame (the
     coefficient of z^k dz/z in the matrix entry that carries it).
 
+    Both modes build the principal section of SL(n,R), degrees
+    (g-1)(n+1-2k), from one weight alpha at every puncture.  ad(alpha)
+    multiplies entry (r, c) by alpha_r - alpha_c: the subdiagonal of ones
+    sits at the order of its eigenvalue, and the degree-j differential
+    feeds entry (0, j-1) at orders k above the eigenvalue of that entry,
+    so the residue stays the regular nilpotent.
+
     mode "SL2R"
-        rank 2, weights (-1/2, +1/2), degrees (g-1, 1-g); the constant
-        subdiagonal entry sits at order 1 and the degree-2 differential
-        feeds the top-right entry at orders k >= 0 (a simple pole of the
-        quadratic differential at the puncture is allowed, a deeper pole is
-        not).
+        rank 2, alpha = (-1/2, +1/2): the subdiagonal sits at order 1 and
+        the quadratic differential at orders k >= 0 (a simple pole is
+        allowed, a deeper pole is not).
 
     mode "SLnR_principal"
-        rank n, trivial parabolic structure, degrees (g-1)(n+1-2k); the
-        subdiagonal of ones sits at order 0 (a simple pole with residue the
-        regular nilpotent) and the degree-j differentials feed the first row
-        at orders k >= 1 so the residue stays untouched.
+        rank n, alpha = 0: the subdiagonal sits at order 0 (a simple pole
+        with residue the regular nilpotent), the differentials at k >= 1.
     """
     if 2 * genus - 2 + n_punctures <= 0:
         raise BadTopology(
@@ -616,64 +616,43 @@ def hitchin_section(
         )
     if q_terms is not None and len(q_terms) != n_punctures:
         raise ValueError("q_terms needs one entry per puncture")
-
-    def terms_at(i: int):
-        return () if q_terms is None else tuple(q_terms[i])
-
     if mode == "SL2R":
-        weights = [(Fraction(-1, 2), Fraction(1, 2))] * n_punctures
-        degrees = (genus - 1, 1 - genus)
-        laurent = []
-        offenders = []
-        for i in range(n_punctures):
-            e12 = np.zeros((2, 2), dtype=complex)
-            e12[0, 1] = 1
-            e21 = np.zeros((2, 2), dtype=complex)
-            e21[1, 0] = 1
-            terms = [(1, Fraction(1), e21)]
-            for j, k, a in terms_at(i):
-                if j != 2:
-                    raise ValueError(f"mode SL2R carries only the degree-2 differential, got j = {j}")
-                if k < 0:
-                    offenders.append((i, j, k))
-                    continue
-                terms.append((int(k), Fraction(-1), complex(a) * e12))
-            laurent.append(terms)
-        if offenders:
-            raise PoleOrderViolation(
-                f"differential coefficients below the allowed order: {offenders}"
-            )
-        data = make_data(genus, "SL(2,R)", weights, laurent, degrees)
+        n, weight = 2, (Fraction(-1, 2), Fraction(1, 2))
+        refusal = "mode SL2R carries only the degree-2 differential, got j = {j}"
     elif mode == "SLnR_principal":
         n = int(rank)
         if n < 2:
             raise ValueError("principal mode needs rank >= 2")
-        weights = [tuple(Fraction(0) for _ in range(n))] * n_punctures
-        degrees = tuple((genus - 1) * (n + 1 - 2 * k) for k in range(1, n + 1))
-        sub = np.zeros((n, n), dtype=complex)
-        for k in range(n - 1):
-            sub[k + 1, k] = 1
-        laurent = []
-        offenders = []
-        for i in range(n_punctures):
-            terms = [(0, Fraction(0), sub)]
-            for j, k, a in terms_at(i):
-                if not 2 <= j <= n:
-                    raise ValueError(f"degree-{j} differential does not exist for rank {n}")
-                if k < 1:
-                    offenders.append((i, j, k))
-                    continue
-                mat = np.zeros((n, n), dtype=complex)
-                mat[0, j - 1] = complex(a)
-                terms.append((int(k), Fraction(0), mat))
-            laurent.append(terms)
-        if offenders:
-            raise PoleOrderViolation(
-                f"differential coefficients below the allowed order: {offenders}"
-            )
-        data = make_data(genus, f"SL({n},R)", weights, laurent, degrees)
+        weight = (Fraction(0),) * n
+        refusal = "degree-{j} differential does not exist for rank {n}"
     else:
         raise ValueError(f"unknown mode {mode!r}; expected SL2R or SLnR_principal")
+
+    sub_eigenvalue = weight[1] - weight[0]
+    sub = np.zeros((n, n), dtype=complex)
+    for k in range(n - 1):
+        sub[k + 1, k] = 1
+    laurent = []
+    offenders = []
+    for i in range(n_punctures):
+        terms = [(int(sub_eigenvalue), sub_eigenvalue, sub)]
+        for j, k, a in () if q_terms is None else q_terms[i]:
+            if not 2 <= j <= n:
+                raise ValueError(refusal.format(j=j, n=n))
+            eigenvalue = weight[0] - weight[j - 1]
+            if k < eigenvalue + 1:
+                offenders.append((i, j, k))
+                continue
+            mat = np.zeros((n, n), dtype=complex)
+            mat[0, j - 1] = complex(a)
+            terms.append((int(k), eigenvalue, mat))
+        laurent.append(terms)
+    if offenders:
+        raise PoleOrderViolation(
+            f"differential coefficients below the allowed order: {offenders}"
+        )
+    degrees = tuple((genus - 1) * (n + 1 - 2 * k) for k in range(1, n + 1))
+    data = make_data(genus, f"SL({n},R)", [weight] * n_punctures, laurent, degrees)
 
     for i in range(n_punctures):
         try:

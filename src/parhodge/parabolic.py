@@ -48,36 +48,34 @@ def parabolic_from(real: Realization, s: np.ndarray, space: str = "g^C", tol: fl
     )
 
 
-def p1_subalgebra(real: Realization, alpha: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
+def p1_subalgebra(real: Realization, alpha: np.ndarray) -> list[np.ndarray]:
     """Basis of the (-1)-eigenspace of ad(alpha) on h^C (gauge directions n/z).
 
     Empty exactly when alpha lies in the open star for the h-scope.
     """
     out = []
-    for lam, basis in ad_eigendecompose(real, alpha, space="h^C", tol=tol):
+    for lam, basis in ad_eigendecompose(real, alpha, space="h^C"):
         if abs(lam + 1.0) <= 1e-7:
             out.extend(basis)
     return out
 
 
-def _fixed_space(mats: list[np.ndarray], u: np.ndarray, tol: float) -> list[np.ndarray]:
+def _fixed_space(mats: list[np.ndarray], u: np.ndarray) -> list[np.ndarray]:
     if not mats:
         return []
     u_inv = np.linalg.inv(u)
     q, op = _restricted(mats, lambda b: u @ b @ u_inv - b)
     _, s, vh = np.linalg.svd(op)
     top = s[0] if len(s) and s[0] > 1 else 1.0
-    rank = int(np.sum(s > tol * top))
+    rank = int(np.sum(s > 1e-8 * top))
     n = mats[0].shape[0]
     return list((q @ vh[rank:].conj().T).T.reshape(-1, n, n))
 
 
-def levi_centralizer_tilde(
-    real: Realization, alpha: np.ndarray, tol: float = 1e-8
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def levi_centralizer_tilde(real: Realization, alpha: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Fixed spaces of Ad(e^{2 pi i alpha}) on (m^C, h^C): the residue ambient
     space m~0 and the Lie algebra of the stabilizer inside H^C."""
     u = _exp_hermitian(alpha, 2j * np.pi)  # alpha is Hermitian (Realization.cartan_element)
-    m_tilde = _fixed_space(real.basis_mC(), u, tol)
-    stab = _fixed_space(real.basis_hC(), u, tol)
+    m_tilde = _fixed_space(real.basis_mC(), u)
+    stab = _fixed_space(real.basis_hC(), u)
     return m_tilde, stab

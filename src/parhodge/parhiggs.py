@@ -104,10 +104,10 @@ def make_data(
     weights: Sequence[Sequence],
     laurent: Sequence[Sequence[tuple[int, Fraction, np.ndarray]]] | None,
     degrees: Sequence,
-    c: Sequence | None = None,
     flags: Sequence | None = None,
 ) -> ParabolicHiggsData:
-    """Convenience constructor from plain sequences (one entry per puncture)."""
+    """Convenience constructor from plain sequences (one entry per puncture),
+    with no central twist: c = 0."""
     punctures = []
     for i, w in enumerate(weights):
         terms = ()
@@ -119,14 +119,13 @@ def make_data(
         fl = None if flags is None else flags[i]
         punctures.append(Puncture(weight=_fracs(w), laurent=terms, flag=fl))
     deg = _fracs(degrees)
-    cc = _fracs(c) if c is not None else tuple(Fraction(0) for _ in deg)
     return ParabolicHiggsData(
         genus=int(genus),
         realization=realization,
         punctures=tuple(punctures),
         summand_degrees=deg,
         summand_ranks=tuple(1 for _ in deg),
-        c=cc,
+        c=tuple(Fraction(0) for _ in deg),
     )
 
 
@@ -336,6 +335,10 @@ def gr_res(data: ParabolicHiggsData, i: int, tol: float = 1e-9) -> GradedResidue
 # ---------------------------------------------------------------------------
 
 
+# an entry of a gauge series at or below this size counts as zero
+_GAUGE_ZERO = 1e-12
+
+
 @dataclass(frozen=True)
 class GaugeReport:
     bounded: bool
@@ -345,7 +348,6 @@ class GaugeReport:
 def is_parabolic_gauge(
     terms: Sequence[tuple[int, np.ndarray]],
     weight: Sequence[Fraction],
-    tol: float = 1e-12,
 ) -> GaugeReport:
     """Boundedness of ``|z|^{-alpha} g(z) |z|^{alpha}`` for Laurent data of g.
 
@@ -360,7 +362,7 @@ def is_parabolic_gauge(
         m = np.asarray(mat, dtype=complex)
         for r in range(m.shape[0]):
             for c in range(m.shape[1]):
-                if abs(m[r, c]) <= tol:
+                if abs(m[r, c]) <= _GAUGE_ZERO:
                     continue
                 lam = w[r] - w[c]
                 if Fraction(order) < lam:
@@ -369,15 +371,15 @@ def is_parabolic_gauge(
     return GaugeReport(bounded=not keys, offenders=keys)
 
 
-def exp_pole_gauge(n_mat: np.ndarray, tol: float = 1e-12) -> list[tuple[int, np.ndarray]]:
+def exp_pole_gauge(n_mat: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Laurent coefficients of ``exp(n / z)`` for nilpotent ``n`` (plus identity)."""
     m = np.asarray(n_mat, dtype=complex)
     series = _nilpotent_series(m)
-    if np.linalg.norm(series[-1] @ m / m.shape[0]) > tol:  # ||N^n / n!||
+    if np.linalg.norm(series[-1] @ m / m.shape[0]) > _GAUGE_ZERO:  # ||N^n / n!||
         raise ValueError("exp_pole_gauge requires a nilpotent argument")
     terms = [(0, series[0])]
     for k, power in enumerate(series[1:], 1):
-        if np.linalg.norm(power) <= tol:
+        if np.linalg.norm(power) <= _GAUGE_ZERO:
             break
         terms.append((-k, power))
     return terms
@@ -387,7 +389,6 @@ def conjugate_laurent(
     gauge: Sequence[tuple[int, np.ndarray]],
     terms: Sequence[LaurentTerm],
     weight: Sequence[Fraction],
-    tol: float = 1e-12,
 ) -> tuple[LaurentTerm, ...]:
     """Laurent data of ``g phi g^{-1}`` re-expanded on the ad(alpha)-eigenbasis."""
     n = np.asarray(gauge[0][1]).shape[0]
@@ -412,12 +413,12 @@ def conjugate_laurent(
     result = []
     for k in sorted(out):
         m = out[k]
-        if np.linalg.norm(m) <= tol:
+        if np.linalg.norm(m) <= _GAUGE_ZERO:
             continue
         by_eig: dict[Fraction, np.ndarray] = {}
         for r in range(n):
             for c in range(n):
-                if abs(m[r, c]) <= tol:
+                if abs(m[r, c]) <= _GAUGE_ZERO:
                     continue
                 lam = w[r] - w[c]
                 comp = by_eig.setdefault(lam, np.zeros((n, n), dtype=complex))
@@ -560,7 +561,7 @@ def stability_check(
         return StabilityVerdict(
             verdict="stable", witness=None, slope_table=tuple(table), note=note
         )
-    zero_rows = [r for r in rows if len(set(r.chi)) > 1 and pardeg_reduction(data, r) - coordinate_pairing(data.c, r.chi) == 0]
+    zero_rows = [r for r, (_, _, v) in zip(rows, table) if len(set(r.chi)) > 1 and v == 0]
     if zero_rows and all(r.levi_reduction for r in zero_rows):
         return StabilityVerdict(
             verdict="polystable", witness=zero_rows[0].label, slope_table=tuple(table), note=note
@@ -577,25 +578,20 @@ def _laurent_matrices(data: ParabolicHiggsData) -> list[list[np.ndarray]]:
     return [[np.asarray(t.matrix, dtype=complex) for t in p.laurent] for p in data.punctures]
 
 
-def _subspace_invariant(mats: list[np.ndarray], basis: np.ndarray, tol: float) -> bool:
+def _reduces(mats: list[np.ndarray], basis: np.ndarray, tol: float) -> tuple[bool, bool]:
+    """(invariant, levi): every matrix keeps span(basis), and every one also
+    keeps its orthogonal complement; one projector serves both tests."""
     q, _ = np.linalg.qr(basis)
     proj = q @ q.conj().T
-    eye = np.eye(proj.shape[0], dtype=complex)
+    rest = np.eye(proj.shape[0], dtype=complex) - proj
+    levi = True
     for m in mats:
-        if np.linalg.norm((eye - proj) @ m @ proj) > tol * max(1.0, np.linalg.norm(m)):
-            return False
-    return True
-
-
-def _levi_split(mats: list[np.ndarray], basis: np.ndarray, tol: float) -> bool:
-    q, _ = np.linalg.qr(basis)
-    proj = q @ q.conj().T
-    eye = np.eye(proj.shape[0], dtype=complex)
-    for m in mats:
-        off = np.linalg.norm((eye - proj) @ m @ proj) + np.linalg.norm(proj @ m @ (eye - proj))
-        if off > tol * max(1.0, np.linalg.norm(m)):
-            return False
-    return True
+        bound = tol * max(1.0, np.linalg.norm(m))
+        below = np.linalg.norm(rest @ m @ proj)
+        if below > bound:
+            return False, False
+        levi = levi and not below + np.linalg.norm(proj @ m @ rest) > bound
+    return True, levi
 
 
 def _enumerate_small(data: ParabolicHiggsData, tol: float) -> list[ReductionCertificate]:
@@ -611,11 +607,10 @@ def _enumerate_small(data: ParabolicHiggsData, tol: float) -> list[ReductionCert
     for mask in range(1, 2**n - 1):
         idxs = [j for j in range(n) if mask >> j & 1]
         k = len(idxs)
-        basis = np.eye(n, dtype=complex)[:, idxs]
-        if not _subspace_invariant(all_terms, basis, tol):
+        invariant, levi = _reduces(all_terms, np.eye(n, dtype=complex)[:, idxs], tol)
+        if not invariant:
             continue
         chi = tuple(Fraction(-(n - k)) if j in idxs else Fraction(k) for j in range(n))
-        levi = _levi_split(all_terms, basis, tol)
         rows.append(
             ReductionCertificate(
                 label="coordinate " + "".join(str(j) for j in idxs),
@@ -641,7 +636,8 @@ def _enumerate_small(data: ParabolicHiggsData, tol: float) -> list[ReductionCert
             v = vecs[:, j] / np.linalg.norm(vecs[:, j])
             if any(abs(abs(v.conj() @ w) - 1.0) < 1e-9 for w in seen):
                 continue
-            if not _subspace_invariant(all_terms, v.reshape(-1, 1), tol):
+            invariant, levi = _reduces(all_terms, v.reshape(-1, 1), tol)
+            if not invariant:
                 continue
             support = [k for k in range(n) if abs(v[k]) > 1e-9]
             if len(support) == 1:
@@ -657,7 +653,7 @@ def _enumerate_small(data: ParabolicHiggsData, tol: float) -> list[ReductionCert
                     degree=Fraction(-(n - 1)) * deg
                     + (sum(data.summand_degrees, Fraction(0)) - deg),
                     flags=tuple(_vector_flag(v) for _ in data.punctures),
-                    levi_reduction=_levi_split(all_terms, v.reshape(-1, 1), tol),
+                    levi_reduction=levi,
                 )
             )
     return rows

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -1236,6 +1238,69 @@ def test_verify_model_decides_a_cusp_at_a_tiny_r_min(tmp_path, r_min):
     assert [str(w.message) for w in caught] == []
     assert [row["r"] for row in report["outputs"]["table"][::2]] == [1e-2, r_min]
     assert all(row["rho"] < 1e-12 for row in report["outputs"]["table"])
+
+
+
+MONOTONE = "residual rho(r) is not monotone over the sampled radii"
+
+
+def test_verify_model_keeps_the_monotone_warning_for_a_real_rise(tmp_path):
+    # with an order-1 correction psi z dz/z, rho really rises over these
+    # radii: from 1.31 at r = 0.5 to 6.60 at r = 0.15
+    payload = {
+        **VERIFY_MODEL,
+        "extra_terms": [[1, [[0, 1], [0, 0]]]],
+        "grid": {"r_max": 0.5, "r_min": 0.1, "count": 5},
+    }
+    code, report = run_cli(tmp_path, "verify-model", payload)
+    assert code == 0, report.get("error")
+    rho = [row["rho"] for row in report["outputs"]["table"]]
+    assert rho[0] == pytest.approx(1.31, abs=5e-3) and rho[3] == pytest.approx(6.60, abs=5e-3)
+    assert report["warnings"] == [MONOTONE]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _run_readme_block(block: str) -> dict:
+    """Run one ``sh`` block of the README in the current directory: a heredoc
+    writes its file or runs its Python, and a ``parhodge`` line goes through
+    ``cli_dispatch``.  Returns command -> (exit code, report)."""
+    lines = iter(block.splitlines())
+    runs = {}
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        if "<<'EOF'" in line:
+            body = "\n".join(iter(lines.__next__, "EOF")) + "\n"
+            if words[:2] == ["python3", "-"]:
+                exec(body, {})
+            else:  # cat > FILE <<'EOF'
+                Path(words[2]).write_text(body)
+        elif words and words[0] == "parhodge":
+            runs[words[1]] = cli_dispatch(words[1:])
+    return runs
+
+
+def test_readme_examples_do_what_their_comments_claim(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    examples = text[text.index("### Examples"):text.index("## Conventions")]
+    # the Hecke example elides its parhiggs-v1 document; the other three are complete
+    blocks = [b for b in re.findall(r"```sh\n(.*?)```", examples, re.S) if "..." not in b]
+    assert len(blocks) == 3
+    monkeypatch.chdir(tmp_path)
+    runs = {}
+    for block in blocks:
+        runs.update(_run_readme_block(block))
+    assert sorted(runs) == ["degree-relative", "hitchin-section", "stability", "verify-model"]
+    assert runs["hitchin-section"][0] == 0
+    code, report = runs["stability"]
+    assert (code, report["outputs"]["verdict"]) == (0, "stable")
+    code, report = runs["degree-relative"]
+    assert (code, report["outputs"]["value"]) == (0, {"method": "commuting", "value": 0.5})
+    code, report = runs["verify-model"]
+    assert code == 0
+    assert (tmp_path / "residuals.csv").read_text().splitlines()[0] == "r,rho,holonomy_deviation"
+    assert report["warnings"] == []
 
 
 def test_verify_model_builds_the_monodromy_factors_once(tmp_path, monkeypatch):

@@ -242,7 +242,7 @@ def test_flow_and_log_scaled_flow_both_give_up_at_zero_tolerance():
     rng = np.random.default_rng(12)
     s, sigma = _unit_hermitian(rng, 3), _unit_hermitian(rng, 3)
     with pytest.raises(NonConvergence) as new:
-        relative_degree(s, sigma, tol=0)
+        relative_degrees(s[None], sigma[None], tol=0)
     with pytest.raises(NonConvergence) as old:
         _log_scaled_relative_degree(s, sigma, tol=0)
     assert len(new.value.trace) == len(old.value.trace)
@@ -594,8 +594,8 @@ def test_stacked_flow_matches_the_single_pair_oracle_bit_for_bit(tol):
             got = relative_degrees(s, sigma) if tol is None else relative_degrees(s, sigma, tol=tol)
             want = _oracle_stack(s, sigma, tol)
             assert [_fields(r) for r in got] == [_fields(r) for r in want]
-            # relative_degree is the stack of one
-            one = relative_degree(s[0], sigma[0]) if tol is None else relative_degree(s[0], sigma[0], tol=tol)
+            # a stack of one gives the first pair's result; relative_degree is that stack at the default
+            one = relative_degree(s[0], sigma[0]) if tol is None else relative_degrees(s[:1], sigma[:1], tol=tol)[0]
             assert _fields(one) == _fields(want[0])
             methods |= {r.method for r in got}
     assert methods == {"commuting", "qr_flow"}

@@ -116,7 +116,7 @@ def oracle_certificate(real, e: np.ndarray) -> tuple:
     log ||e|| and fails far from unit scale, with a wrong rank (2, 2) at
     1e-4 and a singular matrix at 1e4 on SU(1,1).
     """
-    plain = jacobson_morozov(real, e / hs_norm(e))
+    plain = jacobson_morozov(e / hs_norm(e))
     ks = _closed_form_sl2(real, plain) if real.split_rank_one else _descent(real, plain)
     y = cayley_transform(real, ks).e
     return rank_sequence(y), _component_signs(real, y)

@@ -445,7 +445,7 @@ def test_rank_one_closed_form_matches_jacobson_morozov(label):
     for _ in range(40):
         (_, line) = real.eigenlines[rng.integers(2)]
         y = 10 ** rng.uniform(-3, 3) * np.exp(2j * math.pi * rng.uniform()) * line
-        plain = jacobson_morozov(real, y)
+        plain = jacobson_morozov(y)
         flipped = SL2Triple(x=-plain.x, e=plain.f, f=y, flavor="normal")
         oracle = normalize_kostant_sekiguchi(real, flipped)
         t = complete_ks_triple(real, y)

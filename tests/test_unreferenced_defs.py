@@ -1,4 +1,4 @@
-"""Ratchet on test-only code in ``src/``.
+"""Ratchets on test-only code and never-set options in ``src/``.
 
 A top-level definition in ``src/parhodge`` counts as referenced only when
 another part of ``src/`` names it in code: an ``ast.Name`` outside the
@@ -9,6 +9,14 @@ reached only from tests, ``bench/`` or library users.  Each one is either a
 paper statement kept on purpose, listed below with its reason, or an oracle
 that belongs under ``tests/``.  A new one fails here until it is moved into
 ``tests/``, deleted, or added to the list with a reason.
+
+A defaulted parameter of a function or method in ``src/`` counts as set
+when some call in ``src/`` sets it: by position, by keyword, or through
+``*``/``**``.  A function passed as a value (an ``ast.Name`` read other than
+as the callee of a call, as the ``jsonio`` readers are) may be called with
+anything, so all its parameters count as set.  Every other defaulted
+parameter is an option no caller of the program uses: it becomes the
+constant it always is, or it is listed below with its reason.
 """
 
 import ast
@@ -43,7 +51,25 @@ KNOWN_UNREFERENCED = {
     "parhiggs.is_parabolic_gauge",
 }
 
+# module.function:parameter -> why an option that only tests set is kept
+KNOWN_UNSET = {
+    "cartan.in_A_prime:scope": "the open star on g, which adds the m-weights of the real form to the roots",
+    "cartan.in_A_prime:m_weights": "the m-weights that the open star on g reads",
+    "cli.main:argv": "the console entry point reads sys.argv; a list runs one command in process",
+    "degree.local_system_degree:zeta": "the central twist <zeta, s> of the local-system slope, as c is "
+    "on the Higgs side",
+    "liealg.jordan_additive:tol": "the eigenvalue merge radius jordan_multiplicative also takes, set to 1e-6 "
+    "by the dictionary; the near-defective test reads the additive split at that radius",
+    "modelmetric.curvature_pair:fd_step": "the residual acceptance gate halves the step to read the "
+    "second-order convergence of the finite difference",
+    "modelmetric.holonomy_check:convention": "the scale 2*pi*i or 2*pi of the noncompact exponent; the CLI "
+    "hands it over inside the circle transport",
+    "parhiggs.make_data:flags": "an explicit flag at a puncture, the parabolic structure off the coordinate "
+    "frame of the weight; from_json builds it directly",
+}
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _unreferenced_defs(sources: dict[str, str]) -> set[str]:
@@ -97,3 +123,113 @@ def test_the_ratchet_reads_code_not_words():
         "b": "from .a import caller\n\n\ndef entry(x):\n    return caller(x)\n",
     }
     assert _unreferenced_defs(sources) == {"a.recursive", "a.dumps", "b.entry"}
+
+
+def _functions(body, prefix: str = "", in_class: bool = False):
+    """(qualified name, node, is a method) of every function under ``body``,
+    nested ones included; a static method takes no instance."""
+    for node in body:
+        if isinstance(node, _FUNCTIONS):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            yield prefix + node.name, node, in_class and not static
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.", in_class=True)
+
+
+def _sets(call: ast.Call, positional: list[str], name: str) -> bool:
+    if any(k.arg in (None, name) for k in call.keywords):  # name=... or **kwargs
+        return True
+    if name not in positional:
+        return False
+    return positional.index(name) < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _unset_parameters(sources: dict[str, str]) -> set[str]:
+    """``module.function:parameter`` of every defaulted parameter in
+    ``sources`` (module name -> source text) that no call there sets.  Calls
+    match a function by name; a method called as ``obj.method(...)`` gets
+    ``obj`` as its first parameter, so the arguments start at the second."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls: dict[str, list[tuple[ast.Call, bool]]] = {}  # callee name -> (call, through an attribute)
+    values = set()  # names read other than as the callee of a call
+    for tree in trees.values():
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callees.add(node.func)
+                if isinstance(node.func, ast.Name):
+                    calls.setdefault(node.func.id, []).append((node, False))
+                elif isinstance(node.func, ast.Attribute):
+                    calls.setdefault(node.func.attr, []).append((node, True))
+        values |= {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node not in callees
+        }
+    unset = set()
+    for module, tree in trees.items():
+        for qualname, fn, method in _functions(tree.body):
+            if fn.name in values:
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = params[len(params) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for name in defaulted:
+                if not any(
+                    _sets(call, params[1:] if method and attribute else params, name)
+                    for call, attribute in calls.get(fn.name, ())
+                ):
+                    unset.add(f"{module}.{qualname}:{name}")
+    return unset
+
+
+def test_no_new_never_set_options_in_src():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert _unset_parameters(sources) == set(KNOWN_UNSET)
+    assert all(reason.strip() for reason in KNOWN_UNSET.values())
+
+
+def test_the_parameter_ratchet_sees_every_way_to_set_an_option():
+    sources = {
+        "a": (
+            "def knobs(x, by_position=1, by_keyword=2, *, never=3, only_keyword=4):\n"
+            "    return x\n"
+            "\n"
+            "def spread(x, by_spread=5):\n"
+            "    return x\n"
+            "\n"
+            "def reader(x, lo=0):\n"
+            "    return x\n"
+            "\n"
+            "def starred(x, tail=0):\n"
+            "    return x\n"
+            "\n"
+            "class Model:\n"
+            "    def check(self, x, tol=1e-9):\n"
+            "        return x\n"
+            "\n"
+            "    def unused(self, x, tol=1e-9):\n"
+            "        return x\n"
+        ),
+        "b": (
+            "from .a import knobs, spread, reader, starred, Model\n"
+            "\n"
+            "def caller(parse, options, rest):\n"
+            "    knobs(0, 1, by_keyword=2, only_keyword=4)\n"
+            "    spread(0, **options)\n"
+            "    starred(*rest)\n"
+            "    Model().check(0, 1e-6)\n"
+            "    Model().unused(0)  # the instance is not the first argument\n"
+            "    return parse(reader)\n"
+        ),
+    }
+    assert _unset_parameters(sources) == {"a.knobs:never", "a.Model.unused:tol"}
+
+
+def test_the_parameter_ratchet_fails_on_a_planted_knob():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    sources["liealg"] += "\n\ndef planted(x, knob=1.0):\n    return x * knob\n\n\nPLANTED = planted(2.0)\n"
+    assert _unset_parameters(sources) == set(KNOWN_UNSET) | {"liealg.planted:knob"}
