@@ -26,6 +26,7 @@ import stat
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -126,8 +127,6 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    commands: dict[str, "_Parser"]  # on the top-level parser: each command's own subparser
-
     def error(self, message: str):  # keep exit code 2 reserved for verdicts
         raise _UsageError(message)
 
@@ -143,37 +142,60 @@ def _tolerance(text: str) -> float:
     return value
 
 
-@functools.cache  # built by the first cli_dispatch and shared by the later ones
+# field -> (the type its value is read by, metavar, help line) of every
+# command's options, spelled "--" + field; the parser and _direct_args read it
+_OPTIONS = {
+    "input": (str, "FILE", "JSON input document"),
+    "output": (str, "FILE", "write the report here instead of stdout"),
+    "seed": (int, None, "RNG seed for sampled instances"),
+    "tolerance": (_tolerance, None, "override the default numeric tolerance"),
+}
+_VERIFY_MODEL_OPTIONS = {**_OPTIONS, "csv": (str, "FILE", "also write the residual table as CSV")}
+
+
+def _options(command: str) -> dict:
+    return _VERIFY_MODEL_OPTIONS if command == "verify-model" else _OPTIONS
+
+
+@functools.cache  # built by the first argv that _direct_args leaves to it, then shared
 def _build_parser() -> _Parser:
     # no abbreviated options: an unechoed sink spelled "--out" would enter the
     # report's argv and change its bytes
     parser = _Parser(prog="parhodge", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    parser.commands = {}
     for name, (_, help_text) in _COMMANDS.items():
-        p = parser.commands[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.add_argument("--input", metavar="FILE", help="JSON input document")
-        p.add_argument("--output", metavar="FILE", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed for sampled instances")
-        p.add_argument(
-            "--tolerance", type=_tolerance, default=None, help="override the default numeric tolerance"
-        )
-        if name == "verify-model":
-            p.add_argument("--csv", metavar="FILE", help="also write the residual table as CSV")
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for field, (read, metavar, option_help) in _options(name).items():
+            p.add_argument("--" + field, type=read, metavar=metavar, help=option_help)
     return parser
 
 
+def _direct_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of ``COMMAND --opt VALUE ...`` without argparse: each
+    option one of the command's own, given once, each value non-empty and not
+    starting with "-".  None for any other argv, and for a value its type
+    refuses; the parser then reads it, and gives every help and usage text."""
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    options = _options(argv[0])
+    fields = dict.fromkeys(options)
+    for option, value in zip(argv[1::2], argv[2::2]):
+        field = option[2:]
+        if option[:2] != "--" or field not in options or fields[field] is not None:
+            return None  # not an option of the command, or given twice
+        if not value or value[0] == "-":
+            return None
+        try:
+            fields[field] = options[field][0](value)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+    return argparse.Namespace(command=argv[0], **fields)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``.  When argv names a command, its own
-    subparser reads the rest: the top level would only hand the same strings on
-    to it, through a subparser action, a second namespace and a copy."""
-    parser = _build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:  # no command, an unknown one, or a top-level option
-        return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+    """``_build_parser().parse_args(argv)``, read directly when it can be."""
+    args = _direct_args(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +294,10 @@ def _reduction_from_json(obj: Any, location: str) -> ReductionCertificate:
 
 def _plain(obj: Any) -> Any:
     """Recursively convert results to deterministic JSON-serializable values."""
+    convert = _PLAIN.get(type(obj))
+    if convert is not None:
+        return convert(obj)
+    # a subclass or a numpy scalar: np.float64 is a float, np.bool_ is no bool
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, Fraction):
@@ -293,6 +319,41 @@ def _plain(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [_plain(x) for x in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _same(obj: Any) -> Any:
+    return obj
+
+
+_COPIED = {str, type(None), bool, int, float}
+
+
+def _plain_sequence(seq: list | tuple) -> list:
+    kinds = set(map(type, seq))
+    if kinds <= _COPIED:
+        return list(seq)
+    if kinds == {Fraction}:
+        return list(map(frac_to_json, seq))
+    return [_plain(x) for x in seq]
+
+
+def _plain_array(a: np.ndarray) -> list:
+    if a.ndim == 2:
+        return matrix_to_json(a)
+    # tolist gives the Python scalars _plain would make of numpy's
+    return [_plain(x) for x in (a.tolist() if a.ndim == 1 else a)]
+
+
+# _plain by exact type
+_PLAIN: dict[type, Callable[[Any], Any]] = {
+    **dict.fromkeys(_COPIED, _same),
+    Fraction: frac_to_json,
+    complex: lambda z: [z.real, z.imag],
+    np.ndarray: _plain_array,
+    dict: lambda d: {str(k): _plain(v) for k, v in d.items()},
+    list: _plain_sequence,
+    tuple: _plain_sequence,
+}
 
 
 def _tagged(value: Any, method: str) -> dict:
@@ -376,6 +437,30 @@ _JSON_SCALAR = {
 }
 
 
+_LIST, _PAIR = {list}, {2}
+
+
+def _pairs_text(rows: list | tuple, newline: str) -> str | None:
+    """_json_text of lists of [re, im] pairs of finite numbers, as
+    matrix_to_json writes a matrix, from one repr; None for any other lists."""
+    pairs = list(chain.from_iterable(rows))
+    if not all(rows) or set(map(type, pairs)) != _LIST or set(map(len, pairs)) != _PAIR:
+        return None
+    if not set(map(type, chain.from_iterable(pairs))) <= _NUMBER:
+        return None
+    text = repr(list(rows))
+    if "n" in text:  # a nan or inf
+        return None
+    row, pair, part = newline + "  ", newline + "    ", newline + "      "
+    text = (
+        text[3:-3]
+        .replace("]], [[", pair + "]" + row + "]," + row + "[" + pair + "[" + part)
+        .replace("], [", pair + "]," + pair + "[" + part)
+        .replace(", ", "," + part)
+    )
+    return "[" + row + "[" + pair + "[" + part + text + pair + "]" + row + "]" + newline + "]"
+
+
 def _json_text(value: Any, newline: str) -> str:
     """``value`` as json.dumps(indent=2, sort_keys=True) spells it; ``newline``
     is the line break plus the indentation of the line ``value`` starts on."""
@@ -391,6 +476,10 @@ def _json_text(value: Any, newline: str) -> str:
             text = repr(list(value))  # a 1-tuple's repr would be "(x,)"
             if "n" not in text:  # else a nan or inf, which JSON spells NaN or Infinity
                 return "[" + inner + text[1:-1].replace(", ", "," + inner) + newline + "]"
+        elif kinds == _LIST:
+            text = _pairs_text(value, newline)
+            if text is not None:
+                return text
         if kinds <= _JSON_SCALAR.keys():
             items = [_JSON_SCALAR[type(item)](item) for item in value]
         else:

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import _row_reduce
-from .liealg import comm, hs_norm
+from .liealg import comm, hs_norm, numerical_rank
 
 
 class NonConvergence(RuntimeError):
@@ -231,7 +231,7 @@ def _rank(rows, exact: bool) -> int:
     if exact:
         return len(_row_reduce(rows)[1])
     arr = np.asarray(rows, dtype=complex)
-    return int(np.linalg.matrix_rank(arr, tol=1e-9 * max(1.0, np.linalg.norm(arr))))
+    return numerical_rank(arr, 1e-9 * max(1.0, np.linalg.norm(arr)))
 
 
 def _joint_rank(a, b, exact: bool) -> int:

@@ -232,7 +232,9 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    return np.stack((a.real, a.imag), -1).tolist()
+    # the float view of a contiguous complex array holds re, im side by side:
+    # the values of np.stack((a.real, a.imag), -1), -0.0 included
+    return np.ascontiguousarray(a).view(float).reshape(*a.shape, 2).tolist()
 
 
 _LIST, _PAIR, _PART = {list}, {2}, {int, float}

@@ -68,6 +68,16 @@ def _pow2_at(x: float) -> float:
     return 2.0 ** min(max(math.frexp(x)[1], -1021), 1023)
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a complex array, by the same formula without its
+    axis and ord dispatch.  Real vdot sums as ndarray.dot does, so the bits
+    agree, but it raises no overflow warning: a sum of squares past the float
+    range is inf, silently."""
+    a = a.ravel(order="K")
+    re, im = a.real, a.imag
+    return math.sqrt(np.vdot(re, re) + np.vdot(im, im))
+
+
 def hs_norm(a: np.ndarray) -> float:
     """Frobenius norm; inf only when the norm itself exceeds the float range.
 
@@ -76,13 +86,23 @@ def hs_norm(a: np.ndarray) -> float:
     multiplied back, both exact, so hs_norm(2^k a) = 2^k hs_norm(a).
     """
     a = np.asarray(a, dtype=complex)
-    norm = float(np.linalg.norm(a))
+    norm = _frobenius(a)
     if norm == math.inf:
         big = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
         if math.isfinite(big):
             scale = _pow2_at(big)
-            norm = float(np.linalg.norm(a / scale)) * scale
+            norm = _frobenius(a / scale) * scale
     return norm
+
+
+def spectral_norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a, 2) of a matrix: its largest singular value."""
+    return np.linalg.svd(a, compute_uv=False)[0]
+
+
+def numerical_rank(a: np.ndarray, tol: float) -> int:
+    """np.linalg.matrix_rank(a, tol=tol) of a matrix: its singular values above tol."""
+    return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) > tol))
 
 
 def trace_form(x: np.ndarray, y: np.ndarray) -> complex:
@@ -429,7 +449,7 @@ def ad_eigendecompose(
         return []
     a = np.asarray(a, dtype=complex)
     q, op = _restricted(mats, lambda b: a @ b - b @ a)
-    if np.linalg.norm(op - op.conj().T) > tol * (1 + np.linalg.norm(op)):
+    if _frobenius(op - op.conj().T) > tol * (1 + _frobenius(op)):
         raise NotInCartan("ad(a) is not Hermitian on this subspace; a is not a torus element")
     vals, vecs = np.linalg.eigh(op)
     eigmats = (q @ vecs).T.reshape(-1, real.n, real.n)
@@ -489,11 +509,11 @@ def is_nilpotent(m: np.ndarray, tol: float = 1e-8) -> bool:
     # spectral norm would shrink m^n by up to (||m||_F / ||m||_2)^n, and a
     # 16-cycle permutation would pass as nilpotent
     m = np.asarray(m, dtype=complex)
-    scale = np.linalg.norm(m, 2)
+    scale = spectral_norm(m)
     if scale == 0:
         return True
     power = np.linalg.matrix_power(m / scale, m.shape[0])
-    return bool(np.linalg.norm(power) <= tol)
+    return bool(_frobenius(power) <= tol)
 
 
 def _jordan_chains(e: np.ndarray) -> list[list[np.ndarray]]:
@@ -503,7 +523,7 @@ def _jordan_chains(e: np.ndarray) -> list[list[np.ndarray]]:
     rounding scales with, so no cutoff depends on the scale of e.
     """
     n = e.shape[0]
-    norm = np.linalg.norm(e, 2)
+    norm = spectral_norm(e)
     # kernels[k] = ker e^k as columns, up to the first k with e^k = 0
     kernels = [np.zeros((n, 0), dtype=complex)]
     power = np.eye(n, dtype=complex)
@@ -552,7 +572,7 @@ def jacobson_morozov(e: np.ndarray) -> SL2Triple:
     gives a real triple.
     """
     e = np.asarray(e, dtype=complex)
-    scale = np.linalg.norm(e, 2)
+    scale = spectral_norm(e)
     if scale == 0:
         raise ZeroElement("e = 0 has no sl2-triple")
     if not is_nilpotent(e):
@@ -645,7 +665,7 @@ def rank_sequence(m: np.ndarray) -> tuple[int, ...]:
     block keeps spectral norm 1 in every nonzero power, so the cutoff 1e-9
     depends neither on the scale of m nor on its size."""
     m = np.asarray(m, dtype=complex)
-    scale = np.linalg.norm(m, 2)
+    scale = spectral_norm(m)
     if scale == 0:
         return tuple(0 for _ in range(m.shape[0]))
     unit = m / scale
@@ -653,7 +673,7 @@ def rank_sequence(m: np.ndarray) -> tuple[int, ...]:
     acc = np.eye(m.shape[0], dtype=complex)
     for _ in range(m.shape[0]):
         acc = acc @ unit
-        seq.append(int(np.linalg.matrix_rank(acc, tol=1e-9)))
+        seq.append(numerical_rank(acc, 1e-9))
     return tuple(seq)
 
 
@@ -678,7 +698,7 @@ def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray) -> OrbitCertif
     if not real.real_form:
         raise UnsupportedGroup("orbit map implemented for the real forms SL(n,R), SU(p,q)")
     e = np.asarray(e, dtype=complex)
-    scale = np.linalg.norm(e, 2)
+    scale = spectral_norm(e)
     if scale == 0:
         return _zero_certificate(real)
     if not real.in_g(e / scale, 1e-8):
@@ -715,9 +735,11 @@ def _order(z: complex) -> tuple[float, float]:
 
 
 def _linked(vals, gap: float) -> list[list[complex]]:
-    """Groups of vals joined by chains of steps of length <= gap, each sorted."""
+    """Groups of vals joined by chains of steps of length <= gap, each sorted.
+    The groups hold Python complex numbers: numpy scalars would pay numpy's
+    dispatch on every step compared."""
     groups: list[list[complex]] = []
-    for v in sorted(vals, key=_order):
+    for v in sorted(map(complex, vals), key=_order):
         near = [g for g in groups if any(abs(v - u) <= gap for u in g)]
         joined = sorted([v, *(u for g in near for u in g)], key=_order)
         groups = [g for g in groups if g not in near] + [joined]

@@ -70,6 +70,7 @@ from .liealg import (
     jacobson_morozov,
     jordan_multiplicative,
     normalize_kostant_sekiguchi,
+    numerical_rank,
     rank_sequence,
     validate_triple,
 )
@@ -730,7 +731,7 @@ def _block_rank(mats: list[np.ndarray], rows: slice, cols: slice) -> int:
     stacked = np.hstack(blocks)
     if hs_norm(stacked) < 1e-12:
         return 0
-    return int(np.linalg.matrix_rank(stacked, tol=1e-9 * max(1.0, hs_norm(stacked))))
+    return numerical_rank(stacked, 1e-9 * max(1.0, hs_norm(stacked)))
 
 
 def milnor_wood_check(

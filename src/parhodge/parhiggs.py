@@ -34,7 +34,7 @@ from .jsonio import (
     object_from_json,
     str_from_json,
 )
-from .liealg import _nilpotent_series, jordan_additive
+from .liealg import _frobenius, _nilpotent_series, jordan_additive
 
 
 class MissingEigenbasis(ValueError):
@@ -164,7 +164,7 @@ def _turn_defect(a_mat: np.ndarray, v: np.ndarray) -> float:
     """||Ad(exp(2 pi i alpha)) v - v||: alpha is diagonal, so Ad multiplies
     entry (j, k) by exp(2 pi i (alpha_j - alpha_k))."""
     a = a_mat.diagonal().real
-    return float(np.linalg.norm(v * np.exp(2j * np.pi * (a[:, None] - a[None, :])) - v))
+    return _frobenius(v * np.exp(2j * np.pi * (a[:, None] - a[None, :])) - v)
 
 
 # ---------------------------------------------------------------------------

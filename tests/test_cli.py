@@ -19,11 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import parhodge
+import plain_oracle
 from parhodge import cli, modelmetric
 from parhodge.cartan import build_root_datum, in_A_prime
 from parhodge.cli import _render, _write_file, cli_dispatch, main
+from parhodge.jsonio import matrix_to_json
 from parhodge.nahodge import hitchin_section, monodromy_factors
 from parhodge.parhiggs import ParabolicHiggsData, Puncture, to_json
 
@@ -1351,13 +1354,30 @@ def _json_dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+_pair_parts = st.floats() | st.integers() | st.sampled_from([-0.0, True, False])
+# rows of [re, im] pairs, as matrix_to_json writes them, which the renderer
+# spells from one repr, and near misses: nan or inf parts, bools, empty or
+# ragged rows, pairs of another length
+_matrix_like = st.lists(
+    st.lists(st.lists(_pair_parts, min_size=2, max_size=2) | st.lists(_pair_parts, max_size=3), max_size=3),
+    min_size=1,
+    max_size=3,
+)
+_matrices = st.lists(
+    st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers()).map(list), min_size=1, max_size=3),
+    min_size=1,
+    max_size=3,
+)
+
 _json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats()
     | st.text()
-    | st.lists(st.integers() | st.floats()),  # the number-list path of the renderer
+    | st.lists(st.integers() | st.floats())  # the number-list path of the renderer
+    | _matrix_like
+    | _matrices,
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(st.text(), inner, max_size=5),
@@ -1384,10 +1404,82 @@ def test_render_spells_what_json_dumps_spells(value):
         {"tab\t \"quote\" back\\slash \u00e9 \U0001f600 \x00 \u2028": ["\ud800", "é"]},
         [np.float64(0.1), 2.5, np.float64("nan")],
         {"z": (1, 2), "a": {"b": None, "a": [None, True, "x"]}},
+        [[[1.0, -0.0]]],
+        [[[0, -0.0], [1e300, -5e-324]], [[2, 3.5], [-1, 10**20]]],
+        [[[float("nan"), 0.0]]],
+        [[[0.0, -float("inf")], [1.0, 2.0]]],
+        [[[True, 1.0]]],
+        [[[1.0, 2.0]], []],
+        [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]],
+        [[[1.0]]],
+        [[[1.0, 2.0, 3.0]]],
+        [[(1.0, 2.0)]],
+        ([[1.0, 2.0]],),
+        [[[np.float64(1.0), 2.0]]],
     ],
 )
 def test_render_spells_hostile_values_as_json_dumps_does(value):
     assert _render(value) == _json_dumps(value)
+    assert _render({"m": value}) == _json_dumps({"m": value})
+
+
+def test_render_spells_matrices_from_one_repr():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 6):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m[0, 0] = complex(-0.0, 0.0)
+        rows = matrix_to_json(m)
+        assert cli._pairs_text(rows, "\n  ") is not None
+        assert _render({"value": rows}) == _json_dumps({"value": rows})
+
+
+_numpy_scalars = (
+    st.booleans().map(np.bool_)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.floats().map(np.float64)
+    | st.complex_numbers().map(np.complex128)
+)
+_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3),
+) | hnp.arrays(  # signed zeros, which the matrix codec must keep
+    np.complex128,
+    hnp.array_shapes(min_dims=1, max_dims=2, max_side=3),
+    elements=st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 - 2j]),
+) | hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3), elements=st.sampled_from([-0.0, 0.0, 2.5]))
+_report_values = st.recursive(
+    st.none()
+    | st.text(max_size=3)
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.complex_numbers()
+    | st.fractions()
+    | st.integers().map(Fraction)  # denominator 1
+    | _numpy_scalars
+    | _arrays
+    | st.lists(st.fractions(), max_size=4)
+    | st.lists(st.integers() | st.floats() | st.none() | st.text(max_size=2), max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.integers(-3, 3) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_report_values)
+def test_plain_converts_as_the_isinstance_ladder_converts(value):
+    # repr tells -0.0 from 0.0, 1 from 1.0 and True, and a numpy scalar from a Python one
+    assert repr(cli._plain(value)) == repr(plain_oracle.plain(value))
+
+
+@pytest.mark.parametrize("value", [object(), {1j}, np.array(1.0), [1, object()]])
+def test_plain_refuses_what_the_ladder_refuses(value):
+    with pytest.raises(TypeError):
+        plain_oracle.plain(value)
+    with pytest.raises(TypeError):
+        cli._plain(value)
 
 
 @pytest.mark.parametrize("value", [{"a": object()}, [1, {1j}], {1: 0, "a": 1}, {(1,): 0}])
@@ -1549,11 +1641,26 @@ ARGVS = [
     ["rootsys", "--seed"],
     ["rootsys", "--", "x"],
     ["rootsys", "--input", "a", "--input", "b"],
+    ["verify-model", "--csv", "a.csv", "--csv", "b.csv"],
+    ["rootsys", "--seed", "1", "--input", "a", "--seed", "2"],
+    ["rootsys", "--input", ""],
+    ["rootsys", "--input", "-"],
+    ["rootsys", "--output", "-out.json"],
+    ["rootsys", "--seed", "-2"],
+    ["rootsys", "--seed", " 7 "],
+    ["rootsys", "--seed", "1_000"],
+    ["rootsys", "--seed", "1.5"],
+    ["rootsys", "--seed="],
+    ["rootsys", "--tolerance="],
+    ["rootsys", "--tolerance", "-1e-3"],
+    ["rootsys", "--tolerance", "inf"],
+    ["rootsys", "--input", "rootsys"],
+    ["rootsys", "--input", "a b", "--output", "c=d"],
 ]
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-def test_per_command_parsing_gives_what_the_top_level_parser_gives(argv):
+def test_parse_args_gives_what_the_top_level_parser_gives(argv):
     assert _argv_outcome(cli._parse_args, argv) == _argv_outcome(cli._build_parser().parse_args, argv)
 
 
@@ -1581,17 +1688,45 @@ _argv_tails = st.lists(
             ["-h"],
             ["--"],
             ["-x"],
+            ["--input", "-in.json"],
+            ["--output", "-"],
+            ["--input", ""],
+            ["--seed", "-2"],
+            ["--seed", ""],
+            ["--seed="],
+            ["--tolerance", "-1e-3"],
+            ["--tolerance", "1e-3"],
+            ["--tolerance="],
+            ["--tolerance=-1"],
+            ["--csv=t.csv"],
+            ["--output", "rootsys"],
         ]
     ),
-    max_size=4,
+    max_size=5,
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(_argv_heads, _argv_tails)
 def test_random_argv_parses_as_the_top_level_parser_parses_it(head, tail):
     argv = head + [token for option in tail for token in option]
     assert _argv_outcome(cli._parse_args, argv) == _argv_outcome(cli._build_parser().parse_args, argv)
+
+
+def test_a_plain_command_line_builds_no_parser(tmp_path):
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"cartan_type": "A", "rank": 2}))
+    out = tmp_path / "report.json"
+    cli._build_parser.cache_clear()
+    try:
+        argv = ["rootsys", "--input", str(source), "--output", str(out), "--seed", "3", "--tolerance", "1e-6"]
+        assert cli_dispatch(argv)[0] == 0
+        assert cli._build_parser.cache_info().currsize == 0
+        # a form the direct read leaves to argparse builds it, once
+        assert cli_dispatch(["rootsys", f"--input={source}", "--output", str(out)])[0] == 0
+        assert cli._build_parser.cache_info().currsize == 1
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def _counting_walk(monkeypatch):
@@ -1668,10 +1803,27 @@ print(cli._build_parser.cache_info().currsize, len(parsers))
 """
 
 
+def test_a_translation_past_the_square_root_of_the_float_range_prints_nothing(tmp_path):
+    # the Frobenius norms of s overflow in their sum of squares; numpy's norm
+    # printed "RuntimeWarning: overflow encountered in dot" on stderr
+    source = tmp_path / "input.json"
+    s = [[[1e160, 0], [0, 0]], [[0, 0], [-1e160, 0]]]
+    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    source.write_text(json.dumps({"realization": "GL(2,C)", "alpha": [0, 0], "s": s, "y": zero}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "parhodge.cli", "translate-h2l", "--input", str(source)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["exit_code"] == 0
+
+
 def test_importing_the_cli_builds_no_parser():
     # the top-level parser and the subparsers it holds are built by the first
-    # dispatch: built at import, they would cost every importer, and the
-    # benchmark's setup_s, which times a bare import
+    # dispatch that needs them: built at import, they would cost every
+    # importer, and the benchmark's setup_s, which times a bare import
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=child_env(), check=True
     )

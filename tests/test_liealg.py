@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import jordan_oracle
 import numpy as np
@@ -21,7 +22,10 @@ from parhodge.liealg import (
     UnsupportedGroup,
     ZeroElement,
     _exp_hermitian,
+    _cluster,
     _exp_nilpotent,
+    _order,
+    _pow2_at,
     _restricted,
     ad_eigendecompose,
     build_realization,
@@ -33,7 +37,9 @@ from parhodge.liealg import (
     jordan_multiplicative,
     kostant_sekiguchi_orbit_map,
     normalize_kostant_sekiguchi,
+    numerical_rank,
     rank_sequence,
+    spectral_norm,
     validate_triple,
 )
 
@@ -674,3 +680,104 @@ def test_hs_norm_reaches_the_top_of_the_float_range():
     assert hs_norm(a * 2.0**1023) == 2.0**1023 * hs_norm(a) < math.inf
     assert hs_norm(np.full((2, 2), 1.7e308)) == math.inf
     assert hs_norm(np.array([[1e308, 1e308], [0, 0]])) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+
+
+def test_hs_norm_past_overflow_warns_of_nothing():
+    # numpy's norm of this matrix warns "overflow encountered in dot" before
+    # hs_norm rescales; the sum of squares that hs_norm takes does not warn
+    a = np.array([[1e200, -1e200j], [0, 1e200 + 1e200j]])
+    scale = _pow2_at(1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hs_norm(a)
+        assert hs_norm(a.real) == hs_norm(a.real.astype(complex))
+    assert got == float(np.linalg.norm(a / scale)) * scale == 2e200
+
+
+def _random_matrices(rng, count: int):
+    """Random complex, real and integer matrices up to 8 x 8 over a wide range
+    of scales, some of them transposed or sliced, so not C-contiguous."""
+    for _ in range(count):
+        n, m = (int(k) for k in rng.integers(1, 9, size=2))
+        a = rng.standard_normal((n, m)) * 10.0 ** float(rng.integers(-150, 150))
+        kind = rng.integers(4)
+        if kind == 0:
+            a = a + 1j * rng.standard_normal((n, m))
+        elif kind == 1:
+            a = rng.integers(-3, 4, size=(n, m)).astype(complex)
+        a[rng.random((n, m)) < 0.2] = -0.0
+        yield a.T if rng.integers(2) else a[:, ::-1] if rng.integers(2) else a
+
+
+def test_hs_norm_gives_the_bits_of_numpys_norm():
+    rng = np.random.default_rng(101)
+    for a in _random_matrices(rng, 4000):
+        assert hs_norm(a) == float(np.linalg.norm(np.asarray(a, dtype=complex))), a
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_hs_norm_past_overflow_gives_the_bits_of_the_rescaled_numpy_norm():
+    rng = np.random.default_rng(102)
+    for _ in range(2000):
+        n = int(rng.integers(1, 9))
+        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 10.0 ** float(rng.integers(155, 300))
+        a[rng.random((n, n)) < 0.2] = -0.0
+        big = max(np.abs(a.real).max(), np.abs(a.imag).max())
+        want = float(np.linalg.norm(a))
+        if want == math.inf:
+            scale = _pow2_at(big)
+            want = float(np.linalg.norm(a / scale)) * scale
+        assert hs_norm(a) == want, a
+
+
+def test_spectral_norm_and_rank_give_what_numpy_gives():
+    rng = np.random.default_rng(103)
+    for a in _random_matrices(rng, 2000):
+        assert spectral_norm(a) == np.linalg.norm(a, 2), a
+        # a product of thin factors: rank below the size, and cutoffs around it
+        k = int(rng.integers(0, min(a.shape) + 1))
+        low = a[:, :k] @ rng.standard_normal((k, a.shape[1])) if k else np.zeros(a.shape)
+        for m in (a, low):
+            for tol in (0.0, 1e-9, 1e-9 * float(np.linalg.norm(m)), float(np.linalg.norm(m, 2))):
+                assert numerical_rank(m, tol) == np.linalg.matrix_rank(m, tol=tol), (m, tol)
+
+
+def _linked_numpy(vals, gap):
+    """liealg._linked as it grouped numpy scalars: the reference _cluster is checked against."""
+    groups = []
+    for v in sorted(vals, key=_order):
+        near = [g for g in groups if any(abs(v - u) <= gap for u in g)]
+        joined = sorted([v, *(u for g in near for u in g)], key=_order)
+        groups = [g for g in groups if g not in near] + [joined]
+    return groups
+
+
+def _cluster_numpy(vals, tol, scale):
+    rounding = 16 * np.finfo(float).eps
+    groups = []
+    for chain in _linked_numpy(vals, 2 * max(tol, rounding ** (1 / len(vals))) * scale):
+        mean = np.mean(chain)
+        if max(abs(v - mean) for v in chain) <= max(tol, rounding ** (1 / len(chain))) * scale:
+            groups.append(chain)
+        else:
+            groups += _linked_numpy(chain, tol * scale)
+    groups.sort(key=lambda g: _order(g[0]))
+    return [complex(np.mean(g)) for g in groups]
+
+
+def test_cluster_gives_the_numpy_scalar_means_bit_for_bit():
+    rng = np.random.default_rng(104)
+    merged = 0
+    for _ in range(3000):
+        centers = rng.standard_normal(int(rng.integers(1, 4))) + 1j * rng.standard_normal(1)
+        sizes = rng.integers(1, 4, size=len(centers))
+        spread = 10.0 ** rng.uniform(-12, -2, size=int(sizes.sum()))
+        vals = np.repeat(centers, sizes) + spread * (rng.standard_normal(len(spread)) + 1j * rng.standard_normal(len(spread)))
+        rng.shuffle(vals)
+        tol, scale = float(10.0 ** rng.integers(-9, -3)), float(rng.choice([1.0, 3.0, 1e3]))
+        got = _cluster(vals, tol, scale)
+        want = _cluster_numpy(vals, tol, scale)
+        assert [(z.real, z.imag) for z in got] == [(z.real, z.imag) for z in want], (vals, tol, scale)
+        assert all(type(z) is complex for z in got)
+        merged += len(got) < len(vals)
+    assert merged > 1000

@@ -233,3 +233,58 @@ def test_the_parameter_ratchet_fails_on_a_planted_knob():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     sources["liealg"] += "\n\ndef planted(x, knob=1.0):\n    return x * knob\n\n\nPLANTED = planted(2.0)\n"
     assert _unset_parameters(sources) == set(KNOWN_UNSET) | {"liealg.planted:knob"}
+
+
+def _dotted(node) -> str:
+    """``np.linalg.norm`` for the attribute chain that spells it, else ""."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def _generic_small_matrix_calls(sources: dict[str, str]) -> set[str]:
+    """``module:line`` of every call in ``sources`` that liealg has a helper
+    for: np.linalg.norm(a, 2) (spectral_norm), np.linalg.matrix_rank
+    (numerical_rank) and np.stack((a.real, a.imag), ...) (the float view
+    matrix_to_json takes)."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _dotted(node.func)
+            ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+            spectral = name == "np.linalg.norm" and any(
+                isinstance(o, ast.Constant) and o.value == 2 for o in ords
+            )
+            parts = node.args[0] if name == "np.stack" and node.args else None
+            stacked = isinstance(parts, (ast.Tuple, ast.List)) and [
+                getattr(e, "attr", None) for e in parts.elts
+            ] == ["real", "imag"]
+            if spectral or stacked or name == "np.linalg.matrix_rank":
+                found.add(f"{module}:{node.lineno}")
+    return found
+
+
+def test_small_matrix_norms_and_ranks_go_through_the_liealg_helpers():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert _generic_small_matrix_calls(sources) == set()
+
+
+def test_the_small_matrix_ratchet_sees_each_spelling():
+    sources = {
+        "a": (
+            "import numpy as np\n"
+            "\n"
+            "def f(a):\n"
+            "    x = np.linalg.norm(a, 2)\n"
+            "    y = np.linalg.norm(a, ord=2)\n"
+            "    r = np.linalg.matrix_rank(a, tol=1e-9)\n"
+            "    p = np.stack((a.real, a.imag), -1)\n"
+            "    q = np.stack([a.real, a.imag], axis=-1)\n"
+            "    return np.linalg.norm(a), np.linalg.norm(a, 1), np.stack((a, a)), x, y, r, p, q\n"
+        ),
+    }
+    assert _generic_small_matrix_calls(sources) == {"a:4", "a:5", "a:6", "a:7", "a:8"}
