@@ -1,17 +1,16 @@
 """Relative degrees: the asymptotic pairing that drives every parabolic-degree
 and local-system-degree computation.
 
-Three routes are provided and must agree:
+Two routes to one pairing, and its exact form:
 
-  * relative_degrees: numeric limit of t |-> <s . e^{-t sigma}, sigma> for
-    each pair of a stack, computed by pushing the ascending eigenvalue flag of
-    s through e^{t sigma} in capped steps and re-orthonormalizing (QR) after
-    each; the step cap keeps every factor of a step in [e^-15, 1], so no
-    overflow occurs even at t = 2^20.  All pairs of the stack step together,
-    one stacked QR per step, and each leaves once its value settles; this is
-    the only flow kernel, and relative_degree is its stack of one.
-  * relative_position: the same limit read off the relative position (the
-    Bruhat cell) of the two eigenflags, by one elimination.
+  * relative_position: the limit of t |-> <s . e^{-t sigma}, sigma> read off
+    the relative position (the Bruhat cell) of the two eigenflags, by one
+    elimination.  Every CLI path and local_system_degree use it.
+  * relative_degree: the same limit by the flow itself, pushing the ascending
+    eigenvalue flag of s through e^{t sigma} in capped steps and
+    re-orthonormalizing (QR) after each; the step cap keeps every factor of a
+    step in [e^-15, 1], so no overflow occurs even at t = 2^20.  The
+    relative-degree acceptance gates read it, trace included.
   * relative_degree_filtration: the exact pairing of two weighted flags
     sum a_i b_j m_ij with m_ij the graded intersection dimensions.
 
@@ -46,7 +45,6 @@ class RelativeDegreeResult:
     value: float
     t_trace: tuple[tuple[float, float], ...]
     method: str
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -68,6 +66,8 @@ class RelativePosition:
 
 # the flow gives up once t exceeds 2^_MAX_EXP
 _MAX_EXP = 20
+# the flow stops once two successive values differ by less than this
+_SETTLE_TOL = 1e-9
 
 
 def _commuting_trace(s: np.ndarray, sigma: np.ndarray) -> float | None:
@@ -82,93 +82,42 @@ def _commuting_trace(s: np.ndarray, sigma: np.ndarray) -> float | None:
     return None
 
 
-def relative_degrees(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> list[RelativeDegreeResult]:
-    """``relative_degree`` of every pair (s[i], sigma[i]) of two (k, n, n) stacks.
-
-    Each pair is checked on its own and a commuting pair keeps tr(s sigma).
-    The others flow together: one stacked eigh per side, then per step one
-    stacked QR over the pairs still running, each with its own step cap, step
-    and time, until its value settles.  A pair's error (ValueError for a
-    non-Hermitian side, NonConvergence) is raised only after the whole stack
-    ran, and the first one in stack order wins, as a loop over the pairs
-    would raise it.
-    """
-    s = np.asarray(s, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if len(s) != len(sigma):
-        raise ValueError(f"{len(s)} matrices s against {len(sigma)} matrices sigma")
-    out: list = [None] * len(s)
-    flowing = []
-    for i in range(len(s)):
-        try:
-            value = _commuting_trace(s[i], sigma[i])
-        except ValueError as exc:
-            out[i] = exc
-            continue
-        if value is None:
-            flowing.append(i)
-        else:
-            out[i] = RelativeDegreeResult(value=value, t_trace=((0.0, value),), method="commuting", converged=True)
-    if flowing:
-        for i, result in zip(flowing, _qr_flows(s[flowing], sigma[flowing], tol)):
-            out[i] = result
-    for result in out:
-        if isinstance(result, Exception):
-            raise result
-    return out
-
-
-def _qr_flows(s: np.ndarray, sigma: np.ndarray, tol: float) -> list:
-    """The QR flow of each non-commuting pair: a RelativeDegreeResult or a
-    NonConvergence per pair.
+def relative_degree(s: np.ndarray, sigma: np.ndarray) -> RelativeDegreeResult:
+    """Limit of <s . e^{-t sigma}, sigma> for Hermitian s, sigma (trace pairing),
+    by the QR flow; a commuting pair keeps tr(s sigma).
 
     The flow runs in the eigenbasis of sigma, where e^{dt sigma} is a row
     scaling: it re-orthonormalizes after every step so the flag stays well
     conditioned, and caps the per-step exponent spread so one sweep never
     drives the subdominant eigencomponents below machine precision.
     """
+    s = np.asarray(s, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    value = _commuting_trace(s, sigma)
+    if value is not None:
+        return RelativeDegreeResult(value=value, t_trace=((0.0, value),), method="commuting")
     lam, v_sig = np.linalg.eigh(sigma)
     d, u_s = np.linalg.eigh(s)  # ascending: columns span the increasing flag of s
-    frames = np.swapaxes(v_sig.conj(), 1, 2) @ u_s
+    frame = v_sig.conj().T @ u_s
     # dt <= dt_cap keeps each factor in [e^-15, 1], so e^{dt sigma} needs no rescaling
-    dt_cap = 15.0 / np.maximum(lam[:, -1] - lam[:, 0], 1e-12)
-    dt = np.minimum(1.0, dt_cap)
-    t = np.zeros(len(s))
-    shifted = lam - lam[:, -1:]
-    out: list = [None] * len(s)
-    traces: list[list[tuple[float, float]]] = [[] for _ in s]
-    prev: list[float | None] = [None] * len(s)
-    running = np.arange(len(s))
+    dt_cap = 15.0 / max(float(lam[-1] - lam[0]), 1e-12)
+    trace: list[tuple[float, float]] = []
+    prev = None
+    t = 0.0
+    dt = min(1.0, dt_cap)
     for _ in range(4096):
-        grow = np.exp(dt[running, None] * shifted[running])[:, :, None]
-        stepped, _ = np.linalg.qr(grow * frames[running])
-        frames[running] = stepped
-        t[running] += dt[running]
-        weights = stepped.real**2 + stepped.imag**2
-        keep = []
-        for j, i in enumerate(running):
-            val = float(lam[i] @ weights[j] @ d[i])
-            traces[i].append((float(t[i]), val))
-            if prev[i] is not None and abs(val - prev[i]) < tol:
-                out[i] = RelativeDegreeResult(value=val, t_trace=tuple(traces[i]), method="qr_flow", converged=True)
-            elif t[i] > 2.0**_MAX_EXP:
-                out[i] = NonConvergence(traces[i])
-            else:
-                prev[i] = val
-                keep.append(i)
-        running = np.array(keep, dtype=int)
-        if not keep:
-            return out
-        dt[running] = np.minimum(2.0 * dt[running], dt_cap[running])
-    for i in running:
-        out[i] = NonConvergence(traces[i])
-    return out
-
-
-def relative_degree(s: np.ndarray, sigma: np.ndarray) -> RelativeDegreeResult:
-    """Limit of <s . e^{-t sigma}, sigma> for Hermitian s, sigma (trace pairing):
-    ``relative_degrees`` on a stack of one, at its default tolerance."""
-    return relative_degrees(np.asarray(s, dtype=complex)[None], np.asarray(sigma, dtype=complex)[None])[0]
+        grow = np.exp(dt * (lam - lam[-1]))[:, None]
+        frame, _ = np.linalg.qr(grow * frame)
+        t += dt
+        val = float(lam @ (frame.real**2 + frame.imag**2) @ d)
+        trace.append((t, val))
+        if prev is not None and abs(val - prev) < _SETTLE_TOL:
+            return RelativeDegreeResult(value=val, t_trace=tuple(trace), method="qr_flow")
+        prev = val
+        dt = min(2.0 * dt, dt_cap)
+        if t > 2.0**_MAX_EXP:
+            break
+    raise NonConvergence(trace)
 
 
 def relative_position(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> RelativePosition:

@@ -510,23 +510,22 @@ def stability_check(
     data: ParabolicHiggsData,
     mode: str = "certificate",
     reductions: Sequence[ReductionCertificate] = (),
-    degree_bound: int = 3,
     tol: float = 1e-9,
 ) -> StabilityVerdict:
-    """Slope trichotomy over a supplied certificate set or a bounded desk search.
+    """Slope trichotomy over a supplied certificate set or a small desk search.
 
     Certificate mode evaluates ``pardeg - <c, s>`` for every supplied
     phi-compatible reduction; the verdict quantifies only over that set.
     Exhaustive mode (split GL/SL bundles of rank <= 3, genus 0, simple poles)
     enumerates coordinate subbundles and constant-vector subbundles picked out
-    by the residue eigendata, and the verdict records the search bound.
+    by the residue eigendata, and the note names those families.
     """
     if mode == "certificate":
         rows = [r for r in reductions if r.phi_compatible]
         note = None
     elif mode == "exhaustive_small":
         rows = _enumerate_small(data, tol=tol)
-        note = f"no destabilizer found up to degree bound {degree_bound} in the enumerated families"
+        note = "searched coordinate subbundles and residue-eigenvector lines only"
     else:
         raise ValueError(f"unknown stability mode {mode!r}")
 

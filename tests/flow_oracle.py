@@ -1,16 +1,16 @@
-"""The relative-degree QR flow one pair at a time: the reference
-``degree.relative_degrees`` was checked against before the flow ran on a
-stack of pairs, kept as a test oracle.
+"""The relative-degree QR flow one pair at a time, and the sample sweep of
+``degree-relative`` as a plain loop: test oracles.
 
-``relative_degree_one`` is the single-pair kernel as it stood, checks
-included; ``reciprocity_gap`` is the sample sweep of ``degree-relative`` that
-called it twice per drawn pair.
+``relative_degree_one`` is the single-pair kernel with its checks spelled out
+and the settle tolerance as a parameter; ``degree.relative_degree`` must match
+it bit for bit.  ``reciprocity_gap`` draws the pairs the sample sweep draws
+and reads ``relative_position`` in both orders of each.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from parhodge.degree import NonConvergence, RelativeDegreeResult
+from parhodge.degree import NonConvergence, RelativeDegreeResult, relative_position
 from parhodge.liealg import comm, hs_norm
 
 _MAX_EXP = 20
@@ -33,7 +33,7 @@ def _eigenframe(s, sigma):
 def relative_degree_one(s, sigma, tol: float = 1e-9) -> RelativeDegreeResult:
     frame = _eigenframe(s, sigma)
     if isinstance(frame, float):
-        return RelativeDegreeResult(value=frame, t_trace=((0.0, frame),), method="commuting", converged=True)
+        return RelativeDegreeResult(value=frame, t_trace=((0.0, frame),), method="commuting")
     d, lam, frame = frame
     spread = float(lam[-1] - lam[0])
     dt_cap = 15.0 / max(spread, 1e-12)
@@ -48,7 +48,7 @@ def relative_degree_one(s, sigma, tol: float = 1e-9) -> RelativeDegreeResult:
         val = float(lam @ (frame.real**2 + frame.imag**2) @ d)
         trace.append((t, val))
         if prev is not None and abs(val - prev) < tol:
-            return RelativeDegreeResult(value=val, t_trace=tuple(trace), method="qr_flow", converged=True)
+            return RelativeDegreeResult(value=val, t_trace=tuple(trace), method="qr_flow")
         prev = val
         dt = min(2.0 * dt, dt_cap)
         if t > 2.0**_MAX_EXP:
@@ -69,12 +69,13 @@ def sample_hermitian_pair(n: int, rng: np.random.Generator) -> tuple[np.ndarray,
 
 
 def reciprocity_gap(n: int, count: int, seed: int, tol: float = 1e-9) -> float:
-    """max |mu_s(sigma) - mu_sigma(s)| over ``count`` drawn pairs, one flow at a time."""
+    """max |mu_s(sigma) - mu_sigma(s)| over ``count`` drawn pairs, each read
+    off the relative position in both orders."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(count):
         s, sigma = sample_hermitian_pair(n, rng)
-        forward = relative_degree_one(s, sigma, tol)
-        backward = relative_degree_one(sigma, s, tol)
+        forward = relative_position(s, sigma, tol)
+        backward = relative_position(sigma, s, tol)
         worst = max(worst, abs(forward.value - backward.value))
     return worst

@@ -230,6 +230,17 @@ def test_stability_wall_instance_stable(tmp_path):
     assert rows == {"split": 1, "center": 0}
 
 
+def test_stability_ignores_a_degree_bound_field(tmp_path):
+    # the search reads no degree bound: an input that carries one is read as any
+    # other field stability does not know, and ignored
+    data = {"data": WALL_DATA, "mode": "exhaustive_small"}
+    _, plain = run_cli(tmp_path, "stability", data)
+    for bound in (0, 3, 1000):
+        _, report = run_cli(tmp_path, "stability", {**data, "degree_bound": bound})
+        assert report["outputs"] == plain["outputs"]
+    assert "bound" not in plain["outputs"]["note"]
+
+
 def test_stability_unstable_exits_2(tmp_path):
     code, report = run_cli(
         tmp_path,
@@ -620,6 +631,7 @@ H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[
         ("verify-model", {**VERIFY_MODEL, "alpha": [0, "abc"]}, "$.alpha[1]"),
         ("parabolic", {"realization": "GL(2,C)", "s": DIAG, "space": [1]}, "$.space"),
         ("degree-relative", {"sample": {"model": "SU(1,1)", "count": -5}}, "$.sample.count"),
+        ("degree-relative", {"sample": {"model": "SU(1,1)", "count": 10_001}}, "$.sample.count"),
         (
             "alcove-normalize",
             {"cartan_type": "A", "rank": 2, "point": [0, 0], "search_bound": -3},
@@ -929,7 +941,6 @@ VALID_INPUTS = {
         "reductions": [
             {"label": "split", "chi": [1, -1], "phi_compatible": True, "levi_reduction": False}
         ],
-        "degree_bound": 3,
     },
     "genericity": {"weights": [[0, "1/2"], ["1/4", "3/4"]], "max_combinations": 100},
     "hecke": {"data": WALL_DATA, "lambdas": [[1, -2], [0, 3], [2, 2]], "lattice": "GL"},
@@ -1009,6 +1020,20 @@ def test_valid_inputs_cover_every_command(tmp_path):
     for command, payload in VALID_INPUTS.items():
         code, report = run_cli(tmp_path, command, payload)
         assert code in (0, 2), (command, report.get("error"))
+
+
+def test_no_command_runs_the_flow(tmp_path, monkeypatch):
+    from parhodge import degree
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the QR flow ran")
+
+    monkeypatch.setattr(degree, "relative_degree", refuse)
+    for command, payload in VALID_INPUTS.items():
+        code, report = run_cli(tmp_path, command, payload)
+        assert code in (0, 2), (command, report.get("error"))
+    code, report = run_cli(tmp_path, "degree-relative", {"sample": {"model": "SU(2,1)", "count": 20}})
+    assert code == 0, report.get("error")
 
 
 SCIPY_PROBE = """

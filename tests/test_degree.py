@@ -17,7 +17,6 @@ from parhodge.degree import (
     local_system_degree,
     relative_degree,
     relative_degree_filtration,
-    relative_degrees,
     relative_position,
 )
 from flow_oracle import reciprocity_gap, relative_degree_one
@@ -146,13 +145,13 @@ def test_reciprocity_random(seed):
 
 def _log_scaled_relative_degree(s, sigma, tol=1e-9):
     """relative_degree as it was before the column rescaling was dropped:
-    (value, trace length, method, converged), or NonConvergence."""
+    (value, trace length, method), or NonConvergence."""
     s = np.asarray(s, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     n = s.shape[0]
     scale = (1 + np.linalg.norm(s)) * (1 + np.linalg.norm(sigma))
     if np.linalg.norm(s @ sigma - sigma @ s) <= 1e-12 * scale:
-        return float(np.trace(s @ sigma).real), 1, "commuting", True
+        return float(np.trace(s @ sigma).real), 1, "commuting"
     lam, v_sig = np.linalg.eigh(sigma)
     d, u_s = np.linalg.eigh(s)
     ds = np.diag(d).astype(complex)
@@ -179,7 +178,7 @@ def _log_scaled_relative_degree(s, sigma, tol=1e-9):
         val = float(np.trace(frame @ ds @ frame.conj().T @ sigma).real)
         trace.append((t, val))
         if prev is not None and abs(val - prev) < tol:
-            return val, len(trace), "qr_flow", True
+            return val, len(trace), "qr_flow"
         prev = val
         dt = min(2.0 * dt, dt_cap)
         if t > 2.0**20:
@@ -195,9 +194,9 @@ def _unit_hermitian(rng, n):
 
 def _assert_matches_log_scaled(s, sigma):
     res = relative_degree(s, sigma)
-    value, length, method, converged = _log_scaled_relative_degree(s, sigma)
+    value, length, method = _log_scaled_relative_degree(s, sigma)
     assert abs(res.value - value) <= 1e-12
-    assert (len(res.t_trace), res.method, res.converged) == (length, method, converged)
+    assert (len(res.t_trace), res.method) == (length, method)
 
 
 def test_flow_matches_log_scaled_flow_on_random_unit_pairs():
@@ -238,11 +237,12 @@ def test_flow_matches_log_scaled_flow_on_nearly_commuting_pairs(eps):
             _assert_matches_log_scaled(s, sigma)
 
 
-def test_flow_and_log_scaled_flow_both_give_up_at_zero_tolerance():
+def test_flow_and_log_scaled_flow_both_give_up_at_zero_tolerance(monkeypatch):
     rng = np.random.default_rng(12)
     s, sigma = _unit_hermitian(rng, 3), _unit_hermitian(rng, 3)
+    monkeypatch.setattr(degree, "_SETTLE_TOL", 0)
     with pytest.raises(NonConvergence) as new:
-        relative_degrees(s[None], sigma[None], tol=0)
+        relative_degree(s, sigma)
     with pytest.raises(NonConvergence) as old:
         _log_scaled_relative_degree(s, sigma, tol=0)
     assert len(new.value.trace) == len(old.value.trace)
@@ -471,10 +471,26 @@ def test_pair_report_fields_and_tolerance(tmp_path):
     assert strict["outputs"]["min_pivot_ratio"]["value"] > ratio
 
 
-@pytest.mark.parametrize("tol", ["0.9", "1", "1e300"])
-def test_pair_mode_refuses_a_cutoff_no_entry_clears(tmp_path, tol):
-    rng = np.random.default_rng(6)
-    code, report = _pair_report(tmp_path, _unit_hermitian(rng, 2), _unit_hermitian(rng, 2), f"--tolerance={tol}")
+@pytest.mark.parametrize(
+    "mode, tol",
+    [
+        pytest.param("pair", "0.9", id="0.9"),
+        pytest.param("pair", "1", id="1"),
+        pytest.param("pair", "1e300", id="1e300"),
+        # the sample sweep reads the same cutoff, in both orders of every pair
+        pytest.param("sample", "1", id="sample-1"),
+    ],
+)
+def test_pair_mode_refuses_a_cutoff_no_entry_clears(tmp_path, mode, tol):
+    if mode == "pair":
+        rng = np.random.default_rng(6)
+        code, report = _pair_report(tmp_path, _unit_hermitian(rng, 2), _unit_hermitian(rng, 2), f"--tolerance={tol}")
+    else:
+        source = tmp_path / "sample.json"
+        source.write_text(json.dumps({"sample": {"model": "GL(2,C)", "count": 3}}))
+        code, report = cli_dispatch(
+            ["degree-relative", "--input", str(source), "--output", str(tmp_path / "out.json"), f"--tolerance={tol}"]
+        )
     assert code == 3
     assert report["error"]["type"] == "ValueError"
     assert "exceeds tol * ||column||" in report["error"]["message"]
@@ -499,64 +515,28 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _count_flows(monkeypatch):
-    """The number of pairs in each stack the QR flow kernel runs: every flow,
-    from the library or the CLI, goes through ``degree._qr_flows``."""
-    stacks = []
-    original = degree._qr_flows
-
-    def counted(s, sigma, tol):
-        stacks.append(len(s))
-        return original(s, sigma, tol)
-
-    monkeypatch.setattr(degree, "_qr_flows", counted)
-    return stacks
-
-
 def test_pair_mode_runs_the_position_kernel_and_no_flow(tmp_path, monkeypatch):
-    flows = _count_flows(monkeypatch)
+    flows = _count_calls(monkeypatch, "relative_degree")
     positions = _count_calls(monkeypatch, "relative_position")
     rng = np.random.default_rng(9)
     code, _ = _pair_report(tmp_path, _unit_hermitian(rng, 8), _unit_hermitian(rng, 8))
     assert code == 0
-    assert (flows, len(positions)) == ([], 1)
+    assert (len(flows), len(positions)) == (0, 1)
 
 
-def _sample_flows(tmp_path, monkeypatch, count):
-    """(pairs per flow stack, relative_position calls) of one sample sweep."""
-    flows = _count_flows(monkeypatch)
+def test_sample_mode_reads_the_position_in_both_orders_and_runs_no_flow(tmp_path, monkeypatch):
+    flows = _count_calls(monkeypatch, "relative_degree")
     positions = _count_calls(monkeypatch, "relative_position")
     source = tmp_path / "sample.json"
-    source.write_text(json.dumps({"sample": {"model": "GL(3,C)", "count": count}}))
+    source.write_text(json.dumps({"sample": {"model": "GL(3,C)", "count": 7}}))
     code, _ = cli_dispatch(["degree-relative", "--input", str(source), "--output", str(tmp_path / "out.json")])
     assert code == 0
-    return flows, len(positions)
-
-
-def test_sample_mode_runs_the_flow_in_both_orders(tmp_path, monkeypatch):
-    assert _sample_flows(tmp_path, monkeypatch, 7) == ([14], 0)
-
-
-def test_sample_mode_flows_in_fixed_size_chunks(tmp_path, monkeypatch):
-    # 2 * count flows, at most 2 * _SAMPLE_CHUNK per stack
-    assert cli._SAMPLE_CHUNK == 64
-    assert _sample_flows(tmp_path, monkeypatch, 130) == ([128, 128, 4], 0)
+    assert (len(flows), len(positions)) == (0, 14)
 
 
 # --------------------------------------------------------------------------
-# the stacked flow against the single-pair oracle
+# the flow against the single-pair oracle
 # --------------------------------------------------------------------------
-
-
-def _oracle_stack(s, sigma, tol=None):
-    """flow_oracle.relative_degree_one pair by pair: the results, or the
-    first error as a loop over the pairs raises it."""
-    kwargs = {} if tol is None else {"tol": tol}
-    return [relative_degree_one(a, b, **kwargs) for a, b in zip(s, sigma)]
-
-
-def _fields(result):
-    return (result.value, result.t_trace, result.method, result.converged)
 
 
 def _mixed_stack(rng, n, k):
@@ -584,64 +564,41 @@ def _mixed_stack(rng, n, k):
     return np.array(s), np.array(sigma)
 
 
-@pytest.mark.parametrize("tol", [None, 1e-6, 1e-12])
-def test_stacked_flow_matches_the_single_pair_oracle_bit_for_bit(tol):
+def _outcome(call):
+    """A result's fields, or an error's type, message and trace."""
+    try:
+        result = call()
+    except (NonConvergence, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "trace", None)
+    return result.value, result.t_trace, result.method
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6, 1e-12, 0])
+def test_flow_matches_the_single_pair_oracle_bit_for_bit(monkeypatch, tol):
+    # at tol 0 no flow settles: every non-commuting pair fails with NonConvergence
+    if tol is not None:
+        monkeypatch.setattr(degree, "_SETTLE_TOL", tol)
+    kwargs = {} if tol is None else {"tol": tol}
+    # a flow that never settles runs its 4096 steps: fewer and shorter stacks at tol 0
+    stacks, size = (6, 12) if tol != 0 else (1, 4)
     rng = np.random.default_rng(21)
-    methods = set()
+    kinds = set()
+    made = 0
     for n in range(1, 9):
-        for _ in range(6):
-            s, sigma = _mixed_stack(rng, n, int(rng.integers(1, 12)))
-            got = relative_degrees(s, sigma) if tol is None else relative_degrees(s, sigma, tol=tol)
-            want = _oracle_stack(s, sigma, tol)
-            assert [_fields(r) for r in got] == [_fields(r) for r in want]
-            # a stack of one gives the first pair's result; relative_degree is that stack at the default
-            one = relative_degree(s[0], sigma[0]) if tol is None else relative_degrees(s[:1], sigma[:1], tol=tol)[0]
-            assert _fields(one) == _fields(want[0])
-            methods |= {r.method for r in got}
-    assert methods == {"commuting", "qr_flow"}
-
-
-def _first_error(call):
-    with pytest.raises((NonConvergence, ValueError)) as info:
-        call()
-    return info.value
-
-
-@pytest.mark.parametrize(
-    "kinds",
-    [
-        ("commuting", "flow", "flow"),
-        ("flow", "non_hermitian", "flow"),
-        ("non_hermitian", "flow"),
-        ("commuting", "non_hermitian_sigma", "non_hermitian"),
-    ],
-)
-def test_stacked_flow_raises_the_first_error_in_stack_order(kinds):
-    # at tol 0 no flow settles: every flowing pair fails with NonConvergence
-    rng = np.random.default_rng(23)
-    s, sigma = [], []
-    for kind in kinds:
-        a, b = _unit_hermitian(rng, 3), _unit_hermitian(rng, 3)
-        if kind == "commuting":
-            b = a @ a
-        elif kind == "non_hermitian":
-            a = a + 0.1j * np.eye(3)
-        elif kind == "non_hermitian_sigma":
-            b = b + np.triu(np.ones((3, 3)), 1)
-        s.append(a)
-        sigma.append(b)
-    got = _first_error(lambda: relative_degrees(np.array(s), np.array(sigma), tol=0))
-    want = _first_error(lambda: _oracle_stack(s, sigma, tol=0))
-    assert (type(got), str(got)) == (type(want), str(want))
-    if isinstance(want, NonConvergence):
-        assert got.trace == want.trace
-
-
-def test_stacks_of_different_lengths_are_refused():
-    rng = np.random.default_rng(24)
-    s = np.array([_unit_hermitian(rng, 2) for _ in range(3)])
-    with pytest.raises(ValueError, match="3 matrices s against 2 matrices sigma"):
-        relative_degrees(s, s[:2])
+        for _ in range(stacks):
+            s, sigma = _mixed_stack(rng, n, int(rng.integers(1, size)))
+            made += 1
+            # a non-Hermitian side, on either side, in every third stack
+            if n > 1 and made % 3 == 0:
+                s[0] = s[0] + np.triu(np.ones((n, n)), 1)
+                sigma[-1] = sigma[-1] + 0.1j * np.eye(n)
+            for a, b in zip(s, sigma):
+                got = _outcome(lambda: relative_degree(a, b))
+                want = _outcome(lambda: relative_degree_one(a, b, **kwargs))
+                assert got == want
+                kinds.add(got[2] if isinstance(got[2], str) else got[0].__name__)
+    expected = {"commuting", "ValueError"} | ({"NonConvergence"} if tol == 0 else {"qr_flow"})
+    assert kinds == expected
 
 
 def _sample_report(tmp_path, count, seed, *extra):
@@ -657,14 +614,18 @@ def _sample_report(tmp_path, count, seed, *extra):
 
 @pytest.mark.parametrize("count", [1, 7, 130])
 @pytest.mark.parametrize("tol", [None, 1e-6])
-def test_sample_report_is_byte_identical_to_the_oracle_sweep(tmp_path, monkeypatch, count, tol):
+def test_sample_report_is_byte_identical_to_the_oracle_sweep(tmp_path, count, tol):
     extra = () if tol is None else (f"--tolerance={tol}",)
-    stacked, gap = _sample_report(tmp_path, count, 31, *extra)
-    # the pair-by-pair sweep draws the same pairs and takes the same maximum
-    assert gap == reciprocity_gap(2, count, 31, **({} if tol is None else {"tol": tol}))
-    monkeypatch.setattr(cli, "relative_degrees", lambda s, sigma, **kw: _oracle_stack(s, sigma, kw.get("tol")))
-    looped, _ = _sample_report(tmp_path, count, 31, *extra)
-    assert stacked == looped
+    text, gap = _sample_report(tmp_path, count, 31, *extra)
+    # the test-side loop draws the same pairs and takes the same maximum
+    want = reciprocity_gap(2, count, 31, **({} if tol is None else {"tol": tol}))
+    assert gap == want
+    assert json.loads(text)["outputs"] == {
+        "model": "GL(2,C)",
+        "count": count,
+        "max_reciprocity_gap": {"value": want, "method": "bruhat relative position, both orders"},
+    }
+    assert f'"value": {want!r}'.encode() in text
 
 
 def test_sample_sweep_memory_does_not_grow_with_count(tmp_path):
@@ -678,6 +639,5 @@ def test_sample_sweep_memory_does_not_grow_with_count(tmp_path):
             tracemalloc.stop()
 
     small, large = peak(100), peak(1000)
-    # one chunk's stacks and traces, whatever the count; all 2000 flows held at
-    # once would take several hundred KB more
+    # the sweep holds one drawn pair at a time, whatever the count
     assert large <= 1.25 * small + 32 * 1024, (small, large)

@@ -367,7 +367,17 @@ def test_exhaustive_small_stable_with_note():
     )
     verdict = stability_check(data, mode="exhaustive_small")
     assert verdict.verdict == "stable"
-    assert "bound" in verdict.note
+    assert verdict.note == "searched coordinate subbundles and residue-eigenvector lines only"
+
+
+def test_exhaustive_small_note_claims_no_bound():
+    # the search enumerates fixed families: no degree bound enters it, and the
+    # note names none, whatever the verdict
+    stable = make_data(0, "GL(2,C)", [(Fraction(0), Fraction(0))], [[(0, Fraction(0), E21)]], (1, -1))
+    unstable = make_data(0, "GL(2,C)", [(Fraction(0), Fraction(0))], [[]], (0, 1))
+    for data in (stable, unstable):
+        note = stability_check(data, mode="exhaustive_small").note
+        assert "bound" not in note and not any(ch.isdigit() for ch in note)
 
 
 def test_exhaustive_small_finds_coordinate_destabilizer():

@@ -31,7 +31,8 @@ KNOWN_UNREFERENCED = {
     "cartan.cochar_contains",
     # the local-system side of the degree equality
     "degree.local_system_degree",
-    # the flow the three relative-degree acceptance gates test; bench/tracing.py reads its t_trace
+    # the QR flow: no CLI path runs it; the three relative-degree acceptance gates test it, and
+    # bench/tracing.py reads its t_trace
     "degree.relative_degree",
     # analytic and finite-difference curvature of the model connection, read by the residual acceptance gate
     "modelmetric.curvature_pair",
