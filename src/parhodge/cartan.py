@@ -2,11 +2,11 @@
 
 Weight coordinates are always given in the basis of simple coroots, so the
 simply-connected cocharacter lattice is exactly ``Z^rank``.  Roots are stored
-as covectors: tuples of values on the simple coroots.  Coordinates and
-results are ``Fraction``s; no floats enter.  Root values on coroots are
-integers, so the membership tests read the positive roots on a point as
-integer numerators over one common denominator instead of summing
-``Fraction`` products.
+as covectors: tuples of values on the simple coroots.  Root values on coroots
+are integers, so the root tables are tuples of ``int``, and the membership
+tests read the positive roots on a point as integer numerators over one
+common denominator.  Coordinates, coweights and results are ``Fraction``s;
+no floats enter.
 
 Normalization looks for k*a + lambda, lambda in the coroot lattice Q^vee,
 inside the open star {|root| < 1}.  The star is W times the open fundamental
@@ -22,7 +22,7 @@ Inf. Theory 28, 1982).  Each k costs O(rank log rank) ``Fraction`` operations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import floor, lcm
@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Covec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]
 
 CARTAN_TYPES = ("A", "B", "C", "D")
 LATTICES = ("simply_connected", "adjoint")
@@ -73,8 +74,8 @@ def _as_vec(a: Sequence, rank: int) -> Vec:
     return v
 
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(u, v) if x), Fraction(0))
+def _dot(u: Sequence, v: Sequence):
+    return sum(map(mul, u, v))
 
 
 def _row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -112,11 +113,12 @@ def _solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Frac
 
 
 def _ambient_tables(cartan_type: str, rank: int):
-    """Simple roots, positive roots and coroot map in the standard ambient coordinates."""
+    """Simple roots, positive roots and coroot map in the standard ambient
+    coordinates, all integer vectors."""
     t, r = cartan_type, rank
 
     def e(i, dim):
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
+        return tuple(int(j == i) for j in range(dim))
 
     def add(u, v, su=1, sv=1):
         return tuple(su * a + sv * b for a, b in zip(u, v))
@@ -163,8 +165,9 @@ def _ambient_tables(cartan_type: str, rank: int):
         raise UnsupportedType(f"unknown Cartan type {cartan_type!r}")
 
     def coroot(root):
+        # |root|^2 is 1, 2 or 4, and 2 * root / |root|^2 is an integer vector
         norm2 = _dot(root, root)
-        return tuple(2 * x / norm2 for x in root)
+        return tuple(2 * x // norm2 for x in root)
 
     return simples, positives, coroot
 
@@ -222,30 +225,18 @@ class RootDatum:
 
     positive_roots are covectors (values on the simple coroots); coroots are
     coordinate vectors in the simple-coroot basis; inner_product is the Gram
-    matrix of the simple coroots.  positive_root_ints holds the same
-    covectors as tuples of ``int``, which they are.
+    matrix of the simple coroots.  These four tables hold ``int``s; the
+    cocharacter basis holds ``Fraction``s, as the adjoint coweights need.
     """
 
     cartan_type: str
     rank: int
-    simple_roots: tuple[Covec, ...]
-    positive_roots: tuple[Covec, ...]
-    coroots: tuple[Vec, ...]
+    simple_roots: tuple[IntVec, ...]
+    positive_roots: tuple[IntVec, ...]
+    coroots: tuple[IntVec, ...]
     cochar_lattice_basis: tuple[Vec, ...]
-    inner_product: tuple[tuple[Fraction, ...], ...]
+    inner_product: tuple[IntVec, ...]
     lattice: str
-    positive_root_ints: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-
-    def root_value(self, root: Covec, a: Sequence) -> Fraction:
-        v = _as_vec(a, self.rank)
-        return _dot(root, v)
-
-    def norm2(self, a: Sequence) -> Fraction:
-        v = _as_vec(a, self.rank)
-        return sum(
-            (v[i] * v[j] * self.inner_product[i][j] for i in range(self.rank) for j in range(self.rank)),
-            Fraction(0),
-        )
 
 
 # (cartan_type, rank, lattice) -> RootDatum; a RootDatum is frozen and made of
@@ -278,8 +269,10 @@ def _build_root_datum(cartan_type: str, rank: int, lattice: str) -> RootDatum:
     simple_covecs = tuple(covec(s) for s in simples_amb)
     positives = sorted(((covec(p), p) for p in positives_amb), key=lambda cp: (sum(cp[0]), cp[0]))
     positive_covecs = tuple(c for c, _ in positives)
-    # coroots lie in the span of the simple coroots: gram @ x = pairings with the basis
-    coroot_vecs = tuple(_solve_exact(gram, [covec(coroot_amb(p)) for _, p in positives]))
+    # coroots lie in the coroot lattice: gram @ x = pairings with the basis has an integer solution
+    coroot_vecs = tuple(
+        tuple(map(int, x)) for x in _solve_exact(gram, [covec(coroot_amb(p)) for _, p in positives])
+    )
 
     unit = tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank))
     if lattice == "simply_connected":
@@ -299,7 +292,6 @@ def _build_root_datum(cartan_type: str, rank: int, lattice: str) -> RootDatum:
         cochar_lattice_basis=basis,
         inner_product=gram,
         lattice=lattice,
-        positive_root_ints=tuple(tuple(x.numerator for x in c) for c in positive_covecs),
     )
 
 
@@ -308,34 +300,22 @@ def _root_numerators(rd: RootDatum, v: Vec) -> tuple[list[int], int]:
     d the lcm of the denominators of v."""
     d = lcm(*(x.denominator for x in v))
     scaled = [x.numerator * (d // x.denominator) for x in v]
-    return [sum(map(mul, root, scaled)) for root in rd.positive_root_ints], d
+    return [sum(map(mul, root, scaled)) for root in rd.positive_roots], d
 
 
 @dataclass(frozen=True)
 class MembershipResult:
     kind: str  # "interior" | "boundary" | "outside"
     walls: tuple[tuple[int, int], ...]  # (positive-root index, level 0 or 1)
-    violations: tuple[tuple[int, Fraction], ...]  # roots with value outside [0,1]
 
 
 def alcove_membership(rd: RootDatum, a: Sequence) -> MembershipResult:
     """Locate a relative to the closed fundamental alcove {0 <= root values <= 1}."""
-    v = _as_vec(a, rd.rank)
-    walls: list[tuple[int, int]] = []
-    violations: list[tuple[int, Fraction]] = []
-    nums, d = _root_numerators(rd, v)
-    for idx, num in enumerate(nums):
-        if num < 0 or num > d:
-            violations.append((idx, Fraction(num, d)))
-        elif num == 0:
-            walls.append((idx, 0))
-        elif num == d:
-            walls.append((idx, 1))
-    if violations:
-        return MembershipResult("outside", tuple(walls), tuple(violations))
-    if walls:
-        return MembershipResult("boundary", tuple(walls), ())
-    return MembershipResult("interior", tuple(walls), ())
+    nums, d = _root_numerators(rd, _as_vec(a, rd.rank))
+    walls = tuple((idx, int(num == d)) for idx, num in enumerate(nums) if num in (0, d))
+    if any(num < 0 or num > d for num in nums):
+        return MembershipResult("outside", walls)
+    return MembershipResult("boundary" if walls else "interior", walls)
 
 
 def in_A_prime(rd: RootDatum, a: Sequence, scope: str = "h", m_weights: Iterable[Covec] | None = None) -> bool:
@@ -365,6 +345,8 @@ def alcove_normalize(rd: RootDatum, a: Sequence, search_bound: int = 64) -> Alco
 
     ``_star_point`` finds the representative of k*a in the open star, if any
     (see the module docstring); a level-1 wall is outside, so the next k is tried.
+    Its binding roots are below 1, which is the open-star condition, so the
+    result is not tested again.
     """
     v0 = _as_vec(a, rd.rank)
     t = rd.cartan_type
@@ -375,8 +357,6 @@ def alcove_normalize(rd: RootDatum, a: Sequence, search_bound: int = 64) -> Alco
             continue
         normalized, dominant = (_coroot_point(t, y) for y in found)
         lam = tuple(c - k * x for c, x in zip(normalized, v0))
-        if not in_A_prime(rd, normalized):
-            raise RuntimeError("internal: normalized point escaped the open star")
         return AlcoveNormalization(k=k, lattice_vector=lam, normalized=normalized, dominant=dominant)
     raise SearchExhausted(search_bound)
 

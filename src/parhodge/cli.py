@@ -121,6 +121,13 @@ EXIT_NO_CONVERGENCE = 4
 # about 0.4 s, and every datum built stays in memory for the process
 _MAX_RANK = 12
 
+# a section writes an n x n matrix per puncture and per differential term
+_MAX_SECTION_RANK = 16
+_MAX_PUNCTURES = 64
+
+# a sampled pair costs two n x n relative positions, about 0.9 ms at n = 16
+_MAX_SAMPLE_N = 16
+
 
 class _UsageError(Exception):
     """Command line itself is malformed (unknown command, bad option)."""
@@ -593,7 +600,7 @@ def _sample_hermitian_pair(real, rng: np.random.Generator) -> tuple[np.ndarray, 
     for _ in range(2):
         a = rng.standard_normal((real.n, real.n)) + 1j * rng.standard_normal((real.n, real.n))
         m = (a + a.conj().T) / 2.0
-        norm = np.linalg.norm(m)
+        norm = hs_norm(m)
         if norm < 1e-8:
             return _sample_hermitian_pair(real, rng)
         out.append(m / norm)
@@ -605,6 +612,8 @@ def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
         spec = object_from_json(payload["sample"], "$.sample")
         model = _field(spec, "model", str_from_json, "$.sample")
         real = _build_realization(model, "$.sample.model")
+        if real.n > _MAX_SAMPLE_N:
+            raise SchemaError("$.sample.model", f"expected a model of size n <= {_MAX_SAMPLE_N}, got {model}")
         count = _field(spec, "count", int_from_json, "$.sample", default=100, lo=1, hi=10_000)
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         worst = 0.0
@@ -761,7 +770,7 @@ def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
     data = hitchin_section(
         _field(payload, "mode", str_from_json, choices=SECTION_MODES),
         _field(payload, "genus", int_from_json, lo=0),
-        _field(payload, "n_punctures", int_from_json, lo=0),
+        _field(payload, "n_punctures", int_from_json, lo=0, hi=_MAX_PUNCTURES),
         q_terms=_field(
             payload,
             "q_terms",
@@ -769,7 +778,7 @@ def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
             default=None,
             items=lambda terms, loc: list_from_json(terms, loc, _q_term),
         ),
-        rank=_field(payload, "rank", int_from_json, default=2),
+        rank=_field(payload, "rank", int_from_json, default=2, lo=2, hi=_MAX_SECTION_RANK),
     )
     method = "section construction from differentials"
     report["outputs"] = {

@@ -180,7 +180,7 @@ def _rank(rows, exact: bool) -> int:
     if exact:
         return len(_row_reduce(rows)[1])
     arr = np.asarray(rows, dtype=complex)
-    return numerical_rank(arr, 1e-9 * max(1.0, np.linalg.norm(arr)))
+    return numerical_rank(arr, 1e-9 * max(1.0, hs_norm(arr)))
 
 
 def _joint_rank(a, b, exact: bool) -> int:

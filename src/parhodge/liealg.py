@@ -17,7 +17,7 @@ import functools
 import math
 import re as _re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -241,35 +241,10 @@ class Realization:
         return self._row.eigenlines if self.n == 2 else None
 
     @property
-    def split_rank_one(self) -> bool:
-        """SL(2,R) in its split frame, whose compact torus is not diagonal.
-        The closed-form triples of both rank-one models key on ``eigenlines``."""
-        return self._row.split and self.n == 2
-
-    @property
     def hermitian_signature(self) -> tuple[int, int] | None:
         """(p, q) of the Toledo pairing, None unless G is of Hermitian type; in
         the split frame of SL(2,R) the two summands are the isotropic lines."""
         return (1, 1) if self.eigenlines is not None else self.signature
-
-    # ----- Cartan data ----------------------------------------------------
-
-    def cartan_element(self, coeffs: Sequence) -> np.ndarray:
-        """Hermitian torus element from weight coordinates (diagonal models)."""
-        vals = [float(c) for c in coeffs]
-        n = self.n
-        if self._row.split:  # the compact torus is not diagonal in the split frame
-            if not self.split_rank_one:
-                raise UnsupportedGroup("cartan_element for SL(n,R) implemented for n = 2")
-            if len(vals) != 1:
-                raise NotInCartan("SL(2,R) torus coordinate is one number")
-            (a,) = vals
-            return a * np.array([[0, 1j], [-1j, 0]], dtype=complex)
-        if len(vals) != n:
-            raise NotInCartan(f"expected {n} diagonal coordinates")
-        if self._row.traceless and abs(sum(vals)) > 1e-12:
-            raise NotInCartan("traceless model needs coordinates summing to zero")
-        return np.diag(vals).astype(complex)
 
 
 def _unit(n: int, i: int, j: int) -> np.ndarray:
@@ -342,10 +317,8 @@ class _Family:
     project_mC: Callable
     basis_hC: Callable
     basis_mC: Callable
-    traceless: bool = False
     basis_g: Callable | None = None  # noncompact real forms only
     complex_group: bool = False  # g is all of g^C
-    split: bool = False  # theta = -transpose
     eigenlines: tuple | None = None  # of the rank-one (n = 2) model
 
 
@@ -363,11 +336,9 @@ _SU11_LINES = (
 _FAMILIES = {
     # on the m^C model (all of gl_n) the real points of GL(n,C) are the Hermitian matrices
     "GL_C": _Family(_neg_adjoint, _adjoint, _same, _same, _gl_basis, _gl_basis, complex_group=True),
-    "SL_C": _Family(
-        _neg_adjoint, _adjoint, _same, _same, _sl_basis, _sl_basis, traceless=True, complex_group=True
-    ),
+    "SL_C": _Family(_neg_adjoint, _adjoint, _same, _same, _sl_basis, _sl_basis, complex_group=True),
     "U": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _gl_basis, lambda r: []),
-    "SU": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _sl_basis, lambda r: [], traceless=True),
+    "SU": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _sl_basis, lambda r: []),
     "SL_R": _Family(
         lambda r, x: -x.T,
         lambda r, x: x.conj(),
@@ -376,7 +347,7 @@ _FAMILIES = {
         lambda r: [_unit(r.n, i, j) - _unit(r.n, j, i) for i in range(r.n) for j in range(i + 1, r.n)],
         lambda r: [_unit(r.n, i, j) + _unit(r.n, j, i) for i in range(r.n) for j in range(i + 1, r.n)]
         + _sl_diag_basis(r.n),
-        traceless=True, basis_g=_sl_basis, split=True, eigenlines=_SL2R_LINES,
+        basis_g=_sl_basis, eigenlines=_SL2R_LINES,
     ),
     "SU_pq": _Family(
         lambda r, x: r._J @ x @ r._J,
@@ -387,7 +358,7 @@ _FAMILIES = {
         lambda r: _units(r, lambda i, j: (i < r.signature[0]) == (j < r.signature[0]) and i != j)
         + _sl_diag_basis(r.n),
         lambda r: _units(r, lambda i, j: (i < r.signature[0]) != (j < r.signature[0])),
-        traceless=True, basis_g=_su_pq_basis_g, eigenlines=_SU11_LINES,
+        basis_g=_su_pq_basis_g, eigenlines=_SU11_LINES,
     ),
 }
 
@@ -473,9 +444,6 @@ class SL2Triple:
     e: np.ndarray
     f: np.ndarray
     flavor: str = "plain"  # plain | normal | ks_normal
-
-    def scaled(self, c: complex) -> "SL2Triple":
-        return SL2Triple(self.x, c * self.e, self.f / c, self.flavor)
 
 
 def validate_triple(real: Realization, t: SL2Triple, tol: float = 1e-8) -> None:
@@ -849,27 +817,40 @@ def _jordan_split(
     return m.copy(), np.zeros_like(m), _means(_linked(vals, _NODE_GAP * scale))
 
 
+def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
+    """a * 2^k for a complex array, exact wherever the parts stay normal, for
+    any integer k (2^k itself may leave the float range)."""
+    out = np.empty_like(a)
+    out.real = np.ldexp(a.real, k)
+    out.imag = np.ldexp(a.imag, k)
+    return out
+
+
 def jordan_additive(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Additive Jordan-Chevalley decomposition m = s + n by the Newton iteration
     on the squarefree characteristic polynomial of the clustered spectrum.
 
-    A finite strictly triangular m is nilpotent as it stands: s = 0, n = m.
-    That shortcut is taken only where the iteration reaches the same split,
-    for hs_norm(m) > 1e-13; below it the Newton step stops at once and
-    returns s = m.
+    A finite nonzero strictly triangular m is nilpotent as it stands: s = 0,
+    n = m.  The iteration measures its steps against max(1, hs_norm(m)), so
+    a finite nonzero m with hs_norm(m) < 1 is first multiplied by the power
+    of two that puts its norm in [1, 2), read at its largest entry so that no
+    sum of squares underflows, and s and n are divided back: the split does
+    not depend on how small m is.  Every other m runs as it stands.
     """
     m = np.asarray(m, dtype=complex)
-    norm = hs_norm(m)
     square = m.ndim == 2 and m.shape[0] == m.shape[1]
-    if (
-        norm > 1e-13
-        and square
-        and np.isfinite(m).all()
-        and not (np.tril(m).any() and np.triu(m).any())
-    ):
+    finite = np.isfinite(m).all()
+    if square and finite and m.any() and not (np.tril(m).any() and np.triu(m).any()):
         return np.zeros_like(m), m.copy()
+    norm = hs_norm(m)
+    shift = 0
+    if finite and norm < 1 and m.any():
+        shift = -math.frexp(float(np.max(np.abs(m))))[1]
+        shift += 1 - math.frexp(hs_norm(_ldexp(m, shift)))[1]
+        m = _ldexp(m, shift)
+        norm = hs_norm(m)
     s, n_part, _ = _jordan_split(m, np.linalg.eigvals(m), tol, max(1.0, norm))
-    return s, n_part
+    return (s, n_part) if not shift else (_ldexp(s, -shift), _ldexp(n_part, -shift))
 
 
 @dataclass(frozen=True)

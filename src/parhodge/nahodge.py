@@ -75,11 +75,9 @@ from .liealg import (
     validate_triple,
 )
 from .parhiggs import (
-    InadmissiblePoles,
     ParabolicHiggsData,
     _turn_defect,
     alpha_matrix,
-    gr_res,
     make_data,
 )
 
@@ -600,7 +598,8 @@ def hitchin_section(
     multiplies entry (r, c) by alpha_r - alpha_c: the subdiagonal of ones
     sits at the order of its eigenvalue, and the degree-j differential
     feeds entry (0, j-1) at orders k above the eigenvalue of that entry,
-    so the residue stays the regular nilpotent.
+    so the poles are parabolic and the graded residue is exactly the
+    subdiagonal, the regular nilpotent; the result is not checked again.
 
     mode "SL2R"
         rank 2, alpha = (-1/2, +1/2): the subdiagonal sits at order 1 and
@@ -653,21 +652,7 @@ def hitchin_section(
             f"differential coefficients below the allowed order: {offenders}"
         )
     degrees = tuple((genus - 1) * (n + 1 - 2 * k) for k in range(1, n + 1))
-    data = make_data(genus, f"SL({n},R)", [weight] * n_punctures, laurent, degrees)
-
-    for i in range(n_punctures):
-        try:
-            res = gr_res(data, i)
-        except InadmissiblePoles as exc:
-            raise PoleOrderViolation(
-                f"puncture {i}: inadmissible coefficients {exc.offenders}"
-            ) from exc
-        expected = tuple(range(data.n - 1, -1, -1))
-        if rank_sequence(res.nilpotent) != expected:
-            raise PoleOrderViolation(
-                f"puncture {i}: residue nilpotent part is not regular"
-            )
-    return data
+    return make_data(genus, f"SL({n},R)", [weight] * n_punctures, laurent, degrees)
 
 
 # ---------------------------------------------------------------------------

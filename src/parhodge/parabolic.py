@@ -75,7 +75,7 @@ def _fixed_space(mats: list[np.ndarray], u: np.ndarray) -> list[np.ndarray]:
 def levi_centralizer_tilde(real: Realization, alpha: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Fixed spaces of Ad(e^{2 pi i alpha}) on (m^C, h^C): the residue ambient
     space m~0 and the Lie algebra of the stabilizer inside H^C."""
-    u = _exp_hermitian(alpha, 2j * np.pi)  # alpha is Hermitian (Realization.cartan_element)
+    u = _exp_hermitian(alpha, 2j * np.pi)  # alpha is Hermitian, a compact torus element
     m_tilde = _fixed_space(real.basis_mC(), u)
     stab = _fixed_space(real.basis_hC(), u)
     return m_tilde, stab

@@ -34,7 +34,7 @@ from .jsonio import (
     object_from_json,
     str_from_json,
 )
-from .liealg import _frobenius, _nilpotent_series, jordan_additive
+from .liealg import _nilpotent_series, hs_norm, jordan_additive
 
 
 class MissingEigenbasis(ValueError):
@@ -164,7 +164,7 @@ def _turn_defect(a_mat: np.ndarray, v: np.ndarray) -> float:
     """||Ad(exp(2 pi i alpha)) v - v||: alpha is diagonal, so Ad multiplies
     entry (j, k) by exp(2 pi i (alpha_j - alpha_k))."""
     a = a_mat.diagonal().real
-    return _frobenius(v * np.exp(2j * np.pi * (a[:, None] - a[None, :])) - v)
+    return hs_norm(v * np.exp(2j * np.pi * (a[:, None] - a[None, :])) - v)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +274,10 @@ def check_pole_orders(data: ParabolicHiggsData, i: int, tol: float = 1e-9) -> Po
     valuation: dict[Fraction, int] = {}
     for t in p.laurent:
         m = np.asarray(t.matrix, dtype=complex)
-        nrm = np.linalg.norm(m)
+        nrm = hs_norm(m)
         if nrm <= tol:
             continue
-        if np.linalg.norm(amat @ m - m @ amat - float(t.eigenvalue) * m) > tol * max(1.0, nrm):
+        if hs_norm(amat @ m - m @ amat - float(t.eigenvalue) * m) > tol * max(1.0, nrm):
             raise MissingEigenbasis(
                 f"puncture {i}: order-{t.order} coefficient is not in the "
                 f"eigenvalue-{t.eigenvalue} eigenspace of ad(alpha)"
@@ -320,9 +320,9 @@ def gr_res(data: ParabolicHiggsData, i: int, tol: float = 1e-9) -> GradedResidue
         if t.eigenvalue.denominator == 1 and t.order == t.eigenvalue.numerator:
             total = total + np.asarray(t.matrix, dtype=complex)
     amat = alpha_matrix(p.weight)
-    if _turn_defect(amat, total) > 1e-8 * max(1.0, np.linalg.norm(total)):
+    if _turn_defect(amat, total) > 1e-8 * max(1.0, hs_norm(total)):
         raise MissingEigenbasis(f"puncture {i}: graded residue escapes the Ad-fixed space")
-    if np.linalg.norm(total) <= tol:
+    if hs_norm(total) <= tol:
         s_part = np.zeros_like(total)
         y_part = np.zeros_like(total)
     else:
@@ -375,11 +375,11 @@ def exp_pole_gauge(n_mat: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Laurent coefficients of ``exp(n / z)`` for nilpotent ``n`` (plus identity)."""
     m = np.asarray(n_mat, dtype=complex)
     series = _nilpotent_series(m)
-    if np.linalg.norm(series[-1] @ m / m.shape[0]) > _GAUGE_ZERO:  # ||N^n / n!||
+    if hs_norm(series[-1] @ m / m.shape[0]) > _GAUGE_ZERO:  # ||N^n / n!||
         raise ValueError("exp_pole_gauge requires a nilpotent argument")
     terms = [(0, series[0])]
     for k, power in enumerate(series[1:], 1):
-        if np.linalg.norm(power) <= _GAUGE_ZERO:
+        if hs_norm(power) <= _GAUGE_ZERO:
             break
         terms.append((-k, power))
     return terms
@@ -413,7 +413,7 @@ def conjugate_laurent(
     result = []
     for k in sorted(out):
         m = out[k]
-        if np.linalg.norm(m) <= _GAUGE_ZERO:
+        if hs_norm(m) <= _GAUGE_ZERO:
             continue
         by_eig: dict[Fraction, np.ndarray] = {}
         for r in range(n):
@@ -585,11 +585,11 @@ def _reduces(mats: list[np.ndarray], basis: np.ndarray, tol: float) -> tuple[boo
     rest = np.eye(proj.shape[0], dtype=complex) - proj
     levi = True
     for m in mats:
-        bound = tol * max(1.0, np.linalg.norm(m))
-        below = np.linalg.norm(rest @ m @ proj)
+        bound = tol * max(1.0, hs_norm(m))
+        below = hs_norm(rest @ m @ proj)
         if below > bound:
             return False, False
-        levi = levi and not below + np.linalg.norm(proj @ m @ rest) > bound
+        levi = levi and not below + hs_norm(proj @ m @ rest) > bound
     return True, levi
 
 
@@ -628,11 +628,11 @@ def _enumerate_small(data: ParabolicHiggsData, tol: float) -> list[ReductionCert
         residues.append(r)
     seen: list[np.ndarray] = []
     for r in residues:
-        if np.linalg.norm(r) <= tol:
+        if hs_norm(r) <= tol:
             continue
         _, vecs = np.linalg.eig(r)
         for j in range(n):
-            v = vecs[:, j] / np.linalg.norm(vecs[:, j])
+            v = vecs[:, j] / hs_norm(vecs[:, j])
             if any(abs(abs(v.conj() @ w) - 1.0) < 1e-9 for w in seen):
                 continue
             invariant, levi = _reduces(all_terms, v.reshape(-1, 1), tol)

@@ -7,7 +7,6 @@ numerators over one common denominator.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from parhodge.cartan import Covec, MembershipResult, MissingWeights, RootDatum, _as_vec, _dot, _frac
@@ -17,20 +16,20 @@ def alcove_membership(rd: RootDatum, a: Sequence) -> MembershipResult:
     """Locate a relative to the closed fundamental alcove {0 <= root values <= 1}."""
     v = _as_vec(a, rd.rank)
     walls: list[tuple[int, int]] = []
-    violations: list[tuple[int, Fraction]] = []
+    outside = False
     for idx, root in enumerate(rd.positive_roots):
         val = _dot(root, v)
         if val < 0 or val > 1:
-            violations.append((idx, val))
+            outside = True
         elif val == 0:
             walls.append((idx, 0))
         elif val == 1:
             walls.append((idx, 1))
-    if violations:
-        return MembershipResult("outside", tuple(walls), tuple(violations))
+    if outside:
+        return MembershipResult("outside", tuple(walls))
     if walls:
-        return MembershipResult("boundary", tuple(walls), ())
-    return MembershipResult("interior", tuple(walls), ())
+        return MembershipResult("boundary", tuple(walls))
+    return MembershipResult("interior", tuple(walls))
 
 
 def in_A_prime(rd: RootDatum, a: Sequence, scope: str = "h", m_weights: Iterable[Covec] | None = None) -> bool:

@@ -23,10 +23,11 @@ from hypothesis.extra import numpy as hnp
 
 import parhodge
 import plain_oracle
+import rootsys_oracle
 from parhodge import cli, modelmetric
 from parhodge.cartan import build_root_datum, in_A_prime
 from parhodge.cli import _render, _write_file, cli_dispatch, main
-from parhodge.jsonio import matrix_to_json
+from parhodge.jsonio import frac_to_json, matrix_to_json
 from parhodge.nahodge import hitchin_section, monodromy_factors
 from parhodge.parhiggs import ParabolicHiggsData, Puncture, to_json
 
@@ -119,6 +120,27 @@ def test_alcove_normalize_far_point_is_fast(tmp_path, cartan_type, point):
     assert all(l.denominator == 1 for l in lam)  # the coroot lattice, in simple-coroot coordinates
 
 
+@pytest.mark.parametrize("lattice", ["simply_connected", "adjoint"])
+@pytest.mark.parametrize("cartan_type", ["A", "B", "C", "D"])
+def test_rootsys_prints_the_fraction_tables(tmp_path, cartan_type, lattice):
+    # the integer tables print as the Fraction ones did, at every rank the CLI admits
+    for rank in range(1, 13):
+        code, report = run_cli(tmp_path, "rootsys", {"cartan_type": cartan_type, "rank": rank, "lattice": lattice})
+        try:
+            tables = rootsys_oracle.fraction_tables(cartan_type, rank, lattice)
+        except ValueError:
+            assert (code, report["error"]["location"]) == (3, "$.rank")
+            continue
+        assert code == 0
+        method = "exact root-system arithmetic"
+        want = {"cartan_type": cartan_type, "rank": rank, "lattice": lattice}
+        want.update(
+            (name, {"value": [[frac_to_json(x) for x in row] for row in table], "method": method})
+            for name, table in tables.items()
+        )
+        assert json.dumps(report["outputs"]) == json.dumps(want)
+
+
 def _counting(monkeypatch, modules, name):
     """Calls of ``name`` through any of ``modules``, each recorded by its arguments."""
     calls = []
@@ -153,14 +175,15 @@ def test_alcove_normalize_reads_root_values_as_integers(tmp_path, monkeypatch, c
         {"mode": "SLnR_principal", "genus": 2, "n_punctures": 2, "rank": 4},
     ],
 )
-def test_hitchin_section_checks_each_puncture_once_and_solves_no_eigenproblem(tmp_path, monkeypatch, payload):
+def test_hitchin_section_checks_no_pole_order_and_solves_no_eigenproblem(tmp_path, monkeypatch, payload):
+    # the construction puts every coefficient at an admissible order; nothing re-checks it
     from parhodge import nahodge, parhiggs
 
     checks = _counting(monkeypatch, [parhiggs, nahodge], "check_pole_orders")
     eigensolves = _counting(monkeypatch, [np.linalg], "eigvals")
     code, _ = run_cli(tmp_path, "hitchin-section", payload)
     assert code == 0
-    assert [i for _, i in checks] == list(range(payload["n_punctures"]))
+    assert checks == []
     assert eigensolves == []
 
 
@@ -657,6 +680,12 @@ H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[
         ("verify-model", {**VERIFY_MODEL, "grid": {**GRID, "count": 1}}, "$.grid"),
         ("stability", {"data": WALL_DATA, "mode": "x"}, "$.mode"),
         ("hitchin-section", {"mode": "x", "genus": 0, "n_punctures": 3}, "$.mode"),
+        # the size knobs past their bounds
+        ("hitchin-section", {"mode": "SLnR_principal", "genus": 2, "n_punctures": 2, "rank": 17}, "$.rank"),
+        ("hitchin-section", {"mode": "SLnR_principal", "genus": 2, "n_punctures": 2, "rank": 1}, "$.rank"),
+        ("hitchin-section", {"mode": "SL2R", "genus": 0, "n_punctures": 65}, "$.n_punctures"),
+        ("degree-relative", {"sample": {"model": "GL(17,C)", "count": 1}}, "$.sample.model"),
+        ("degree-relative", {"sample": {"model": "SU(9,8)", "count": 1}}, "$.sample.model"),
         # every matrix and weight is checked against the realization's rank before any work
         ("translate-h2l", {**H2L, "realization": "SU(2,1)"}, "$.alpha"),
         ("translate-h2l", {**H2L, "realization": "SU(2,1)", "alpha": [0, 0, 0]}, "$.s"),
@@ -690,6 +719,23 @@ def test_hostile_field_exits_3_with_location(tmp_path, command, payload, locatio
     assert code == 3
     assert report["error"]["type"] == "SchemaError"
     assert report["error"]["location"] == location
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("hitchin-section", {"mode": "SLnR_principal", "genus": 2, "n_punctures": 64, "rank": 16}),
+        ("hitchin-section", {"mode": "SL2R", "genus": 0, "n_punctures": 64}),
+        ("degree-relative", {"sample": {"model": "GL(16,C)", "count": 10}}),
+        ("degree-relative", {"sample": {"model": "SU(8,8)", "count": 10}}),
+    ],
+)
+def test_a_size_knob_at_its_bound_runs(tmp_path, command, payload):
+    # one past each bound is refused in test_hostile_field_exits_3_with_location
+    start = time.perf_counter()
+    code, report = run_cli(tmp_path, command, payload)
+    assert time.perf_counter() - start < 10
+    assert code == 0, report.get("error")
 
 
 @pytest.mark.parametrize(
@@ -1837,6 +1883,33 @@ def test_a_translation_past_the_square_root_of_the_float_range_prints_nothing(tm
     source.write_text(json.dumps({"realization": "GL(2,C)", "alpha": [0, 0], "s": s, "y": zero}))
     proc = subprocess.run(
         [sys.executable, "-m", "parhodge.cli", "translate-h2l", "--input", str(source)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["exit_code"] == 0
+
+
+def _huge_entry_section(term: int, row: int, col: int) -> dict:
+    """The SL2R section with a quadratic differential at the first puncture,
+    one entry of its order-``term`` Laurent matrix set to 1e300."""
+    data = to_json(hitchin_section("SL2R", 0, 3, q_terms=[[(2, 0, 1.0)], [], []]))
+    data["punctures"][0]["laurent"]["terms"][term]["matrix"][row][col] = [1e300, 0.0]
+    return data
+
+
+@pytest.mark.parametrize("term, row, col", [(0, 1, 0), (1, 0, 1)])  # the residue, the differential
+@pytest.mark.parametrize(
+    "command, extra", [("gr-res", {"puncture": 0}), ("stability", {"mode": "exhaustive_small"}), ("stability", {})]
+)
+def test_a_huge_puncture_entry_prints_nothing(tmp_path, command, extra, term, row, col):
+    # the Frobenius norms of the Laurent matrices overflow in their sum of
+    # squares; numpy's norm printed "RuntimeWarning: overflow encountered in dot"
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"data": _huge_entry_section(term, row, col), **extra}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "parhodge.cli", command, "--input", str(source)],
         capture_output=True,
         text=True,
         env=child_env(),

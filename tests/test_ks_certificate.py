@@ -117,7 +117,7 @@ def oracle_certificate(real, e: np.ndarray) -> tuple:
     1e-4 and a singular matrix at 1e4 on SU(1,1).
     """
     plain = jacobson_morozov(e / hs_norm(e))
-    ks = _closed_form_sl2(real, plain) if real.split_rank_one else _descent(real, plain)
+    ks = _closed_form_sl2(real, plain) if real.label == "SL(2,R)" else _descent(real, plain)
     y = cayley_transform(real, ks).e
     return rank_sequence(y), _component_signs(real, y)
 

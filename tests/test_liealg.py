@@ -97,7 +97,7 @@ def test_involutions(label):
 
 def test_ad_eigendecompose_gl3_multiplicities():
     gl3 = build_realization("GL(3,C)")
-    a = gl3.cartan_element([0.5, 0.0, 0.0])
+    a = np.diag([0.5, 0.0, 0.0]).astype(complex)
     eig = ad_eigendecompose(gl3, a, space="m^C")
     table = {round(v, 9): len(basis) for v, basis in eig}
     assert table == {-0.5: 2, 0.0: 5, 0.5: 2}
@@ -152,7 +152,7 @@ def test_jacobson_morozov_scaling_covariance():
         t2 = jacobson_morozov(c * e)
         v2 = np.sort(np.linalg.eigvals(t2.x).real)
         assert np.allclose(v1, v2, atol=1e-7)
-        validate_triple(gl4, t2.scaled(1 / c), tol=1e-7)
+        validate_triple(gl4, SL2Triple(t2.x, (1 / c) * t2.e, t2.f / (1 / c), t2.flavor), tol=1e-7)
 
 
 def test_cayley_transform_round_trip():
@@ -311,7 +311,7 @@ def test_long_jordan_blocks_at_every_scale(n, scale):
     assert rank_sequence(e) == tuple(range(n - 1, -1, -1))
     gl = build_realization(f"GL({n},C)")
     t = jacobson_morozov(e)
-    validate_triple(gl, t.scaled(1 / scale), tol=1e-7)
+    validate_triple(gl, SL2Triple(t.x, (1 / scale) * t.e, t.f / (1 / scale), t.flavor), tol=1e-7)
     assert np.allclose(np.sort(np.linalg.eigvals(t.x).real), np.arange(1 - n, n, 2), atol=1e-7)
 
 
@@ -506,6 +506,24 @@ def _outcome(fn, m, tol):
         return (type(exc).__name__, str(exc)), None
 
 
+def _oracle_additive(m, tol=1e-8):
+    """The frozen additive split at the scale jordan_additive runs it: a
+    finite nonzero m with hs_norm below 1 is multiplied up by the power of
+    two that puts its norm in [1, 2), and s and n are divided back."""
+    m = np.asarray(m, dtype=complex)
+    if not (np.isfinite(m).all() and m.any() and hs_norm(m) < 1):
+        return jordan_oracle.jordan_additive(m, tol=tol)
+
+    def times_pow2(a, k):  # in two steps, as 2^k may leave the float range
+        return a * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+
+    k = 1 - math.frexp(np.abs(m).max())[1]  # the largest entry in [1, 2)
+    while hs_norm(times_pow2(m, k)) >= 2:
+        k -= 1
+    s, n = jordan_oracle.jordan_additive(times_pow2(m, k), tol=tol)
+    return times_pow2(s, -k), times_pow2(n, -k)
+
+
 def _same_arrays(got, want) -> bool:
     if isinstance(want, tuple):  # jordan_additive: (s, n)
         return all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -531,7 +549,7 @@ def test_jordan_split_matches_the_frozen_oracle():
     inputs += [(np.array([[1.0, np.nan], [0.0, 1.0]]), 1e-8), (np.diag([1.0, 0.0]), 1e-8)]
     seen = {"factors": 0, "refused": 0, "not_nilpotent": 0}
     for m, tol in inputs:
-        for ours, frozen in ((jordan_additive, jordan_oracle.jordan_additive), (jordan_multiplicative, jordan_oracle.jordan_multiplicative)):
+        for ours, frozen in ((jordan_additive, _oracle_additive), (jordan_multiplicative, jordan_oracle.jordan_multiplicative)):
             want_error, want = _outcome(frozen, m, tol)
             got_error, got = _outcome(ours, m, tol)
             if want_error == _NOT_NILPOTENT and got_error is None:
@@ -615,26 +633,54 @@ def _strictly_triangular(rng, n: int, exponent: int) -> np.ndarray:
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_strictly_triangular_matrices_split_exactly():
-    # the Newton loop stops at once when hs_norm(m) <= 1e-13 (its scale is
-    # max(1, hs_norm(m))) and calls such an m semisimple, so those keep the
-    # iteration; everywhere else it reaches the exact split (0, m) too
+    # at every scale a nonzero one splits as (0, m), as the iteration does on
+    # it once its norm is in [1, 2); unscaled, the Newton loop measured
+    # against max(1, hs_norm(m)) stopped at once for hs_norm(m) <= 1e-13 and
+    # called such an m semisimple
     rng = np.random.default_rng(41)
     below_stop = 0
     for _ in range(2000):
         m = _strictly_triangular(rng, int(rng.integers(1, 9)), int(rng.choice([-600, -30, 0, 30, 600])))
         s, nil = jordan_additive(m)
-        want_s, want_n = jordan_oracle.jordan_additive(m)
+        want_s, want_n = _oracle_additive(m)
         assert np.array_equal(s, want_s) and np.array_equal(nil, want_n), m
-        if hs_norm(m) > 1e-13:
+        if m.any():
             assert not s.any() and np.array_equal(nil, m)
             assert np.array_equal(np.signbit(nil.real), np.signbit(m.real))
+            below_stop += hs_norm(m) <= 1e-13
         else:
             assert np.array_equal(s, m) and not nil.any()
-            below_stop += 1
     assert 300 < below_stop < 700
     for split in (jordan_oracle.jordan_additive, jordan_additive):  # 0 x 0 keeps the iteration too
         with pytest.raises(ZeroDivisionError):
             split(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("k", [-600, 0, 600])
+@pytest.mark.parametrize("size", [1e-16, 1e-14, 1e-6])
+def test_a_conjugated_jordan_block_splits_as_nilpotent_at_every_scale(size, k):
+    # unscaled, the iteration measured against max(1, hs_norm(m)) called
+    # 1e-16 * P J3 P^-1 (hs_norm about 2e-15) semisimple: s = m, n = 0
+    rng = np.random.default_rng(67)
+    p = rng.standard_normal((3, 3))
+    block = p @ jordan_block(3) @ np.linalg.inv(p)
+    c = 2.0**k * size
+    s, nil = jordan_additive(c * block)
+    # read at unit scale, where no sum of squares underflows
+    assert hs_norm(s / c) <= 1e-6 * hs_norm(block)
+    assert hs_norm(nil / c - block) <= 1e-6 * hs_norm(block)
+    assert is_nilpotent(nil)
+
+
+def test_a_jordan_block_just_above_the_smallest_float_splits_as_nilpotent():
+    # an integer conjugate of J3 at 2^-1072: every entry and the norm are
+    # subnormal, and the split is exact there too
+    p = np.array([[1.0, 0, 0], [1, 1, 0], [1, 1, 1]])
+    block = p @ jordan_block(3) @ np.linalg.inv(p)
+    assert np.array_equal(block, np.round(block)) and np.tril(block).any() and np.triu(block).any()
+    m = 2.0**-1072 * block
+    s, nil = jordan_additive(m)
+    assert not s.any() and np.array_equal(nil, m)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -649,7 +695,7 @@ def test_non_finite_or_diagonal_entries_take_the_iteration():
             m[i, j] = rng.choice([np.inf, -np.inf, np.nan])
         else:
             m[i, i] = rng.standard_normal() * 2.0 ** int(rng.integers(-10, 10))
-        want_error, want = _outcome(jordan_oracle.jordan_additive, m, 1e-8)
+        want_error, want = _outcome(_oracle_additive, m, 1e-8)
         got_error, got = _outcome(jordan_additive, m, 1e-8)
         if want_error == _NOT_NILPOTENT and got_error is None:
             continue  # a diagonal entry inside the clustering radius of 0, which the retry splits

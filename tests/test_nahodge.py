@@ -548,17 +548,31 @@ def test_section_pole_order_violations():
         hitchin_section("SL2R", 0, 3, q_terms=[[(3, 1, 1.0)], [], []])
 
 
-def test_section_reports_inadmissible_poles_as_a_pole_order_violation(monkeypatch):
-    from parhodge import nahodge
-    from parhodge.parhiggs import InadmissiblePoles
-
-    def inadmissible(data, i):
-        raise InadmissiblePoles(i, ((Fraction(1), 0),))
-
-    monkeypatch.setattr(nahodge, "gr_res", inadmissible)
-    with pytest.raises(PoleOrderViolation) as exc:
-        hitchin_section("SL2R", 0, 3)
-    assert str(exc.value) == "puncture 0: inadmissible coefficients ((Fraction(1, 1), 0),)"
+@pytest.mark.parametrize("mode", ["SL2R", "SLnR_principal"])
+def test_random_sections_have_parabolic_poles_and_a_regular_residue(mode):
+    # what hitchin_section builds and does not check again: differentials at
+    # every admissible order, with coefficients from 1e-300 to 1e300, never
+    # reach the graded residue, which stays the subdiagonal of ones
+    rng = np.random.default_rng(23 if mode == "SL2R" else 29)
+    lowest = 0 if mode == "SL2R" else 1  # one above the eigenvalue of entry (0, j-1)
+    for _ in range(40):
+        n = 2 if mode == "SL2R" else int(rng.integers(2, 8))
+        punctures = int(rng.integers(1, 4))
+        q_terms = [
+            [
+                (
+                    int(rng.integers(2, n + 1)),
+                    lowest + int(rng.integers(0, 3)),
+                    complex(*rng.standard_normal(2)) * 10.0 ** int(rng.integers(-300, 301)),
+                )
+                for _ in range(int(rng.integers(0, 4)))
+            ]
+            for _ in range(punctures)
+        ]
+        data = hitchin_section(mode, 1, punctures, q_terms=q_terms, rank=n)
+        for i in range(punctures):
+            assert check_pole_orders(data, i).kind == "parabolic"
+            assert rank_sequence(gr_res(data, i).nilpotent) == tuple(range(n - 1, -1, -1))
 
 
 def test_section_bad_topology():

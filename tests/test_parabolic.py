@@ -9,6 +9,9 @@ from parhodge.parabolic import (
     parabolic_from,
 )
 
+# the compact torus of SL(2,R) in its split frame, which is not diagonal
+SL2R_TORUS = np.array([[0, 1j], [-1j, 0]], dtype=complex)
+
 
 def chi_vanishing_defect(real: Realization, datum: ParabolicDatum) -> float:
     """Max |chi_s| over n_s and over brackets of the Levi basis (should be ~0)."""
@@ -45,10 +48,10 @@ def test_parabolic_from_gl3_two_block():
 def test_p1_empty_iff_interior():
     sl2r = build_realization("SL(2,R)")
     # interior weight: |2a| < 1
-    assert p1_subalgebra(sl2r, sl2r.cartan_element([0.25])) == []
+    assert p1_subalgebra(sl2r, 0.25 * SL2R_TORUS) == []
     # wall weight a = 1/2: the -1 eigenspace of ad(alpha) on h^C is nonzero
     gl2 = build_realization("GL(2,C)")
-    q1 = p1_subalgebra(gl2, gl2.cartan_element([0.5, -0.5]))
+    q1 = p1_subalgebra(gl2, np.diag([0.5, -0.5]).astype(complex))
     assert len(q1) == 1
     # the direction is the lowered root vector E21
     assert abs(q1[0][1, 0]) > 0.9
@@ -58,7 +61,7 @@ def test_levi_centralizer_wall_is_everything():
     # alpha with root value exactly 1: e^{2 pi i alpha} = -1 is central,
     # so the twisted centralizer in m^C is all of m^C
     sl2r = build_realization("SL(2,R)")
-    alpha = sl2r.cartan_element([0.5])
+    alpha = 0.5 * SL2R_TORUS
     m0, stab = levi_centralizer_tilde(sl2r, alpha)
     assert len(m0) == len(sl2r.basis_mC()) == 2
     assert len(stab) == len(sl2r.basis_hC()) == 1
@@ -66,7 +69,7 @@ def test_levi_centralizer_wall_is_everything():
 
 def test_levi_centralizer_interior_is_kernel():
     gl2 = build_realization("GL(2,C)")
-    alpha = gl2.cartan_element([0.25, 0.0])
+    alpha = np.diag([0.25, 0.0]).astype(complex)
     m0, stab = levi_centralizer_tilde(gl2, alpha)
     # only the diagonal survives on both sides
     assert len(m0) == 2

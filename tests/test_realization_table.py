@@ -5,13 +5,11 @@ reads a realization's family."""
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import pytest
 
 from parhodge.liealg import (
-    NotInCartan,
     Realization,
     UnsupportedGroup,
     build_realization,
@@ -189,25 +187,6 @@ class OracleRealization:
             return [_unit(n, i, j) for i in range(n) for j in range(n) if (i < p) != (j < p)]
         raise UnsupportedGroup(self.family)
 
-    # ----- Cartan data ----------------------------------------------------
-
-    def cartan_element(self, coeffs: Sequence) -> np.ndarray:
-        """Hermitian torus element from weight coordinates (diagonal models)."""
-        vals = [float(c) for c in coeffs]
-        n = self.n
-        if self.family == "SL_R":
-            if n != 2:
-                raise UnsupportedGroup("cartan_element for SL(n,R) implemented for n = 2")
-            if len(vals) != 1:
-                raise NotInCartan("SL(2,R) torus coordinate is one number")
-            (a,) = vals
-            return a * np.array([[0, 1j], [-1j, 0]], dtype=complex)
-        if len(vals) != n:
-            raise NotInCartan(f"expected {n} diagonal coordinates")
-        if self.family in ("SL_C", "SU", "SU_pq") and abs(sum(vals)) > 1e-12:
-            raise NotInCartan("traceless model needs coordinates summing to zero")
-        return np.diag(vals).astype(complex)
-
 
 def _unit(n: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=complex)
@@ -282,9 +261,6 @@ def test_table_matches_the_if_chain_oracle(label):
         ):
             for name in ("in_hC", "in_mC", "in_g"):
                 calls[f"{name} {kind} {k}"] = lambda r, name=name, y=y: getattr(r, name)(y)
-        coords = rng.standard_normal(n)
-        for kind, c in (("free", coords), ("traceless", coords - coords.mean()), ("one", coords[:1])):
-            calls[f"cartan_element {kind} {k}"] = lambda r, c=c: r.cartan_element(list(c))
     if real.signature is not None:
         calls["J"] = lambda r: r._J if isinstance(r, Realization) else r._J()
     for name, call in calls.items():
@@ -309,7 +285,6 @@ def test_unknown_family_and_empty_rank_are_refused_at_construction():
 def test_class_answers(label):
     real = build_realization(label)
     assert real.real_form == (real.family in ("SL_R", "SU_pq"))
-    assert real.split_rank_one == (label == "SL(2,R)")
     assert (real.eigenlines is not None) == (label in ("SL(2,R)", "SU(1,1)"))
     expected = real.signature if real.signature is not None else (1, 1) if label == "SL(2,R)" else None
     assert real.hermitian_signature == expected
