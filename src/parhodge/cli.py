@@ -868,17 +868,13 @@ def _cmd_verify_model(payload: dict, args, report: dict) -> int:
     profile = hitchin_residual(
         alpha, s, triple, grid, real, extra_terms=tuple(extra), transport=transport, **residual_kwargs
     )
-    rows = []
-    for r, rho in zip(profile.radii, profile.rho):
-        holonomy = holonomy_check(alpha, s, triple, r, real, transport=transport)
-        rows.append(
-            {
-                "r": r,
-                "rho": rho,
-                "holonomy_deviation": holonomy.deviation_levi,
-                "holonomy_deviation_full": holonomy.deviation_full,
-            }
+    holonomy = holonomy_check(alpha, s, triple, profile.radii, real, transport=transport)
+    rows = [
+        {"r": r, "rho": rho, "holonomy_deviation": levi, "holonomy_deviation_full": full}
+        for r, rho, levi, full in zip(
+            profile.radii, profile.rho, holonomy.deviation_levi, holonomy.deviation_full
         )
+    ]
     # the residual of the pure model is rounding noise of size eps * ||H||,
     # so a rise counts only beyond that level
     noise = 16 * sys.float_info.epsilon * (1 + (0.0 if triple is None else hs_norm(triple.x)))

@@ -131,10 +131,14 @@ def _exp_hermitian(h: np.ndarray, c) -> np.ndarray:
 
 
 def _nilpotent_series(n_mat: np.ndarray, c=1) -> list[np.ndarray]:
-    """(c N)^k / k! for k = 0 .. n-1: the whole series of exp(c N) when N^n = 0."""
+    """(c N)^k / k! for k = 0 .. n-1: the whole series of exp(c N) when N^n = 0.
+
+    ``c`` is a scalar or an array that broadcasts against N, such as one
+    coefficient per leading index of shape (k, 1, 1); then the terms stack."""
     m = c * np.asarray(n_mat, dtype=complex)
-    terms = [np.eye(m.shape[0], dtype=complex)]
-    for k in range(1, m.shape[0]):
+    eye = np.eye(m.shape[-1], dtype=complex)
+    terms = [eye if m.ndim == 2 else np.broadcast_to(eye, m.shape).copy()]
+    for k in range(1, m.shape[-1]):
         terms.append(terms[-1] @ m / k)
     return terms
 
@@ -752,7 +756,18 @@ _EIGENBASIS_COND = np.finfo(float).eps ** -0.25
 
 def _semisimple_part(m: np.ndarray, reps: list[complex], scale: float) -> np.ndarray:
     """The Newton iteration s <- s - q'(s)^-1 q(s) from s = m, q the monic
-    polynomial with roots reps."""
+    polynomial with roots reps.
+
+    It stops once ||q(s)|| <= 1e-13 scale^deg q.  Where that bound leaves the
+    float range, so does q(s): then m and reps are divided by the power of two
+    that puts scale in [1, 2), which is exact, and s is multiplied back.
+    """
+    try:
+        q_tol = 1e-13 * scale ** max(1, len(reps))
+    except OverflowError:
+        shift = math.frexp(scale)[1] - 1
+        lowered = [complex(math.ldexp(r.real, -shift), math.ldexp(r.imag, -shift)) for r in reps]
+        return _ldexp(_semisimple_part(_ldexp(m, -shift), lowered, math.ldexp(scale, -shift)), shift)
     coeffs = np.poly(np.array(reps))
     eye = np.eye(m.shape[0], dtype=complex)
 
@@ -767,7 +782,7 @@ def _semisimple_part(m: np.ndarray, reps: list[complex], scale: float) -> np.nda
     s = m.copy()
     for _ in range(_JORDAN_MAX_ITER):
         q, dq = ev(s)
-        if hs_norm(q) <= 1e-13 * scale ** max(1, len(reps)):
+        if hs_norm(q) <= q_tol:
             return s
         try:
             delta = np.linalg.solve(dq, q)

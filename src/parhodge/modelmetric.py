@@ -255,13 +255,16 @@ def _validate_model_data(real: Realization, a_mat, s, triple, tol: float):
                 raise CommutationFailure(f"s does not commute with the triple element {name}")
 
 
-def _sup_norm(stack: np.ndarray) -> float:
-    """Largest Hilbert-Schmidt norm over the leading axes of a matrix stack."""
-    return float(np.max(np.linalg.norm(stack, axis=(-2, -1))))
-
-
 # largest weighted gap between the finite-difference and analytic curvature
 _FD_TOL = 1e-4
+
+# matrices in one stacked pass of the residual: 64 radii on the default grid
+_PASS_MATRICES = 4096
+
+
+def _per_radius(values: list[float]) -> np.ndarray:
+    """Per-radius scalars shaped to lead a (radius, theta, n, n) stack."""
+    return np.array(values)[:, None, None, None]
 
 
 def hitchin_residual(
@@ -288,45 +291,58 @@ def hitchin_residual(
     if transport is None:
         _validate_model_data(real, a_mat, s, triple, 1e-8)
 
-    thetas = grid.thetas
+    radii = tuple(grid.radii)
+    phases = np.diag(a_mat).real
+    # with every alpha_j equal each phase is exp(0) = 1 at every angle, so
+    # every theta slice is the theta = 0 slice bit for bit and one stands for
+    # all; the corrections turn with z^k and need the whole grid
+    scalar_alpha = bool(np.all(phases == phases[0]))
+    thetas = grid.thetas[:1] if scalar_alpha and not extra_terms else grid.thetas
     if triple is None:
-        ad_h = fd = np.zeros(a_mat.shape, dtype=complex)
+        ad_h = np.zeros((1, *a_mat.shape), dtype=complex)
     else:
         # the (theta, n, n) stacks of Ad(exp(i theta alpha)) H and Y do not
-        # depend on r; per radius the loop only rescales them, with the
-        # operations of connection_angular_part and higgs_field_part
+        # depend on r; the radii only rescale them, with the operations of
+        # connection_angular_part and higgs_field_part
         ad_h = _angular_conj(a_mat, thetas, triple.x)
         ad_y = _angular_conj(a_mat, thetas, triple.f)
-    rho = []
-    mismatch = []
-    for r in grid.radii:
-        log_z2 = 2 * math.log(r)
-        weight = log_z2**2
-        # r^2 L^2 times the analytic curvature ad_h / (r L)^2 is ad_h itself:
-        # the weight is folded in before any division, and no (r L)^2 underflows
+    rho: list[float] = []
+    mismatch: list[float] = []
+    # one pass stacks (radius, theta, n, n) arrays of about _PASS_MATRICES
+    # matrices, so the memory does not grow with the number of radii
+    per_pass = max(1, _PASS_MATRICES // len(thetas))
+    for start in range(0, len(radii), per_pass):
+        part = radii[start : start + per_pass]
+        # the per-radius scalars come from math.log, one radius at a time
+        logs = [2 * math.log(r) for r in part]
+        weight = _per_radius([x**2 for x in logs])
+        # r^2 L^2 times the analytic curvature ad_h / (r L)^2 is ad_h itself: the
+        # weight is folded in before any division, and no (r L)^2 underflows
         if triple is not None:
-            step = fd_step * r
-            plus = a_mat - ad_h / (2 * math.log(r + step))
-            minus = a_mat - ad_h / (2 * math.log(r - step))
+            plus = a_mat - ad_h / _per_radius([2 * math.log(r + fd_step * r) for r in part])
+            minus = a_mat - ad_h / _per_radius([2 * math.log(r - fd_step * r) for r in part])
             fd = weight * (plus - minus) / (4 * fd_step)
         if extra_terms:
-            c_phi = higgs_field_part(alpha, s, triple, r, thetas, extra_terms=extra_terms)
+            c_phi = np.stack(
+                [higgs_field_part(alpha, s, triple, r, thetas, extra_terms=extra_terms) for r in part]
+            )
         else:
-            c_phi = s if triple is None else s - ad_y / log_z2
+            c_phi = s if triple is None else s - ad_y / _per_radius(logs)
         tau_c = real.tau(c_phi)
         bracket = c_phi @ tau_c - tau_c @ c_phi
-        worst_res = _sup_norm(ad_h - weight * bracket)
-        worst_fd = _sup_norm(ad_h - fd)
-        rho.append(worst_res)
-        mismatch.append(worst_fd)
-        if worst_fd > _FD_TOL:
-            raise GridTooCoarse(
-                f"finite-difference curvature off by {worst_fd:.3e} at r={r:g} "
-                f"(threshold {_FD_TOL:g}); refine fd_step"
-            )
-    return ResidualProfile(
-        radii=tuple(grid.radii), rho=tuple(rho), fd_mismatch=tuple(mismatch), fd_step=fd_step
-    )
+        # sup over theta of the Hilbert-Schmidt norm, per radius
+        rho += np.linalg.norm(ad_h - weight * bracket, axis=(-2, -1)).max(axis=-1).tolist()
+        if triple is None:
+            mismatch += [0.0] * len(part)
+        else:
+            mismatch += np.linalg.norm(ad_h - fd, axis=(-2, -1)).max(axis=-1).tolist()
+        for r, worst in zip(part, mismatch[start:]):
+            if worst > _FD_TOL:
+                raise GridTooCoarse(
+                    f"finite-difference curvature off by {worst:.3e} at r={r:g} "
+                    f"(threshold {_FD_TOL:g}); refine fd_step"
+                )
+    return ResidualProfile(radii=radii, rho=tuple(rho), fd_mismatch=tuple(mismatch), fd_step=fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +352,17 @@ def hitchin_residual(
 
 @dataclass(frozen=True)
 class HolonomyReport:
-    """Circle holonomy against the predicted monodromy.  ``steps`` counts ODE
-    steps, which the closed form does not take: it is always 0, and no report
-    shows it; the benchmark's tracer still reads it."""
+    """Circle holonomy against the predicted monodromy, at one radius or
+    at each of a sequence of radii: then ``numeric`` stacks the holonomies
+    along its first axis and the deviations are tuples, one per radius.
+    ``steps`` counts ODE steps, which the closed form does not take: it is
+    always 0, and no report shows it; the benchmark's tracer still reads it."""
 
     numeric: np.ndarray
     predicted_levi: np.ndarray
     predicted_full: np.ndarray
-    deviation_levi: float
-    deviation_full: float
+    deviation_levi: float | tuple[float, ...]
+    deviation_full: float | tuple[float, ...]
     steps: int
 
 
@@ -382,11 +400,14 @@ def circle_transport(
                 "s + tau(s) does not commute with N = Y - H - X; the triple is not normalized"
             )
     # g_e is exp(2 pi i alpha) under every convention, and under "2pi_i" g_h is
-    # exp(-2 pi i (s + tau(s)))
-    hyperbolic = g_h if convention == "2pi_i" else _exp_hermitian(1j * skew, -2 * math.pi)
+    # exp(-2 pi i (s + tau(s))), so the rotation is the Levi prediction itself
     levi = g_e @ g_h
+    if convention == "2pi_i":
+        rotation = levi
+    else:
+        rotation = g_e @ _exp_hermitian(1j * skew, -2 * math.pi)
     return CircleTransport(
-        rotation=g_e @ hyperbolic,
+        rotation=rotation,
         nilpotent=n_mat,
         predicted_levi=levi,
         predicted_full=levi @ g_u,
@@ -397,12 +418,13 @@ def holonomy_check(
     alpha,
     s,
     triple: SL2Triple | None,
-    r: float,
+    r: float | Sequence[float],
     realization,
     convention: str = "2pi_i",
     transport: CircleTransport | None = None,
 ) -> HolonomyReport:
-    """Parallel transport of the angular model connection once around |z| = r.
+    """Parallel transport of the angular model connection once around |z| = r,
+    for one radius r or for each radius of a sequence.
 
     The transport equation is dU/d theta = -A_theta U with
     A_theta = i(-alpha + s + tau(s) - Ad(exp(i theta alpha)) N / ln r^2),
@@ -424,20 +446,27 @@ def holonomy_check(
     predicted monodromy.  The holonomy converges to the Levi part as r -> 0
     (exactly, for Y = 0).
 
-    Only the last factor depends on r.  ``transport``, the
+    Only the last factor depends on r; for a sequence of radii its series
+    is summed once, stacked over the radii.  ``transport``, the
     ``circle_transport`` of these same data, skips the checks and the other
     factors; without it they are computed here.
     """
-    if not 0 < r < 1:
+    one = np.ndim(r) == 0
+    radii = (r,) if one else tuple(r)
+    if not all(0 < x < 1 for x in radii):
         raise ValueError("need a circle radius in (0, 1)")
     if transport is None:
         transport = circle_transport(alpha, s, triple, realization, convention=convention)
-    numeric = transport.rotation @ _exp_nilpotent(transport.nilpotent, 1j * math.pi / math.log(r))
+    # the coefficients from math.log, one radius at a time
+    coeffs = np.array([1j * math.pi / math.log(x) for x in radii])[:, None, None]
+    numeric = transport.rotation @ _exp_nilpotent(transport.nilpotent, coeffs)
+    levi = tuple(hs_norm(u - transport.predicted_levi) for u in numeric)
+    full = tuple(hs_norm(u - transport.predicted_full) for u in numeric)
     return HolonomyReport(
-        numeric=numeric,
+        numeric=numeric[0] if one else numeric,
         predicted_levi=transport.predicted_levi,
         predicted_full=transport.predicted_full,
-        deviation_levi=hs_norm(numeric - transport.predicted_levi),
-        deviation_full=hs_norm(numeric - transport.predicted_full),
+        deviation_levi=levi[0] if one else levi,
+        deviation_full=full[0] if one else full,
         steps=0,
     )

@@ -156,8 +156,13 @@ def complete_ks_triple(real: Realization, y: np.ndarray, tol: float = 1e-10) -> 
     and keeps mu = |c|^2 of the torus normalization from overflow and
     underflow.  On the rank-one models SL(2,R) and SU(1,1) the triple is
     closed-form: y lies on one eigenline (H_k, Y_k), and with phi the phase
-    of its coordinate there it is (H_k, conj(phi) Y_other, phi Y_k).  The
-    other models run Jacobson-Morozov and the torus normalization.
+    of its coordinate there it is (H_k, conj(phi) Y_other, phi Y_k), the
+    constant triple of the line times a unit phase.  It is returned without a
+    check: the constants of each line form a ks_normal triple with
+    Y_other = -tau(Y_k), and scaling X by conj(phi) and Y by phi, |phi| = 1,
+    keeps every bracket, f = sigma(e) and X = -tau(Y).  The other models run
+    Jacobson-Morozov and the torus normalization, and their triples are
+    checked.
     """
     y = np.asarray(y, dtype=complex)
     if not y.any():
@@ -176,9 +181,7 @@ def complete_ks_triple(real: Realization, y: np.ndarray, tol: float = 1e-10) -> 
         k = 0 if abs(coeffs[0]) >= abs(coeffs[1]) else 1  # the line y lies on
         phase = coeffs[k] / abs(coeffs[k])
         (h, line), (_, other) = lines[k], lines[1 - k]
-        out = SL2Triple(x=h.copy(), e=np.conj(phase) * other, f=phase * line, flavor="ks_normal")
-        validate_triple(real, out, 1e-9)
-        return out
+        return SL2Triple(x=h.copy(), e=np.conj(phase) * other, f=phase * line, flavor="ks_normal")
     plain = jacobson_morozov(y)
     flipped = SL2Triple(x=-plain.x, e=plain.f, f=y, flavor="normal")
     try:

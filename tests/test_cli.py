@@ -1926,3 +1926,45 @@ def test_importing_the_cli_builds_no_parser():
         [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=child_env(), check=True
     )
     assert proc.stdout.split() == ["0", "0"]
+
+
+def _jordan_block_residue(b: float) -> dict:
+    """GL(3,C) data on one puncture of weight 0 whose order-0 residue is
+    [[b, b, 0], [0, b, 0], [0, 0, -b]]: a Jordan block beside an eigenvalue."""
+    m = [[[b, 0], [b, 0], [0, 0]], [[0, 0], [b, 0], [0, 0]], [[0, 0], [0, 0], [-b, 0]]]
+    term = {"order": 0, "eigenvalue": 0, "matrix": m}
+    puncture = {"weight": [0, 0, 0], "flag": None, "laurent": {"terms": [term]}}
+    return {
+        "schema": "parhiggs-v1",
+        "genus": 0,
+        "realization": "GL(3,C)",
+        "punctures": [puncture],
+        "bundle": {"summands": [{"degree": 0, "rank": 3}]},
+        "c": [0, 0, 0],
+    }
+
+
+@pytest.mark.parametrize("b", [1e154, 1e160, 1e300])
+def test_gr_res_splits_a_jordan_block_past_the_square_root_of_the_float_range(tmp_path, b):
+    # the Newton iteration's stopping bound 1e-13 * scale^2 overflowed: a
+    # traceback with an OverflowError and overflow warnings from q(s)
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"data": _jordan_block_residue(b), "puncture": 0}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "parhodge.cli", "gr-res", "--input", str(source)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    outputs = json.loads(proc.stdout)["outputs"]
+    s, n = (
+        np.array(outputs[key]["value"], dtype=float).view(complex)[..., 0] / b
+        for key in ("semisimple", "nilpotent")
+    )
+    m = np.array([[1, 1, 0], [0, 1, 0], [0, 0, -1]], dtype=complex)
+    eps = np.finfo(float).eps
+    assert np.abs(s + n - m).max() <= 4 * eps
+    assert np.abs(s - np.diag([1, 1, -1])).max() <= 4 * eps
+    assert np.abs(n @ n).max() <= 4 * eps
+    assert np.abs(s @ n - n @ s).max() <= 4 * eps

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from residual_oracle import looped_residual, one_radius_holonomy
 from rk4_oracle import IntegratorFailure, rk4_holonomy
 
 from parhodge import modelmetric
@@ -484,23 +485,28 @@ def test_verify_model_makes_few_expm_calls_and_no_rk4(tmp_path, monkeypatch):
     for name in ("_exp_hermitian", "_exp_nilpotent"):
         monkeypatch.setattr(modelmetric, name, counted(getattr(modelmetric, name)))
     source = tmp_path / "cusp.json"
-    source.write_text(
-        json.dumps(
-            {
-                "realization": "SU(1,1)",
-                "alpha": [0, 0],
-                "y": [[0, 0], [1, 0]],
-                "grid": {"r_max": 1e-2, "r_min": 1e-6, "count": 5},
-            }
+    per_table = []
+    for count in (3, 40):
+        calls["expm"] = 0
+        source.write_text(
+            json.dumps(
+                {
+                    "realization": "SU(1,1)",
+                    "alpha": [0, 0],
+                    "y": [[0, 0], [1, 0]],
+                    "grid": {"r_max": 1e-2, "r_min": 1e-6, "count": count},
+                }
+            )
         )
-    )
-    code, report = cli_dispatch(
-        ["verify-model", "--input", str(source), "--output", str(tmp_path / "out.json")]
-    )
-    assert code == 0, report.get("error")
-    table = report["outputs"]["table"]
-    assert len(table) == 5
-    assert 0 < calls["expm"] <= 2 * len(table)
+        code, report = cli_dispatch(
+            ["verify-model", "--input", str(source), "--output", str(tmp_path / "out.json")]
+        )
+        assert code == 0, report.get("error")
+        assert len(report["outputs"]["table"]) == count
+        per_table.append(calls["expm"])
+    # one stacked exp(pi i N / ln r) for the whole table, whatever its length
+    assert per_table[0] > 0
+    assert per_table[0] == per_table[1]
 
 
 def _verify_model_table(tmp_path, payload):
@@ -543,3 +549,126 @@ def test_verify_model_cusp_table_does_not_see_the_scale_of_y(tmp_path, monkeypat
         assert table == tables[0] or n > 2
     # the rank-one models complete their triples in closed form
     assert calls["jacobson_morozov"] == (0 if n == 2 else 3)
+
+
+# ---------------------------------------------------------------------------
+# the stacked tables against the per-radius oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_models(rng):
+    """(alpha, s, triple, realization) on SU(1,1), SL(2,R), SU(2,1), GL(2,C)
+    and GL(3,C), with scalar and non-scalar alpha, with and without a triple."""
+    sl2r = build_realization("SL(2,R)")
+    gl3 = build_realization("GL(3,C)")
+    out = []
+    for _ in range(2):
+        a, b = rng.uniform(-0.5, 0.5, 2)
+        z, w = (complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(2))
+        out += [_cusp(rng, "SU(1,1)", (a, a)), _cusp(rng, "SU(1,1)", (0.5, -0.5))]
+        out += [_cusp(rng, "SU(2,1)", (a, a, a)), _cusp(rng, "SU(2,1)", (0.5, b, -0.5))]
+        out += [_cusp(rng, "GL(2,C)", (a, a)), _cusp(rng, "GL(2,C)", (0.5, -0.5))]
+        c = 0.3 * _unit(rng)
+        out.append(((a, a), np.array([[0, c], [abs(c) * _unit(rng), 0]]), None, "SU(1,1)"))
+        out.append(((a, b), np.diag([z, w]), None, "SU(1,1)"))
+        # y on an eigenline of the split frame of SL(2,R), whose H is not diagonal
+        line = sl2r.eigenlines[rng.integers(2)][1]
+        triple = complete_ks_triple(sl2r, _unit(rng) * line)
+        out += [((a, a), z * np.eye(2), triple, "SL(2,R)"), ((0.5, -0.5), z * np.eye(2), triple, "SL(2,R)")]
+        for n in (2, 3):
+            s = np.diag(rng.uniform(-0.3, 0.3, n) + 1j * rng.uniform(-0.3, 0.3, n))
+            out += [(tuple(rng.uniform(-0.5, 0.5, n)), s, None, f"GL({n},C)"), ((a,) * n, s, None, f"GL({n},C)")]
+        # a triple on the first two coordinates beside a third weight
+        y = np.zeros((3, 3), dtype=complex)
+        y[1, 0] = _unit(rng)
+        out.append(((a, a, b), np.diag([z, z, w]), complete_ks_triple(gl3, y), "GL(3,C)"))
+    return out
+
+
+@pytest.mark.parametrize("pass_matrices", [4096, 128, 1])  # all radii, 2 per pass, 1 per pass
+@pytest.mark.parametrize("count", [2, 3, 5, 9])
+def test_stacked_tables_match_the_per_radius_oracle_bit_for_bit(monkeypatch, count, pass_matrices):
+    monkeypatch.setattr(modelmetric, "_PASS_MATRICES", pass_matrices)
+    rng = np.random.default_rng(2400 + count)
+    seen = set()
+    for alpha, s, triple, model in _oracle_models(rng):
+        n = len(alpha)
+        extra = [
+            (int(k), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for k in rng.permutation([1, 2])[: rng.integers(0, 3)]
+        ]
+        grid = radial_grid(10 ** rng.uniform(-2, -0.5), 10 ** rng.uniform(-8, -3), count)
+        fd_step = 10 ** rng.uniform(-4, -3)
+        transport = circle_transport(alpha, s, triple, model) if rng.integers(2) else None
+        seen.add((len(set(alpha)) == 1, triple is not None, bool(extra)))
+        args = (alpha, s, triple, grid, model)
+        kwargs = {"extra_terms": extra, "fd_step": fd_step, "transport": transport}
+        got = hitchin_residual(*args, **kwargs)
+        want = looped_residual(*args, **kwargs)
+        assert got.rho == want.rho, (alpha, model)
+        assert got.fd_mismatch == want.fd_mismatch, (alpha, model)
+        assert got == want
+        for convention in ("2pi_i", "2pi"):
+            transport = circle_transport(alpha, s, triple, model, convention=convention)
+            for shared in (None, transport):
+                table = holonomy_check(
+                    alpha, s, triple, grid.radii, model, convention=convention, transport=shared
+                )
+                rows = [
+                    one_radius_holonomy(
+                        alpha, s, triple, r, model, convention=convention, transport=shared
+                    )
+                    for r in grid.radii
+                ]
+                assert table.deviation_levi == tuple(row.deviation_levi for row in rows)
+                assert table.deviation_full == tuple(row.deviation_full for row in rows)
+                assert np.array_equal(table.numeric, np.stack([row.numeric for row in rows]))
+                assert table.steps == 0
+                # one radius gives one matrix and plain floats
+                alone = holonomy_check(
+                    alpha, s, triple, grid.radii[-1], model, convention=convention, transport=shared
+                )
+                assert alone.deviation_levi == rows[-1].deviation_levi
+                assert alone.deviation_full == rows[-1].deviation_full
+                assert np.array_equal(alone.numeric, rows[-1].numeric)
+    # scalar and non-scalar alpha, with and without a triple, with and without corrections
+    assert {(a, t) for a, t, _ in seen} == {(True, True), (True, False), (False, True), (False, False)}
+    assert {e for _, _, e in seen} == {True, False}
+
+
+@pytest.mark.parametrize("pass_matrices", [4096, 128])
+@pytest.mark.parametrize("fd_step", [1e-10, 1e-11, 1e-12, 0.05])
+def test_grid_too_coarse_is_raised_where_the_oracle_raises_it(monkeypatch, fd_step, pass_matrices):
+    monkeypatch.setattr(modelmetric, "_PASS_MATRICES", pass_matrices)
+    rng = np.random.default_rng(24)
+    grid = radial_grid(0.5, 1e-300, 9)
+    radii = []
+    for alpha, s, triple, model in _oracle_models(rng):
+        if triple is None:
+            continue
+        with pytest.raises(GridTooCoarse) as want:
+            looped_residual(alpha, s, triple, grid, model, fd_step=fd_step)
+        with pytest.raises(GridTooCoarse) as got:
+            hitchin_residual(alpha, s, triple, grid, model, fd_step=fd_step)
+        assert str(got.value) == str(want.value)
+        radii.append(str(want.value).split(" at r=")[1].split(" ")[0])
+    # rounding grows as r falls, so a tiny step fails first past the outer radius
+    assert (radii[0] == "0.5") == (fd_step == 0.05)
+
+
+def test_a_long_table_is_stacked_in_bounded_passes(monkeypatch):
+    # a (radius, theta, n, n) stack over every radius at once would grow with
+    # the table; a pass holds 64 radii of the default 64-angle grid
+    sizes = []
+
+    def recorded(values):
+        sizes.append(len(values))
+        return per_radius(values)
+
+    per_radius = modelmetric._per_radius
+    monkeypatch.setattr(modelmetric, "_per_radius", recorded)
+    grid = radial_grid(1e-2, 1e-8, 200)
+    triple = _cusp(np.random.default_rng(5), "SU(1,1)", (0.5, -0.5))[2]
+    profile = hitchin_residual((0.5, -0.5), Z2, triple, grid, "SU(1,1)")
+    assert len(profile.rho) == 200
+    assert max(sizes) == 64 and sum(sizes) == 4 * 200  # weight, plus, minus, log_z2

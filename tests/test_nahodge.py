@@ -18,6 +18,7 @@ from parhodge.liealg import (
     jacobson_morozov,
     normalize_kostant_sekiguchi,
     rank_sequence,
+    validate_triple,
 )
 from parhodge.nahodge import (
     BadTopology,
@@ -451,6 +452,22 @@ def test_rank_one_closed_form_matches_jacobson_morozov(label):
         t = complete_ks_triple(real, y)
         for got, want in ((t.x, oracle.x), (t.e, oracle.e), (t.f, oracle.f)):
             assert hs_norm(got - want) <= 1e-12 * hs_norm(want)
+
+
+@pytest.mark.parametrize("label", ["SL(2,R)", "SU(1,1)"])
+@pytest.mark.parametrize("c", [2.0**600, 2.0**-600, 1.0, 3.7])
+def test_rank_one_closed_form_is_a_normalized_triple(label, c):
+    # the closed form returns its triple without a check: here is the check,
+    # on each eigenline at random unit phases and at scales far from 1
+    real = build_realization(label)
+    rng = np.random.default_rng(600)
+    for _, line in real.eigenlines:
+        for _ in range(25):
+            phi = np.exp(2j * math.pi * rng.uniform())
+            t = complete_ks_triple(real, c * phi * line)
+            assert t.flavor == "ks_normal"
+            validate_triple(real, t, 1e-9)
+            assert np.array_equal(t.e, -real.tau(t.f))
 
 
 @pytest.mark.parametrize("c", [1.0, 1e200, 1e-200])
