@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -124,6 +123,7 @@ _MAX_RANK = 12
 # a section writes an n x n matrix per puncture and per differential term
 _MAX_SECTION_RANK = 16
 _MAX_PUNCTURES = 64
+_MAX_Q_TERMS = 16  # per puncture
 
 # a sampled pair costs two n x n relative positions, about 0.9 ms at n = 16
 _MAX_SAMPLE_N = 16
@@ -210,10 +210,19 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 
 
+def _as_pathlib_reads(path: str) -> str:
+    """``path`` as pathlib reads it on POSIX, without pathlib, which interns
+    every part and so grows the peak memory over many commands."""
+    lead = len(path) - len(path.lstrip("/"))
+    root = "//" if lead == 2 else "/" if lead else ""
+    return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
+
+
 def _load_input(args) -> tuple[bytes, Any]:
     if args.input is None:
         raise SchemaError("$", "this command requires --input FILE")
-    raw = Path(args.input).read_bytes()
+    with open(_as_pathlib_reads(args.input), "rb") as f:
+        raw = f.read()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -766,18 +775,18 @@ def _q_term(term: Any, location: str) -> tuple[int, int, complex]:
     )
 
 
+def _q_terms(terms: Any, location: str) -> list[tuple[int, int, complex]]:
+    if isinstance(terms, list) and len(terms) > _MAX_Q_TERMS:
+        raise SchemaError(location, f"expected at most {_MAX_Q_TERMS} terms at a puncture")
+    return list_from_json(terms, location, _q_term)
+
+
 def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
     data = hitchin_section(
         _field(payload, "mode", str_from_json, choices=SECTION_MODES),
         _field(payload, "genus", int_from_json, lo=0),
         _field(payload, "n_punctures", int_from_json, lo=0, hi=_MAX_PUNCTURES),
-        q_terms=_field(
-            payload,
-            "q_terms",
-            list_from_json,
-            default=None,
-            items=lambda terms, loc: list_from_json(terms, loc, _q_term),
-        ),
+        q_terms=_field(payload, "q_terms", list_from_json, default=None, items=_q_terms),
         rank=_field(payload, "rank", int_from_json, default=2, lo=2, hi=_MAX_SECTION_RANK),
     )
     method = "section construction from differentials"

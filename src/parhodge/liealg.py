@@ -539,9 +539,9 @@ def jacobson_morozov(e: np.ndarray) -> SL2Triple:
     Uses the Jordan normal form of e: per block of size d the standard triple
     has x = diag(d-1, d-3, ..., 1-d) and f with entries k(d-k) below the
     diagonal.  The triple is built for e / c, c a power of two within a
-    factor sqrt(2) of the spectral norm of e, so neither the bracket check
-    nor the powers of e see its scale; f is rescaled by 1/c.  Real input
-    gives a real triple.
+    factor sqrt(2) of the spectral norm of e (and at most 2^1023, which is
+    finite), so neither the bracket check nor the powers of e see its scale;
+    f is rescaled by 1/c.  Real input gives a real triple.
     """
     e = np.asarray(e, dtype=complex)
     scale = spectral_norm(e)
@@ -551,7 +551,7 @@ def jacobson_morozov(e: np.ndarray) -> SL2Triple:
         raise NotNilpotent("jacobson_morozov needs a nilpotent element")
     # dividing by a power of two is exact: only the cutoffs see the new scale,
     # the digits of the triple do not
-    step = 2.0 ** round(np.log2(scale))
+    step = 2.0 ** min(max(round(np.log2(scale)), -1021), 1023)
     unit = e / step
     was_real = np.allclose(unit.imag, 0, atol=1e-12)
     n = e.shape[0]
@@ -847,10 +847,10 @@ def jordan_additive(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.nd
 
     A finite nonzero strictly triangular m is nilpotent as it stands: s = 0,
     n = m.  The iteration measures its steps against max(1, hs_norm(m)), so
-    a finite nonzero m with hs_norm(m) < 1 is first multiplied by the power
-    of two that puts its norm in [1, 2), read at its largest entry so that no
-    sum of squares underflows, and s and n are divided back: the split does
-    not depend on how small m is.  Every other m runs as it stands.
+    a finite nonzero m with hs_norm(m) < 1 or inf is first multiplied by the
+    power of two that puts its norm in [1, 2), read at its largest entry so
+    that no sum of squares underflows, and s and n are divided back: the
+    split does not depend on the scale of m.  Every other m runs as it stands.
     """
     m = np.asarray(m, dtype=complex)
     square = m.ndim == 2 and m.shape[0] == m.shape[1]
@@ -859,8 +859,9 @@ def jordan_additive(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.nd
         return np.zeros_like(m), m.copy()
     norm = hs_norm(m)
     shift = 0
-    if finite and norm < 1 and m.any():
-        shift = -math.frexp(float(np.max(np.abs(m))))[1]
+    if finite and m.any() and not 1 <= norm < math.inf:
+        big = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
+        shift = -math.frexp(big)[1]
         shift += 1 - math.frexp(hs_norm(_ldexp(m, shift)))[1]
         m = _ldexp(m, shift)
         norm = hs_norm(m)

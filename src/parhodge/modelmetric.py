@@ -34,13 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .liealg import Realization, SL2Triple, _exp_hermitian, _exp_nilpotent, _pow2_at, comm, hs_norm
-from .nahodge import CommutationFailure, _realize, monodromy_factors
-from .parhiggs import _turn_defect, alpha_matrix
-
-
-class NotSingleValued(ValueError):
-    """Angular conjugation of a field that exp(2 pi i alpha) does not fix."""
+from .liealg import Realization, SL2Triple, _exp_hermitian, _exp_nilpotent, comm, hs_norm
+from .nahodge import CommutationFailure, NotSingleValued  # the checks raise both; re-exported
+from .nahodge import _at_unit_scale, _check_residue_data, _realize, monodromy_factors
+from .parhiggs import alpha_matrix
 
 
 class GridTooCoarse(ValueError):
@@ -102,15 +99,6 @@ def _polar(z) -> tuple[float, float]:
     return r, theta
 
 
-def _check_angular_fix(a_mat: np.ndarray, fields: Sequence[tuple[str, np.ndarray]], tol: float):
-    for name, v in fields:
-        if _turn_defect(a_mat, v) > tol * (1 + hs_norm(v)):
-            raise NotSingleValued(
-                f"Ad(exp(2 pi i alpha)) does not fix {name}; "
-                "the angular conjugation would be multivalued"
-            )
-
-
 def _angular_conj(a_mat: np.ndarray, theta: float | np.ndarray, v: np.ndarray) -> np.ndarray:
     """Ad(exp(i theta alpha)) v: entry (j, k) times exp(i theta (alpha_j - alpha_k))."""
     a = np.diag(a_mat).real
@@ -128,7 +116,7 @@ def model_metric_eval(alpha, h_elem, z) -> np.ndarray:
     a_mat = alpha_matrix(alpha)
     h_elem = np.asarray(h_elem, dtype=complex)
     r, theta = _polar(z)
-    _check_angular_fix(a_mat, [("H", h_elem)], 1e-10)
+    _check_residue_data(alpha, np.zeros_like(h_elem), 1e-10, [("H", h_elem)])
     radial = np.exp(-math.log(r) * np.diag(a_mat).real)  # the diagonal of |z|^-alpha
     # exp(c Ad(u) H) = Ad(u) exp(c H) for u = exp(i theta alpha), and H is Hermitian
     log_factor = _angular_conj(a_mat, theta, _exp_hermitian(h_elem, math.log(-2 * math.log(r))))
@@ -233,26 +221,15 @@ class ResidualProfile:
     fd_step: float
 
 
-def _validate_model_data(real: Realization, a_mat, s, triple, tol: float):
-    fields = []
-    if triple is not None:
-        fields = [("H", triple.x), ("X", triple.e), ("Y", triple.f)]
-    _check_angular_fix(a_mat, fields, tol)
-    # the checks read s over the power of two at its largest part, which is
-    # exact and leaves no norm or product to overflow
-    s = s / _pow2_at(max(float(np.max(np.abs(s.real))), float(np.max(np.abs(s.imag)))))
+def _check_model_data(alpha, s: np.ndarray, triple: SL2Triple | None, tol: float) -> None:
+    """The residue checks of the dictionary, and the model's own flatness
+    [s, tau(s)] = 0, read on s over the power of two at its largest entry."""
+    _check_residue_data(alpha, s, tol, triple=triple)
+    s = _at_unit_scale(s)
+    tau_s = Realization.tau(s)
     scale = 1 + hs_norm(s)
-    if hs_norm(a_mat @ s - s @ a_mat) > tol * scale:
-        raise CommutationFailure("alpha and s do not commute")
-    tau_s = real.tau(s)
-    if hs_norm(s @ tau_s - tau_s @ s) > tol * scale * scale:
-        raise CommutationFailure(
-            "s does not commute with tau(s); the model connection is not flat"
-        )
-    if triple is not None:
-        for name, part in fields:
-            if hs_norm(s @ part - part @ s) > tol * scale * (1 + hs_norm(part)):
-                raise CommutationFailure(f"s does not commute with the triple element {name}")
+    if hs_norm(comm(s, tau_s)) > tol * scale * scale:
+        raise CommutationFailure("s does not commute with tau(s); the model connection is not flat")
 
 
 # largest weighted gap between the finite-difference and analytic curvature
@@ -289,7 +266,7 @@ def hitchin_residual(
     a_mat = alpha_matrix(alpha)
     s = np.asarray(s, dtype=complex)
     if transport is None:
-        _validate_model_data(real, a_mat, s, triple, 1e-8)
+        _check_model_data(alpha, s, triple, 1e-8)
 
     radii = tuple(grid.radii)
     phases = np.diag(a_mat).real
@@ -388,24 +365,17 @@ def circle_transport(
     """Checks the model data and builds the radius-independent factors of
     ``holonomy_check``, so that a table over many radii does this once."""
     real = _realize(realization)
-    a_mat = alpha_matrix(alpha)
     s = np.asarray(s, dtype=complex)
-    _validate_model_data(real, a_mat, s, triple, tol)
+    _check_model_data(alpha, s, triple, tol)
 
     g_e, g_h, g_u, n_mat = monodromy_factors(alpha, s, triple, real, convention=convention)
-    skew = s + real.tau(s)
-    if triple is not None:  # else N = 0
-        if hs_norm(comm(skew, n_mat)) > tol * (1 + hs_norm(skew)) * (1 + hs_norm(n_mat)):
-            raise CommutationFailure(
-                "s + tau(s) does not commute with N = Y - H - X; the triple is not normalized"
-            )
     # g_e is exp(2 pi i alpha) under every convention, and under "2pi_i" g_h is
     # exp(-2 pi i (s + tau(s))), so the rotation is the Levi prediction itself
     levi = g_e @ g_h
     if convention == "2pi_i":
         rotation = levi
     else:
-        rotation = g_e @ _exp_hermitian(1j * skew, -2 * math.pi)
+        rotation = g_e @ _exp_hermitian(1j * (s + real.tau(s)), -2 * math.pi)
     return CircleTransport(
         rotation=rotation,
         nilpotent=n_mat,

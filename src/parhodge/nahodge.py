@@ -74,16 +74,15 @@ from .liealg import (
     rank_sequence,
     validate_triple,
 )
-from .parhiggs import (
-    ParabolicHiggsData,
-    _turn_defect,
-    alpha_matrix,
-    make_data,
-)
+from .parhiggs import ParabolicHiggsData, _turn_defect, make_data
 
 
 class CommutationFailure(ValueError):
     """Residue pieces that must commute (or be fixed by the torus) do not."""
+
+
+class NotSingleValued(CommutationFailure):
+    """An element that Ad(exp 2*pi*i*alpha) does not fix: its angular conjugation is multivalued."""
 
 
 class BadTopology(ValueError):
@@ -262,11 +261,47 @@ def _hyperbolic(real: Realization, s: np.ndarray, c: complex) -> np.ndarray:
     return _exp_hermitian(1j * (s + real.tau(s)), 1j * c)
 
 
-def _check_commuting(pairs, tol: float, context: str) -> None:
-    for name, a, b in pairs:
-        scale = 1 + hs_norm(a) * hs_norm(b)
-        if hs_norm(comm(a, b)) > tol * scale:
-            raise CommutationFailure(f"{context}: [{name}] != 0")
+def _at_unit_scale(m: np.ndarray) -> np.ndarray:
+    """m over the power of two at its largest entry, which is exact."""
+    m = np.asarray(m, dtype=complex)
+    return m / _pow2_at(max(np.abs(m.real).max(), np.abs(m.imag).max()))
+
+
+def _check_residue_data(
+    alpha: Sequence, s: np.ndarray, tol: float, fixed=(), triple: SL2Triple | None = None
+) -> None:
+    """Residue data (alpha, s) against the (name, matrix) pairs of ``fixed`` and
+    the parts H, X, Y of ``triple``: Ad(exp 2*pi*i*alpha) fixes each element
+    (NotSingleValued), and [alpha, s] = 0, [s, element] = 0 and, given a
+    triple, [s + tau(s), N] = 0 for N = Y - H - X (CommutationFailure); with
+    the rest, the last makes the three monodromy factors commute.  alpha is
+    the weight vector, read entrywise; every matrix is read over the power of
+    two at its largest entry (one for the triple), which is exact."""
+    named = [(name, _at_unit_scale(v)) for name, v in fixed]
+    if triple is not None:
+        parts = _at_unit_scale(np.stack([triple.x, triple.e, triple.f]))
+        named += zip("HXY", parts)
+    named = [(name, v, 1 + hs_norm(v)) for name, v in named]
+    for name, v, v_scale in named:
+        if _turn_defect(alpha, v) > tol * v_scale:
+            raise NotSingleValued(
+                f"Ad(exp(2 pi i alpha)) does not fix {name}; the angular conjugation would be multivalued"
+            )
+    a = np.array([float(x) for x in alpha])
+    s = _at_unit_scale(s)
+    scale = 1 + hs_norm(s)
+    if hs_norm(s * (a[:, None] - a[None, :])) > tol * scale:
+        raise CommutationFailure("alpha and s do not commute")
+    for name, v, v_scale in named:
+        if hs_norm(comm(s, v)) > tol * scale * v_scale:
+            raise CommutationFailure(f"s does not commute with {name}")
+    if triple is not None:
+        skew = s + Realization.tau(s)
+        n_mat = parts[2] - parts[0] - parts[1]
+        if hs_norm(comm(skew, n_mat)) > tol * (1 + hs_norm(skew)) * (1 + hs_norm(n_mat)):
+            raise CommutationFailure(
+                "s + tau(s) does not commute with N = Y - H - X; the triple is not normalized"
+            )
 
 
 def higgs_to_localsystem(
@@ -279,42 +314,25 @@ def higgs_to_localsystem(
 ) -> PunctureDictionaryEntry:
     """Translate graded-residue data (alpha, s, Y) into a filtered local system.
 
-    Validates the compatibility of the residue pieces ([alpha, s] = 0,
-    [s, Y] = 0, Ad(exp 2*pi*i*alpha) Y = Y), completes Y to a normalized
-    triple inside the common centralizer, and assembles the monodromy
-    factors.  Under the default convention the factors are checked against
-    the multiplicative Jordan decomposition of their product.
+    Checks the residue pieces (Ad(exp 2*pi*i*alpha) Y = Y, [alpha, s] = 0,
+    [s, Y] = 0) to ``tol``, completes Y to a normalized triple, checks that
+    the triple stays in the common centralizer and that s + tau(s) commutes
+    with N to 1e-8 (TripleCompletionFailure), which makes the three factors
+    commute, and assembles them.  Under the default convention the factors
+    are checked against the multiplicative Jordan decomposition of their
+    product.
     """
     real = _realize(realization)
     s = np.asarray(s, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    a_mat = alpha_matrix(alpha)
-    sc = 1 + hs_norm(s) + hs_norm(y)
-    _check_commuting([("alpha, s", a_mat, s), ("s, Y", s, y)], tol, "residue data")
-    if _turn_defect(a_mat, y) > tol * sc:
-        raise CommutationFailure("residue data: Ad(exp 2*pi*i*alpha) does not fix Y")
+    _check_residue_data(alpha, s, tol, [("Y", y)])
     triple = complete_ks_triple(real, y, tol)
     if triple is not None:
-        for name, part in (("H", triple.x), ("X", triple.e), ("Y", triple.f)):
-            psc = 1 + hs_norm(part)
-            if _turn_defect(a_mat, part) > 1e-8 * psc:
-                raise TripleCompletionFailure(
-                    f"normalized triple escaped the torus centralizer at {name}"
-                )
-            if hs_norm(comm(s, part)) > 1e-8 * psc * (1 + hs_norm(s)):
-                raise TripleCompletionFailure(
-                    f"normalized triple escaped the centralizer of s at {name}"
-                )
+        try:
+            _check_residue_data(alpha, s, 1e-8, triple=triple)
+        except CommutationFailure as exc:
+            raise TripleCompletionFailure(f"normalized triple escaped the residue data: {exc}") from exc
     g_e, g_h, g_u, n_nil = monodromy_factors(alpha, s, triple, real, convention)
-    _check_commuting(
-        [
-            ("elliptic, hyperbolic", g_e, g_h),
-            ("elliptic, unipotent", g_e, g_u),
-            ("hyperbolic, unipotent", g_h, g_u),
-        ],
-        1e-10,
-        "monodromy factors",
-    )
     monodromy = g_e @ g_h @ g_u
     if convention == "2pi_i":
         jf = jordan_multiplicative(monodromy, tol=_JORDAN_TOL)

@@ -160,10 +160,10 @@ def alpha_matrix(weight: Sequence[Fraction]) -> np.ndarray:
     return np.diag([float(w) for w in weight]).astype(complex)
 
 
-def _turn_defect(a_mat: np.ndarray, v: np.ndarray) -> float:
-    """||Ad(exp(2 pi i alpha)) v - v||: alpha is diagonal, so Ad multiplies
-    entry (j, k) by exp(2 pi i (alpha_j - alpha_k))."""
-    a = a_mat.diagonal().real
+def _turn_defect(weight: Sequence, v: np.ndarray) -> float:
+    """||Ad(exp(2 pi i alpha)) v - v|| for the weight vector alpha: alpha is
+    diagonal, so Ad multiplies entry (j, k) by exp(2 pi i (alpha_j - alpha_k))."""
+    a = np.array([float(w) for w in weight])
     return hs_norm(v * np.exp(2j * np.pi * (a[:, None] - a[None, :])) - v)
 
 
@@ -320,7 +320,7 @@ def gr_res(data: ParabolicHiggsData, i: int, tol: float = 1e-9) -> GradedResidue
         if t.eigenvalue.denominator == 1 and t.order == t.eigenvalue.numerator:
             total = total + np.asarray(t.matrix, dtype=complex)
     amat = alpha_matrix(p.weight)
-    if _turn_defect(amat, total) > 1e-8 * max(1.0, hs_norm(total)):
+    if _turn_defect(p.weight, total) > 1e-8 * max(1.0, hs_norm(total)):
         raise MissingEigenbasis(f"puncture {i}: graded residue escapes the Ad-fixed space")
     if hs_norm(total) <= tol:
         s_part = np.zeros_like(total)

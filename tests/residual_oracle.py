@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from residue_check_oracle import _validate_model_data
+
 from parhodge.liealg import hs_norm
 from parhodge.modelmetric import (
     _FD_TOL,
@@ -21,7 +23,6 @@ from parhodge.modelmetric import (
     HolonomyReport,
     ResidualProfile,
     _angular_conj,
-    _validate_model_data,
     circle_transport,
     higgs_field_part,
 )

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -503,6 +504,38 @@ def test_empty_input_path_is_refused_as_a_directory():
     }
 
 
+@pytest.mark.parametrize(
+    "path, read",
+    [("", "."), ("/", "/"), ("//a", "//a"), ("///a//b/", "/a/b"), ("a/./b/.", "a/b"), ("./a/../b", "a/../b")],
+)
+def test_the_input_path_is_read_as_pathlib_reads_it(path, read):
+    assert cli._as_pathlib_reads(path) == read == str(Path(path))
+
+
+def test_repeated_commands_keep_no_memory(tmp_path):
+    # pathlib interns every part of the path it reads, and the table of
+    # interned strings grows (a block of about 1-2 MB) as the parts come and
+    # go; 250 parts a command, which no live Path holds, fill its free slots
+    # within the loop
+    deep = os.path.join(str(tmp_path), *(f"part{i}" for i in range(250)))
+    os.makedirs(deep)
+    source = os.path.join(deep, "input.json")
+    with open(source, "w") as f:
+        f.write(json.dumps({"cartan_type": "x", "rank": 2}))
+    argv = ["rootsys", "--input", source, "--output", str(tmp_path / "report.json")]
+    for _ in range(20):
+        assert cli_dispatch(argv)[0] == 3
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(400):
+            cli_dispatch(argv)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
+
+
 def test_reports_are_byte_deterministic(tmp_path):
     source = tmp_path / "input.json"
     source.write_text(
@@ -684,6 +717,11 @@ H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[
         ("hitchin-section", {"mode": "SLnR_principal", "genus": 2, "n_punctures": 2, "rank": 17}, "$.rank"),
         ("hitchin-section", {"mode": "SLnR_principal", "genus": 2, "n_punctures": 2, "rank": 1}, "$.rank"),
         ("hitchin-section", {"mode": "SL2R", "genus": 0, "n_punctures": 65}, "$.n_punctures"),
+        (
+            "hitchin-section",
+            {"mode": "SL2R", "genus": 0, "n_punctures": 3, "q_terms": [[], [[2, 0, 1]] * 17, []]},
+            "$.q_terms[1]",
+        ),
         ("degree-relative", {"sample": {"model": "GL(17,C)", "count": 1}}, "$.sample.model"),
         ("degree-relative", {"sample": {"model": "SU(9,8)", "count": 1}}, "$.sample.model"),
         # every matrix and weight is checked against the realization's rank before any work
@@ -726,6 +764,17 @@ def test_hostile_field_exits_3_with_location(tmp_path, command, payload, locatio
     [
         ("hitchin-section", {"mode": "SLnR_principal", "genus": 2, "n_punctures": 64, "rank": 16}),
         ("hitchin-section", {"mode": "SL2R", "genus": 0, "n_punctures": 64}),
+        # every differential at every puncture, plus one more term: the largest report, about 28 MB
+        (
+            "hitchin-section",
+            {
+                "mode": "SLnR_principal",
+                "genus": 2,
+                "n_punctures": 64,
+                "rank": 16,
+                "q_terms": [[[j, 1, 1.5] for j in range(2, 17)] + [[2, 2, 0.5]]] * 64,
+            },
+        ),
         ("degree-relative", {"sample": {"model": "GL(16,C)", "count": 10}}),
         ("degree-relative", {"sample": {"model": "SU(8,8)", "count": 10}}),
     ],
@@ -1295,6 +1344,20 @@ def test_verify_model_refuses_a_non_commuting_s_at_every_scale(tmp_path, c):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, report = run_cli(tmp_path, "verify-model", payload)
+    assert code == 3
+    assert report["error"]["type"] == "CommutationFailure"
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("c", [1.0, 1e150, 1e160, 1e200, 1e308, 1.7e308])
+def test_translate_h2l_refuses_a_non_commuting_s_at_every_scale(tmp_path, c):
+    # the residue check of the dictionary is the one verify-model runs: it
+    # reads s over the power of two at its largest entry, so it refuses
+    # before any norm, product or exponential of s sees the scale
+    payload = {"realization": "GL(2,C)", "alpha": ["1/4", "-1/4"], "s": [[c, c], [0, 0]], "y": [[0, 0], [0, 0]]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run_cli(tmp_path, "translate-h2l", payload)
     assert code == 3
     assert report["error"]["type"] == "CommutationFailure"
     assert [str(w.message) for w in caught] == []
@@ -1944,10 +2007,12 @@ def _jordan_block_residue(b: float) -> dict:
     }
 
 
-@pytest.mark.parametrize("b", [1e154, 1e160, 1e300])
+@pytest.mark.parametrize("b", [1e154, 1e160, 1e300, 1e308, 1.7e308])
 def test_gr_res_splits_a_jordan_block_past_the_square_root_of_the_float_range(tmp_path, b):
     # the Newton iteration's stopping bound 1e-13 * scale^2 overflowed: a
-    # traceback with an OverflowError and overflow warnings from q(s)
+    # traceback with an OverflowError and overflow warnings from q(s); past
+    # 1e308 the Hilbert-Schmidt norm itself is inf, and the split came out as
+    # s = m, n = 0
     source = tmp_path / "input.json"
     source.write_text(json.dumps({"data": _jordan_block_residue(b), "puncture": 0}))
     proc = subprocess.run(

@@ -302,7 +302,9 @@ def jordan_block(n: int) -> np.ndarray:
 
 # 2**0.51 sits just above sqrt(2): the nearest power of two is 2, and the
 # k-th power of the block divided by it has norm 0.71^k, 5e-10 at k = 63
-@pytest.mark.parametrize("scale", [1e-8, 1.0, 2**0.51, 1e8])
+# past 2^1023.5 the nearest power of two, 2^1024, leaves the float range, and
+# the step is capped at 2^1023
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 2**0.51, 1e8, 1.5e308])
 @pytest.mark.parametrize("n", [2, 5, 10, 16, 17, 20, 64])
 def test_long_jordan_blocks_at_every_scale(n, scale):
     # the k-th power of a Jordan block keeps spectral norm 1 for k < n, while

@@ -716,8 +716,8 @@ def test_turn_defect_matches_the_conjugation_by_expm():
 
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 5):
-        a_mat = alpha_matrix([Fraction(int(k), 6) for k in rng.integers(-9, 9, n)])
-        u = expm(2j * np.pi * a_mat)
+        weight = [Fraction(int(k), 6) for k in rng.integers(-9, 9, n)]
+        u = expm(2j * np.pi * alpha_matrix(weight))
         v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         want = np.linalg.norm(u @ v @ np.linalg.inv(u) - v)
-        assert abs(_turn_defect(a_mat, v) - want) < 1e-12 * (1 + want)
+        assert abs(_turn_defect(weight, v) - want) < 1e-12 * (1 + want)
