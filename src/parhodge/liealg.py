@@ -114,20 +114,26 @@ def trace_form(x: np.ndarray, y: np.ndarray) -> complex:
 # caller already knows, Hermitian up to a scalar or nilpotent, and each has a
 # closed form.
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # about 709.78
+
 
 def _exp_hermitian(h: np.ndarray, c) -> np.ndarray:
     """exp(c h) for Hermitian h, as V diag(exp(c lambda)) V^H from one eigh.
 
     ``c`` is a scalar or an array of scalars; for an array the exponentials
     stack along its axes.  Raises NotInModel unless h is Hermitian to 1e-9
-    relative.
+    relative, and NumericallyDefective, before it exponentiates, where some
+    |Re(c lambda)| passes ln of the largest float.
     """
     h = np.asarray(h, dtype=complex)
     d = h - h.conj().T
     if np.vdot(d, d).real > 1e-18 * np.vdot(h, h).real:  # squared Frobenius norms
         raise NotInModel("the exponent is not Hermitian")
     lam, v = np.linalg.eigh(h)
-    return (v * np.exp(np.multiply.outer(c, lam))[..., None, :]) @ v.conj().T
+    exponents = np.multiply.outer(c, lam)
+    if np.abs(exponents.real).max() > _LOG_FLOAT_MAX:
+        raise NumericallyDefective("exp(c h) leaves the float range: Re(c lambda) passes ln(max float)")
+    return (v * np.exp(exponents)[..., None, :]) @ v.conj().T
 
 
 def _nilpotent_series(n_mat: np.ndarray, c=1) -> list[np.ndarray]:
@@ -474,62 +480,83 @@ def validate_triple(real: Realization, t: SL2Triple, tol: float = 1e-8) -> None:
     raise ValueError(f"unknown flavor {t.flavor!r}")
 
 
-def is_nilpotent(m: np.ndarray, tol: float = 1e-8) -> bool:
-    # power test, not eigenvalues: the spectrum of a defective matrix
-    # scatters like norm * eps**(1/n) in floating point, while ||m^n||
-    # stays at rounding level.  Dividing by the Frobenius norm instead of the
-    # spectral norm would shrink m^n by up to (||m||_F / ||m||_2)^n, and a
-    # 16-cycle permutation would pass as nilpotent
-    m = np.asarray(m, dtype=complex)
-    scale = spectral_norm(m)
-    if scale == 0:
-        return True
-    power = np.linalg.matrix_power(m / scale, m.shape[0])
-    return bool(_frobenius(power) <= tol)
+# the one relative rank cutoff of the kernel flag
+_FLAG_CUTOFF = 1e-9
 
 
-def _jordan_chains(e: np.ndarray) -> list[list[np.ndarray]]:
-    """Jordan chains of a nilpotent matrix, longest blocks first.
-
-    e^k counts as zero below 1e-9 * ||e||^k (spectral norms), the size its
-    rounding scales with, so no cutoff depends on the scale of e.
-    """
+def _kernel_flag(e: np.ndarray, bases: bool = False) -> tuple[float, tuple[int, ...], list[np.ndarray] | None]:
+    """(step, dims, kernels) of the kernel flag ker e < ker e^2 < ... = C^n,
+    which every nilpotent decision reads (Golub-Wilkinson 1976, Kagstrom-Ruhe
+    1980): step the power of two nearest rho = ||e||_2 (within [2^-1021,
+    2^1023]; 0 for e = 0), dims[k-1] = dim ker e^k up to the first that is n,
+    and, if ``bases``, orthonormal bases kernels[k] of ker e^k, k = 0 .. d.
+    One SVD per power of e / step, which is exact; a singular value of the
+    k-th counts as zero below _FLAG_CUTOFF (rho / step)^k, as a Jordan block
+    keeps norm 1 in every nonzero power.  NotNilpotent where the flag stalls
+    short of n, or a drop dim ker e^k - dim ker e^(k-1), the number of
+    blocks of size >= k, exceeds the one before."""
+    e = np.asarray(e, dtype=complex)
     n = e.shape[0]
-    norm = spectral_norm(e)
-    # kernels[k] = ker e^k as columns, up to the first k with e^k = 0
-    kernels = [np.zeros((n, 0), dtype=complex)]
-    power = np.eye(n, dtype=complex)
-    while len(kernels) <= n and kernels[-1].shape[1] < n:
-        power = power @ e
-        _, s, vh = np.linalg.svd(power)
-        kernels.append(vh[int(np.sum(s > 1e-9 * norm ** len(kernels))):].conj().T)
-    depth = len(kernels) - 1  # e^depth = 0
+
+    def svd(a):  # (singular values, right singular vectors or None)
+        return np.linalg.svd(a)[1:] if bases else (np.linalg.svd(a, compute_uv=False), None)
+
+    sv, vh = svd(e)
+    if not sv[0]:
+        return 0.0, (n,), [np.zeros((n, 0), dtype=complex), np.eye(n, dtype=complex)] if bases else None
+    top = float(sv[0])
+    step = 2.0 ** min(max(round(np.log2(top)), -1021), 1023)
+    unit, rho = e / step, top / step
+    limit = _FLAG_CUTOFF * top  # on the values of e itself, step times those of e / step
+    dims, drop = [0], n
+    kernels = [np.zeros((n, 0), dtype=complex)] if bases else None
+    power = unit
+    while dims[-1] < n:
+        if len(dims) > 1:
+            power = power @ unit
+            sv, vh = svd(power)
+            limit = _FLAG_CUTOFF * rho ** len(dims)
+        rank = sum(v > limit for v in sv.tolist())
+        prev, drop = drop, n - rank - dims[-1]
+        if not 0 < drop <= prev:
+            raise NotNilpotent(f"no nilpotent has powers with kernels of dimensions {(*dims[1:], n - rank)}")
+        dims.append(n - rank)
+        if bases:
+            kernels.append(vh[rank:].conj().T)
+    return step, tuple(dims[1:]), kernels
+
+
+def is_nilpotent(m: np.ndarray) -> bool:
+    """Whether m has the kernel flag of a nilpotent."""
+    try:
+        return bool(_kernel_flag(m))
+    except NotNilpotent:
+        return False
+
+
+def _jordan_chains(e: np.ndarray, kernels: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Jordan chains of a nilpotent matrix from the bases of its kernel flag,
+    longest first.  From the deepest level j down, the new tops complete
+    ker e^(j-1) plus the longer chains to ker e^j: as many as the flag's drop
+    at j less its drop at j + 1, the leading singular vectors of ker e^j
+    projected off that span, so the chain lengths sum to n."""
+    n = e.shape[0]
     chains: list[list[np.ndarray]] = []
-    # choose chain tops level by level, from the deepest down
-    for j in range(depth, 0, -1):
-        # span to quotient by: ker e^{j-1} plus e * (tops of longer chains), plus already chosen tops
-        span_cols = [kernels[j - 1]]
-        for ch in chains:
-            if len(ch) >= j:
-                # the element of a longer chain sitting in ker e^j is e^{len-j} top = ch[j-1]
-                span_cols.append(ch[j - 1].reshape(n, 1))
-        span = np.hstack(span_cols) if span_cols else np.zeros((n, 0), dtype=complex)
+    for j in range(len(kernels) - 1, 0, -1):
+        # every chain chosen so far is longer than j; its member in ker e^j is ch[j - 1]
+        span = np.hstack([kernels[j - 1]] + [ch[j - 1].reshape(n, 1) for ch in chains])
         cand = kernels[j]
-        # project candidates off the span, take independent leftovers as new tops
-        if span.shape[1]:
-            q, _ = np.linalg.qr(span)
-            proj = cand - q @ (q.conj().T @ cand)
-        else:
-            proj = cand
-        u, s, vh = np.linalg.svd(proj, full_matrices=False)
-        new_tops = [u[:, k] for k in range(len(s)) if s[k] > 1e-9 * max(1.0, s[0] if len(s) else 1.0)]
-        for top in new_tops:
+        count = cand.shape[1] - span.shape[1]
+        if not count:
+            continue
+        q, _ = np.linalg.qr(span)
+        cand = cand - q @ (q.conj().T @ cand)
+        for top in np.linalg.svd(cand, full_matrices=False)[0].T[:count]:
             chain = [top]
             for _ in range(j - 1):
                 chain.append(e @ chain[-1])
             chain.reverse()  # chain[0] = e^{j-1} top ... chain[-1] = top
             chains.append(chain)
-    chains.sort(key=len, reverse=True)
     return chains
 
 
@@ -544,32 +571,23 @@ def jacobson_morozov(e: np.ndarray) -> SL2Triple:
     f is rescaled by 1/c.  Real input gives a real triple.
     """
     e = np.asarray(e, dtype=complex)
-    scale = spectral_norm(e)
-    if scale == 0:
+    step, _, kernels = _kernel_flag(e, bases=True)
+    if step == 0:
         raise ZeroElement("e = 0 has no sl2-triple")
-    if not is_nilpotent(e):
-        raise NotNilpotent("jacobson_morozov needs a nilpotent element")
     # dividing by a power of two is exact: only the cutoffs see the new scale,
     # the digits of the triple do not
-    step = 2.0 ** min(max(round(np.log2(scale)), -1021), 1023)
     unit = e / step
     was_real = np.allclose(unit.imag, 0, atol=1e-12)
-    n = e.shape[0]
-    chains = _jordan_chains(unit)
-    cols = []
-    x_std = np.zeros((n, n), dtype=complex)
-    f_std = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for chain in chains:
-        d = len(chain)
-        cols.extend(chain)
-        for k in range(d):
-            x_std[pos + k, pos + k] = d - 1 - 2 * k
-        for k in range(1, d):
-            f_std[pos + k, pos + k - 1] = k * (d - k)
-        pos += d
-    p = np.stack(cols, axis=1)
-    p_inv = np.linalg.inv(p)
+    chains = _jordan_chains(unit, kernels)
+    sizes = [len(chain) for chain in chains]
+    x_std = np.diag(np.array([d - 1 - 2 * k for d in sizes for k in range(d)], dtype=complex))
+    # k (d - k) for k = 1 .. d below the diagonal: the last, 0, parts the blocks
+    f_std = np.diag(np.array([k * (d - k) for d in sizes for k in range(1, d + 1)][:-1], dtype=complex), -1)
+    p = np.stack([v for chain in chains for v in chain], axis=1)
+    try:
+        p_inv = np.linalg.inv(p)
+    except np.linalg.LinAlgError as exc:  # chains of a near-nilpotent that are exactly dependent
+        raise TripleCompletionFailure("the Jordan chains are not independent") from exc
     x = p @ x_std @ p_inv
     f = p @ f_std @ p_inv
     if was_real:
@@ -633,20 +651,11 @@ def _zero_certificate(real: Realization) -> OrbitCertificate:
 
 
 def rank_sequence(m: np.ndarray) -> tuple[int, ...]:
-    """Ranks of m, m^2, ..., m^n, read on the powers of m / ||m||_2: a Jordan
-    block keeps spectral norm 1 in every nonzero power, so the cutoff 1e-9
-    depends neither on the scale of m nor on its size."""
+    """Ranks of m, m^2, ..., m^n of a nilpotent m, read off its kernel flag."""
     m = np.asarray(m, dtype=complex)
-    scale = spectral_norm(m)
-    if scale == 0:
-        return tuple(0 for _ in range(m.shape[0]))
-    unit = m / scale
-    seq = []
-    acc = np.eye(m.shape[0], dtype=complex)
-    for _ in range(m.shape[0]):
-        acc = acc @ unit
-        seq.append(numerical_rank(acc, 1e-9))
-    return tuple(seq)
+    n = m.shape[0]
+    _, dims, _ = _kernel_flag(m)
+    return tuple(n - d for d in dims) + (0,) * (n - len(dims))
 
 
 def _component_signs(real: Realization, y: np.ndarray) -> tuple[int, ...] | None:
@@ -675,15 +684,7 @@ def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray) -> OrbitCertif
         return _zero_certificate(real)
     if not real.in_g(e / scale, 1e-8):
         raise NotInModel("e must lie in the real form")
-    if not is_nilpotent(e, 1e-8):
-        raise NotNilpotent("the orbit map needs a nilpotent element")
-    ranks = rank_sequence(e)
-    # the rank of a nilpotent's k-th power is lower than the (k-1)-th by the
-    # number of Jordan blocks of size >= k, a count that never grows, and the
-    # n-th power is 0; a near-nilpotent read at the rank cutoff can break this
-    drops = [a - b for a, b in zip((real.n,) + ranks, ranks)]
-    if ranks[-1] != 0 or any(a < b for a, b in zip(drops, drops[1:])):
-        raise NotNilpotent(f"e has rank sequence {ranks}, which no nilpotent has")
+    ranks = rank_sequence(e)  # NotNilpotent unless the kernel flag is a nilpotent's
     signs = None
     if real.eigenlines is not None:
         (h_plus, _), _ = real.eigenlines
@@ -794,6 +795,16 @@ def _semisimple_part(m: np.ndarray, reps: list[complex], scale: float) -> np.nda
     raise NumericallyDefective("Jordan-Chevalley iteration did not converge")
 
 
+def _nilpotent_remainder(n_part: np.ndarray) -> bool:
+    """||(n / ||n||_2)^n||_F <= 1e-6 for the Jordan-Chevalley remainder n: a
+    power test, as rounding magnified by an ill-conditioned Jordan basis can
+    stall the kernel flag short of n, while the n-th power stays small."""
+    scale = spectral_norm(n_part)
+    if scale == 0:
+        return True
+    return bool(_frobenius(np.linalg.matrix_power(n_part / scale, n_part.shape[0])) <= 1e-6)
+
+
 def _jordan_split(
     m: np.ndarray, vals: np.ndarray, tol: float, scale: float
 ) -> tuple[np.ndarray, np.ndarray, list[complex] | None]:
@@ -819,13 +830,13 @@ def _jordan_split(
         return m.copy(), np.zeros_like(m), reps
     s = _semisimple_part(m, reps, scale)
     n_part = m - s
-    if is_nilpotent(n_part, 1e-6):
+    if _nilpotent_remainder(n_part):
         return s, n_part, None
     finer = _means(_linked(vals, tol * scale))
     if len(reps) < len(finer) < len(vals):
         s = _semisimple_part(m, finer, scale)
         n_part = m - s
-        if is_nilpotent(n_part, 1e-6):
+        if _nilpotent_remainder(n_part):
             return s, n_part, _means(_linked(np.linalg.eigvals(s), _NODE_GAP * scale))
     if np.linalg.cond(np.linalg.eig(m)[1]) > _EIGENBASIS_COND:
         raise NumericallyDefective("nilpotent part check failed after the iteration")

@@ -23,8 +23,7 @@ behind the ``convention`` flag:
 ``"2pi"``
     c = 2*pi.  The same formulas with the imaginary unit dropped from the
     noncompact exponents.  The factor types no longer match the
-    multiplicative Jordan split for complex ``s``, so the product/split
-    validation is only performed under ``"2pi_i"``.
+    multiplicative Jordan split for complex ``s``.
 
 All matrices live in the split (diagonal-weight) frame used by the
 parabolic-Higgs data; ``s``, ``Y`` and ``beta`` are model-frame matrices of
@@ -53,6 +52,7 @@ from .jsonio import (
 )
 from .liealg import (
     NotInModel,
+    NotNilpotent,
     NumericallyDefective,
     OrbitCertificate,
     Realization,
@@ -131,21 +131,18 @@ def _realize(realization) -> Realization:
 def y_orbit_certificate(real: Realization, y: np.ndarray) -> OrbitCertificate:
     """Conjugation invariants of the H^C-orbit of a nilpotent ``y`` in m^C."""
     y = np.asarray(y, dtype=complex)
-    if not y.any():
-        return _zero_certificate(real)
-    if not is_nilpotent(y, 1e-9):
-        raise NotInModel("orbit certificates are defined for nilpotent elements")
-    return OrbitCertificate(
-        rank_sequence=rank_sequence(y),
-        component_signs=_component_signs(real, y),
-    )
+    try:
+        ranks = rank_sequence(y)
+    except NotNilpotent as exc:
+        raise NotInModel("orbit certificates are defined for nilpotent elements") from exc
+    return OrbitCertificate(rank_sequence=ranks, component_signs=_component_signs(real, y))
 
 
 # ---------------------------------------------------------------------------
 # normalized sl2-triples through a nilpotent in m^C
 # ---------------------------------------------------------------------------
 
-def complete_ks_triple(real: Realization, y: np.ndarray, tol: float = 1e-10) -> SL2Triple | None:
+def complete_ks_triple(real: Realization, y: np.ndarray) -> SL2Triple | None:
     """Normalized sl2-triple (H, X, Y') with X = -tau(Y') and H in i*h.
 
     Y' is the torus-normalized representative of the H^C-orbit of ``y``
@@ -168,7 +165,7 @@ def complete_ks_triple(real: Realization, y: np.ndarray, tol: float = 1e-10) -> 
         return None
     # exact: the largest entry of y lands in [1/2, 1), save on extreme entries
     y = y / _pow2_at(float(np.abs(y).max()))
-    if not is_nilpotent(y, max(tol, 1e-9)):
+    if not is_nilpotent(y):
         raise TripleCompletionFailure("the nilpotent part must be nilpotent")
     if not real.in_mC(y, 1e-8):
         raise TripleCompletionFailure(f"y does not lie in the m^C model of {real.label}")
@@ -318,15 +315,16 @@ def higgs_to_localsystem(
     [s, Y] = 0) to ``tol``, completes Y to a normalized triple, checks that
     the triple stays in the common centralizer and that s + tau(s) commutes
     with N to 1e-8 (TripleCompletionFailure), which makes the three factors
-    commute, and assembles them.  Under the default convention the factors
-    are checked against the multiplicative Jordan decomposition of their
-    product.
+    commute, and assembles them.  Under the default convention they are the
+    multiplicative Jordan decomposition of their product, by its uniqueness:
+    exp(2 pi i alpha) is elliptic, the hyperbolic factor positive Hermitian,
+    the unipotent one unipotent, and the three commute.
     """
     real = _realize(realization)
     s = np.asarray(s, dtype=complex)
     y = np.asarray(y, dtype=complex)
     _check_residue_data(alpha, s, tol, [("Y", y)])
-    triple = complete_ks_triple(real, y, tol)
+    triple = complete_ks_triple(real, y)
     if triple is not None:
         try:
             _check_residue_data(alpha, s, 1e-8, triple=triple)
@@ -334,17 +332,6 @@ def higgs_to_localsystem(
             raise TripleCompletionFailure(f"normalized triple escaped the residue data: {exc}") from exc
     g_e, g_h, g_u, n_nil = monodromy_factors(alpha, s, triple, real, convention)
     monodromy = g_e @ g_h @ g_u
-    if convention == "2pi_i":
-        jf = jordan_multiplicative(monodromy, tol=_JORDAN_TOL)
-        for name, ours, theirs in (
-            ("elliptic", g_e, jf.elliptic),
-            ("hyperbolic", g_h, jf.hyperbolic),
-            ("unipotent", g_u, jf.unipotent),
-        ):
-            if hs_norm(ours - theirs) > 1e-8 * (1 + hs_norm(ours)):
-                raise NumericallyDefective(
-                    f"{name} factor disagrees with the multiplicative Jordan split"
-                )
     beta = s - real.tau(s)
     return PunctureDictionaryEntry(
         realization=real.label,
@@ -398,7 +385,7 @@ def _local_orbit_data(
         h = -real.project_hC(n_mat)
         m = real.project_mC(n_mat)
         y = (m - comm(h, m) / 2) / 2
-    triple = complete_ks_triple(real, y, tol)
+    triple = complete_ks_triple(real, y)
     cert = OrbitCertificate(
         rank_sequence=ranks,
         component_signs=_component_signs(real, y),

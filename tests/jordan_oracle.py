@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from parhodge.liealg import JordanFactors, NotInvertible, NumericallyDefective, hs_norm, is_nilpotent
+from nilpotent_oracle import is_nilpotent
+
+from parhodge.liealg import JordanFactors, NotInvertible, NumericallyDefective, hs_norm
 
 # rounding of size eps * |m| moves the eigenvalue of a defective k-block by up
 # to about eps^(1/k) * |m|; the factor 16 covers the worst of a few hundred

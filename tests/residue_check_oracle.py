@@ -14,7 +14,10 @@ largest part) and the unscaled [s + tau(s), N] test.  ``_validate_model_data``
 alone is what ``hitchin_residual`` ran without a transport.
 
 Each raises where its command refused; the bodies are the library's as they
-were, with ``_turn_defect`` reading the diagonal of alpha_matrix(alpha).
+were, with ``_turn_defect`` reading the diagonal of alpha_matrix(alpha).  The
+triple comes from ``nilpotent_oracle.complete_ks_triple``, and the factors
+from ``monodromy_factors`` below, which exponentiates the hyperbolic factor
+past the float range as the library did, to inf and nan.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from parhodge.liealg import Realization, TripleCompletionFailure, _pow2_at, comm, hs_norm
-from parhodge.nahodge import CommutationFailure, _realize, complete_ks_triple, monodromy_factors
+from nilpotent_oracle import complete_ks_triple
+
+from parhodge.liealg import Realization, TripleCompletionFailure, _exp_nilpotent, _pow2_at, comm, hs_norm
+from parhodge.nahodge import CommutationFailure, _noncompact_scale, _realize
 from parhodge.parhiggs import alpha_matrix
 
 
@@ -37,6 +42,18 @@ def _turn_defect(a_mat: np.ndarray, v: np.ndarray) -> float:
     entry (j, k) by exp(2 pi i (alpha_j - alpha_k))."""
     a = a_mat.diagonal().real
     return hs_norm(v * np.exp(2j * np.pi * (a[:, None] - a[None, :])) - v)
+
+
+def monodromy_factors(alpha, s, triple, real: Realization, convention: str = "2pi_i"):
+    """nahodge.monodromy_factors with the hyperbolic factor exp(c i (s + tau(s)))
+    taken by eigh whatever the size of its exponents."""
+    g_e = np.diag(np.exp(2j * np.pi * np.array([float(a) for a in alpha])))
+    lam, v = np.linalg.eigh(1j * (s + real.tau(s)))
+    g_h = (v * np.exp(1j * _noncompact_scale(convention) * lam)) @ v.conj().T
+    if triple is None:
+        return g_e, g_h, np.eye(len(alpha), dtype=complex), np.zeros_like(s)
+    n_nil = triple.f - triple.x - triple.e
+    return g_e, g_h, _exp_nilpotent(n_nil, _noncompact_scale(convention)), n_nil
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -788,24 +789,22 @@ def test_a_size_knob_at_its_bound_runs(tmp_path, command, payload):
 
 
 @pytest.mark.parametrize(
-    "s, location",
+    "s, message",
     [
-        # Im s00 = 100: the hyperbolic factor exp(2 pi i (s^H - s)) overflows
-        ([[[0, 100], 0], [0, 0]], "$.outputs.table[0].holonomy_deviation"),
-        ([[1e300, 0], [0, 0]], "$.outputs.table[0].rho"),  # the residual overflows
+        # Im s00 = 100: the hyperbolic factor exp(2 pi i (s^H - s)) would
+        # overflow, and its exponential refuses before it is taken
+        ([[[0, 100], 0], [0, 0]], "exp(c h) leaves the float range: Re(c lambda) passes ln(max float)"),
+        ([[1e300, 0], [0, 0]], "non-finite number at $.outputs.table[0].rho"),  # the residual overflows
     ],
 )
-def test_non_finite_output_exits_4(tmp_path, s, location):
+def test_non_finite_output_exits_4(tmp_path, s, message):
     payload = {"realization": "GL(2,C)", "alpha": [0, 0], "s": s, "grid": GRID}
     csv_path = tmp_path / "table.csv"
     with np.errstate(all="ignore"):
         code, report = run_cli(tmp_path, "verify-model", payload, extra=["--csv", str(csv_path)])
     assert code == 4
     assert not csv_path.exists()  # no table of NaN rows beside a failed report
-    assert report["error"] == {
-        "type": "NumericallyDefective",
-        "message": f"non-finite number at {location}",
-    }
+    assert report["error"] == {"type": "NumericallyDefective", "message": message}
     json.dumps(report, allow_nan=False)  # the report is JSON
 
 
@@ -1361,6 +1360,56 @@ def test_translate_h2l_refuses_a_non_commuting_s_at_every_scale(tmp_path, c):
     assert code == 3
     assert report["error"]["type"] == "CommutationFailure"
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("c", [100, 1e3, 1e300])
+def test_translate_h2l_refuses_an_overflowing_hyperbolic_factor(tmp_path, capsys, c):
+    # exp(2 pi i (s^H - s)) has the eigenvalue exp(4 pi c), past the float
+    # range from c = 57; the exponential refuses before it is taken
+    payload = {"realization": "GL(2,C)", "alpha": [0, 0], "s": [[[0, c], 0], [0, 0]], "y": [[0, 0], [0, 0]]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run_cli(tmp_path, "translate-h2l", payload)
+    assert code == 4
+    assert report["error"]["type"] == "NumericallyDefective"
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
+def _near_nilpotent_inputs() -> list[tuple[str, dict]]:
+    """translate-h2l on GL(3,C) with alpha = 0, s = 0 and y = E31 + 1e-9 R for
+    100 complex R (seed 1), and ks-orbit on SL(3,R) and SL(4,R) with
+    e = J + 10^-k R for the regular block J, a real R and k = 6 .. 12."""
+    rng = np.random.default_rng(1)
+    out = []
+    for _ in range(100):
+        y = 1e-9 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        y[2, 0] += 1
+        y_json = [[[z.real, z.imag] for z in row] for row in y]
+        out.append(("translate-h2l", {"realization": "GL(3,C)", "alpha": [0, 0, 0], "s": [[0] * 3] * 3, "y": y_json}))
+    for n in (3, 4):
+        for k in range(6, 13):
+            r = rng.standard_normal((n, n))
+            e = np.diag(np.ones(n - 1), 1) + 10.0**-k * (r - np.trace(r) / n * np.eye(n))
+            out.append(("ks-orbit", {"realization": f"SL({n},R)", "e": e.tolist()}))
+    return out
+
+
+def test_near_nilpotent_inputs_exit_0_or_3_and_never_crash(tmp_path, capsys):
+    codes = Counter()
+    for command, payload in _near_nilpotent_inputs():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report = run_cli(tmp_path, command, payload)
+        assert code in (0, 3), report.get("error")
+        assert "IndexError" not in json.dumps(report)
+        assert [str(w.message) for w in caught] == []
+        codes[command, code] += 1
+    assert capsys.readouterr().err == ""
+    # 27 of the y read as the regular orbit, whose triple is then refused by
+    # the torus normalization, and 73 as no nilpotent; e is refused for
+    # k = 6 .. 8 and read as J3 or J4 from k = 9
+    assert codes == {("translate-h2l", 3): 100, ("ks-orbit", 0): 7, ("ks-orbit", 3): 7}
 
 
 @pytest.mark.parametrize("r_min", [1e-150, 1e-160, 1e-300])
