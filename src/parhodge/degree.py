@@ -5,7 +5,10 @@ Two routes to one pairing, and its exact form:
 
   * relative_position: the limit of t |-> <s . e^{-t sigma}, sigma> read off
     the relative position (the Bruhat cell) of the two eigenflags, by one
-    elimination.  Every CLI path and local_system_degree use it.
+    elimination.  Pair mode and local_system_degree use it.
+    relative_positions reads the same position for a stack of pairs, in both
+    orders of each, bit for bit: one batched eigh per side and one column
+    loop over all 2k bases.  The sample sweep of degree-relative runs it.
   * relative_degree: the same limit by the flow itself, pushing the ascending
     eigenvalue flag of s through e^{t sigma} in capped steps and
     re-orthonormalizing (QR) after each; the step cap keeps every factor of a
@@ -25,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import _row_reduce
-from .liealg import comm, hs_norm, numerical_rank
+from .liealg import comm, hs_norm, hs_norms, numerical_rank
 
 
 class NonConvergence(RuntimeError):
@@ -160,6 +163,79 @@ def relative_position(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> Re
         min_pivot_ratio=worst,
         method="bruhat relative position",
     )
+
+
+def relative_positions(
+    s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9
+) -> tuple[list[RelativePosition], list[RelativePosition]]:
+    """relative_position(s[j], sigma[j], tol) and relative_position(sigma[j],
+    s[j], tol) for every pair j of two (k, n, n) stacks, bit for bit.
+
+    The two orders of a pair share the checks of _commuting_trace and both
+    eigendecompositions: the forward order eliminates V_sigma^H U_s, the
+    backward one U_s^H V_sigma, and all 2k bases run through one column loop,
+    each member pivoting on its own bottom-most entry above tol * ||column||.
+    The ValueError raised is the one the first refused pair raises, forward
+    order first, as a loop over the pairs would meet it.
+    """
+    s = np.asarray(s, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    k, n = s.shape[:2]
+    forward, backward = s @ sigma, sigma @ s
+    # the norms of s, sigma, their skew parts and [s, sigma], in one call
+    parts = [s, sigma, *(m - m.conj().swapaxes(1, 2) for m in (s, sigma)), forward - backward]
+    norm_s, norm_sigma, skew_s, skew_sigma, bracket = hs_norms(np.concatenate(parts)).reshape(5, k)
+    scale = (1 + norm_s) * (1 + norm_sigma)
+    skew = (skew_s > 1e-10 * scale, skew_sigma > 1e-10 * scale)
+    commuting = bracket <= 1e-12 * scale
+    lam, v_sig = np.linalg.eigh(sigma)
+    d, u_s = np.linalg.eigh(s)
+    m = np.concatenate([v_sig.conj().swapaxes(1, 2) @ u_s, u_s.conj().swapaxes(1, 2) @ v_sig])
+    members = np.arange(2 * k)
+    perm = np.empty((2 * k, n), dtype=int)
+    worst = np.ones(2 * k)
+    refused = np.full(2 * k, -1)  # the first column a member finds no pivot in
+    # a refused member keeps running on a zero factor; what it computes is unread
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n):
+            col = m[:, :, i]
+            mags = np.abs(col)
+            # np.linalg.norm of each column: the same dot, through matmul
+            norm = np.sqrt((mags[:, None, :] @ mags[:, :, None])[:, 0, 0])
+            above = mags > tol * norm[:, None]
+            p = n - 1 - np.argmax(above[:, ::-1], axis=1)
+            found = above[members, p]
+            refused[~found & (refused < 0)] = i
+            perm[:, i] = p
+            worst = np.minimum(worst, mags[members, p] / norm)
+            factor = col / np.where(found, col[members, p], 1)[:, None]
+            factor[~found] = 0
+            m[:, :, i + 1 :] -= factor[:, :, None] * m[members, p, i + 1 :][:, None, :]
+            m[members, p, i + 1 :] = 0
+    out: tuple[list[RelativePosition], list[RelativePosition]] = ([], [])
+    for j in range(k):
+        for name, bad in zip(("s", "sigma"), skew):
+            if bad[j]:
+                raise ValueError(f"{name} must be Hermitian")
+        if commuting[j]:
+            for side, product in enumerate((forward, backward)):
+                value = float(np.trace(product[j]).real)
+                out[side].append(RelativePosition(value, None, None, "commuting"))
+            continue
+        for side, member, weights, values in ((0, j, d[j], lam[j]), (1, k + j, lam[j], d[j])):
+            if refused[member] >= 0:
+                raise ValueError(
+                    f"no entry of column {refused[member]} exceeds tol * ||column|| at tol = {tol:g}"
+                )
+            out[side].append(
+                RelativePosition(
+                    value=float(weights @ values[perm[member]]),
+                    permutation=tuple(perm[member].tolist()),
+                    min_pivot_ratio=float(worst[member]),
+                    method="bruhat relative position",
+                )
+            )
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -95,6 +95,21 @@ def hs_norm(a: np.ndarray) -> float:
     return norm
 
 
+def hs_norms(a: np.ndarray) -> np.ndarray:
+    """hs_norm of each matrix of a (k, n, n) stack, bit for bit: matmul of a
+    1 x m row by an m x 1 column sums as the dot of _frobenius does.  A sum
+    of squares past the float range is redone by hs_norm."""
+    a = np.asarray(a, dtype=complex)
+    flat = a.reshape(len(a), 1, -1)
+    re, im = flat.real, flat.imag
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+    if norms.max(initial=0) == math.inf:
+        for j in np.flatnonzero(norms == math.inf):
+            norms[j] = hs_norm(a[j])
+    return norms
+
+
 def spectral_norm(a: np.ndarray) -> float:
     """np.linalg.norm(a, 2) of a matrix: its largest singular value."""
     return np.linalg.svd(a, compute_uv=False)[0]
@@ -484,7 +499,9 @@ def validate_triple(real: Realization, t: SL2Triple, tol: float = 1e-8) -> None:
 _FLAG_CUTOFF = 1e-9
 
 
-def _kernel_flag(e: np.ndarray, bases: bool = False) -> tuple[float, tuple[int, ...], list[np.ndarray] | None]:
+def _kernel_flag(
+    e: np.ndarray, bases: bool = False, sv: np.ndarray | None = None
+) -> tuple[float, tuple[int, ...], list[np.ndarray] | None]:
     """(step, dims, kernels) of the kernel flag ker e < ker e^2 < ... = C^n,
     which every nilpotent decision reads (Golub-Wilkinson 1976, Kagstrom-Ruhe
     1980): step the power of two nearest rho = ||e||_2 (within [2^-1021,
@@ -492,16 +509,20 @@ def _kernel_flag(e: np.ndarray, bases: bool = False) -> tuple[float, tuple[int, 
     and, if ``bases``, orthonormal bases kernels[k] of ker e^k, k = 0 .. d.
     One SVD per power of e / step, which is exact; a singular value of the
     k-th counts as zero below _FLAG_CUTOFF (rho / step)^k, as a Jordan block
-    keeps norm 1 in every nonzero power.  NotNilpotent where the flag stalls
-    short of n, or a drop dim ker e^k - dim ker e^(k-1), the number of
-    blocks of size >= k, exceeds the one before."""
+    keeps norm 1 in every nonzero power.  Without bases, a power whose
+    Frobenius norm is already at most that cutoff (compared squared) has
+    rank 0 and takes no SVD, as no singular value exceeds the Frobenius
+    norm; ``sv``, the singular values of e, spares the first SVD to a caller
+    that has them.  NotNilpotent where the flag stalls short of n, or a drop
+    dim ker e^k - dim ker e^(k-1), the number of blocks of size >= k,
+    exceeds the one before."""
     e = np.asarray(e, dtype=complex)
     n = e.shape[0]
 
     def svd(a):  # (singular values, right singular vectors or None)
         return np.linalg.svd(a)[1:] if bases else (np.linalg.svd(a, compute_uv=False), None)
 
-    sv, vh = svd(e)
+    sv, vh = svd(e) if sv is None else (sv, None)
     if not sv[0]:
         return 0.0, (n,), [np.zeros((n, 0), dtype=complex), np.eye(n, dtype=complex)] if bases else None
     top = float(sv[0])
@@ -514,8 +535,11 @@ def _kernel_flag(e: np.ndarray, bases: bool = False) -> tuple[float, tuple[int, 
     while dims[-1] < n:
         if len(dims) > 1:
             power = power @ unit
-            sv, vh = svd(power)
             limit = _FLAG_CUTOFF * rho ** len(dims)
+            if bases or np.vdot(power, power).real > limit * limit:
+                sv, vh = svd(power)
+            else:  # rank 0: no singular value exceeds the Frobenius norm
+                sv = np.zeros(0)
         rank = sum(v > limit for v in sv.tolist())
         prev, drop = drop, n - rank - dims[-1]
         if not 0 < drop <= prev:
@@ -571,7 +595,12 @@ def jacobson_morozov(e: np.ndarray) -> SL2Triple:
     f is rescaled by 1/c.  Real input gives a real triple.
     """
     e = np.asarray(e, dtype=complex)
-    step, _, kernels = _kernel_flag(e, bases=True)
+    return _flag_triple(e, _kernel_flag(e, bases=True))
+
+
+def _flag_triple(e: np.ndarray, flag) -> SL2Triple:
+    """jacobson_morozov(e) from the kernel flag of e, read with bases."""
+    step, _, kernels = flag
     if step == 0:
         raise ZeroElement("e = 0 has no sl2-triple")
     # dividing by a power of two is exact: only the cutoffs see the new scale,
@@ -652,9 +681,11 @@ def _zero_certificate(real: Realization) -> OrbitCertificate:
 
 def rank_sequence(m: np.ndarray) -> tuple[int, ...]:
     """Ranks of m, m^2, ..., m^n of a nilpotent m, read off its kernel flag."""
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    _, dims, _ = _kernel_flag(m)
+    return _flag_ranks(len(m), _kernel_flag(m)[1])
+
+
+def _flag_ranks(n: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The ranks of the n powers of a nilpotent from its kernel dimensions."""
     return tuple(n - d for d in dims) + (0,) * (n - len(dims))
 
 
@@ -679,12 +710,13 @@ def kostant_sekiguchi_orbit_map(real: Realization, e: np.ndarray) -> OrbitCertif
     if not real.real_form:
         raise UnsupportedGroup("orbit map implemented for the real forms SL(n,R), SU(p,q)")
     e = np.asarray(e, dtype=complex)
-    scale = spectral_norm(e)
-    if scale == 0:
+    sv = np.linalg.svd(e, compute_uv=False)  # the flag's first SVD
+    if sv[0] == 0:
         return _zero_certificate(real)
-    if not real.in_g(e / scale, 1e-8):
+    if not real.in_g(e / sv[0], 1e-8):
         raise NotInModel("e must lie in the real form")
-    ranks = rank_sequence(e)  # NotNilpotent unless the kernel flag is a nilpotent's
+    # NotNilpotent unless the kernel flag is a nilpotent's
+    ranks = _flag_ranks(len(e), _kernel_flag(e, sv=sv)[1])
     signs = None
     if real.eigenlines is not None:
         (h_plus, _), _ = real.eigenlines

@@ -61,13 +61,14 @@ from .liealg import (
     _component_signs,
     _exp_hermitian,
     _exp_nilpotent,
+    _flag_ranks,
+    _flag_triple,
+    _kernel_flag,
     _pow2_at,
     _zero_certificate,
     build_realization,
     comm,
     hs_norm,
-    is_nilpotent,
-    jacobson_morozov,
     jordan_multiplicative,
     normalize_kostant_sekiguchi,
     numerical_rank,
@@ -132,10 +133,15 @@ def y_orbit_certificate(real: Realization, y: np.ndarray) -> OrbitCertificate:
     """Conjugation invariants of the H^C-orbit of a nilpotent ``y`` in m^C."""
     y = np.asarray(y, dtype=complex)
     try:
-        ranks = rank_sequence(y)
+        dims = _kernel_flag(y)[1]
     except NotNilpotent as exc:
         raise NotInModel("orbit certificates are defined for nilpotent elements") from exc
-    return OrbitCertificate(rank_sequence=ranks, component_signs=_component_signs(real, y))
+    return _y_certificate(real, y, dims)
+
+
+def _y_certificate(real: Realization, y: np.ndarray, dims: tuple[int, ...]) -> OrbitCertificate:
+    """y_orbit_certificate from the kernel dimensions of the flag of y."""
+    return OrbitCertificate(rank_sequence=_flag_ranks(len(y), dims), component_signs=_component_signs(real, y))
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +166,22 @@ def complete_ks_triple(real: Realization, y: np.ndarray) -> SL2Triple | None:
     Jacobson-Morozov and the torus normalization, and their triples are
     checked.
     """
+    return _ks_triple(real, y)[0]
+
+
+def _ks_triple(real: Realization, y: np.ndarray) -> tuple[SL2Triple | None, tuple[int, ...]]:
+    """complete_ks_triple and the kernel dimensions of y, from one kernel
+    flag: read with bases where Jacobson-Morozov runs, without them on the
+    rank-one models."""
     y = np.asarray(y, dtype=complex)
     if not y.any():
-        return None
+        return None, (len(y),)
     # exact: the largest entry of y lands in [1/2, 1), save on extreme entries
     y = y / _pow2_at(float(np.abs(y).max()))
-    if not is_nilpotent(y):
-        raise TripleCompletionFailure("the nilpotent part must be nilpotent")
+    try:
+        flag = _kernel_flag(y, bases=real.eigenlines is None)
+    except NotNilpotent as exc:
+        raise TripleCompletionFailure("the nilpotent part must be nilpotent") from exc
     if not real.in_mC(y, 1e-8):
         raise TripleCompletionFailure(f"y does not lie in the m^C model of {real.label}")
     lines = real.eigenlines
@@ -177,8 +192,8 @@ def complete_ks_triple(real: Realization, y: np.ndarray) -> SL2Triple | None:
         k = 0 if abs(coeffs[0]) >= abs(coeffs[1]) else 1  # the line y lies on
         phase = coeffs[k] / abs(coeffs[k])
         (h, line), (_, other) = lines[k], lines[1 - k]
-        return SL2Triple(x=h.copy(), e=np.conj(phase) * other, f=phase * line, flavor="ks_normal")
-    plain = jacobson_morozov(y)
+        return SL2Triple(x=h.copy(), e=np.conj(phase) * other, f=phase * line, flavor="ks_normal"), flag[1]
+    plain = _flag_triple(y, flag)
     flipped = SL2Triple(x=-plain.x, e=plain.f, f=y, flavor="normal")
     try:
         validate_triple(real, flipped, 1e-7)
@@ -190,7 +205,7 @@ def complete_ks_triple(real: Realization, y: np.ndarray) -> SL2Triple | None:
     scale = 1 + hs_norm(out.f)
     if hs_norm(out.e + real.tau(out.f)) > 1e-8 * scale:
         raise TripleCompletionFailure("normalization did not reach X = -tau(Y)")
-    return out
+    return out, flag[1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +339,7 @@ def higgs_to_localsystem(
     s = np.asarray(s, dtype=complex)
     y = np.asarray(y, dtype=complex)
     _check_residue_data(alpha, s, tol, [("Y", y)])
-    triple = complete_ks_triple(real, y)
+    triple, dims = _ks_triple(real, y)
     if triple is not None:
         try:
             _check_residue_data(alpha, s, 1e-8, triple=triple)
@@ -346,7 +361,7 @@ def higgs_to_localsystem(
         unipotent=g_u,
         monodromy=monodromy,
         nilpotent_log=n_nil,
-        y_certificate=y_orbit_certificate(real, y),
+        y_certificate=_y_certificate(real, y, dims),
     )
 
 

@@ -1,16 +1,14 @@
-"""The relative-degree QR flow one pair at a time, and the sample sweep of
-``degree-relative`` as a plain loop: test oracles.
+"""The relative-degree QR flow one pair at a time: a test oracle.
 
 ``relative_degree_one`` is the single-pair kernel with its checks spelled out
 and the settle tolerance as a parameter; ``degree.relative_degree`` must match
-it bit for bit.  ``reciprocity_gap`` draws the pairs the sample sweep draws
-and reads ``relative_position`` in both orders of each.
+it bit for bit.  The sample sweep's oracle is ``sweep_oracle``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from parhodge.degree import NonConvergence, RelativeDegreeResult, relative_position
+from parhodge.degree import NonConvergence, RelativeDegreeResult
 from parhodge.liealg import comm, hs_norm
 
 _MAX_EXP = 20
@@ -54,28 +52,3 @@ def relative_degree_one(s, sigma, tol: float = 1e-9) -> RelativeDegreeResult:
         if t > 2.0**_MAX_EXP:
             break
     raise NonConvergence(trace)
-
-
-def sample_hermitian_pair(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    out = []
-    for _ in range(2):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        m = (a + a.conj().T) / 2.0
-        norm = np.linalg.norm(m)
-        if norm < 1e-8:
-            return sample_hermitian_pair(n, rng)
-        out.append(m / norm)
-    return out[0], out[1]
-
-
-def reciprocity_gap(n: int, count: int, seed: int, tol: float = 1e-9) -> float:
-    """max |mu_s(sigma) - mu_sigma(s)| over ``count`` drawn pairs, each read
-    off the relative position in both orders."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        s, sigma = sample_hermitian_pair(n, rng)
-        forward = relative_position(s, sigma, tol)
-        backward = relative_position(sigma, s, tol)
-        worst = max(worst, abs(forward.value - backward.value))
-    return worst

@@ -778,6 +778,8 @@ def test_hostile_field_exits_3_with_location(tmp_path, command, payload, locatio
         ),
         ("degree-relative", {"sample": {"model": "GL(16,C)", "count": 10}}),
         ("degree-relative", {"sample": {"model": "SU(8,8)", "count": 10}}),
+        # both sample bounds at once: the largest model at the largest count
+        ("degree-relative", {"sample": {"model": "GL(16,C)", "count": 10_000}}),
     ],
 )
 def test_a_size_knob_at_its_bound_runs(tmp_path, command, payload):

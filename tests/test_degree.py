@@ -18,8 +18,11 @@ from parhodge.degree import (
     relative_degree,
     relative_degree_filtration,
     relative_position,
+    relative_positions,
 )
-from flow_oracle import reciprocity_gap, relative_degree_one
+from parhodge.liealg import build_realization
+from flow_oracle import relative_degree_one
+from sweep_oracle import _sample_hermitian_pair, looped_sweep
 
 
 def _unitary(rng, n):
@@ -527,11 +530,21 @@ def test_pair_mode_runs_the_position_kernel_and_no_flow(tmp_path, monkeypatch):
 def test_sample_mode_reads_the_position_in_both_orders_and_runs_no_flow(tmp_path, monkeypatch):
     flows = _count_calls(monkeypatch, "relative_degree")
     positions = _count_calls(monkeypatch, "relative_position")
+    stacked = []  # (forward, backward) positions returned by each stacked call
+    original = degree.relative_positions
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        stacked.append(tuple(map(len, out)))
+        return out
+
+    monkeypatch.setattr(cli, "relative_positions", counted)
     source = tmp_path / "sample.json"
     source.write_text(json.dumps({"sample": {"model": "GL(3,C)", "count": 7}}))
     code, _ = cli_dispatch(["degree-relative", "--input", str(source), "--output", str(tmp_path / "out.json")])
     assert code == 0
-    assert (len(flows), len(positions)) == (0, 14)
+    # one stacked pass reads the 7 pairs in both orders; the per-pair kernel is pair mode's
+    assert (len(flows), len(positions), stacked) == (0, 0, [(7, 7)])
 
 
 # --------------------------------------------------------------------------
@@ -601,9 +614,9 @@ def test_flow_matches_the_single_pair_oracle_bit_for_bit(monkeypatch, tol):
     assert kinds == expected
 
 
-def _sample_report(tmp_path, count, seed, *extra):
+def _sample_report(tmp_path, count, seed, *extra, model="GL(2,C)"):
     source = tmp_path / "sample.json"
-    source.write_text(json.dumps({"sample": {"model": "GL(2,C)", "count": count}}))
+    source.write_text(json.dumps({"sample": {"model": model, "count": count}}))
     target = tmp_path / "out.json"
     code, report = cli_dispatch(
         ["degree-relative", "--input", str(source), "--output", str(target), "--seed", str(seed), *extra]
@@ -618,7 +631,8 @@ def test_sample_report_is_byte_identical_to_the_oracle_sweep(tmp_path, count, to
     extra = () if tol is None else (f"--tolerance={tol}",)
     text, gap = _sample_report(tmp_path, count, 31, *extra)
     # the test-side loop draws the same pairs and takes the same maximum
-    want = reciprocity_gap(2, count, 31, **({} if tol is None else {"tol": tol}))
+    rng = np.random.default_rng(31)
+    want, _, _ = looped_sweep(build_realization("GL(2,C)"), count, rng, **({} if tol is None else {"tol": tol}))
     assert gap == want
     assert json.loads(text)["outputs"] == {
         "model": "GL(2,C)",
@@ -628,16 +642,193 @@ def test_sample_report_is_byte_identical_to_the_oracle_sweep(tmp_path, count, to
     assert f'"value": {want!r}'.encode() in text
 
 
-def test_sample_sweep_memory_does_not_grow_with_count(tmp_path):
-    def peak(count):
-        _sample_report(tmp_path, 1, 0)  # warm: parser, imports, caches
-        tracemalloc.start()
-        try:
-            _sample_report(tmp_path, count, 0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def _sweep_peak(tmp_path, model, count):
+    _sample_report(tmp_path, 1, 0, model=model)  # warm: parser, imports, caches
+    tracemalloc.start()
+    try:
+        _sample_report(tmp_path, count, 0, model=model)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    small, large = peak(100), peak(1000)
-    # the sweep holds one drawn pair at a time, whatever the count
+
+def test_sample_sweep_memory_does_not_grow_with_count(tmp_path):
+    small, large = _sweep_peak(tmp_path, "GL(2,C)", 100), _sweep_peak(tmp_path, "GL(2,C)", 1000)
+    # the sweep holds one pass of drawn pairs at a time, whatever the count
     assert large <= 1.25 * small + 32 * 1024, (small, large)
+
+
+def test_sample_sweep_memory_at_the_size_and_count_bounds(tmp_path):
+    # GL(16,C) at count 10000: without passes the stacks would hold every pair
+    small, large = _sweep_peak(tmp_path, "GL(16,C)", 100), _sweep_peak(tmp_path, "GL(16,C)", 10_000)
+    assert large <= 1.25 * small + 32 * 1024, (small, large)
+
+
+# --------------------------------------------------------------------------
+# the stacked sweep against the per-pair loop
+# --------------------------------------------------------------------------
+
+SWEEP_MODELS = ["GL(1,C)", "U(1)", "GL(2,C)", "SU(1,1)", "SL(2,R)", "SU(2,1)", "GL(8,C)", "SU(8,8)", "GL(16,C)"]
+
+
+def _stacked_sweep(real, count, rng, tol=1e-9):
+    """(max gap, forward positions, backward positions, pass sizes) of the
+    CLI's sweep: its draws, fed to the stacked kernel pass by pass."""
+    worst, forwards, backwards, sizes = 0.0, [], [], []
+    for s, sigma in cli._sampled_pairs(real.n, rng, count):
+        forward, backward = relative_positions(s, sigma, tol)
+        worst = max([worst] + [abs(f.value - b.value) for f, b in zip(forward, backward)])
+        forwards += forward
+        backwards += backward
+        sizes.append(len(s))
+    return worst, forwards, backwards, sizes
+
+
+@pytest.mark.parametrize("model", SWEEP_MODELS)
+@pytest.mark.parametrize(
+    "pass_pairs, counts",
+    [(None, (1, 10, 63, 64, 65)), (7, (1, 6, 7, 8, 15)), (1, (1, 2, 3))],
+    ids=["default-pass", "pass-7", "pass-1"],
+)
+def test_stacked_sweep_matches_the_per_pair_loop_bit_for_bit(tmp_path, monkeypatch, model, pass_pairs, counts):
+    if pass_pairs is not None:
+        monkeypatch.setattr(cli, "_PASS_PAIRS", pass_pairs)
+    size = cli._PASS_PAIRS
+    real = build_realization(model)
+    for count in counts:
+        seed = 2700 + count
+        gap, forwards, backwards, sizes = _stacked_sweep(real, count, np.random.default_rng(seed))
+        want_gap, want_forwards, want_backwards = looped_sweep(real, count, np.random.default_rng(seed))
+        assert sizes == [size] * (count // size) + [count % size] * bool(count % size)
+        # value, permutation, min_pivot_ratio and method of every pair, in both orders
+        assert forwards == want_forwards
+        assert backwards == want_backwards
+        assert gap == want_gap
+        _, reported = _sample_report(tmp_path, count, seed, model=model)
+        assert reported == want_gap
+        commuting = {p.method == "commuting" for p in forwards + backwards}
+        assert commuting == {real.n == 1}  # GL(1,C) and U(1): every pair commutes
+
+
+def _looped_positions(s, sigma, tol):
+    """relative_position in both orders of each pair, one at a time: the
+    positions, or the first ValueError's message."""
+    out = ([], [])
+    try:
+        for a, b in zip(s, sigma):
+            out[0].append(relative_position(a, b, tol))
+            out[1].append(relative_position(b, a, tol))
+    except ValueError as exc:
+        return str(exc)
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.75])
+def test_stacked_positions_match_the_single_pair_kernel_bit_for_bit(tol):
+    # random, commuting and near-degenerate pairs, a non-Hermitian side in
+    # every third stack, and at 0.75 pivots that some columns refuse
+    rng = np.random.default_rng(27)
+    kinds = set()
+    for made, n in enumerate(list(range(1, 9)) * 5):
+        s, sigma = _mixed_stack(rng, n, int(rng.integers(1, 12)))
+        if n > 1 and made % 3 == 0:
+            at = int(rng.integers(len(s)))
+            (s if rng.random() < 0.5 else sigma)[at] += np.triu(np.ones((n, n)), 1)
+        want = _looped_positions(s, sigma, tol)
+        try:
+            got = relative_positions(s, sigma, tol)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        if isinstance(got, str):
+            kinds.add(got.split(" ")[0] if "Hermitian" in got else "refused")
+        else:
+            kinds.update(p.method for p in got[0] + got[1])
+    assert {"commuting", "bruhat relative position"} <= kinds
+    assert ("s" in kinds and "sigma" in kinds) or tol == 0.75
+    assert ("refused" in kinds) == (tol == 0.75)
+
+
+def _refusals(real, count, seed, tol):
+    """Every (pair, order, message) the per-pair loop refuses, read past the
+    first refusal."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for j in range(count):
+        s, sigma = _sample_hermitian_pair(real, rng)
+        for order, (a, b) in enumerate(((s, sigma), (sigma, s))):
+            try:
+                relative_position(a, b, tol)
+            except ValueError as exc:
+                out.append((j, order, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("pass_pairs", [None, 7, 1])
+def test_a_refused_cutoff_reports_the_first_pair_the_loop_refuses(tmp_path, monkeypatch, pass_pairs):
+    if pass_pairs is not None:
+        monkeypatch.setattr(cli, "_PASS_PAIRS", pass_pairs)
+    real = build_realization("GL(3,C)")
+    telling = 0  # cases where a later refusal's message differs from the first one's
+    for tol in (0.75, 0.8):
+        for seed in range(12):
+            refusals = _refusals(real, 10, seed, tol)
+            if not refusals:
+                continue
+            with pytest.raises(ValueError) as caught:
+                looped_sweep(real, 10, np.random.default_rng(seed), tol)
+            assert str(caught.value) == refusals[0][2]
+            telling += any(message != refusals[0][2] for _, _, message in refusals)
+            source = tmp_path / "sample.json"
+            source.write_text(json.dumps({"sample": {"model": "GL(3,C)", "count": 10}}))
+            code, report = cli_dispatch(
+                ["degree-relative", "--input", str(source), "--output", str(tmp_path / "out.json"),
+                 "--seed", str(seed), f"--tolerance={tol}"]
+            )
+            assert code == 3
+            assert report["error"] == {"type": "ValueError", "message": refusals[0][2]}
+    assert telling >= 3
+
+
+class _Zeroed:
+    """A generator whose standard normals are those of ``rng``, except that
+    the matrices at the given places of the stream are zero, however the
+    draws are shaped: the stream is read as matrices of 2 n^2 normals, real
+    part then imaginary part."""
+
+    def __init__(self, rng, n, zeroed):
+        self.rng = rng
+        self.n, self.zeroed, self.drawn = n, zeroed, 0
+
+    def standard_normal(self, shape):
+        x = self.rng.standard_normal(shape)
+        flat = x.reshape(-1)
+        place = (self.drawn + np.arange(flat.size)) // (2 * self.n * self.n)
+        flat[np.isin(place, list(self.zeroed))] = 0.0
+        self.drawn += flat.size
+        return x
+
+
+@pytest.mark.parametrize(
+    "zeroed",
+    [
+        pytest.param({0}, id="first"),  # the first matrix of the first pair: drawn again
+        pytest.param({0, 1, 3}, id="first-twice-then-second"),  # a second matrix: its pair starts over
+    ],
+)
+@pytest.mark.parametrize("pass_pairs", [None, 1])
+def test_a_zero_draw_starts_its_pair_over_as_the_loop_does(tmp_path, monkeypatch, zeroed, pass_pairs):
+    if pass_pairs is not None:
+        monkeypatch.setattr(cli, "_PASS_PAIRS", pass_pairs)
+    real = build_realization("GL(2,C)")
+    got = _stacked_sweep(real, 5, _Zeroed(np.random.default_rng(4), 2, zeroed))
+    want = looped_sweep(real, 5, _Zeroed(np.random.default_rng(4), 2, zeroed))
+    assert got[:3] == want
+    # the zero matrices were drawn and passed over: no pair is the unstubbed stream's first
+    plain = looped_sweep(real, 5, np.random.default_rng(4))
+    assert got[1][0] != plain[1][0]
+    # through the CLI, whose generator is the stub
+    plain_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Zeroed(plain_rng(seed), 2, zeroed))
+    _, gap = _sample_report(tmp_path, 5, 4)
+    assert gap == want[0]

@@ -1,7 +1,8 @@
 """The kernel flag against the nilpotent decisions it replaced
 (``nilpotent_oracle``): every partition with n <= 8, in Jordan form and
 after a well-conditioned real conjugation, exact and perturbed by 10^-k for
-k = 3..12, each at the scales 2^0 and 2^+-600."""
+k = 3..12, each at the scales 2^0 and 2^+-600; and on the same inputs the
+flag without bases against itself with one SVD for every power."""
 
 from collections import Counter
 
@@ -9,6 +10,7 @@ import nilpotent_oracle as parent
 import numpy as np
 
 from parhodge.liealg import (
+    _FLAG_CUTOFF,
     NotNilpotent,
     TripleCompletionFailure,
     ZeroElement,
@@ -74,11 +76,11 @@ def _chains(e: np.ndarray):
     return tuple(len(c) for c in _jordan_chains(e / step, kernels))
 
 
-def _sweep():
-    """(n, partition, k, parent reading, reading now); a reading is (ranks,
-    Jordan type), each a tuple or the name of the refusal."""
+def _inputs():
+    """(n, real, partition, k, e) of the sweep: every partition with n <= 8,
+    in Jordan form and conjugated, exact and perturbed by 10^-k, at three
+    scales."""
     rng = np.random.default_rng(26)
-    rows = []
     for n in range(1, 9):
         real = build_realization(f"SL({n},R)")
         for partition in _partitions(n):
@@ -93,17 +95,24 @@ def _sweep():
                         r = rng.standard_normal((n, n))
                         x = m + 10.0**-k * (r - np.trace(r) / n * np.eye(n))
                     for scale in (1.0, 2.0**600, 2.0**-600):
-                        e = (scale * x).astype(complex)
-                        before = (
-                            _read(lambda: parent.kostant_sekiguchi_orbit_map(real, e).rank_sequence),
-                            _read(lambda: _parent_chains(e)),
-                        )
-                        now = (_read(lambda: kostant_sekiguchi_orbit_map(real, e).rank_sequence), _read(lambda: _chains(e)))
-                        try:
-                            jacobson_morozov(e)
-                        except (ZeroElement, NotNilpotent, TripleCompletionFailure):
-                            pass
-                        rows.append((n, partition, k, before, now))
+                        yield n, real, partition, k, (scale * x).astype(complex)
+
+
+def _sweep():
+    """(n, partition, k, parent reading, reading now); a reading is (ranks,
+    Jordan type), each a tuple or the name of the refusal."""
+    rows = []
+    for n, real, partition, k, e in _inputs():
+        before = (
+            _read(lambda: parent.kostant_sekiguchi_orbit_map(real, e).rank_sequence),
+            _read(lambda: _parent_chains(e)),
+        )
+        now = (_read(lambda: kostant_sekiguchi_orbit_map(real, e).rank_sequence), _read(lambda: _chains(e)))
+        try:
+            jacobson_morozov(e)
+        except (ZeroElement, NotNilpotent, TripleCompletionFailure):
+            pass
+        rows.append((n, partition, k, before, now))
     return rows
 
 
@@ -140,3 +149,63 @@ def test_the_kernel_flag_reads_what_the_parent_read():
             assert sum(jordan_type) == n and _ranks(jordan_type, n) == ranks
     moves = Counter(_move(n, before, now) for n, _, _, before, now in rows if before != now)
     assert moves == MOVES
+
+
+def _flag_with_every_svd(e: np.ndarray):
+    """(step, dims) of the kernel flag without bases as it was read with one
+    SVD per power, before a power under its cutoff in the Frobenius norm
+    skipped its SVD."""
+    n = e.shape[0]
+    sv = np.linalg.svd(e, compute_uv=False)
+    if not sv[0]:
+        return 0.0, (n,)
+    top = float(sv[0])
+    step = 2.0 ** min(max(round(np.log2(top)), -1021), 1023)
+    unit, rho = e / step, top / step
+    limit = _FLAG_CUTOFF * top
+    dims, drop = [0], n
+    power = unit
+    while dims[-1] < n:
+        if len(dims) > 1:
+            power = power @ unit
+            sv = np.linalg.svd(power, compute_uv=False)
+            limit = _FLAG_CUTOFF * rho ** len(dims)
+        rank = sum(v > limit for v in sv.tolist())
+        prev, drop = drop, n - rank - dims[-1]
+        if not 0 < drop <= prev:
+            raise NotNilpotent(f"no nilpotent has powers with kernels of dimensions {(*dims[1:], n - rank)}")
+        dims.append(n - rank)
+    return step, tuple(dims[1:])
+
+
+def _flag_reading(read):
+    try:
+        return read()
+    except NotNilpotent as exc:
+        return str(exc)
+
+
+def test_a_power_under_the_cutoff_skips_its_svd_and_no_decision_moves(monkeypatch):
+    svds = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    readings = 0
+    for _, _, partition, k, e in _inputs():
+        before = len(svds)
+        want = _flag_reading(lambda: _flag_with_every_svd(e))
+        every = len(svds) - before
+        got = _flag_reading(lambda: _kernel_flag(e)[:2])
+        taken = len(svds) - before - every
+        assert got == want
+        readings += 1
+        if k is None and partition != (1,) * len(partition):
+            # an exact nilpotent's last power is zero up to rounding: its SVD is skipped
+            assert taken == every - 1
+        else:
+            assert taken <= every
+    assert readings == 4356

@@ -14,7 +14,7 @@ from rk4_oracle import IntegratorFailure, rk4_holonomy
 
 from parhodge import modelmetric
 from parhodge.cli import cli_dispatch
-from parhodge.liealg import SL2Triple, build_realization, hs_norm, jacobson_morozov
+from parhodge.liealg import SL2Triple, _flag_triple, build_realization, hs_norm
 from parhodge.modelmetric import (
     GridTooCoarse,
     NotSingleValued,
@@ -523,13 +523,14 @@ def _verify_model_table(tmp_path, payload):
 def test_verify_model_cusp_table_does_not_see_the_scale_of_y(tmp_path, monkeypatch, model):
     from parhodge import nahodge
 
+    # complete_ks_triple runs Jacobson-Morozov from the kernel flag it has read
     calls = {"jacobson_morozov": 0}
 
     def counted(*args, **kwargs):
         calls["jacobson_morozov"] += 1
-        return jacobson_morozov(*args, **kwargs)
+        return _flag_triple(*args, **kwargs)
 
-    monkeypatch.setattr(nahodge, "jacobson_morozov", counted)
+    monkeypatch.setattr(nahodge, "_flag_triple", counted)
     n = build_realization(model).n
     grid = {"r_max": 1e-2, "r_min": 1e-6, "count": 5}  # the README cusp on SU(1,1)
     tables = []

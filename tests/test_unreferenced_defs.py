@@ -40,6 +40,12 @@ KNOWN_UNREFERENCED = {
     "cartan.in_A_prime",
     # the local-system side of the degree equality
     "degree.local_system_degree",
+    # the nilpotency test, the Jacobson-Morozov completion and the m^C orbit certificate of one
+    # element: complete_ks_triple reads all three off one kernel flag it has already taken, and the
+    # acceptance gates (the KS orbit map, the SL2R section's residues) read them on their own
+    "liealg.is_nilpotent",
+    "liealg.jacobson_morozov",
+    "nahodge.y_orbit_certificate",
     # the QR flow: no CLI path runs it; the three relative-degree acceptance gates test it, and
     # bench/tracing.py reads its t_trace
     "degree.relative_degree",
