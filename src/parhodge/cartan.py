@@ -18,14 +18,16 @@ the s largest fractional parts by 1 (s their sum); for C_r (Q^vee = Z^r) round
 every coordinate; for B_r and D_r (the even-sum lattice) round every
 coordinate and, if the rounded sum is odd, move the one farthest from its
 integer to the other side (the D_n decoder of Conway and Sloane, IEEE Trans.
-Inf. Theory 28, 1982).  Each k costs O(rank log rank) ``Fraction`` operations.
+Inf. Theory 28, 1982).  The point is scaled once by the lcm d of its
+denominators, so each k costs O(rank log rank) operations on ``int``
+numerators over d, and ``Fraction``s are formed for the accepted k only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import floor, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -76,6 +78,13 @@ def _as_vec(a: Sequence, rank: int) -> Vec:
 
 def _dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
+
+
+def _numerators(values: Sequence) -> tuple[list[int], int]:
+    """(nums, d) with values[i] == nums[i] / d, d the lcm of the denominators
+    of the exact rationals (``int``s or ``Fraction``s) in values."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def _row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -172,7 +181,7 @@ def _ambient_tables(cartan_type: str, rank: int):
     return simples, positives, coroot
 
 
-def _ambient_point(cartan_type: str, c: Sequence[Fraction]) -> list[Fraction]:
+def _ambient_point(cartan_type: str, c: Sequence[int]) -> list[int]:
     """Ambient coordinates of sum_i c_i alpha_i^vee."""
     x = [c[0]] + [c[j] - c[j - 1] for j in range(1, len(c))]
     if cartan_type == "A":
@@ -184,39 +193,47 @@ def _ambient_point(cartan_type: str, c: Sequence[Fraction]) -> list[Fraction]:
     return x
 
 
-def _coroot_point(cartan_type: str, y: Sequence[Fraction]) -> Vec:
-    """Simple-coroot coordinates of y: its partial sums, with a type-dependent tail."""
-    c = list(accumulate(y))
+def _coroot_numerators(cartan_type: str, y: Sequence[int]) -> list[int]:
+    """Twice the simple-coroot coordinates of the ambient point y: its partial
+    sums, with a type-dependent tail, so the B and D halves stay integers."""
+    c = [2 * v for v in accumulate(y)]
     if cartan_type == "A":
         c.pop()  # the coordinates sum to 0
     elif cartan_type == "B":
-        c[-1] /= 2
+        c[-1] //= 2
     elif cartan_type == "D":
-        c[-2], c[-1] = (c[-2] - y[-1]) / 2, (c[-2] + y[-1]) / 2
-    return tuple(c)
+        c[-2], c[-1] = c[-2] // 2 - y[-1], c[-2] // 2 + y[-1]
+    return c
 
 
-def _star_point(cartan_type: str, x: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]] | None:
-    """The representative y of x modulo Q^vee inside the open star and its dominant image, or None."""
+def _star_numerators(cartan_type: str, x: Sequence[int], d: int) -> tuple[list[int], list[int]] | None:
+    """The representative of x / d modulo Q^vee inside the open star and its
+    dominant image, as numerators over d, or None."""
     if cartan_type == "A":
         # integer vectors of sum 0: fractional parts summing to s, the s largest lowered by 1
-        y = [v - floor(v) for v in x]
-        for i in sorted(range(len(y)), key=y.__getitem__, reverse=True)[: int(sum(y))]:
-            y[i] -= 1
-        return (y, sorted(y, reverse=True)) if max(y) - min(y) < 1 else None
-    n = [round(v) for v in x]
-    y = [v - m for v, m in zip(x, n)]
-    if cartan_type != "C" and sum(n) % 2:
+        y = [v % d for v in x]
+        for i in sorted(range(len(y)), key=y.__getitem__, reverse=True)[: sum(y) // d]:
+            y[i] -= d
+        return (y, sorted(y, reverse=True)) if max(y) - min(y) < d else None
+    y = []
+    odd = 0  # the parity of the sum of the nearest integers
+    for v in x:
+        n, r = divmod(v, d)
+        if 2 * r > d or 2 * r == d and n % 2:  # round half to even, as round(Fraction) does
+            n, r = n + 1, r - d
+        odd ^= n & 1
+        y.append(r)
+    if cartan_type != "C" and odd:
         # the even-sum lattice: move the coordinate farthest from its integer to the other side
         i = max(range(len(y)), key=lambda j: abs(y[j]))
-        y[i] -= 1 if y[i] >= 0 else -1
-    d = sorted((abs(v) for v in y), reverse=True)
+        y[i] -= d if y[i] >= 0 else -d
+    s = sorted((abs(v) for v in y), reverse=True)
     # the binding roots: 2 e_i for C, e_i + e_j for B and D
-    if (2 * d[0] if cartan_type == "C" else d[0] + d[1]) >= 1:
+    if (2 * s[0] if cartan_type == "C" else s[0] + s[1]) >= d:
         return None
     if cartan_type == "D" and sum(v < 0 for v in y) % 2:
-        d[-1] = -d[-1]  # even sign changes only; a zero entry absorbs the parity
-    return y, d
+        s[-1] = -s[-1]  # even sign changes only; a zero entry absorbs the parity
+    return y, s
 
 
 @dataclass(frozen=True)
@@ -298,8 +315,7 @@ def _build_root_datum(cartan_type: str, rank: int, lattice: str) -> RootDatum:
 def _root_numerators(rd: RootDatum, v: Vec) -> tuple[list[int], int]:
     """(nums, d): the value of the idx-th positive root on v is nums[idx] / d,
     d the lcm of the denominators of v."""
-    d = lcm(*(x.denominator for x in v))
-    scaled = [x.numerator * (d // x.denominator) for x in v]
+    scaled, d = _numerators(v)
     return [sum(map(mul, root, scaled)) for root in rd.positive_roots], d
 
 
@@ -343,21 +359,26 @@ class AlcoveNormalization:
 def alcove_normalize(rd: RootDatum, a: Sequence, search_bound: int = 64) -> AlcoveNormalization:
     """Find minimal k <= search_bound and a lattice vector with k*a + v in W*(open star).
 
-    ``_star_point`` finds the representative of k*a in the open star, if any
-    (see the module docstring); a level-1 wall is outside, so the next k is tried.
-    Its binding roots are below 1, which is the open-star condition, so the
-    result is not tested again.
+    ``_star_numerators`` finds the representative of k*a in the open star, if
+    any (see the module docstring); a level-1 wall is outside, so the next k is
+    tried.  Its binding roots are below 1, which is the open-star condition, so
+    the result is not tested again.
     """
-    v0 = _as_vec(a, rd.rank)
+    nums, d = _numerators(_as_vec(a, rd.rank))
     t = rd.cartan_type
-    x0 = _ambient_point(t, v0)
+    x0 = _ambient_point(t, nums)
     for k in range(1, search_bound + 1):
-        found = _star_point(t, [k * x for x in x0])
+        found = _star_numerators(t, [k * x for x in x0], d)
         if found is None:
             continue
-        normalized, dominant = (_coroot_point(t, y) for y in found)
-        lam = tuple(c - k * x for c, x in zip(normalized, v0))
-        return AlcoveNormalization(k=k, lattice_vector=lam, normalized=normalized, dominant=dominant)
+        normalized, dominant = (_coroot_numerators(t, y) for y in found)
+        e = 2 * d  # the coroot numerators are doubled
+        return AlcoveNormalization(
+            k=k,
+            lattice_vector=tuple(Fraction(c - 2 * k * x, e) for c, x in zip(normalized, nums)),
+            normalized=tuple(Fraction(c, e) for c in normalized),
+            dominant=tuple(Fraction(c, e) for c in dominant),
+        )
     raise SearchExhausted(search_bound)
 
 

@@ -278,11 +278,15 @@ def _matrix(obj: Any, location: str, n: int | None = None) -> np.ndarray:
     return m
 
 
-def _signature(payload: dict) -> tuple[int, int] | None:
+def _signature(payload: dict, n: int) -> tuple[int, int] | None:
+    """The signature (p, q) of a rank-n Hermitian form, if the input gives one."""
     raw = _field(payload, "signature", list_from_json, default=None, length=2)
     if raw is None:
         return None
-    return tuple(int_from_json(x, f"$.signature[{i}]", lo=0) for i, x in enumerate(raw))
+    p, q = (int_from_json(x, f"$.signature[{i}]", lo=0) for i, x in enumerate(raw))
+    if p + q != n:
+        raise SchemaError("$.signature", f"expected p + q = {n}, the rank of the data, got {p} + {q}")
+    return p, q
 
 
 def _convention(payload: dict, report: dict) -> str:
@@ -296,11 +300,12 @@ def _higgs_data(payload: dict):
     return higgs_from_json(_field(payload, "data", object_from_json))
 
 
-def _reduction_from_json(obj: Any, location: str) -> ReductionCertificate:
+def _reduction_from_json(obj: Any, location: str, n: int) -> ReductionCertificate:
+    """A reduction of rank-n data: chi gives one value per coordinate."""
     obj = object_from_json(obj, location)
     return ReductionCertificate(
         label=_field(obj, "label", str_from_json, location, default="reduction"),
-        chi=_field(obj, "chi", fracvec_from_json, location),
+        chi=_field(obj, "chi", fracvec_from_json, location, length=n),
         phi_compatible=_field(obj, "phi_compatible", bool_from_json, location, default=True),
         degree=_field(obj, "degree", frac_from_json, location, default=None),
         levi_reduction=_field(obj, "levi_reduction", bool_from_json, location, default=None),
@@ -576,7 +581,7 @@ def _cmd_rootsys(payload: dict, args, report: dict) -> int:
 
 def _cmd_alcove_normalize(payload: dict, args, report: dict) -> int:
     rd = _root_datum(payload)
-    point = _field(payload, "point", fracvec_from_json)
+    point = _field(payload, "point", fracvec_from_json, length=rd.rank)
     bound = _field(payload, "search_bound", int_from_json, default=64, lo=1)
     result = alcove_normalize(rd, point, search_bound=bound)
     method = "exact affine-Weyl reduction"
@@ -667,7 +672,7 @@ def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
 
 def _cmd_degree_parabolic(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    red = _reduction_from_json(payload, "$")
+    red = _reduction_from_json(payload, "$", data.n)
     pardeg = pardeg_reduction(data, red)
     central = coordinate_pairing(data.c, red.chi)
     method = "exact double-filtration pairing"
@@ -686,7 +691,11 @@ def _cmd_stability(payload: dict, args, report: dict) -> int:
         data,
         mode=_field(payload, "mode", str_from_json, default="certificate", choices=STABILITY_MODES),
         reductions=_field(
-            payload, "reductions", list_from_json, default=[], items=_reduction_from_json
+            payload,
+            "reductions",
+            list_from_json,
+            default=[],
+            items=functools.partial(_reduction_from_json, n=data.n),
         ),
         **_tol(args),
     )
@@ -732,7 +741,13 @@ def _cmd_genericity(payload: dict, args, report: dict) -> int:
 
 def _cmd_hecke(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
-    lambdas = _field(payload, "lambdas", list_from_json, items=fracvec_from_json)
+    lambdas = _field(
+        payload,
+        "lambdas",
+        list_from_json,
+        length=len(data.punctures),
+        items=functools.partial(fracvec_from_json, length=len(data.summand_degrees)),
+    )
     lattice = _field(payload, "lattice", str_from_json, default="GL", choices=("GL", *LATTICES))
     result = hecke_apply(data, lambdas, lattice=lattice)
     method = "exact cocharacter shift"
@@ -817,7 +832,7 @@ def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
 def _cmd_toledo(payload: dict, args, report: dict) -> int:
     data = _higgs_data(payload)
     with _label_at("$.data.realization"):
-        tau = toledo_invariant(data, signature=_signature(payload))
+        tau = toledo_invariant(data, signature=_signature(payload, data.n))
     report["outputs"] = {
         "tau": _tagged(tau, "exact character pairing"),
         "realization": data.realization,
@@ -830,7 +845,7 @@ def _cmd_mw_check(payload: dict, args, report: dict) -> int:
     with _label_at("$.data.realization"):
         result = milnor_wood_check(
             data,
-            signature=_signature(payload),
+            signature=_signature(payload, data.n),
             rank_plus=_field(payload, "rank_plus", int_from_json, default=None, lo=0),
             rank_minus=_field(payload, "rank_minus", int_from_json, default=None, lo=0),
         )

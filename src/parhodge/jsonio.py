@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable
@@ -180,6 +181,10 @@ def frac_to_json(x: Fraction) -> Any:
     return f"{x.numerator}/{x.denominator}"
 
 
+# the spelling frac_to_json writes; any other goes through Fraction(str)
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
 def frac_from_json(obj: Any, location: str = "$") -> Fraction:
     try:
         if isinstance(obj, bool):
@@ -187,7 +192,9 @@ def frac_from_json(obj: Any, location: str = "$") -> Fraction:
         if isinstance(obj, int):
             return Fraction(obj)
         if isinstance(obj, str):
-            return Fraction(obj)
+            plain = _PLAIN_RATIONAL.fullmatch(obj)
+            # int() refuses a part past the digit limit, as Fraction(str) does
+            return Fraction(int(plain[1]), int(plain[2])) if plain else Fraction(obj)
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     raise SchemaError(location, f"expected exact rational (int or 'p/q'), got {obj!r}")
@@ -221,11 +228,12 @@ def realvec_from_json(obj: Any, location: str) -> list[float]:
 
 
 def fracvec_to_json(v) -> list[Any]:
-    return [frac_to_json(Fraction(x)) for x in v]
+    return [frac_to_json(x if type(x) is Fraction else Fraction(x)) for x in v]
 
 
-def fracvec_from_json(obj: Any, location: str = "$") -> tuple[Fraction, ...]:
-    return tuple(list_from_json(obj, location, frac_from_json))
+def fracvec_from_json(obj: Any, location: str = "$", length: int | None = None) -> tuple[Fraction, ...]:
+    """Exact rationals, ``length`` of them when given."""
+    return tuple(list_from_json(obj, location, frac_from_json, length))
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:

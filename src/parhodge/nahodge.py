@@ -75,7 +75,7 @@ from .liealg import (
     rank_sequence,
     validate_triple,
 )
-from .parhiggs import ParabolicHiggsData, _turn_defect, make_data
+from .parhiggs import ParabolicHiggsData, _turn_defect, coordinate_pairing, make_data
 
 
 class CommutationFailure(ValueError):
@@ -716,10 +716,10 @@ def toledo_invariant(
     """
     p, q = _hermitian_signature(data, signature)
     chi = toledo_character(p, q)
-    value = sum(c * d for c, d in zip(chi, data.summand_degrees))
+    value = coordinate_pairing(chi, data.summand_degrees)
     for punc in data.punctures:
-        value -= sum(c * w for c, w in zip(chi, punc.weight))
-    return Fraction(value)
+        value -= coordinate_pairing(chi, punc.weight)
+    return value
 
 
 @dataclass(frozen=True)

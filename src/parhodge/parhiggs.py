@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Any, Sequence
 
 import numpy as np
 
+from .cartan import _numerators
 from .degree import relative_degree_filtration
 from .jsonio import (
     SchemaError,
@@ -95,7 +97,7 @@ class ParabolicHiggsData:
 
 
 def _fracs(values: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def make_data(
@@ -477,9 +479,16 @@ def _pairing_against_weight(
 
 def coordinate_pairing(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     """Exact sum_k u_k v_k of two weights on the coordinate frame: the central
-    twist <c, chi>, and the pairing of the coordinate flags of alpha and chi,
-    whose m_ij counts the coordinates k with alpha_k = a_i and chi_k = b_j."""
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    twist <c, chi>, the global term <chi, deg>, and the pairing of the
+    coordinate flags of alpha and chi, whose m_ij counts the coordinates k with
+    alpha_k = a_i and chi_k = b_j; the sum runs to the shorter length.
+
+    The entries are ``int``s or ``Fraction``s.  The sum runs on integer
+    numerators over lcm(u) * lcm(v), so the result is the only ``Fraction`` it
+    builds."""
+    nu, du = _numerators(u)
+    nv, dv = _numerators(v)
+    return Fraction(sum(map(mul, nu, nv)), du * dv)
 
 
 def pardeg_reduction(data: ParabolicHiggsData, red: ReductionCertificate):
@@ -488,7 +497,7 @@ def pardeg_reduction(data: ParabolicHiggsData, red: ReductionCertificate):
     if red.degree is not None:
         total = Fraction(red.degree)
     else:
-        total = sum((x * d for x, d in zip(chi, data.summand_degrees)), Fraction(0))
+        total = coordinate_pairing(chi, data.summand_degrees)
     chi_flag = None  # built only for a pairing that needs it
     for i, p in enumerate(data.punctures):
         # two coordinate flags pair in closed form; an empty chi or one whose
@@ -696,7 +705,7 @@ def hecke_transform(
     """
     ws = [_fracs(w) for w in weights]
     ls = [_fracs(l) for l in lambdas]
-    ds = list(_fracs(degrees))
+    ds = _fracs(degrees)
     if len(ws) != len(ls):
         raise ValueError("one cocharacter per puncture is required")
     n = len(ds)
@@ -705,29 +714,29 @@ def hecke_transform(
     for i, lam in enumerate(ls):
         if len(lam) != n:
             raise NotInLattice(f"puncture {i}: cocharacter length differs from the rank")
+        nums, d = _numerators(lam)
         if lattice == "GL":
-            bad = [x for x in lam if x.denominator != 1]
-            if bad:
+            if d != 1:
                 raise NotInLattice(f"puncture {i}: {tuple(map(str, lam))} is not an integer vector")
             continue
-        total = sum(lam, Fraction(0))
-        if total.denominator != 1:
-            raise NotInLattice(f"puncture {i}: central part {total} is not integral")
+        total = sum(nums)
+        if total % d:
+            raise NotInLattice(f"puncture {i}: central part {Fraction(total, d)} is not integral")
         if not lam:
             continue
         # type A: the simply-connected lattice holds the shifts whose entries
         # are all total/n mod 1, the adjoint one those with integral differences
-        base = total / n if lattice == "simply_connected" else lam[0]
-        if any((x - base).denominator != 1 for x in lam):
+        scale, base = (n, total) if lattice == "simply_connected" else (1, nums[0])
+        if any((scale * x - base) % (scale * d) for x in nums):
             raise NotInLattice(
                 f"puncture {i}: traceless part of {tuple(map(str, lam))} is outside the "
                 f"{lattice} cocharacter lattice"
             )
     new_weights = tuple(tuple(a + b for a, b in zip(w, lam)) for w, lam in zip(ws, ls))
-    for lam in ls:
-        for k in range(n):
-            ds[k] = ds[k] + lam[k]
-    return HeckeResult(weights=new_weights, degrees=tuple(ds))
+    # summand k gains the k-th entry of every shift
+    nums, d = _numerators([*ds, *(x for lam in ls for x in lam)])
+    degrees = tuple(Fraction(sum(nums[k::n]), d) for k in range(n))
+    return HeckeResult(weights=new_weights, degrees=degrees)
 
 
 def hecke_apply(data: ParabolicHiggsData, lambdas: Sequence[Sequence], lattice: str = "GL") -> ParabolicHiggsData:
@@ -773,12 +782,11 @@ def genericity_check(weights: Sequence[Sequence], max_combinations: int = 200000
     for i, w in enumerate(ws):
         if not w or len(w) != n:
             raise ValueError(f"weight row {i} has {len(w)} entries; every row needs the same n >= 1")
-    total = sum((sum(w, Fraction(0)) for w in ws), Fraction(0))
-    if total.denominator == 1:
-        return GenericityResult(generic=False, character="det", value=total)
-    d = math.lcm(*(a.denominator for w in ws for a in w))
-    scaled = [[a.numerator * (d // a.denominator) for a in w] for w in ws]
-    scaled_total = sum(map(sum, scaled))
+    nums, d = _numerators([a for w in ws for a in w])
+    scaled = [nums[i : i + n] for i in range(0, len(nums), n)]
+    scaled_total = sum(nums)
+    if scaled_total % d == 0:
+        return GenericityResult(generic=False, character="det", value=Fraction(scaled_total, d))
     for k in range(1, n):
         if math.comb(n, k) > max_combinations:
             raise ValueError(
@@ -804,8 +812,8 @@ def genericity_check(weights: Sequence[Sequence], max_combinations: int = 200000
         need = k * scaled_total % modulus
         if need not in reach[0]:
             continue
-        chosen = Fraction(0)
-        for w, row, after in zip(ws, rows, reach[1:]):
+        chosen = 0  # sum_S alpha, scaled by d
+        for w, row, after in zip(scaled, rows, reach[1:]):
             subset, r = next(
                 (subset, r)
                 for subset, r in zip(combinations(range(n), k), map(sum, combinations(row, k)))
@@ -816,6 +824,6 @@ def genericity_check(weights: Sequence[Sequence], max_combinations: int = 200000
         return GenericityResult(
             generic=False,
             character=f"rank-{k} reduction slope equality",
-            value=n * chosen - k * total,
+            value=Fraction(n * chosen - k * scaled_total, d),
         )
     return GenericityResult(generic=True, character=None, value=None)

@@ -751,6 +751,15 @@ H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[
         ("mw-check", {"data": {**WALL_DATA, "realization": "x"}}, "$.data.realization"),
         ("genericity", {"weights": [["1/3"]], "max_combinations": 0}, "$.max_combinations"),
         ("genericity", {"weights": [["1/3"]], "max_combinations": -5}, "$.max_combinations"),
+        # a vector whose length the data or the root datum fixes is checked where it is read
+        ("alcove-normalize", {"cartan_type": "A", "rank": 2, "point": [0]}, "$.point"),
+        ("degree-parabolic", {"data": WALL_DATA, "chi": [1, 0, -1]}, "$.chi"),
+        ("degree-parabolic", {"data": WALL_DATA, "chi": []}, "$.chi"),
+        ("stability", {"data": WALL_DATA, "reductions": [{"chi": [1, -1]}, {"chi": [1, 0, -1]}]}, "$.reductions[1].chi"),
+        ("hecke", {"data": WALL_DATA, "lambdas": [[0, 0, 0], [0, 0], [0, 0]]}, "$.lambdas[0]"),
+        ("hecke", {"data": WALL_DATA, "lambdas": [[0, 0], [0, 0]]}, "$.lambdas"),
+        ("toledo", {"data": WALL_DATA, "signature": [1, 2]}, "$.signature"),
+        ("mw-check", {"data": WALL_DATA, "signature": [2, 1]}, "$.signature"),
     ],
 )
 def test_hostile_field_exits_3_with_location(tmp_path, command, payload, location):

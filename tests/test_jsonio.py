@@ -3,10 +3,11 @@ the document reader against the one that built a decoder per call."""
 
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import document_oracle
@@ -227,3 +228,53 @@ def test_a_literal_deep_in_a_readable_document_is_placed():
     with pytest.raises(SchemaError) as caught:
         parse_document(text)
     assert caught.value.location == "$" + "[0]" * depth + ".x"
+
+
+def _read_as_fraction_does(s: str) -> None:
+    """frac_from_json(s) is Fraction(s), or a SchemaError at the given
+    location exactly when Fraction(s) raises."""
+    try:
+        want = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(SchemaError) as refused:
+            jsonio.frac_from_json(s, "$.w[1]")
+        assert refused.value.location == "$.w[1]"
+        return
+    got = jsonio.frac_from_json(s, "$.w[1]")
+    assert got == want
+    assert type(got) is Fraction
+
+
+LONG = "7" * 4301  # one digit past the default limit of int(str)
+
+# the spellings around the plain "[-]digits/digits" that the reader takes itself
+RATIONAL_SPELLINGS = [
+    "1/2", "-3/7", "0/5", "-0/3", "007/0030", "1/0", "-1/0", "0/0", "1/-2", "1//2", "/2", "1/", "-/2",
+    "+1/2", "--1/2", "+-1/2", "- 1/2", " 1/2", "1/2 ", "1 / 2", "\t-1/2\n", "1/2\n", "1_000/3", "1/2_0",
+    "1__0/3", "_1/2", "1.5", "-.5", "1e3", "1E-3", "2.5e1/2", "1.5/2", "5", "-5", "+5", "٣/٤", "1/٤",
+    "３/4", "²/3", "1/2/3", "0x1/2", "", " ", "-", "nan", "inf",
+    LONG + "/3", "3/" + LONG, "-" + LONG + "/3", LONG[:-1] + "/3", "3/" + LONG[:-1],
+]
+
+
+@pytest.mark.parametrize("s", RATIONAL_SPELLINGS, ids=lambda s: repr(s)[:24])
+def test_the_rational_reader_reads_each_spelling_as_fraction_does(s):
+    _read_as_fraction_does(s)
+
+
+# the exponents stay small: Fraction("1e99999999") builds 10**99999999
+_rational_pieces = st.tuples(
+    st.sampled_from(["", "-", "+", "--", " ", " -"]),
+    st.text("0123456789_٣ .", max_size=8),
+    st.sampled_from(["/", "//", " / ", "", ".", "/-"]),
+    st.text("0123456789_٤ ", max_size=8),
+    st.sampled_from(["", "e3", "E-2", "e+1_0", "e"]),
+    st.sampled_from(["", " ", "\n"]),
+).map("".join)
+
+
+@seed(28)
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_rational_pieces, st.text(st.characters(exclude_characters="eE"), max_size=12)))
+def test_the_rational_reader_agrees_with_fraction_on_drawn_strings(s):
+    _read_as_fraction_does(s)
