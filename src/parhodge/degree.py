@@ -22,6 +22,7 @@ same (ascending) order the eigenvalue flag of a Hermitian matrix uses.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,20 +143,25 @@ def relative_position(s: np.ndarray, sigma: np.ndarray, tol: float = 1e-9) -> Re
         return RelativePosition(value=value, permutation=None, min_pivot_ratio=None, method="commuting")
     lam, v_sig = np.linalg.eigh(sigma)
     d, u_s = np.linalg.eigh(s)
-    m = v_sig.conj().T @ u_s  # the eigenbasis of s in that of sigma
+    # the eigenbasis of s in that of sigma, transposed: column i of M is row i here
+    rows = np.ascontiguousarray((v_sig.conj().T @ u_s).T)
+    n = len(d)
     perm = []
     worst = 1.0
-    for i in range(len(d)):
-        col = m[:, i]  # zero in the rows already used
+    for i in range(n):
+        col = rows[i]  # zero in the entries already used
         mags = np.abs(col)
-        norm = float(np.linalg.norm(mags))
-        rows = np.flatnonzero(mags > tol * norm)
-        if not rows.size:  # only a cutoff near 1 or above: the largest entry is >= norm / sqrt(n)
+        norm = math.sqrt(mags @ mags)
+        above = mags > tol * norm
+        p = n - 1 - int(above[::-1].argmax())
+        if not above[p]:  # only a cutoff near 1 or above: the largest entry is >= norm / sqrt(n)
             raise ValueError(f"no entry of column {i} exceeds tol * ||column|| at tol = {tol:g}")
-        p = int(rows[-1])
         worst = min(worst, float(mags[p]) / norm)
-        m[:, i + 1 :] -= np.outer(col / col[p], m[p, i + 1 :])
-        m[p, i + 1 :] = 0  # what the subtraction leaves there is rounding
+        rest = rows[i + 1 :]
+        # the product keeps the operand order of np.outer(col / col[p], M[p]): a
+        # fused complex multiply rounds differently with the operands swapped
+        rest -= (col / col[p]) * rest[:, p, None]
+        rest[:, p] = 0  # what the subtraction leaves there is rounding
         perm.append(p)
     return RelativePosition(
         value=float(d @ lam[perm]),

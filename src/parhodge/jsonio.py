@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable
@@ -123,12 +124,29 @@ def int_from_json(obj: Any, location: str, lo: int | None = None, hi: int | None
     return obj
 
 
+# Fraction(str) builds 10^|e| for a decimal exponent e, in time that grows
+# faster than e; 4300 is the most digits int() reads from a string by default
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def _bounded_exponent(text: str, location: str) -> None:
+    """Refuse, at location, a decimal exponent past _MAX_EXPONENT in magnitude,
+    before Fraction(text) builds its power of ten."""
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise SchemaError(location, f"expected a decimal exponent of at most {_MAX_EXPONENT} in magnitude")
+
+
 def real_from_json(
     obj: Any, location: str, above: float | None = None, below: float | None = None
 ) -> float:
     """A finite real number, given as a JSON number or an exact 'p/q' string."""
     x = _finite(obj)
     if x is None and isinstance(obj, str):
+        _bounded_exponent(obj, location)
         try:
             x = float(Fraction(obj))
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -175,10 +193,22 @@ def bool_from_json(obj: Any, location: str) -> bool:
     return obj
 
 
+def int_text(n: int) -> str:
+    """str(n), also past Python's limit on the digits of an int-to-str
+    conversion (4300 by default): decimal converts without that limit."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def frac_to_json(x: Fraction) -> Any:
     if x.denominator == 1:
         return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # a part past the digit limit
+        return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
 # the spelling frac_to_json writes; any other goes through Fraction(str)
@@ -194,7 +224,12 @@ def frac_from_json(obj: Any, location: str = "$") -> Fraction:
         if isinstance(obj, str):
             plain = _PLAIN_RATIONAL.fullmatch(obj)
             # int() refuses a part past the digit limit, as Fraction(str) does
-            return Fraction(int(plain[1]), int(plain[2])) if plain else Fraction(obj)
+            if plain:
+                return Fraction(int(plain[1]), int(plain[2]))
+            _bounded_exponent(obj, location)
+            return Fraction(obj)
+    except SchemaError:
+        raise
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     raise SchemaError(location, f"expected exact rational (int or 'p/q'), got {obj!r}")

@@ -215,7 +215,7 @@ class Realization:
     @functools.cached_property
     def _J(self) -> np.ndarray:
         p, q = self.signature
-        return np.diag([1.0] * p + [-1.0] * q).astype(complex)
+        return _read_only(np.diag([1.0] * p + [-1.0] * q).astype(complex))
 
     # ----- subspace projections -----------------------------------------
 
@@ -345,25 +345,50 @@ class _Family:
     basis_g: Callable | None = None  # noncompact real forms only
     complex_group: bool = False  # g is all of g^C
     eigenlines: tuple | None = None  # of the rank-one (n = 2) model
+    # what ad(a) grades on (h^C, m^C, g^C), in the order of SPACES: "gl" or "sl"
+    # (gl_n or sl_n), "0" (the zero space), "hJ" or "mJ" (the block-diagonal or
+    # off-block part of sl_n, split by J) or "theta" (a theta-eigenspace
+    # graded by the dense compression)
+    ad_spaces: tuple[str, str, str] = ("theta", "theta", "sl")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: every caller of a shared model sees the same array."""
+    a.setflags(write=False)
+    return a
 
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 # SL(2,R): the m^C eigenlines of ad(i*J0); SU(1,1): the off-diagonal units
-_SL2R_LINES = (
-    (-1j * _J2, np.array([[1, -1j], [-1j, -1]], dtype=complex) / 2),
-    (1j * _J2, np.array([[1, 1j], [1j, -1]], dtype=complex) / 2),
+_SL2R_LINES = tuple(
+    tuple(map(_read_only, line))
+    for line in (
+        (-1j * _J2, np.array([[1, -1j], [-1j, -1]], dtype=complex) / 2),
+        (1j * _J2, np.array([[1, 1j], [1j, -1]], dtype=complex) / 2),
+    )
 )
-_SU11_LINES = (
-    (np.diag([-1.0, 1.0]).astype(complex), np.array([[0, 1], [0, 0]], dtype=complex)),
-    (np.diag([1.0, -1.0]).astype(complex), np.array([[0, 0], [1, 0]], dtype=complex)),
+_SU11_LINES = tuple(
+    tuple(map(_read_only, line))
+    for line in (
+        (np.diag([-1.0, 1.0]).astype(complex), np.array([[0, 1], [0, 0]], dtype=complex)),
+        (np.diag([1.0, -1.0]).astype(complex), np.array([[0, 0], [1, 0]], dtype=complex)),
+    )
 )
 
 _FAMILIES = {
     # on the m^C model (all of gl_n) the real points of GL(n,C) are the Hermitian matrices
-    "GL_C": _Family(_neg_adjoint, _adjoint, _same, _same, _gl_basis, _gl_basis, complex_group=True),
-    "SL_C": _Family(_neg_adjoint, _adjoint, _same, _same, _sl_basis, _sl_basis, complex_group=True),
-    "U": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _gl_basis, lambda r: []),
-    "SU": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _sl_basis, lambda r: []),
+    "GL_C": _Family(
+        _neg_adjoint, _adjoint, _same, _same, _gl_basis, _gl_basis, complex_group=True,
+        ad_spaces=("gl", "gl", "gl"),
+    ),
+    # g^C spans the two sl_n copies inside gl_n; the QR of that rank-deficient
+    # stack completes it to gl_n, and the model keeps that
+    "SL_C": _Family(
+        _neg_adjoint, _adjoint, _same, _same, _sl_basis, _sl_basis, complex_group=True,
+        ad_spaces=("sl", "sl", "gl"),
+    ),
+    "U": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _gl_basis, lambda r: [], ad_spaces=("gl", "0", "gl")),
+    "SU": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _sl_basis, lambda r: [], ad_spaces=("sl", "0", "sl")),
     "SL_R": _Family(
         lambda r, x: -x.T,
         lambda r, x: x.conj(),
@@ -383,33 +408,52 @@ _FAMILIES = {
         lambda r: _units(r, lambda i, j: (i < r.signature[0]) == (j < r.signature[0]) and i != j)
         + _sl_diag_basis(r.n),
         lambda r: _units(r, lambda i, j: (i < r.signature[0]) != (j < r.signature[0])),
-        basis_g=_su_pq_basis_g, eigenlines=_SU11_LINES,
+        basis_g=_su_pq_basis_g, eigenlines=_SU11_LINES, ad_spaces=("hJ", "mJ", "sl"),
     ),
 }
 
 
+# models built so far, by canonical label; the oldest goes past the bound
+_REALIZATIONS: dict[str, Realization] = {}
+_MAX_REALIZATIONS = 64
+
+
 def build_realization(label: str) -> Realization:
-    """Parse a group label like 'GL(2,C)', 'SL(3,R)', 'SU(1,1)' into its model."""
+    """Parse a group label like 'GL(2,C)', 'SL(3,R)', 'SU(1,1)' into its model.
+
+    Built once per canonical label ('SU(2, 1)' reads as 'SU(2,1)') and
+    process, so every caller shares the model's cached arrays, which are
+    read-only; a label the models do not support raises on every call.
+    """
     m = _LABEL_RE.match(label.replace(" ", ""))
     if not m:
         raise UnsupportedGroup(f"unrecognized group label {label!r}")
+    signature = None
     if m.group("gln"):
         n = int(m.group("gln"))
-        return Realization(label=f"GL({n},C)", family="GL_C", n=n)
-    if m.group("sln"):
+        canonical, family = f"GL({n},C)", "GL_C"
+    elif m.group("sln"):
         n = int(m.group("sln"))
-        fam = "SL_C" if m.group("slf") == "C" else "SL_R"
-        return Realization(label=f"SL({n},{m.group('slf')})", family=fam, n=n)
-    if m.group("un"):
+        canonical, family = f"SL({n},{m.group('slf')})", "SL_C" if m.group("slf") == "C" else "SL_R"
+    elif m.group("un"):
         n = int(m.group("un"))
-        return Realization(label=f"U({n})", family="U", n=n)
-    if m.group("sun"):
+        canonical, family = f"U({n})", "U"
+    elif m.group("sun"):
         n = int(m.group("sun"))
-        return Realization(label=f"SU({n})", family="SU", n=n)
-    p, q = int(m.group("p")), int(m.group("q"))
-    if min(p, q) < 1:
-        raise UnsupportedGroup("SU(p,q) needs p, q >= 1")
-    return Realization(label=f"SU({p},{q})", family="SU_pq", n=p + q, signature=(p, q))
+        canonical, family = f"SU({n})", "SU"
+    else:
+        p, q = int(m.group("p")), int(m.group("q"))
+        if min(p, q) < 1:
+            raise UnsupportedGroup("SU(p,q) needs p, q >= 1")
+        n, signature = p + q, (p, q)
+        canonical, family = f"SU({p},{q})", "SU_pq"
+    real = _REALIZATIONS.get(canonical)
+    if real is None:
+        real = Realization(label=canonical, family=family, n=n, signature=signature)
+        if len(_REALIZATIONS) >= _MAX_REALIZATIONS:
+            del _REALIZATIONS[next(iter(_REALIZATIONS))]
+        _REALIZATIONS[canonical] = real
+    return real
 
 
 # --------------------------------------------------------------------------
@@ -427,35 +471,152 @@ def _restricted(basis: list[np.ndarray], apply: Callable) -> tuple[np.ndarray, n
     return q, q.conj().T @ apply(stack).reshape(len(stack), -1).T
 
 
-SPACES = ("h^C", "m^C", "g^C")  # the model subspaces ad_eigendecompose acts on
+SPACES = ("h^C", "m^C", "g^C")  # the model subspaces ad(a) is graded on
+
+
+def grading_space(real: Realization, a: np.ndarray, space: str) -> str:
+    """What ad(a) grades on the model subspace ``space``, as a ``_Family.ad_spaces``
+    kind; "theta" where only the dense compression of ad(a) decides.
+
+    The J-split of SU(p,q) is exact when a commutes with J, that is, when both
+    off-diagonal blocks of a are zero: then the eigenvectors u_i u_j^H of ad(a)
+    lie in h^C or in m^C.
+    """
+    if space not in SPACES:
+        raise ValueError(f"space must be one of {', '.join(SPACES)}, got {space!r}")
+    kind = real._row.ad_spaces[SPACES.index(space)]
+    if kind == "gl" and real.n == 1 and real._row.ad_spaces[0] == "sl":
+        return "0"  # SL(1,C): both sl_1 copies are 0, and so is their span
+    if kind in ("hJ", "mJ"):
+        p, a = real.signature[0], np.asarray(a)
+        if a[:p, p:].any() or a[p:, :p].any():
+            return "theta"
+    return kind
+
+
+def _ad_norm(kind: str, x: np.ndarray, p: int) -> float:
+    """Frobenius norm of ad(x) on the structured space ``kind``, block-diagonal
+    x on "hJ" and "mJ" with blocks of sizes p and q = n - p.
+
+    ad(x) kills the scalars, so on gl_n and sl_n ||ad(x)||^2 = 2n ||x_0||^2
+    for the traceless part x_0 = x - (tr x / n) 1.  With the block-traceless
+    parts x_1, x_2 and the block means c_1, c_2 it is 2p ||x_1||^2 + 2q ||x_2||^2
+    on the blocks and 2q ||x_1||^2 + 2p ||x_2||^2 + 2pq |c_1 - c_2|^2 across them.
+    The parts are taken before any square, so nothing cancels.
+    """
+    n = len(x)
+    if kind in ("gl", "sl"):
+        return math.sqrt(2 * n) * hs_norm(x - np.trace(x) / n * np.eye(n))
+    q = n - p
+    c1, c2 = np.trace(x[:p, :p]) / p, np.trace(x[p:, p:]) / q
+    r1, r2 = hs_norm(x[:p, :p] - c1 * np.eye(p)), hs_norm(x[p:, p:] - c2 * np.eye(q))
+    if kind == "hJ":
+        return math.hypot(math.sqrt(2 * p) * r1, math.sqrt(2 * q) * r2)
+    return math.hypot(math.sqrt(2 * q) * r1, math.sqrt(2 * p) * r2, math.sqrt(2 * p * q) * abs(c1 - c2))
+
+
+def _structured_spectrum(
+    kind: str, a: np.ndarray, p: int, tol: float, bases: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of ad(a) on a structured space, and an orthonormal
+    eigenvector stack in the same order when ``bases``, from one eigh of a
+    (one per J-block on "hJ" and "mJ").
+
+    With a = U diag(lambda) U^H, ad(a) has the eigenvectors u_i u_j^H with the
+    eigenvalues lambda_i - lambda_j.  The traceless spaces drop one diagonal
+    pair, and their n - 1 others become U diag(w) U^H for orthonormal w of sum 0.
+    """
+    n = len(a)
+    d = a - a.conj().T
+    if _ad_norm(kind, d, p) > tol * (1 + _ad_norm(kind, a, p)):
+        raise NotInCartan("ad(a) is not Hermitian on this subspace; a is not a torus element")
+    h = a - d / 2 if d.any() else a  # the Hermitian part, whose ad agrees with ad(a) up to the check
+    if kind in ("hJ", "mJ"):
+        (lam1, u1), (lam2, u2) = np.linalg.eigh(h[:p, :p]), np.linalg.eigh(h[p:, p:])
+        lam = np.concatenate([lam1, lam2])
+        u = np.zeros((n, n), dtype=complex)
+        u[:p, :p], u[p:, p:] = u1, u2
+    else:
+        lam, u = np.linalg.eigh(h)
+    i, j = np.divmod(np.arange(n * n), n)
+    keep = np.ones(n * n, dtype=bool) if kind in ("gl", "sl") else ((i < p) == (j < p)) == (kind == "hJ")
+    traceless = kind in ("sl", "hJ")
+    if traceless:
+        keep[-1] = False  # the pair (n - 1, n - 1)
+    i, j = i[keep], j[keep]
+    values = lam[i] - lam[j]
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    if not bases:
+        return values, None
+    i, j = i[order], j[order]
+    mats = u[:, i].T[:, :, None] * u[:, j].conj().T[:, None, :]
+    if traceless and n > 1:
+        # Helmert rows: (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)), k = 1 .. n - 1
+        k = np.arange(1, n)[:, None]
+        cols = np.arange(n)[None, :]
+        w = np.where(cols < k, 1.0, np.where(cols == k, -k, 0.0)) / np.sqrt(k * (k + 1))
+        mats[np.flatnonzero(i == j)] = (u * w[:, None, :]) @ u.conj().T
+    return values, mats
+
+
+def _dense_spectrum(
+    real: Realization, a: np.ndarray, space: str, tol: float, bases: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """_structured_spectrum of any model subspace, from the matrix of ad(a) in
+    an orthonormal basis of it: O(dim^3) for dim up to n^2."""
+    mats = (real.basis_hC() if space != "m^C" else []) + (real.basis_mC() if space != "h^C" else [])
+    if not mats:
+        return np.zeros(0), np.zeros((0, real.n, real.n), dtype=complex)
+    q, op = _restricted(mats, lambda b: a @ b - b @ a)
+    if _frobenius(op - op.conj().T) > tol * (1 + _frobenius(op)):
+        raise NotInCartan("ad(a) is not Hermitian on this subspace; a is not a torus element")
+    vals, vecs = np.linalg.eigh(op)
+    return vals, (q @ vecs).T.reshape(-1, real.n, real.n) if bases else None
+
+
+def _ad_graded(real: Realization, a: np.ndarray, space: str, tol: float, bases: bool):
+    """(first eigenvalue, start, stop) of each cluster of the ad(a)-spectrum on
+    ``space``, and the eigenvector stack when ``bases``.  A cluster gathers the
+    ascending eigenvalues within max(tol, 1e-9 (1 + |lambda|)) of its first."""
+    kind = grading_space(real, a, space)
+    if kind == "0":
+        return [], None
+    a = np.asarray(a, dtype=complex)
+    if kind == "theta":
+        values, mats = _dense_spectrum(real, a, space, tol, bases)
+    else:
+        values, mats = _structured_spectrum(kind, a, real.signature[0] if real.signature else 0, tol, bases)
+    clusters: list[list] = []
+    for k, lam in enumerate(values.tolist()):
+        if clusters and abs(lam - clusters[-1][0]) <= max(tol, 1e-9 * (1 + abs(lam))):
+            clusters[-1][2] = k + 1
+        else:
+            clusters.append([lam, k, k + 1])
+    return clusters, mats
+
+
+def ad_grading(real: Realization, a: np.ndarray, space: str = "m^C", tol: float = 1e-9) -> list[tuple[float, int]]:
+    """(eigenvalue, multiplicity) of each eigenspace of ad(a) on the chosen
+    model subspace, ascending, as ``ad_eigendecompose`` groups them; no
+    eigenvector is built."""
+    clusters, _ = _ad_graded(real, a, space, tol, bases=False)
+    return [(lam, stop - start) for lam, start, stop in clusters]
 
 
 def ad_eigendecompose(
     real: Realization, a: np.ndarray, space: str = "m^C", tol: float = 1e-9
 ) -> list[tuple[float, list[np.ndarray]]]:
-    """Eigenvalues and eigenspace bases of ad(a) on the chosen model subspace.
+    """Eigenvalues and orthonormal eigenspace bases of ad(a) on the chosen
+    model subspace, ascending.
 
     a must act semisimply with real spectrum (Hermitian ad-operator in an
-    orthonormal basis); otherwise NotInCartan is raised.
+    orthonormal basis); otherwise NotInCartan is raised.  The grading comes
+    from one eigh of a wherever ``grading_space`` names a structured space,
+    else from the dense compression of ad(a).
     """
-    if space not in SPACES:
-        raise ValueError(f"space must be one of {', '.join(SPACES)}, got {space!r}")
-    mats = (real.basis_hC() if space != "m^C" else []) + (real.basis_mC() if space != "h^C" else [])
-    if not mats:
-        return []
-    a = np.asarray(a, dtype=complex)
-    q, op = _restricted(mats, lambda b: a @ b - b @ a)
-    if _frobenius(op - op.conj().T) > tol * (1 + _frobenius(op)):
-        raise NotInCartan("ad(a) is not Hermitian on this subspace; a is not a torus element")
-    vals, vecs = np.linalg.eigh(op)
-    eigmats = (q @ vecs).T.reshape(-1, real.n, real.n)
-    out: list[tuple[float, list[np.ndarray]]] = []
-    for lam, mat in zip(vals, eigmats):
-        if out and abs(lam - out[-1][0]) <= max(tol, 1e-9 * (1 + abs(lam))):
-            out[-1][1].append(mat)
-        else:
-            out.append((float(lam), [mat]))
-    return out
+    clusters, mats = _ad_graded(real, a, space, tol, bases=True)
+    return [(lam, list(mats[start:stop])) for lam, start, stop in clusters]
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import Realization, _exp_hermitian, _restricted, ad_eigendecompose, trace_form
+from .liealg import Realization, _exp_hermitian, _restricted, ad_eigendecompose, ad_grading, trace_form
 
 
 @dataclass(frozen=True)
@@ -27,25 +27,47 @@ class ParabolicDatum:
         return trace_form(self.s, x)
 
 
+@dataclass(frozen=True)
+class ParabolicGrading:
+    """The eigenvalues of ad(s) and the dimensions of p_s, l_s and n_s."""
+
+    eigenvalues: tuple[float, ...]
+    dim_l: int
+    dim_n: int
+
+    @property
+    def dim_p(self) -> int:
+        return self.dim_l + self.dim_n
+
+
+def _part(lam: float, tol: float) -> str | None:
+    """The part of p_s an ad(s)-eigenvalue grades: "l" (zero), "n" (negative) or None."""
+    return "l" if abs(lam) <= tol else "n" if lam < 0 else None
+
+
 def parabolic_from(real: Realization, s: np.ndarray, space: str = "g^C", tol: float = 1e-9) -> ParabolicDatum:
     """Parabolic p_s = (nonpositive ad(s)-eigenspaces) inside the chosen model."""
     eig = ad_eigendecompose(real, s, space=space, tol=tol)
-    p, l, n = [], [], []
+    parts: dict[str | None, list[np.ndarray]] = {"l": [], "n": [], None: []}
     for lam, basis in eig:
-        if abs(lam) <= tol:
-            l.extend(basis)
-            p.extend(basis)
-        elif lam < 0:
-            n.extend(basis)
-            p.extend(basis)
+        parts[_part(lam, tol)].extend(basis)
     return ParabolicDatum(
         s=np.asarray(s, dtype=complex),
         space=space,
-        p_basis=p,
-        l_basis=l,
-        n_basis=n,
+        p_basis=parts["n"] + parts["l"],  # ascending, as the eigenvalues
+        l_basis=parts["l"],
+        n_basis=parts["n"],
         eigenvalues=tuple(lam for lam, _ in eig),
     )
+
+
+def parabolic_grading(real: Realization, s: np.ndarray, space: str, tol: float = 1e-9) -> ParabolicGrading:
+    """The grading of ``parabolic_from``, without a basis."""
+    grading = ad_grading(real, s, space=space, tol=tol)
+    dims = {"l": 0, "n": 0, None: 0}
+    for lam, mult in grading:
+        dims[_part(lam, tol)] += mult
+    return ParabolicGrading(tuple(lam for lam, _ in grading), dims["l"], dims["n"])
 
 
 def p1_subalgebra(real: Realization, alpha: np.ndarray) -> list[np.ndarray]:

@@ -2093,3 +2093,66 @@ def test_gr_res_splits_a_jordan_block_past_the_square_root_of_the_float_range(tm
     assert np.abs(s - np.diag([1, 1, -1])).max() <= 4 * eps
     assert np.abs(n @ n).max() <= 4 * eps
     assert np.abs(s @ n - n @ s).max() <= 4 * eps
+
+
+# ---------------------------------------------------------------------------
+# integers past Python's 4300-digit limit on int-to-str conversion
+# ---------------------------------------------------------------------------
+
+
+def _long_int(digits: str) -> int:
+    """int(digits) read 1000 digits at a time, under the conversion limit."""
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def _long_fraction(value: int | str) -> Fraction:
+    if isinstance(value, int):
+        return Fraction(value)
+    numerator, _, denominator = value.partition("/")
+    sign = -1 if numerator.startswith("-") else 1
+    return Fraction(sign * _long_int(numerator.lstrip("-")), _long_int(denominator or "1"))
+
+
+def _dispatch_long(tmp_path, command, payload):
+    source, out = tmp_path / "input.json", tmp_path / "report.json"
+    source.write_text(json.dumps(payload))
+    code, report = cli_dispatch([command, "--input", str(source), "--output", str(out)])
+    text = out.read_text()
+    # the report reads back whole once each integer literal is read in chunks
+    assert json.loads(text, parse_int=lambda s: -_long_int(s[1:]) if s[0] == "-" else _long_int(s)) == report
+    return code, report, text
+
+
+def test_an_alcove_point_with_a_long_integer_answer_renders_exactly(tmp_path):
+    code, report, text = _dispatch_long(
+        tmp_path, "alcove-normalize", {"cartan_type": "A", "rank": 1, "point": ["1e4300"]}
+    )
+    assert code == 0
+    (shift,) = report["outputs"]["lattice_vector"]["value"]
+    assert abs(shift) >= 10**4300  # 4301 digits: past what int.__repr__ spells
+
+
+def test_an_alcove_point_past_the_exponent_bound_is_refused_at_its_field(tmp_path):
+    code, report, _ = _dispatch_long(
+        tmp_path, "alcove-normalize", {"cartan_type": "A", "rank": 1, "point": ["1e5000"]}
+    )
+    assert code == 3
+    assert report["error"]["location"] == "$.point[0]"
+    assert "outputs" in report and report["outputs"] == {}
+
+
+def test_a_parabolic_degree_with_long_denominators_renders_exactly(tmp_path):
+    q1, q2 = 3 * 7**3500, 11**2800  # about 2900 digits each; the pairing's denominator holds both
+    data = split_bundle((1, -1), weights=((Fraction(1, q1), Fraction(-1, q1)),))
+    chi = [f"1/{q2}", f"-1/{q2}"]
+    code, report, _ = _dispatch_long(tmp_path, "degree-parabolic", {"data": data, "chi": chi})
+    assert code == 0, report.get("error")
+    outputs = report["outputs"]
+    pardeg, central, slope = (_long_fraction(outputs[key]["value"]) for key in ("pardeg", "central_pairing", "slope"))
+    assert pardeg - central == slope
+    assert pardeg.denominator % q2 == 0 and pardeg.denominator % 7**3500 == 0
+    assert len(outputs["pardeg"]["value"]) > 4300

@@ -21,6 +21,7 @@ from parhodge.degree import (
     relative_positions,
 )
 from parhodge.liealg import build_realization
+from bruhat_oracle import looped_position
 from flow_oracle import relative_degree_one
 from sweep_oracle import _sample_hermitian_pair, looped_sweep
 
@@ -746,6 +747,45 @@ def test_stacked_positions_match_the_single_pair_kernel_bit_for_bit(tol):
             kinds.update(p.method for p in got[0] + got[1])
     assert {"commuting", "bruhat relative position"} <= kinds
     assert ("s" in kinds and "sigma" in kinds) or tol == 0.75
+    assert ("refused" in kinds) == (tol == 0.75)
+
+
+def _near_cut_pair(rng, n):
+    """A diagonal s and a sigma whose eigenbasis is the identity moved by
+    about 1e-9: the off-diagonal entries of V_sigma^H U_s sit near the cutoff."""
+    v, _ = np.linalg.qr(np.eye(n) + 1e-9 * rng.uniform(0.3, 3.0) * _unitary(rng, n))
+    s = np.diag(np.sort(rng.standard_normal(n))).astype(complex)
+    return s, v @ np.diag(np.sort(rng.standard_normal(n))) @ v.conj().T
+
+
+def _bits(call):
+    """A position with its floats as hex, or the message of its ValueError."""
+    try:
+        p = call()
+    except ValueError as exc:
+        return str(exc)
+    ratio = None if p.min_pivot_ratio is None else p.min_pivot_ratio.hex()
+    return p.value.hex(), p.permutation, ratio, p.method
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.75])
+def test_position_matches_the_column_loop_bit_for_bit(tol):
+    # random, commuting, repeated or near-degenerate spectra and pivots near
+    # the cutoff, in both orders, for n up to 32
+    rng = np.random.default_rng(28)
+    kinds = set()
+    for n in (1, 2, 3, 4, 5, 8, 16, 31, 32):
+        s, sigma = _mixed_stack(rng, n, 6)
+        repeated = np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n]
+        u = _unitary(rng, n)
+        pairs = [*zip(s, sigma), (u @ np.diag(repeated) @ u.conj().T, _unit_hermitian(rng, n))]
+        pairs += [_near_cut_pair(rng, n) for _ in range(3)]
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                got = _bits(lambda: relative_position(x, y, tol))
+                assert got == _bits(lambda: looped_position(x, y, tol))
+                kinds.add("refused" if isinstance(got, str) else got[3])
+    assert {"commuting", "bruhat relative position"} <= kinds
     assert ("refused" in kinds) == (tol == 0.75)
 
 

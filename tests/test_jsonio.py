@@ -278,3 +278,42 @@ _rational_pieces = st.tuples(
 @given(st.one_of(_rational_pieces, st.text(st.characters(exclude_characters="eE"), max_size=12)))
 def test_the_rational_reader_agrees_with_fraction_on_drawn_strings(s):
     _read_as_fraction_does(s)
+
+
+# ---------------------------------------------------------------------------
+# decimal exponents: refused past the bound before Fraction builds 10^e
+# ---------------------------------------------------------------------------
+
+HUGE_EXPONENTS = ["1e4000000", "-1e-4000000", "1.5E+99999999", "2e4301", "2e-4_301", "1e00000004301 "]
+
+
+@pytest.mark.parametrize("text", HUGE_EXPONENTS)
+def test_an_exponent_past_the_bound_is_refused_before_fraction_sees_it(monkeypatch, text):
+    real_fraction = jsonio.Fraction
+
+    def guarded(*args):
+        assert args != (text,), "Fraction was handed the string"
+        return real_fraction(*args)
+
+    monkeypatch.setattr(jsonio, "Fraction", guarded)
+    for read in (jsonio.frac_from_json, jsonio.real_from_json):
+        with pytest.raises(SchemaError) as refused:
+            read(text, "$.point[0]")
+        assert refused.value.location == "$.point[0]"
+        assert "exponent of at most 4300" in str(refused.value)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-1e-4300", "1.5E+4_300", "2e0004300", "3e-0"])
+def test_an_exponent_at_the_bound_is_read(text):
+    assert jsonio.frac_from_json(text, "$") == Fraction(text)
+    if "-" in text:  # a value the float range holds
+        assert jsonio.real_from_json(text, "$") == float(Fraction(text))
+
+
+def test_a_part_past_the_digit_limit_renders_exactly():
+    big = 10**5000 + 3
+    text = jsonio.frac_to_json(Fraction(big, 7))
+    numerator, denominator = text.split("/")
+    assert denominator == "7" and len(numerator) == 5001
+    assert numerator.startswith("1" + "0" * 100) and numerator.endswith("3")
+    assert jsonio.int_text(-big)[:2] == "-1" and jsonio.int_text(12) == "12"

@@ -6,6 +6,7 @@ import jordan_oracle
 import numpy as np
 import pytest
 from cayley_oracle import cayley_transform, inverse_cayley_transform, validate_ks_real
+from grading_oracle import dense_eigendecompose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
@@ -26,9 +27,12 @@ from parhodge.liealg import (
     _exp_nilpotent,
     _order,
     _pow2_at,
+    NotInCartan,
     _restricted,
     ad_eigendecompose,
+    ad_grading,
     build_realization,
+    grading_space,
     comm,
     hs_norm,
     is_nilpotent,
@@ -829,3 +833,90 @@ def test_cluster_gives_the_numpy_scalar_means_bit_for_bit():
         assert all(type(z) is complex for z in got)
         merged += len(got) < len(vals)
     assert merged > 1000
+
+
+# ---------------------------------------------------------------------------
+# the structured ad-grading against the dense compression
+# ---------------------------------------------------------------------------
+
+GRADING_MODELS = [
+    f"{group}({n}{field})"
+    for n in range(1, 6)
+    for group, field in (("GL", ",C"), ("SL", ",C"), ("U", ""), ("SU", ""), ("SL", ",R"))
+] + [f"SU({p},{q})" for p in range(1, 4) for q in range(1, 5 - p)]
+
+
+def _grading_inputs(real, rng):
+    """(kind, a): random Hermitian a, repeated spectra, real and imaginary
+    scalar shifts, J-block-diagonal a on SU(p,q), and non-Hermitian a."""
+    n = real.n
+    u = _unitary(rng, n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (x + x.conj().T) / 2
+    repeated = u @ np.diag(rng.integers(-2, 3, n).astype(float)) @ u.conj().T
+    out = [("random", h), ("repeated", repeated), ("shift", h + 3.5 * np.eye(n)), ("i-shift", repeated + 2.25j * np.eye(n))]
+    if real.signature is not None:
+        p = real.signature[0]
+        block = h.copy()
+        block[:p, p:] = block[p:, :p] = 0
+        diagonal = np.diag(rng.integers(-2, 3, n).astype(float)).astype(complex)
+        split = 0.75j * np.diag([1.0] * p + [-1.0] * (n - p))  # ad kills it on h^C, not on m^C
+        out += [
+            ("J-block", block),
+            ("J-diagonal", diagonal),
+            ("J-block-shift", block + 1.5j * np.eye(n)),
+            ("J-block-split", block + split),
+        ]
+    out += [("non-Hermitian", x), ("skew", 1j * h + 0.1 * repeated)]
+    return out
+
+
+def _grading_or_verdict(call):
+    try:
+        return call()
+    except NotInCartan:
+        return "NotInCartan"
+
+
+@pytest.mark.parametrize("label", GRADING_MODELS)
+def test_structured_grading_matches_the_dense_compression(label):
+    real = build_realization(label)
+    rng = np.random.default_rng(len(label) * 31 + real.n)
+    for kind, a in _grading_inputs(real, rng):
+        for space in SPACES:
+            want = _grading_or_verdict(lambda: dense_eigendecompose(real, a, space))
+            got = _grading_or_verdict(lambda: ad_eigendecompose(real, a, space=space))
+            graded = _grading_or_verdict(lambda: ad_grading(real, a, space=space))
+            if want == "NotInCartan":
+                assert got == graded == "NotInCartan", (label, kind, space)
+                continue
+            assert [len(b) for _, b in got] == [m for _, m in graded] == [len(b) for _, b in want], (label, kind, space)
+            values = [lam for lam, _ in want]
+            assert [lam for lam, _ in got] == [lam for lam, _ in graded]
+            assert np.allclose([lam for lam, _ in got], values, rtol=0, atol=1e-12 * (1 + np.abs(values).max(initial=0)))
+            if grading_space(real, a, space) == "theta":
+                continue
+            # structured: orthonormal eigenvectors of ad(a), inside the subspace
+            stack = np.array([m for _, b in got for m in b]).reshape(-1, real.n * real.n)
+            assert np.allclose(stack.conj() @ stack.T, np.eye(len(stack)), atol=1e-12)
+            inside = {"h^C": real.in_hC, "m^C": real.in_mC, "g^C": lambda m: True}[space]
+            for lam, basis in got:
+                for m in basis:
+                    assert hs_norm(comm(a, m) - lam * m) <= 1e-10 * (1 + hs_norm(a))
+                    assert inside(m)
+
+
+@pytest.mark.parametrize("label", ["GL(3,C)", "SL(3,R)", "SU(2,1)", "SU(3)"])
+def test_the_grading_refuses_a_non_hermitian_a_at_every_scale(label):
+    real = build_realization(label)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((real.n, real.n)) + 1j * rng.standard_normal((real.n, real.n))
+    # the check has an absolute floor, tol * (1 + ||ad(a)||), so only scales up
+    for c in (1.0, 2.0**300, 2.0**600):
+        with pytest.raises(NotInCartan):
+            ad_grading(real, c * x, space="g^C")
+    # a Hermitian a at 2^600 grades, scaled exactly, as at scale 1
+    h = (x + x.conj().T) / 2
+    one = ad_grading(real, h, space="g^C")
+    big = ad_grading(real, 2.0**600 * h, space="g^C", tol=0.0)
+    assert [m for _, m in big] == [m for _, m in one]

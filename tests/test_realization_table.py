@@ -316,3 +316,33 @@ def test_only_liealg_reads_the_family():
             if isinstance(node, ast.Attribute) and node.attr == "family":
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_one_model_per_canonical_label_with_read_only_arrays():
+    real = build_realization("SU(2,1)")
+    assert build_realization("SU(2, 1)") is real
+    assert build_realization(" SU( 2 ,1 ) ") is real
+    assert build_realization("SU(1,2)") is not real
+    assert build_realization("GL(3,C)") is build_realization("GL(03,C)")
+    assert real._J is build_realization("SU(2,1)")._J
+    with pytest.raises(ValueError, match="read-only"):
+        real._J[0, 0] = 5
+    for label in ("SL(2,R)", "SU(1,1)"):
+        lines = build_realization(label).eigenlines
+        assert lines is build_realization(label).eigenlines
+        for h, y in lines:
+            for a in (h, y):
+                with pytest.raises(ValueError, match="read-only"):
+                    a *= 2
+    assert build_realization("SU(2,1)")._J[0, 0] == 1
+
+
+def test_the_model_cache_is_bounded():
+    from parhodge import liealg
+
+    first = build_realization("GL(1,C)")
+    for n in range(2, 2 * liealg._MAX_REALIZATIONS + 2):
+        build_realization(f"GL({n},C)")
+    assert len(liealg._REALIZATIONS) <= liealg._MAX_REALIZATIONS
+    again = build_realization("GL(1,C)")
+    assert again == first  # rebuilt once it left the cache, equal as a model

@@ -61,6 +61,8 @@ KNOWN_UNREFERENCED = {
     "parabolic.levi_centralizer_tilde",
     # the gauge directions n/z, nonzero exactly when alpha lies on an alcove wall
     "parabolic.p1_subalgebra",
+    # the bases of p_s, l_s and n_s; the CLI reads their dimensions from parabolic_grading
+    "parabolic.parabolic_from",
     # these three state one thing: at a wall weight the bounded pole gauge exp(n/z) moves GrRes by Ad(e^n)
     "parhiggs.conjugate_laurent",
     "parhiggs.exp_pole_gauge",
@@ -85,6 +87,9 @@ KNOWN_UNSET = {
     "second-order convergence of the finite difference",
     "modelmetric.holonomy_check:convention": "the scale 2*pi*i or 2*pi of the noncompact exponent; the CLI "
     "hands it over inside the circle transport",
+    "parabolic.parabolic_from:space": "the model subspace of the grading, as the CLI passes it to "
+    "parabolic_grading",
+    "parabolic.parabolic_from:tol": "the eigenvalue cluster radius, as the CLI passes it to parabolic_grading",
     "parhiggs.make_data:flags": "an explicit flag at a puncture, the parabolic structure off the coordinate "
     "frame of the weight; from_json builds it directly",
 }
