@@ -65,6 +65,7 @@ from .liealg import (
     NumericallyDefective,
     TripleCompletionFailure,
     UnsupportedGroup,
+    _pow2_of,
     build_realization,
     grading_space,
     hs_norm,
@@ -133,6 +134,9 @@ _MAX_Q_TERMS = 16  # per puncture
 # compresses ad(s) onto a basis of up to n^2 matrices: O(n^6) time and O(n^4)
 # memory, about 0.03 s and 3 MB traced for SL(16,R) on m^C
 _MAX_DENSE_N = 16
+# there ad(s) preserves h^C and m^C only when theta(s) = s, which holds when
+# the m^C part of s is at most this share of its traceless part
+_THETA_FIXED_TOL = 1e-9
 
 # a sampled pair costs two n x n relative positions, about 0.25 ms at n = 16 in
 # the stacked sweep (10000 pairs of GL(16,C) in about 2.5 s)
@@ -636,11 +640,17 @@ def _cmd_parabolic(payload: dict, args, report: dict) -> int:
     real = _realization(payload)
     s = _field(payload, "s", _matrix, n=real.n)
     space = _field(payload, "space", str_from_json, default="g^C", choices=SPACES)
-    if real.n > _MAX_DENSE_N and grading_space(real, s, space) == "theta":
-        raise SchemaError(
-            "$.realization",
-            f"expected n <= {_MAX_DENSE_N} where ad(s) on {space} needs the dense compression, got {real.label}",
-        )
+    if grading_space(real, s, space) == "theta":
+        if real.n > _MAX_DENSE_N:
+            raise SchemaError(
+                "$.realization",
+                f"expected n <= {_MAX_DENSE_N} where ad(s) on {space} needs the dense compression, got {real.label}",
+            )
+        unit = s / _pow2_of(s)  # exact, so the test does not see the scale of s
+        if hs_norm(real.project_mC(unit)) > _THETA_FIXED_TOL * hs_norm(unit - np.trace(unit) / real.n * np.eye(real.n)):
+            raise SchemaError(
+                "$.s", f"ad(s) preserves {space} only when theta(s) = s; this s has a part in m^C"
+            )
     grading = parabolic_grading(real, s, space, **_tol(args))
     method = "ad-eigenvalue grading"
     report["outputs"] = {

@@ -68,6 +68,12 @@ def _pow2_at(x: float) -> float:
     return 2.0 ** min(max(math.frexp(x)[1], -1021), 1023)
 
 
+def _pow2_of(a: np.ndarray) -> float:
+    """_pow2_at the largest real or imaginary part of a nonempty array, 1 for
+    a = 0: a divided by it, which is exact, has that part in [1/2, 1)."""
+    return _pow2_at(max(float(np.abs(a.real).max()), float(np.abs(a.imag).max())))
+
+
 def _frobenius(a: np.ndarray) -> float:
     """np.linalg.norm(a) of a complex array, by the same formula without its
     axis and ord dispatch.  Real vdot sums as ndarray.dot does, so the bits
@@ -381,11 +387,10 @@ _FAMILIES = {
         _neg_adjoint, _adjoint, _same, _same, _gl_basis, _gl_basis, complex_group=True,
         ad_spaces=("gl", "gl", "gl"),
     ),
-    # g^C spans the two sl_n copies inside gl_n; the QR of that rank-deficient
-    # stack completes it to gl_n, and the model keeps that
+    # g^C is sl_n, which both sl_n copies span
     "SL_C": _Family(
         _neg_adjoint, _adjoint, _same, _same, _sl_basis, _sl_basis, complex_group=True,
-        ad_spaces=("sl", "sl", "gl"),
+        ad_spaces=("sl", "sl", "sl"),
     ),
     "U": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _gl_basis, lambda r: [], ad_spaces=("gl", "0", "gl")),
     "SU": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _sl_basis, lambda r: [], ad_spaces=("sl", "0", "sl")),
@@ -485,8 +490,6 @@ def grading_space(real: Realization, a: np.ndarray, space: str) -> str:
     if space not in SPACES:
         raise ValueError(f"space must be one of {', '.join(SPACES)}, got {space!r}")
     kind = real._row.ad_spaces[SPACES.index(space)]
-    if kind == "gl" and real.n == 1 and real._row.ad_spaces[0] == "sl":
-        return "0"  # SL(1,C): both sl_1 copies are 0, and so is their span
     if kind in ("hJ", "mJ"):
         p, a = real.signature[0], np.asarray(a)
         if a[:p, p:].any() or a[p:, :p].any():
@@ -528,7 +531,10 @@ def _structured_spectrum(
     """
     n = len(a)
     d = a - a.conj().T
-    if _ad_norm(kind, d, p) > tol * (1 + _ad_norm(kind, a, p)):
+    # read at the power of two at the largest entry of a, which is exact: 2^k a
+    # is refused exactly when a is
+    top = _pow2_of(a)
+    if _ad_norm(kind, d / top, p) > tol * (1 + _ad_norm(kind, a / top, p)):
         raise NotInCartan("ad(a) is not Hermitian on this subspace; a is not a torus element")
     h = a - d / 2 if d.any() else a  # the Hermitian part, whose ad agrees with ad(a) up to the check
     if kind in ("hJ", "mJ"):
@@ -569,7 +575,8 @@ def _dense_spectrum(
     if not mats:
         return np.zeros(0), np.zeros((0, real.n, real.n), dtype=complex)
     q, op = _restricted(mats, lambda b: a @ b - b @ a)
-    if _frobenius(op - op.conj().T) > tol * (1 + _frobenius(op)):
+    unit = op / _pow2_of(a)  # the check reads a at its largest entry, as _structured_spectrum does
+    if _frobenius(unit - unit.conj().T) > tol * (1 + _frobenius(unit)):
         raise NotInCartan("ad(a) is not Hermitian on this subspace; a is not a torus element")
     vals, vecs = np.linalg.eigh(op)
     return vals, (q @ vecs).T.reshape(-1, real.n, real.n) if bases else None
@@ -912,10 +919,22 @@ def _linked(vals, gap: float) -> list[list[complex]]:
     return groups
 
 
+def _mean(group: list[complex]) -> complex:
+    """complex(np.mean(group)), bit for bit.  One member costs no numpy call:
+    np.mean adds it to 0 and divides by 1 + 0j, which turns -0.0 into 0.0 and
+    a part beside an infinite or NaN one into NaN, and so does this.  A pure
+    Python mean of two or more would differ in the last bit, as numpy sums
+    and divides in an order of its own."""
+    if len(group) > 1:
+        return complex(np.mean(group))
+    re, im = group[0].real + 0.0, group[0].imag + 0.0
+    return complex(re + im * 0.0, im - re * 0.0)
+
+
 def _means(groups: list[list[complex]]) -> list[complex]:
     """The mean of each group, the groups ordered by their first member."""
     groups.sort(key=lambda g: _order(g[0]))
-    return [complex(np.mean(g)) for g in groups]
+    return [_mean(g) for g in groups]
 
 
 def _cluster(vals: np.ndarray, tol: float, scale: float) -> list[complex]:
@@ -928,7 +947,7 @@ def _cluster(vals: np.ndarray, tol: float, scale: float) -> list[complex]:
     """
     groups: list[list[complex]] = []
     for chain in _linked(vals, 2 * max(tol, _ROUNDING ** (1 / len(vals))) * scale):
-        mean = np.mean(chain)
+        mean = _mean(chain)
         if max(abs(v - mean) for v in chain) <= max(tol, _ROUNDING ** (1 / len(chain))) * scale:
             groups.append(chain)
         else:

@@ -62,18 +62,16 @@ from .liealg import (
     _exp_hermitian,
     _exp_nilpotent,
     _flag_ranks,
-    _flag_triple,
     _kernel_flag,
     _pow2_at,
+    _pow2_of,
     _zero_certificate,
     build_realization,
     comm,
     hs_norm,
     jordan_multiplicative,
-    normalize_kostant_sekiguchi,
     numerical_rank,
     rank_sequence,
-    validate_triple,
 )
 from .parhiggs import ParabolicHiggsData, _turn_defect, coordinate_pairing, make_data
 
@@ -155,31 +153,55 @@ def complete_ks_triple(real: Realization, y: np.ndarray) -> SL2Triple | None:
     (same orbit certificate, unit scale with the phase of ``y`` kept).
     Returns None for y = 0.  Nothing here sees the scale of ``y``: it is
     first divided by a power of two near its largest entry, which is exact
-    and keeps mu = |c|^2 of the torus normalization from overflow and
-    underflow.  On the rank-one models SL(2,R) and SU(1,1) the triple is
-    closed-form: y lies on one eigenline (H_k, Y_k), and with phi the phase
-    of its coordinate there it is (H_k, conj(phi) Y_other, phi Y_k), the
-    constant triple of the line times a unit phase.  It is returned without a
-    check: the constants of each line form a ks_normal triple with
+    and keeps mu from overflow and underflow.  Every triple is closed-form
+    and returned without a check.
+
+    On the rank-one models SL(2,R) and SU(1,1), y lies on one eigenline
+    (H_k, Y_k), and with phi the phase of its coordinate there the triple is
+    (H_k, conj(phi) Y_other, phi Y_k), the constant triple of the line times
+    a unit phase: the constants of each line form a ks_normal triple with
     Y_other = -tau(Y_k), and scaling X by conj(phi) and Y by phi, |phi| = 1,
-    keeps every bracket, f = sigma(e) and X = -tau(Y).  The other models run
-    Jacobson-Morozov and the torus normalization, and their triples are
-    checked.
+    keeps every bracket, f = sigma(e) and X = -tau(Y).
+
+    On the other models a normalized triple through a positive multiple of y
+    exists exactly when y is a zero of the Kempf-Ness moment map up to scale,
+    [[y*, y], y] = -2 mu y with mu > 0 (Kempf-Ness 1979, Sekiguchi 1987), and
+    then it is (H, X, Y') = ([y*, y] / mu, Y'^*, y / sqrt(mu)): X = -tau(Y')
+    holds exactly, [X, Y'] = H by definition, [H, X] = 2X is the adjoint of
+    [H, Y'] = -2Y' as H is Hermitian, and y* in m^C with [m^C, m^C] in h^C
+    puts the parts in their subspaces.  y is refused unless its bracket is
+    -2 mu y to _NORMAL_TOL and the spectrum of [y*, y] / mu is, to
+    _WEIGHT_TOL, the weights d - 1, d - 3, ..., 1 - d of the Jordan blocks of
+    size d that the kernel flag of y reads.
     """
     return _ks_triple(real, y)[0]
 
 
+# the closed form's refusals: the bracket [[y*, y], y] against -2 mu y,
+# relative to its norm, and the spectrum of H against the Jordan weights
+_NORMAL_TOL = 1e-8
+_WEIGHT_TOL = 1e-6
+
+
+def _jordan_weights(dims: tuple[int, ...]) -> np.ndarray:
+    """Ascending eigenvalues of the neutral element of an sl2-triple through a
+    nilpotent with kernel dimensions dims: d - 1, d - 3, ..., 1 - d for each
+    Jordan block of size d.  dims[k] - dims[k-1] blocks have size > k."""
+    longer = [b - a for a, b in zip((0,) + dims, dims)] + [0]
+    sizes = [k for k in range(1, len(dims) + 1) for _ in range(longer[k - 1] - longer[k])]
+    return np.sort([d - 1 - 2 * j for d in sizes for j in range(d)]).astype(float)
+
+
 def _ks_triple(real: Realization, y: np.ndarray) -> tuple[SL2Triple | None, tuple[int, ...]]:
     """complete_ks_triple and the kernel dimensions of y, from one kernel
-    flag: read with bases where Jacobson-Morozov runs, without them on the
-    rank-one models."""
+    flag read without bases."""
     y = np.asarray(y, dtype=complex)
     if not y.any():
         return None, (len(y),)
     # exact: the largest entry of y lands in [1/2, 1), save on extreme entries
     y = y / _pow2_at(float(np.abs(y).max()))
     try:
-        flag = _kernel_flag(y, bases=real.eigenlines is None)
+        dims = _kernel_flag(y)[1]
     except NotNilpotent as exc:
         raise TripleCompletionFailure("the nilpotent part must be nilpotent") from exc
     if not real.in_mC(y, 1e-8):
@@ -192,20 +214,19 @@ def _ks_triple(real: Realization, y: np.ndarray) -> tuple[SL2Triple | None, tupl
         k = 0 if abs(coeffs[0]) >= abs(coeffs[1]) else 1  # the line y lies on
         phase = coeffs[k] / abs(coeffs[k])
         (h, line), (_, other) = lines[k], lines[1 - k]
-        return SL2Triple(x=h.copy(), e=np.conj(phase) * other, f=phase * line, flavor="ks_normal"), flag[1]
-    plain = _flag_triple(y, flag)
-    flipped = SL2Triple(x=-plain.x, e=plain.f, f=y, flavor="normal")
-    try:
-        validate_triple(real, flipped, 1e-7)
-        out = normalize_kostant_sekiguchi(real, flipped)
-    except (NotInModel, TripleCompletionFailure) as exc:
+        return SL2Triple(x=h.copy(), e=np.conj(phase) * other, f=phase * line, flavor="ks_normal"), dims
+    y_star = y.conj().T
+    h0 = y_star @ y - y @ y_star
+    bracket = h0 @ y - y @ h0
+    mu = -float(np.vdot(y, bracket).real) / (2 * float(np.vdot(y, y).real))
+    normal = mu > 0 and hs_norm(bracket + 2 * mu * y) <= _NORMAL_TOL * hs_norm(bracket)
+    if not (normal and np.abs(np.linalg.eigvalsh(h0 / mu) - _jordan_weights(dims)).max() <= _WEIGHT_TOL):
         raise TripleCompletionFailure(
-            f"no torus-normalized triple through this nilpotent in {real.label}: {exc}"
-        ) from exc
-    scale = 1 + hs_norm(out.f)
-    if hs_norm(out.e + real.tau(out.f)) > 1e-8 * scale:
-        raise TripleCompletionFailure("normalization did not reach X = -tau(Y)")
-    return out, flag[1]
+            f"no torus-normalized triple through this nilpotent in {real.label}: "
+            "normal triple defect is not a torus scaling; conjugate it into a standard component first"
+        )
+    f = y / math.sqrt(mu)
+    return SL2Triple(x=h0 / mu, e=f.conj().T, f=f, flavor="ks_normal"), dims
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +297,7 @@ def _hyperbolic(real: Realization, s: np.ndarray, c: complex) -> np.ndarray:
 def _at_unit_scale(m: np.ndarray) -> np.ndarray:
     """m over the power of two at its largest entry, which is exact."""
     m = np.asarray(m, dtype=complex)
-    return m / _pow2_at(max(np.abs(m.real).max(), np.abs(m.imag).max()))
+    return m / _pow2_of(m)
 
 
 def _check_residue_data(

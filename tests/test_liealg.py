@@ -410,7 +410,13 @@ def test_restricted_operator_matches_the_column_loop(label):
             assert np.allclose(op, op_ref, rtol=0, atol=1e-13 * (1 + np.abs(op_ref).max()))
             if apply is ad:
                 got = [lam for lam, mats in eig for _ in mats]
-                assert np.allclose(got, np.linalg.eigvalsh(op_ref), rtol=0, atol=1e-12)
+                want = np.linalg.eigvalsh(op_ref)
+                if real.family == "SL_C" and space == "g^C":
+                    # the two sl_n copies span sl_n, and the QR of their stack
+                    # completes it to gl_n: the grading drops the scalar's zero
+                    assert len(got) == n * n - 1
+                    want = np.delete(want, np.argmin(np.abs(want)))
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +890,9 @@ def test_structured_grading_matches_the_dense_compression(label):
     rng = np.random.default_rng(len(label) * 31 + real.n)
     for kind, a in _grading_inputs(real, rng):
         for space in SPACES:
-            want = _grading_or_verdict(lambda: dense_eigendecompose(real, a, space))
+            # g^C of SL(n,C) is sl_n, the span of its h^C and its m^C, which are sl_n each
+            dense_space = "h^C" if real.family == "SL_C" else space
+            want = _grading_or_verdict(lambda: dense_eigendecompose(real, a, dense_space))
             got = _grading_or_verdict(lambda: ad_eigendecompose(real, a, space=space))
             graded = _grading_or_verdict(lambda: ad_grading(real, a, space=space))
             if want == "NotInCartan":
@@ -911,12 +919,20 @@ def test_the_grading_refuses_a_non_hermitian_a_at_every_scale(label):
     real = build_realization(label)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((real.n, real.n)) + 1j * rng.standard_normal((real.n, real.n))
-    # the check has an absolute floor, tol * (1 + ||ad(a)||), so only scales up
-    for c in (1.0, 2.0**300, 2.0**600):
-        with pytest.raises(NotInCartan):
-            ad_grading(real, c * x, space="g^C")
-    # a Hermitian a at 2^600 grades, scaled exactly, as at scale 1
+    # the check reads a at the power of two at its largest entry, so no scale
+    # gets past it; h^C of SL(3,R) and SU(2,1) takes the dense compression
+    spaces = ["g^C", "h^C"] if real.real_form else ["g^C"]
+    for c in (1.0, 2.0**300, 2.0**600, 2.0**-300, 2.0**-600):
+        for space in spaces:
+            with pytest.raises(NotInCartan):
+                ad_grading(real, c * x, space=space)
+    # a Hermitian a at 2^600 grades, scaled exactly, as at scale 1; at 2^-600
+    # it is accepted, and its eigenvalues fall within the cluster radius of 0
     h = (x + x.conj().T) / 2
     one = ad_grading(real, h, space="g^C")
     big = ad_grading(real, 2.0**600 * h, space="g^C", tol=0.0)
     assert [m for _, m in big] == [m for _, m in one]
+    for space in spaces:
+        assert sum(m for _, m in ad_grading(real, 2.0**-600 * h, space=space)) == sum(
+            m for _, m in ad_grading(real, h, space=space)
+        )

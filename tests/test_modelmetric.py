@@ -521,16 +521,16 @@ def _verify_model_table(tmp_path, payload):
 
 @pytest.mark.parametrize("model", ["SU(1,1)", "SU(2,1)"])
 def test_verify_model_cusp_table_does_not_see_the_scale_of_y(tmp_path, monkeypatch, model):
-    from parhodge import nahodge
+    from parhodge import liealg
 
-    # complete_ks_triple runs Jacobson-Morozov from the kernel flag it has read
+    # every Jacobson-Morozov completion runs through _flag_triple
     calls = {"jacobson_morozov": 0}
 
     def counted(*args, **kwargs):
         calls["jacobson_morozov"] += 1
         return _flag_triple(*args, **kwargs)
 
-    monkeypatch.setattr(nahodge, "_flag_triple", counted)
+    monkeypatch.setattr(liealg, "_flag_triple", counted)
     n = build_realization(model).n
     grid = {"r_max": 1e-2, "r_min": 1e-6, "count": 5}  # the README cusp on SU(1,1)
     tables = []
@@ -548,8 +548,8 @@ def test_verify_model_cusp_table_does_not_see_the_scale_of_y(tmp_path, monkeypat
             for key in ("holonomy_deviation", "holonomy_deviation_full"):
                 assert row[key] == pytest.approx(ref[key], rel=1e-12)
         assert table == tables[0] or n > 2
-    # the rank-one models complete their triples in closed form
-    assert calls["jacobson_morozov"] == (0 if n == 2 else 3)
+    # every model completes its triples in closed form
+    assert calls["jacobson_morozov"] == 0
 
 
 # ---------------------------------------------------------------------------

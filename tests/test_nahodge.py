@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from test_residue_check import _draws
 
 from parhodge.jsonio import SchemaError, parse_document
@@ -510,15 +511,60 @@ def test_complete_ks_triple_unbalanced_chain_refused():
         complete_ks_triple(build_realization("GL(3,C)"), y)
 
 
-@pytest.mark.parametrize("label", ["SL(2,R)", "SU(1,1)"])
+def _normal_blocks(sizes, lower=True) -> np.ndarray:
+    """The direct sum of the normalized nilpotent d-blocks, entries sqrt(k (d - k))
+    beside the diagonal: Y of the standard ks_normal triple of each block."""
+    return block_diag(*[np.diag([math.sqrt(k * (d - k)) for k in range(1, d)], -1 if lower else 1) for d in sizes])
+
+
+def _unitary(rng, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r).real)
+
+
+def _normal_nilpotent(real, rng) -> np.ndarray:
+    """A random nilpotent in m^C through which a ks_normal triple passes: a
+    K-conjugate of a normalized representative, at a random complex scale."""
+    n = real.n
+    c = 10 ** rng.uniform(-3, 3) * np.exp(2j * math.pi * rng.uniform())
+    if real.eigenlines is not None:
+        return c * real.eigenlines[rng.integers(2)][1]
+    if real.family == "SU_pq":
+        p, q = real.signature
+        k = np.arange(rng.integers(1, min(p, q) + 1))
+        y = np.zeros((n, n), dtype=complex)
+        y[p + k, k] = 1  # sum of E_{p+i, i}, i < k
+        u = block_diag(_unitary(rng, p), _unitary(rng, q))
+        return c * u @ y @ u.conj().T
+    sizes = []  # a random partition of n with a part of size >= 2
+    while sum(sizes) < n:
+        sizes.append(int(rng.integers(1, n - sum(sizes) + 1)))
+    if max(sizes) == 1:
+        sizes = [n]
+    if real.family == "SL_R":
+        # the Kostant-Sekiguchi image (e + f + i h) / 2 of the standard real triple, f = e^T
+        e = _normal_blocks(sizes, lower=False)
+        h = block_diag(*[np.diag([d - 1 - 2 * k for k in range(d)]) for d in sizes])
+        y = (e + e.T + 1j * h) / 2
+        o, _ = np.linalg.qr(rng.standard_normal((n, n)))  # in K = SO(n), up to sign
+        return c * o @ y @ o.T
+    u = _unitary(rng, n)
+    return c * u @ _normal_blocks(sizes) @ u.conj().T
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["SL(2,R)", "SU(1,1)", "GL(2,C)", "GL(3,C)", "GL(5,C)", "SL(3,C)", "SL(4,C)", "SL(3,R)", "SL(4,R)",
+     "SU(2,1)", "SU(2,2)", "SU(1,3)"],
+)
 def test_rank_one_closed_form_matches_jacobson_morozov(label):
-    # the closed form against the path it replaced: Jacobson-Morozov through
-    # y, flipped to a normal triple, then the torus normalization
+    # the closed forms, on the rank-one models and on every other, against the
+    # path they replaced: Jacobson-Morozov through y, flipped to a normal
+    # triple, then the torus normalization
     real = build_realization(label)
     rng = np.random.default_rng(2)
     for _ in range(40):
-        (_, line) = real.eigenlines[rng.integers(2)]
-        y = 10 ** rng.uniform(-3, 3) * np.exp(2j * math.pi * rng.uniform()) * line
+        y = _normal_nilpotent(real, rng)
         plain = jacobson_morozov(y)
         flipped = SL2Triple(x=-plain.x, e=plain.f, f=y, flavor="normal")
         oracle = normalize_kostant_sekiguchi(real, flipped)

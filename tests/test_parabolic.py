@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grading_oracle import dense_eigendecompose
+
 from parhodge import cli
 from parhodge.cli import cli_dispatch
 
@@ -140,13 +142,26 @@ def test_the_grading_of_a_j_commuting_s_has_no_bound_on_n(tmp_path):
         assert seconds < 0.5 and peak < 4 * 2**20, (space, seconds, peak)
 
 
+def _theta_fixed(rng, label, n):
+    """A Hermitian s with theta(s) = s that takes the dense compression: i times
+    a real antisymmetric matrix on SL(n,R); on SU(p,q) a J-block s whose
+    off-diagonal blocks are below the theta test, 1e-12 of it, but not zero."""
+    if label.startswith("SL"):
+        x = rng.standard_normal((n, n))
+        return 1j * (x - x.T) / 2
+    p = n // 2
+    off = _hermitian(rng, n)
+    off[:p, :p] = off[p:, p:] = 0
+    return _hermitian(rng, n, block=p) + 1e-12 * off
+
+
 @pytest.mark.parametrize("space", ["h^C", "m^C"])
 def test_the_dense_fallback_is_bounded_at_the_realization(tmp_path, space):
     rng = np.random.default_rng(3)
     bound = cli._MAX_DENSE_N
     for n in (bound // 2, bound):
         for label in (f"SL({n},R)", f"SU({n // 2},{n - n // 2})"):
-            code, report, seconds, peak = _cost(tmp_path, label, _hermitian(rng, n), space)
+            code, report, seconds, peak = _cost(tmp_path, label, _theta_fixed(rng, label, n), space)
             assert code == 0, report.get("error")
             assert seconds < 5.0 and peak < 64 * 2**20, (label, seconds, peak)
     for label in (f"SL({bound + 1},R)", f"SU({bound // 2},{bound // 2 + 1})"):
@@ -154,3 +169,35 @@ def test_the_dense_fallback_is_bounded_at_the_realization(tmp_path, space):
         assert code == 3
         assert report["error"]["location"] == "$.realization"
         assert report["outputs"] == {}
+
+
+@pytest.mark.parametrize("space", ["h^C", "m^C"])
+def test_parabolic_refuses_an_s_whose_ad_leaves_the_subspace(tmp_path, space):
+    # ad(s) maps h^C and m^C of SL(3,R) into themselves only when theta(s) = s;
+    # otherwise the dense compression is no grading and the command refuses s
+    rng = np.random.default_rng(11)
+    for c in (1.0, 2.0**600, 2.0**-600):
+        for label in ("SL(3,R)", "SU(2,1)"):
+            code, report = _parabolic(tmp_path, label, c * _hermitian(rng, 3), space)
+            assert code == 3
+            assert report["error"]["location"] == "$.s"
+            assert report["outputs"] == {}
+
+
+@pytest.mark.parametrize("space", ["h^C", "m^C"])
+def test_a_theta_fixed_s_is_graded_as_before(tmp_path, space):
+    # the theta-fixed s of SL(3,R) keeps the grading of the dense compression
+    # (grading_oracle), which is an honest one: each eigenvector m of it has
+    # [s, m] = lambda m
+    rng = np.random.default_rng(12)
+    real = build_realization("SL(3,R)")
+    for _ in range(5):
+        s = _theta_fixed(rng, "SL", 3)
+        want = dense_eigendecompose(real, s, space)
+        for lam, basis in want:
+            for m in basis:
+                assert np.linalg.norm(comm(s, m) - lam * m) < 1e-10
+        code, report = _parabolic(tmp_path, "SL(3,R)", s, space)
+        assert code == 0, report.get("error")
+        assert report["outputs"]["eigenvalues"]["value"] == [lam for lam, _ in want]
+        assert report["outputs"]["dim_l"]["value"] == sum(len(b) for lam, b in want if abs(lam) <= 1e-9)

@@ -41,11 +41,16 @@ KNOWN_UNREFERENCED = {
     # the local-system side of the degree equality
     "degree.local_system_degree",
     # the nilpotency test, the Jacobson-Morozov completion and the m^C orbit certificate of one
-    # element: complete_ks_triple reads all three off one kernel flag it has already taken, and the
-    # acceptance gates (the KS orbit map, the SL2R section's residues) read them on their own
+    # element: complete_ks_triple reads the test and the certificate off one kernel flag it has
+    # already taken and its triple in closed form, and the acceptance gates (the KS orbit map, the
+    # SL2R section's residues) read all three on their own
     "liealg.is_nilpotent",
     "liealg.jacobson_morozov",
     "nahodge.y_orbit_certificate",
+    # the torus rescaling of a normal triple: complete_ks_triple reads its triple in closed form at the
+    # zero of the moment map instead; BENCHMARK.json names the per-layer metrics of this function, which
+    # bench/test_bench_smoke.py resolves, and the Jacobson-Morozov oracle of the closed form calls it
+    "liealg.normalize_kostant_sekiguchi",
     # the QR flow: no CLI path runs it; the three relative-degree acceptance gates test it, and
     # bench/tracing.py reads its t_trace
     "degree.relative_degree",
