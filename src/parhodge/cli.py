@@ -62,12 +62,11 @@ from .jsonio import (
 )
 from .liealg import (
     SPACES,
+    NotThetaFixed,
     NumericallyDefective,
     TripleCompletionFailure,
     UnsupportedGroup,
-    _pow2_of,
     build_realization,
-    grading_space,
     hs_norm,
     hs_norms,
     kostant_sekiguchi_orbit_map,
@@ -128,15 +127,6 @@ _MAX_RANK = 12
 _MAX_SECTION_RANK = 16
 _MAX_PUNCTURES = 64
 _MAX_Q_TERMS = 16  # per puncture
-
-# where the structure of ad(s) does not decide the grading (h^C and m^C of
-# SL(n,R), and of SU(p,q) for an s that does not commute with J), parabolic
-# compresses ad(s) onto a basis of up to n^2 matrices: O(n^6) time and O(n^4)
-# memory, about 0.03 s and 3 MB traced for SL(16,R) on m^C
-_MAX_DENSE_N = 16
-# there ad(s) preserves h^C and m^C only when theta(s) = s, which holds when
-# the m^C part of s is at most this share of its traceless part
-_THETA_FIXED_TOL = 1e-9
 
 # a sampled pair costs two n x n relative positions, about 0.25 ms at n = 16 in
 # the stacked sweep (10000 pairs of GL(16,C) in about 2.5 s)
@@ -505,24 +495,24 @@ _LIST, _PAIR = {list}, {2}
 
 
 def _pairs_text(rows: list | tuple, newline: str) -> str | None:
-    """_json_text of lists of [re, im] pairs of finite numbers, as
-    matrix_to_json writes a matrix, from one repr; None for any other lists."""
-    pairs = list(chain.from_iterable(rows))
-    if not all(rows) or set(map(type, pairs)) != _LIST or set(map(len, pairs)) != _PAIR:
-        return None
-    if not set(map(type, chain.from_iterable(pairs))) <= _NUMBER:
+    """_json_text of non-empty rows of finite numbers, or of [re, im] pairs of
+    them as matrix_to_json writes a matrix, from one repr; None for any other
+    lists."""
+    items = list(chain.from_iterable(rows))
+    depth = 3 if set(map(type, items)) == _LIST and set(map(len, items)) == _PAIR else 2
+    if depth == 3:
+        items = list(chain.from_iterable(items))
+    if not all(rows) or not set(map(type, items)) <= _NUMBER:
         return None
     text = repr(list(rows))
     if "n" in text:  # a nan or inf
         return None
-    row, pair, part = newline + "  ", newline + "    ", newline + "      "
-    text = (
-        text[3:-3]
-        .replace("]], [[", pair + "]" + row + "]," + row + "[" + pair + "[" + part)
-        .replace("], [", pair + "]," + pair + "[" + part)
-        .replace(", ", "," + part)
-    )
-    return "[" + row + "[" + pair + "[" + part + text + pair + "]" + row + "]" + newline + "]"
+    ind = [newline + "  " * k for k in range(depth + 1)]  # the line break at each depth
+    text = text[depth:-depth]
+    for k in range(depth - 1, 0, -1):  # "]], [[" before the "], [" inside it
+        close = "".join(i + "]" for i in reversed(ind[depth - k : depth]))
+        text = text.replace("]" * k + ", " + "[" * k, close + "," + "[".join(ind[depth - k :]))
+    return "[" + "[".join(ind[1:]) + text.replace(", ", "," + ind[depth]) + "".join(i + "]" for i in reversed(ind[:-1]))
 
 
 def _json_text(value: Any, newline: str) -> str:
@@ -640,18 +630,10 @@ def _cmd_parabolic(payload: dict, args, report: dict) -> int:
     real = _realization(payload)
     s = _field(payload, "s", _matrix, n=real.n)
     space = _field(payload, "space", str_from_json, default="g^C", choices=SPACES)
-    if grading_space(real, s, space) == "theta":
-        if real.n > _MAX_DENSE_N:
-            raise SchemaError(
-                "$.realization",
-                f"expected n <= {_MAX_DENSE_N} where ad(s) on {space} needs the dense compression, got {real.label}",
-            )
-        unit = s / _pow2_of(s)  # exact, so the test does not see the scale of s
-        if hs_norm(real.project_mC(unit)) > _THETA_FIXED_TOL * hs_norm(unit - np.trace(unit) / real.n * np.eye(real.n)):
-            raise SchemaError(
-                "$.s", f"ad(s) preserves {space} only when theta(s) = s; this s has a part in m^C"
-            )
-    grading = parabolic_grading(real, s, space, **_tol(args))
+    try:
+        grading = parabolic_grading(real, s, space, **_tol(args))
+    except NotThetaFixed:
+        raise SchemaError("$.s", f"ad(s) preserves {space} only when theta(s) = s; this s has a part in m^C") from None
     method = "ad-eigenvalue grading"
     report["outputs"] = {
         "space": space,

@@ -34,6 +34,10 @@ class NotInCartan(ValueError):
     pass
 
 
+class NotThetaFixed(NotInCartan):
+    """theta(a) != a, so ad(a) leaves h^C and m^C of a real form."""
+
+
 class ZeroElement(ValueError):
     pass
 
@@ -69,9 +73,9 @@ def _pow2_at(x: float) -> float:
 
 
 def _pow2_of(a: np.ndarray) -> float:
-    """_pow2_at the largest real or imaginary part of a nonempty array, 1 for
-    a = 0: a divided by it, which is exact, has that part in [1/2, 1)."""
-    return _pow2_at(max(float(np.abs(a.real).max()), float(np.abs(a.imag).max())))
+    """_pow2_at the largest real or imaginary part of a nonempty complex array,
+    1 for a = 0: a divided by it, which is exact, has that part in [1/2, 1)."""
+    return _pow2_at(float(np.abs(a.ravel().view(float)).max()))
 
 
 def _frobenius(a: np.ndarray) -> float:
@@ -353,9 +357,9 @@ class _Family:
     eigenlines: tuple | None = None  # of the rank-one (n = 2) model
     # what ad(a) grades on (h^C, m^C, g^C), in the order of SPACES: "gl" or "sl"
     # (gl_n or sl_n), "0" (the zero space), "hJ" or "mJ" (the block-diagonal or
-    # off-block part of sl_n, split by J) or "theta" (a theta-eigenspace
-    # graded by the dense compression)
-    ad_spaces: tuple[str, str, str] = ("theta", "theta", "sl")
+    # off-block part of sl_n, split by J) or "hT" or "mT" (the antisymmetric or
+    # symmetric part of sl_n, split by transposition)
+    ad_spaces: tuple[str, str, str] = ("hT", "mT", "sl")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -466,56 +470,72 @@ def build_realization(label: str) -> Realization:
 # --------------------------------------------------------------------------
 
 
-def _restricted(basis: list[np.ndarray], apply: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal columns q spanning the row-major vectorized basis, and the
-    matrix q^H vec(L(q)) of a linear map L on n x n matrices; L receives the
-    whole (k, n, n) stack of the columns at once."""
-    n = basis[0].shape[0]
-    q, _ = np.linalg.qr(np.stack([b.ravel() for b in basis]).T)
-    stack = q.T.reshape(-1, n, n)
-    return q, q.conj().T @ apply(stack).reshape(len(stack), -1).T
-
-
 SPACES = ("h^C", "m^C", "g^C")  # the model subspaces ad(a) is graded on
 
+# a is theta-fixed when its m^C part is at most this share of its traceless part
+_THETA_FIXED_TOL = 1e-9
 
-def grading_space(real: Realization, a: np.ndarray, space: str) -> str:
-    """What ad(a) grades on the model subspace ``space``, as a ``_Family.ad_spaces``
-    kind; "theta" where only the dense compression of ad(a) decides.
 
-    The J-split of SU(p,q) is exact when a commutes with J, that is, when both
-    off-diagonal blocks of a are zero: then the eigenvectors u_i u_j^H of ad(a)
-    lie in h^C or in m^C.
-    """
+def grading_space(real: Realization, space: str) -> str:
+    """What ad(a) grades on the model subspace ``space``, as a ``_Family.ad_spaces`` kind."""
     if space not in SPACES:
         raise ValueError(f"space must be one of {', '.join(SPACES)}, got {space!r}")
-    kind = real._row.ad_spaces[SPACES.index(space)]
-    if kind in ("hJ", "mJ"):
-        p, a = real.signature[0], np.asarray(a)
-        if a[:p, p:].any() or a[p:, :p].any():
-            return "theta"
-    return kind
+    return real._row.ad_spaces[SPACES.index(space)]
 
 
 def _ad_norm(kind: str, x: np.ndarray, p: int) -> float:
     """Frobenius norm of ad(x) on the structured space ``kind``, block-diagonal
-    x on "hJ" and "mJ" with blocks of sizes p and q = n - p.
+    x on "hJ" and "mJ" with blocks of sizes p and q = n - p, and x
+    antisymmetric up to a scalar on "hT" and "mT".
 
     ad(x) kills the scalars, so on gl_n and sl_n ||ad(x)||^2 = 2n ||x_0||^2
     for the traceless part x_0 = x - (tr x / n) 1.  With the block-traceless
     parts x_1, x_2 and the block means c_1, c_2 it is 2p ||x_1||^2 + 2q ||x_2||^2
     on the blocks and 2q ||x_1||^2 + 2p ||x_2||^2 + 2pq |c_1 - c_2|^2 across them.
+    For an antisymmetric x_0, tr(ad(x)^H ad(x) theta) = -4 ||x_0||^2 on gl_n, so
+    ||ad(x)||^2 is (n - 2) ||x_0||^2 on "hT" and (n + 2) ||x_0||^2 on "mT".
     The parts are taken before any square, so nothing cancels.
     """
     n = len(x)
-    if kind in ("gl", "sl"):
-        return math.sqrt(2 * n) * hs_norm(x - np.trace(x) / n * np.eye(n))
+    if kind not in ("hJ", "mJ"):
+        weight = {"hT": max(n - 2, 0), "mT": n + 2}.get(kind, 2 * n)
+        return math.sqrt(weight) * hs_norm(x - np.trace(x) / n * np.eye(n))
     q = n - p
     c1, c2 = np.trace(x[:p, :p]) / p, np.trace(x[p:, p:]) / q
     r1, r2 = hs_norm(x[:p, :p] - c1 * np.eye(p)), hs_norm(x[p:, p:] - c2 * np.eye(q))
     if kind == "hJ":
         return math.hypot(math.sqrt(2 * p) * r1, math.sqrt(2 * q) * r2)
     return math.hypot(math.sqrt(2 * q) * r1, math.sqrt(2 * p) * r2, math.sqrt(2 * p * q) * abs(c1 - c2))
+
+
+def _theta_split(kind: str, lam: np.ndarray, u: np.ndarray, values: np.ndarray, i: np.ndarray, j: np.ndarray, mats):
+    """_structured_spectrum on "hT" or "mT" from the ascending pairs (i, j) of
+    gl_n: theta fixes a, so it is an involution of each eigenspace E_c of ad(a),
+    of trace T_c = -sum |G_ij|^2 for G = U^T U, and h^C meets E_c in
+    (dim E_c + T_c) / 2 dimensions; m^C takes the rest, less the identity at
+    c = 0.  The E_c are the values grouped at rounding level, each read as its
+    least; a basis is one SVD of the (1 +- theta) / 2 images of its u_i u_j^H.
+    """
+    n = len(lam)
+    gap = 64 * np.finfo(float).eps * max(1.0, float(np.abs(lam).max()))
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap)
+    stops = np.append(starts[1:], len(values))
+    sign = 1 if kind == "hT" else -1
+    dims = np.rint((stops - starts - sign * np.add.reduceat(np.abs(u.T @ u)[i, j] ** 2, starts)) / 2).astype(int)
+    zero = np.searchsorted(starts, np.flatnonzero(i == j)[0], side="right") - 1
+    if kind == "mT":
+        dims[zero] -= 1  # the identity
+    graded = np.repeat(values[starts], dims)
+    if mats is None:
+        return graded, None
+    out = [np.zeros((0, n, n), dtype=complex)]
+    for g in np.flatnonzero(dims):
+        e = mats[starts[g] : stops[g]]
+        e = (e - sign * e.swapaxes(1, 2)) / 2
+        if kind == "mT" and g == zero:
+            e = e - np.trace(e, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+        out.append(np.linalg.svd(e.reshape(len(e), -1), full_matrices=False)[2][: dims[g]].reshape(-1, n, n))
+    return graded, np.concatenate(out)
 
 
 def _structured_spectrum(
@@ -531,10 +551,7 @@ def _structured_spectrum(
     """
     n = len(a)
     d = a - a.conj().T
-    # read at the power of two at the largest entry of a, which is exact: 2^k a
-    # is refused exactly when a is
-    top = _pow2_of(a)
-    if _ad_norm(kind, d / top, p) > tol * (1 + _ad_norm(kind, a / top, p)):
+    if _ad_norm(kind, d, p) > tol * (1 + _ad_norm(kind, a, p)):
         raise NotInCartan("ad(a) is not Hermitian on this subspace; a is not a torus element")
     h = a - d / 2 if d.any() else a  # the Hermitian part, whose ad agrees with ad(a) up to the check
     if kind in ("hJ", "mJ"):
@@ -545,19 +562,18 @@ def _structured_spectrum(
     else:
         lam, u = np.linalg.eigh(h)
     i, j = np.divmod(np.arange(n * n), n)
-    keep = np.ones(n * n, dtype=bool) if kind in ("gl", "sl") else ((i < p) == (j < p)) == (kind == "hJ")
+    keep = ((i < p) == (j < p)) == (kind == "hJ") if kind in ("hJ", "mJ") else np.ones(n * n, dtype=bool)
     traceless = kind in ("sl", "hJ")
     if traceless:
         keep[-1] = False  # the pair (n - 1, n - 1)
     i, j = i[keep], j[keep]
     values = lam[i] - lam[j]
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    if not bases:
-        return values, None
-    i, j = i[order], j[order]
-    mats = u[:, i].T[:, :, None] * u[:, j].conj().T[:, None, :]
-    if traceless and n > 1:
+    values, i, j = values[order], i[order], j[order]
+    mats = u[:, i].T[:, :, None] * u[:, j].conj().T[:, None, :] if bases else None
+    if kind in ("hT", "mT"):
+        return _theta_split(kind, lam, u, values, i, j, mats)
+    if bases and traceless and n > 1:
         # Helmert rows: (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)), k = 1 .. n - 1
         k = np.arange(1, n)[:, None]
         cols = np.arange(n)[None, :]
@@ -566,41 +582,30 @@ def _structured_spectrum(
     return values, mats
 
 
-def _dense_spectrum(
-    real: Realization, a: np.ndarray, space: str, tol: float, bases: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """_structured_spectrum of any model subspace, from the matrix of ad(a) in
-    an orthonormal basis of it: O(dim^3) for dim up to n^2."""
-    mats = (real.basis_hC() if space != "m^C" else []) + (real.basis_mC() if space != "h^C" else [])
-    if not mats:
-        return np.zeros(0), np.zeros((0, real.n, real.n), dtype=complex)
-    q, op = _restricted(mats, lambda b: a @ b - b @ a)
-    unit = op / _pow2_of(a)  # the check reads a at its largest entry, as _structured_spectrum does
-    if _frobenius(unit - unit.conj().T) > tol * (1 + _frobenius(unit)):
-        raise NotInCartan("ad(a) is not Hermitian on this subspace; a is not a torus element")
-    vals, vecs = np.linalg.eigh(op)
-    return vals, (q @ vecs).T.reshape(-1, real.n, real.n) if bases else None
-
-
 def _ad_graded(real: Realization, a: np.ndarray, space: str, tol: float, bases: bool):
     """(first eigenvalue, start, stop) of each cluster of the ad(a)-spectrum on
     ``space``, and the eigenvector stack when ``bases``.  A cluster gathers the
-    ascending eigenvalues within max(tol, 1e-9 (1 + |lambda|)) of its first."""
-    kind = grading_space(real, a, space)
+    ascending eigenvalues of ad(a / 2^k), 2^k at the largest entry of a, within
+    max(tol, 1e-9 (1 + |lambda|)) of its first, which is reported times 2^k."""
+    kind = grading_space(real, space)
     if kind == "0":
         return [], None
     a = np.asarray(a, dtype=complex)
-    if kind == "theta":
-        values, mats = _dense_spectrum(real, a, space, tol, bases)
-    else:
-        values, mats = _structured_spectrum(kind, a, real.signature[0] if real.signature else 0, tol, bases)
+    top = _pow2_of(a)
+    a = a / top
+    if real.real_form and space != "g^C":
+        stray = real.project_mC(a)
+        if hs_norm(stray) > _THETA_FIXED_TOL * hs_norm(a - np.trace(a) / real.n * np.eye(real.n)):
+            raise NotThetaFixed(f"ad(a) preserves {space} only when theta(a) = a; this a has a part in m^C")
+        a = a - stray  # below the test, and ad(a) would take h^C into m^C
+    values, mats = _structured_spectrum(kind, a, real.signature[0] if real.signature else 0, tol, bases)
     clusters: list[list] = []
     for k, lam in enumerate(values.tolist()):
         if clusters and abs(lam - clusters[-1][0]) <= max(tol, 1e-9 * (1 + abs(lam))):
             clusters[-1][2] = k + 1
         else:
             clusters.append([lam, k, k + 1])
-    return clusters, mats
+    return [(lam * top, start, stop) for lam, start, stop in clusters], mats
 
 
 def ad_grading(real: Realization, a: np.ndarray, space: str = "m^C", tol: float = 1e-9) -> list[tuple[float, int]]:
@@ -618,9 +623,8 @@ def ad_eigendecompose(
     model subspace, ascending.
 
     a must act semisimply with real spectrum (Hermitian ad-operator in an
-    orthonormal basis); otherwise NotInCartan is raised.  The grading comes
-    from one eigh of a wherever ``grading_space`` names a structured space,
-    else from the dense compression of ad(a).
+    orthonormal basis), and on h^C or m^C of a real form be theta-fixed;
+    otherwise NotInCartan is raised.  The grading comes from one eigh of a.
     """
     clusters, mats = _ad_graded(real, a, space, tol, bases=True)
     return [(lam, list(mats[start:stop])) for lam, start, stop in clusters]

@@ -8,10 +8,11 @@ on n_s and on commutators of the Levi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .liealg import Realization, _exp_hermitian, _restricted, ad_eigendecompose, ad_grading, trace_form
+from .liealg import Realization, _exp_hermitian, _pow2_of, ad_eigendecompose, ad_grading, trace_form
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,10 @@ def _part(lam: float, tol: float) -> str | None:
 def parabolic_from(real: Realization, s: np.ndarray, space: str = "g^C", tol: float = 1e-9) -> ParabolicDatum:
     """Parabolic p_s = (nonpositive ad(s)-eigenspaces) inside the chosen model."""
     eig = ad_eigendecompose(real, s, space=space, tol=tol)
+    top = _pow2_of(np.asarray(s, dtype=complex))  # zero is read as the grading reads s
     parts: dict[str | None, list[np.ndarray]] = {"l": [], "n": [], None: []}
     for lam, basis in eig:
-        parts[_part(lam, tol)].extend(basis)
+        parts[_part(lam / top, tol)].extend(basis)
     return ParabolicDatum(
         s=np.asarray(s, dtype=complex),
         space=space,
@@ -64,9 +66,10 @@ def parabolic_from(real: Realization, s: np.ndarray, space: str = "g^C", tol: fl
 def parabolic_grading(real: Realization, s: np.ndarray, space: str, tol: float = 1e-9) -> ParabolicGrading:
     """The grading of ``parabolic_from``, without a basis."""
     grading = ad_grading(real, s, space=space, tol=tol)
+    top = _pow2_of(np.asarray(s, dtype=complex))
     dims = {"l": 0, "n": 0, None: 0}
     for lam, mult in grading:
-        dims[_part(lam, tol)] += mult
+        dims[_part(lam / top, tol)] += mult
     return ParabolicGrading(tuple(lam for lam, _ in grading), dims["l"], dims["n"])
 
 
@@ -80,6 +83,16 @@ def p1_subalgebra(real: Realization, alpha: np.ndarray) -> list[np.ndarray]:
         if abs(lam + 1.0) <= 1e-7:
             out.extend(basis)
     return out
+
+
+def _restricted(basis: list[np.ndarray], apply: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns q spanning the row-major vectorized basis, and the
+    matrix q^H vec(L(q)) of a linear map L on n x n matrices; L receives the
+    whole (k, n, n) stack of the columns at once."""
+    n = basis[0].shape[0]
+    q, _ = np.linalg.qr(np.stack([b.ravel() for b in basis]).T)
+    stack = q.T.reshape(-1, n, n)
+    return q, q.conj().T @ apply(stack).reshape(len(stack), -1).T
 
 
 def _fixed_space(mats: list[np.ndarray], u: np.ndarray) -> list[np.ndarray]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from parhodge.liealg import NotInCartan, _frobenius, _restricted
+from parhodge.liealg import NotInCartan, _frobenius
+from parhodge.parabolic import _restricted
 
 
 def dense_eigendecompose(real, a, space: str, tol: float = 1e-9) -> list[tuple[float, list[np.ndarray]]]:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
 from parhodge.cli import cli_dispatch
+from parhodge.parabolic import _restricted
 
 from parhodge.liealg import (
     SPACES,
@@ -28,11 +29,10 @@ from parhodge.liealg import (
     _order,
     _pow2_at,
     NotInCartan,
-    _restricted,
+    NotThetaFixed,
     ad_eigendecompose,
     ad_grading,
     build_realization,
-    grading_space,
     comm,
     hs_norm,
     is_nilpotent,
@@ -399,7 +399,13 @@ def test_restricted_operator_matches_the_column_loop(label):
     ad, twist = (lambda b: s @ b - b @ s), (lambda b: u @ b @ u_inv - b)
     for space in SPACES:
         basis = (real.basis_hC() if space != "m^C" else []) + (real.basis_mC() if space != "h^C" else [])
-        eig = ad_eigendecompose(real, s, space=space)
+        if real.real_form and space != "g^C":
+            # a random s is not theta-fixed, so ad(s) leaves h^C and m^C
+            with pytest.raises(NotThetaFixed):
+                ad_eigendecompose(real, s, space=space)
+            eig = None
+        else:
+            eig = ad_eigendecompose(real, s, space=space)
         if not basis:
             assert eig == []
             continue
@@ -408,7 +414,7 @@ def test_restricted_operator_matches_the_column_loop(label):
             q_ref, op_ref = restricted_by_columns(basis, apply)
             assert np.array_equal(q, q_ref)
             assert np.allclose(op, op_ref, rtol=0, atol=1e-13 * (1 + np.abs(op_ref).max()))
-            if apply is ad:
+            if apply is ad and eig is not None:
                 got = [lam for lam, mats in eig for _ in mats]
                 want = np.linalg.eigvalsh(op_ref)
                 if real.family == "SL_C" and space == "g^C":
@@ -854,7 +860,9 @@ GRADING_MODELS = [
 
 def _grading_inputs(real, rng):
     """(kind, a): random Hermitian a, repeated spectra, real and imaginary
-    scalar shifts, J-block-diagonal a on SU(p,q), and non-Hermitian a."""
+    scalar shifts, theta-fixed a (J-block-diagonal on SU(p,q), also with
+    off-diagonal blocks at 1e-12 of it; i times a real antisymmetric matrix,
+    also with repeated rotation angles, on SL(n,R)), and non-Hermitian a."""
     n = real.n
     u = _unitary(rng, n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -872,7 +880,15 @@ def _grading_inputs(real, rng):
             ("J-diagonal", diagonal),
             ("J-block-shift", block + 1.5j * np.eye(n)),
             ("J-block-split", block + split),
+            ("J-block-tiny-off", block + 1e-12 * (h - block)),
         ]
+    if real.family == "SL_R":
+        y = x.real
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        rotations = np.zeros((n, n))
+        for k, angle in enumerate(rng.integers(-2, 3, n // 2).astype(float)):
+            rotations[2 * k, 2 * k + 1], rotations[2 * k + 1, 2 * k] = angle, -angle
+        out += [("i-antisymmetric", 1j * (y - y.T) / 2), ("rotations", 1j * q @ rotations @ q.T)]
     out += [("non-Hermitian", x), ("skew", 1j * h + 0.1 * repeated)]
     return out
 
@@ -889,7 +905,15 @@ def test_structured_grading_matches_the_dense_compression(label):
     real = build_realization(label)
     rng = np.random.default_rng(len(label) * 31 + real.n)
     for kind, a in _grading_inputs(real, rng):
+        # every input is theta-fixed to 1e-12 or has an m^C part of order 1
+        theta_fixed = hs_norm(real.project_mC(a)) <= 1e-6 * hs_norm(a)
         for space in SPACES:
+            if real.real_form and space != "g^C" and not theta_fixed:
+                # ad(a) leaves the theta-eigenspace, so the dense compression is no grading
+                for call in (ad_eigendecompose, ad_grading):
+                    with pytest.raises(NotThetaFixed):
+                        call(real, a, space=space)
+                continue
             # g^C of SL(n,C) is sl_n, the span of its h^C and its m^C, which are sl_n each
             dense_space = "h^C" if real.family == "SL_C" else space
             want = _grading_or_verdict(lambda: dense_eigendecompose(real, a, dense_space))
@@ -902,9 +926,7 @@ def test_structured_grading_matches_the_dense_compression(label):
             values = [lam for lam, _ in want]
             assert [lam for lam, _ in got] == [lam for lam, _ in graded]
             assert np.allclose([lam for lam, _ in got], values, rtol=0, atol=1e-12 * (1 + np.abs(values).max(initial=0)))
-            if grading_space(real, a, space) == "theta":
-                continue
-            # structured: orthonormal eigenvectors of ad(a), inside the subspace
+            # orthonormal eigenvectors of ad(a), inside the subspace
             stack = np.array([m for _, b in got for m in b]).reshape(-1, real.n * real.n)
             assert np.allclose(stack.conj() @ stack.T, np.eye(len(stack)), atol=1e-12)
             inside = {"h^C": real.in_hC, "m^C": real.in_mC, "g^C": lambda m: True}[space]
@@ -920,19 +942,20 @@ def test_the_grading_refuses_a_non_hermitian_a_at_every_scale(label):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((real.n, real.n)) + 1j * rng.standard_normal((real.n, real.n))
     # the check reads a at the power of two at its largest entry, so no scale
-    # gets past it; h^C of SL(3,R) and SU(2,1) takes the dense compression
+    # gets past it; on h^C of SL(3,R) and SU(2,1) the theta test refuses x first
     spaces = ["g^C", "h^C"] if real.real_form else ["g^C"]
     for c in (1.0, 2.0**300, 2.0**600, 2.0**-300, 2.0**-600):
         for space in spaces:
             with pytest.raises(NotInCartan):
                 ad_grading(real, c * x, space=space)
-    # a Hermitian a at 2^600 grades, scaled exactly, as at scale 1; at 2^-600
-    # it is accepted, and its eigenvalues fall within the cluster radius of 0
+    # a Hermitian a grades at 2^600 and at 2^-600 as at scale 1, since the
+    # grading reads a at the power of two at its largest entry; on h^C of a
+    # real form, its theta-fixed part
     h = (x + x.conj().T) / 2
     one = ad_grading(real, h, space="g^C")
     big = ad_grading(real, 2.0**600 * h, space="g^C", tol=0.0)
     assert [m for _, m in big] == [m for _, m in one]
     for space in spaces:
-        assert sum(m for _, m in ad_grading(real, 2.0**-600 * h, space=space)) == sum(
-            m for _, m in ad_grading(real, h, space=space)
-        )
+        b = h if space == "g^C" else h - real.project_mC(h)
+        one = ad_grading(real, b, space=space)
+        assert [m for _, m in ad_grading(real, 2.0**-600 * b, space=space)] == [m for _, m in one]

@@ -7,15 +7,15 @@ import pytest
 
 from grading_oracle import dense_eigendecompose
 
-from parhodge import cli
 from parhodge.cli import cli_dispatch
 
-from parhodge.liealg import Realization, build_realization, comm
+from parhodge.liealg import NotThetaFixed, Realization, ad_eigendecompose, ad_grading, build_realization, comm, hs_norm
 from parhodge.parabolic import (
     ParabolicDatum,
     levi_centralizer_tilde,
     p1_subalgebra,
     parabolic_from,
+    parabolic_grading,
 )
 
 # the compact torus of SL(2,R) in its split frame, which is not diagonal
@@ -64,6 +64,55 @@ def test_p1_empty_iff_interior():
     assert len(q1) == 1
     # the direction is the lowered root vector E21
     assert abs(q1[0][1, 0]) > 0.9
+
+
+def test_p1_of_a_theta_fixed_wall_weight_of_sl3r():
+    # alpha = i (E12 - E21) grades the antisymmetric h^C as -1, 0, 1, one
+    # dimension each, and the -1 direction is a gauge direction
+    real = build_realization("SL(3,R)")
+    alpha = np.zeros((3, 3), dtype=complex)
+    alpha[0, 1], alpha[1, 0] = 1j, -1j
+    grading = ad_grading(real, alpha, space="h^C")
+    assert [m for _, m in grading] == [1, 1, 1]
+    assert np.allclose([lam for lam, _ in grading], [-1.0, 0.0, 1.0], rtol=0, atol=1e-12)
+    (m,) = p1_subalgebra(real, alpha)
+    assert real.in_hC(m)
+    assert hs_norm(comm(alpha, m) + m) <= 1e-10
+
+
+def test_p1_refuses_a_split_weight_of_sl3r():
+    # diag(1/2, 0, -1/2) is not theta-fixed, so ad of it leaves h^C: no
+    # grading of h^C exists, and none is made up
+    real = build_realization("SL(3,R)")
+    alpha = np.diag([0.5, 0.0, -0.5]).astype(complex)
+    with pytest.raises(NotThetaFixed):
+        p1_subalgebra(real, alpha)
+    for space in ("h^C", "m^C"):
+        with pytest.raises(NotThetaFixed):
+            ad_eigendecompose(real, alpha, space=space)
+
+
+@pytest.mark.parametrize("label", ["GL(3,C)", "SU(2,1)", "SL(3,R)"])
+def test_the_grading_does_not_see_the_scale_of_s(label):
+    # s is graded over the power of two at its largest entry, and so is the
+    # zero cut between l_s and n_s: 2^k s grades as s, eigenvalues times 2^k
+    real = build_realization(label)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    s = (x + x.conj().T) / 2
+    if label == "SL(3,R)":
+        s = 1j * (x.real - x.real.T) / 2  # theta-fixed, so h^C and m^C grade too
+    spaces = ["g^C", "h^C", "m^C"] if label == "SL(3,R)" else ["g^C"]
+    for space in spaces:
+        one = parabolic_grading(real, s, space)
+        ref = ad_grading(real, s, space=space)
+        for k in (-600, -300, -30, 0, 30, 300, 600):
+            got = ad_grading(real, 2.0**k * s, space=space)
+            assert [m for _, m in got] == [m for _, m in ref], (space, k)
+            want = 2.0**k * np.array([lam for lam, _ in ref])
+            assert np.allclose([lam for lam, _ in got], want, rtol=0, atol=1e-12 * np.abs(want).max())
+            scaled = parabolic_grading(real, 2.0**k * s, space)
+            assert (scaled.dim_l, scaled.dim_n) == (one.dim_l, one.dim_n), (space, k)
 
 
 def test_levi_centralizer_wall_is_everything():
@@ -134,7 +183,7 @@ def test_the_structured_grading_stays_cubic(tmp_path, n):
 
 def test_the_grading_of_a_j_commuting_s_has_no_bound_on_n(tmp_path):
     rng = np.random.default_rng(2)
-    n = cli._MAX_DENSE_N + 8
+    n = 24
     s = _hermitian(rng, n, block=n // 2)
     for space in ("h^C", "m^C"):
         code, report, seconds, peak = _cost(tmp_path, f"SU({n // 2},{n - n // 2})", s, space)
@@ -143,9 +192,9 @@ def test_the_grading_of_a_j_commuting_s_has_no_bound_on_n(tmp_path):
 
 
 def _theta_fixed(rng, label, n):
-    """A Hermitian s with theta(s) = s that takes the dense compression: i times
-    a real antisymmetric matrix on SL(n,R); on SU(p,q) a J-block s whose
-    off-diagonal blocks are below the theta test, 1e-12 of it, but not zero."""
+    """A Hermitian s with theta(s) = s: i times a real antisymmetric matrix on
+    SL(n,R); on SU(p,q) a J-block s whose off-diagonal blocks are below the
+    theta test, 1e-12 of it, but not zero."""
     if label.startswith("SL"):
         x = rng.standard_normal((n, n))
         return 1j * (x - x.T) / 2
@@ -155,32 +204,41 @@ def _theta_fixed(rng, label, n):
     return _hermitian(rng, n, block=p) + 1e-12 * off
 
 
-@pytest.mark.parametrize("space", ["h^C", "m^C"])
-def test_the_dense_fallback_is_bounded_at_the_realization(tmp_path, space):
+@pytest.mark.parametrize("n", [8, 16, 24, 32, 40])
+def test_the_theta_fixed_grading_stays_cubic(tmp_path, n):
+    # h^C and m^C of SL(n,R) and SU(p,q) grade off one n x n eigh, as g^C does;
+    # the ceilings are those of the g^C sweep
     rng = np.random.default_rng(3)
-    bound = cli._MAX_DENSE_N
-    for n in (bound // 2, bound):
+    for space in ("h^C", "m^C"):
         for label in (f"SL({n},R)", f"SU({n // 2},{n - n // 2})"):
             code, report, seconds, peak = _cost(tmp_path, label, _theta_fixed(rng, label, n), space)
             assert code == 0, report.get("error")
-            assert seconds < 5.0 and peak < 64 * 2**20, (label, seconds, peak)
-    for label in (f"SL({bound + 1},R)", f"SU({bound // 2},{bound // 2 + 1})"):
-        code, report = _parabolic(tmp_path, label, _hermitian(rng, bound + 1), space)
-        assert code == 3
-        assert report["error"]["location"] == "$.realization"
-        assert report["outputs"] == {}
+            assert seconds < 0.5 and peak < 4 * 2**20, (label, space, seconds, peak)
+
+
+@pytest.mark.parametrize("space", ["h^C", "m^C"])
+def test_a_zero_s_grades_past_n_16(tmp_path, space):
+    # s = 0 is theta-fixed at every n: ad(0) grades the whole space at 0
+    code, report = _parabolic(tmp_path, "SL(17,R)", np.zeros((17, 17), dtype=complex), space)
+    assert code == 0, report.get("error")
+    dim = 17 * 16 // 2 if space == "h^C" else 17 * 18 // 2 - 1
+    assert report["outputs"]["eigenvalues"]["value"] == [0.0]
+    assert report["outputs"]["dim_l"]["value"] == dim
 
 
 @pytest.mark.parametrize("space", ["h^C", "m^C"])
 def test_parabolic_refuses_an_s_whose_ad_leaves_the_subspace(tmp_path, space):
     # ad(s) maps h^C and m^C of SL(3,R) into themselves only when theta(s) = s;
-    # otherwise the dense compression is no grading and the command refuses s
+    # otherwise no grading of them exists and the command refuses s
     rng = np.random.default_rng(11)
     for c in (1.0, 2.0**600, 2.0**-600):
         for label in ("SL(3,R)", "SU(2,1)"):
             code, report = _parabolic(tmp_path, label, c * _hermitian(rng, 3), space)
             assert code == 3
             assert report["error"]["location"] == "$.s"
+            assert report["error"]["message"] == (
+                f"$.s: ad(s) preserves {space} only when theta(s) = s; this s has a part in m^C"
+            )
             assert report["outputs"] == {}
 
 
@@ -188,7 +246,7 @@ def test_parabolic_refuses_an_s_whose_ad_leaves_the_subspace(tmp_path, space):
 def test_a_theta_fixed_s_is_graded_as_before(tmp_path, space):
     # the theta-fixed s of SL(3,R) keeps the grading of the dense compression
     # (grading_oracle), which is an honest one: each eigenvector m of it has
-    # [s, m] = lambda m
+    # [s, m] = lambda m; the closed form agrees with it to rounding
     rng = np.random.default_rng(12)
     real = build_realization("SL(3,R)")
     for _ in range(5):
@@ -199,5 +257,7 @@ def test_a_theta_fixed_s_is_graded_as_before(tmp_path, space):
                 assert np.linalg.norm(comm(s, m) - lam * m) < 1e-10
         code, report = _parabolic(tmp_path, "SL(3,R)", s, space)
         assert code == 0, report.get("error")
-        assert report["outputs"]["eigenvalues"]["value"] == [lam for lam, _ in want]
+        got = report["outputs"]["eigenvalues"]["value"]
+        assert len(got) == len(want)
+        assert np.allclose(got, [lam for lam, _ in want], rtol=0, atol=1e-12)
         assert report["outputs"]["dim_l"]["value"] == sum(len(b) for lam, b in want if abs(lam) <= 1e-9)
