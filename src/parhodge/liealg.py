@@ -248,26 +248,12 @@ class Realization:
             return True
         return hs_norm(self.sigma(x) - x) <= tol * (1 + hs_norm(x))
 
-    # ----- bases ----------------------------------------------------------
-
-    def basis_g(self) -> list[np.ndarray]:
-        """Real basis of the real form g (as complex arrays)."""
-        if not self.real_form:
-            raise UnsupportedGroup(f"basis_g only provided for real forms, not {self.label}")
-        return self._row.basis_g(self)
-
-    def basis_hC(self) -> list[np.ndarray]:
-        return self._row.basis_hC(self)
-
-    def basis_mC(self) -> list[np.ndarray]:
-        return self._row.basis_mC(self)
-
     # ----- the class of the group -----------------------------------------
 
     @property
     def real_form(self) -> bool:
         """A noncompact real form: h^C and m^C are the +-1-eigenspaces of theta."""
-        return self._row.basis_g is not None
+        return self._row.real_form
 
     @property
     def eigenlines(self) -> tuple | None:
@@ -280,39 +266,6 @@ class Realization:
         """(p, q) of the Toledo pairing, None unless G is of Hermitian type; in
         the split frame of SL(2,R) the two summands are the isotropic lines."""
         return (1, 1) if self.eigenlines is not None else self.signature
-
-
-def _unit(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1
-    return m
-
-
-def _units(real: Realization, keep: Callable[[int, int], bool]) -> list[np.ndarray]:
-    n = real.n
-    return [_unit(n, i, j) for i in range(n) for j in range(n) if keep(i, j)]
-
-
-def _sl_diag_basis(n: int) -> list[np.ndarray]:
-    return [_unit(n, i, i) - _unit(n, i + 1, i + 1) for i in range(n - 1)]
-
-
-def _gl_basis(real: Realization) -> list[np.ndarray]:
-    return _units(real, lambda i, j: True)
-
-
-def _sl_basis(real: Realization) -> list[np.ndarray]:
-    return _units(real, lambda i, j: i != j) + _sl_diag_basis(real.n)
-
-
-def _su_pq_basis_g(real: Realization) -> list[np.ndarray]:
-    n, (p, _) = real.n, real.signature
-    out: list[np.ndarray] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            eps = 1.0 if (i < p) == (j < p) else -1.0
-            out += [_unit(n, i, j) - eps * _unit(n, j, i), 1j * (_unit(n, i, j) + eps * _unit(n, j, i))]
-    return out + [1j * d for d in _sl_diag_basis(n)]
 
 
 def _theta_plus(real: Realization, x: np.ndarray) -> np.ndarray:
@@ -344,15 +297,13 @@ def _neg_adjoint(real: Realization, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Family:
     """What one family of models fixes.  theta, sigma and the projections
-    map (realization, matrix) to a matrix; the bases take the realization."""
+    map (realization, matrix) to a matrix."""
 
     theta: Callable
     sigma: Callable
     project_hC: Callable
     project_mC: Callable
-    basis_hC: Callable
-    basis_mC: Callable
-    basis_g: Callable | None = None  # noncompact real forms only
+    real_form: bool = False  # noncompact: h^C and m^C are the theta-eigenspaces
     complex_group: bool = False  # g is all of g^C
     eigenlines: tuple | None = None  # of the rank-one (n = 2) model
     # what ad(a) grades on (h^C, m^C, g^C), in the order of SPACES: "gl" or "sl"
@@ -387,37 +338,20 @@ _SU11_LINES = tuple(
 
 _FAMILIES = {
     # on the m^C model (all of gl_n) the real points of GL(n,C) are the Hermitian matrices
-    "GL_C": _Family(
-        _neg_adjoint, _adjoint, _same, _same, _gl_basis, _gl_basis, complex_group=True,
-        ad_spaces=("gl", "gl", "gl"),
-    ),
+    "GL_C": _Family(_neg_adjoint, _adjoint, _same, _same, complex_group=True, ad_spaces=("gl", "gl", "gl")),
     # g^C is sl_n, which both sl_n copies span
-    "SL_C": _Family(
-        _neg_adjoint, _adjoint, _same, _same, _sl_basis, _sl_basis, complex_group=True,
-        ad_spaces=("sl", "sl", "sl"),
-    ),
-    "U": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _gl_basis, lambda r: [], ad_spaces=("gl", "0", "gl")),
-    "SU": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, _sl_basis, lambda r: [], ad_spaces=("sl", "0", "sl")),
+    "SL_C": _Family(_neg_adjoint, _adjoint, _same, _same, complex_group=True, ad_spaces=("sl", "sl", "sl")),
+    "U": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, ad_spaces=("gl", "0", "gl")),
+    "SU": _Family(_neg_adjoint, _neg_adjoint, _same, _zero, ad_spaces=("sl", "0", "sl")),
     "SL_R": _Family(
-        lambda r, x: -x.T,
-        lambda r, x: x.conj(),
-        _theta_plus,
-        _theta_minus,
-        lambda r: [_unit(r.n, i, j) - _unit(r.n, j, i) for i in range(r.n) for j in range(i + 1, r.n)],
-        lambda r: [_unit(r.n, i, j) + _unit(r.n, j, i) for i in range(r.n) for j in range(i + 1, r.n)]
-        + _sl_diag_basis(r.n),
-        basis_g=_sl_basis, eigenlines=_SL2R_LINES,
+        lambda r, x: -x.T, lambda r, x: x.conj(), _theta_plus, _theta_minus, real_form=True, eigenlines=_SL2R_LINES
     ),
     "SU_pq": _Family(
         lambda r, x: r._J @ x @ r._J,
         lambda r, x: -r._J @ x.conj().T @ r._J,
         _theta_plus,
         _theta_minus,
-        # units inside the two diagonal blocks, then the traceless diagonal; units across them
-        lambda r: _units(r, lambda i, j: (i < r.signature[0]) == (j < r.signature[0]) and i != j)
-        + _sl_diag_basis(r.n),
-        lambda r: _units(r, lambda i, j: (i < r.signature[0]) != (j < r.signature[0])),
-        basis_g=_su_pq_basis_g, eigenlines=_SU11_LINES, ad_spaces=("hJ", "mJ", "sl"),
+        real_form=True, eigenlines=_SU11_LINES, ad_spaces=("hJ", "mJ", "sl"),
     ),
 }
 
@@ -508,34 +442,39 @@ def _ad_norm(kind: str, x: np.ndarray, p: int) -> float:
     return math.hypot(math.sqrt(2 * q) * r1, math.sqrt(2 * p) * r2, math.sqrt(2 * p * q) * abs(c1 - c2))
 
 
-def _theta_split(kind: str, lam: np.ndarray, u: np.ndarray, values: np.ndarray, i: np.ndarray, j: np.ndarray, mats):
+def _outer(u: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The stack of the matrices u_i u_j^H over the index pairs (i, j)."""
+    return u[:, i].T[:, :, None] * u[:, j].conj().T[:, None, :]
+
+
+def _theta_split(kind: str, lam: np.ndarray, u: np.ndarray, values: np.ndarray, i: np.ndarray, j: np.ndarray, bases):
     """_structured_spectrum on "hT" or "mT" from the ascending pairs (i, j) of
-    gl_n: theta fixes a, so it is an involution of each eigenspace E_c of ad(a),
-    of trace T_c = -sum |G_ij|^2 for G = U^T U, and h^C meets E_c in
-    (dim E_c + T_c) / 2 dimensions; m^C takes the rest, less the identity at
-    c = 0.  The E_c are the values grouped at rounding level, each read as its
-    least; a basis is one SVD of the (1 +- theta) / 2 images of its u_i u_j^H.
-    """
-    n = len(lam)
-    gap = 64 * np.finfo(float).eps * max(1.0, float(np.abs(lam).max()))
-    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap)
-    stops = np.append(starts[1:], len(values))
-    sign = 1 if kind == "hT" else -1
-    dims = np.rint((stops - starts - sign * np.add.reduceat(np.abs(u.T @ u)[i, j] ** 2, starts)) / 2).astype(int)
-    zero = np.searchsorted(starts, np.flatnonzero(i == j)[0], side="right") - 1
-    if kind == "mT":
-        dims[zero] -= 1  # the identity
-    graded = np.repeat(values[starts], dims)
-    if mats is None:
+    gl_n.  a = c + iB, B real antisymmetric: U takes u_{n-1-k} = conj(u_k) over
+    the p pairs c -+ mu, mu > 0, a real basis of ker B between them, and its
+    polar factor, which keeps that pairing and undoes what eigh mixes of c -+ mu
+    at a small mu.  Then theta(E_ij) = -E_pi(j)pi(i), E_ij = u_i u_j^H: h^C takes
+    (E_ij - E_pi(j)pi(i)) / sqrt 2 from each orbit of two, m^C the sums and the
+    fixed pairs less the identity, each at the least value of its rounding group."""
+    n, gap = len(lam), 64 * np.finfo(float).eps * max(1.0, float(np.abs(lam).max()))
+    least = np.maximum.accumulate(np.where(np.diff(values, prepend=-np.inf) > gap, values, -np.inf))
+    p = int(np.count_nonzero(lam[::-1][: n // 2] - lam[: n // 2] > gap / 2))
+    pi = np.concatenate([np.arange(n - 1, n - p - 1, -1), np.arange(p, n - p), np.arange(p - 1, -1, -1)])
+    partner = np.argsort(i * n + j)[pi[j] * n + pi[i]]  # the position of theta's image of each pair
+    sel = np.flatnonzero(np.arange(n * n) < partner if kind == "hT" else np.arange(n * n) <= partner)
+    diag = np.flatnonzero(i[sel] == j[sel])
+    graded = np.delete(least[sel], diag[0]) if kind == "mT" else least[sel]
+    if not bases:
         return graded, None
-    out = [np.zeros((0, n, n), dtype=complex)]
-    for g in np.flatnonzero(dims):
-        e = mats[starts[g] : stops[g]]
-        e = (e - sign * e.swapaxes(1, 2)) / 2
-        if kind == "mT" and g == zero:
-            e = e - np.trace(e, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
-        out.append(np.linalg.svd(e.reshape(len(e), -1), full_matrices=False)[2][: dims[g]].reshape(-1, n, n))
-    return graded, np.concatenate(out)
+    real = np.linalg.svd(np.hstack([u[:, p : n - p].real, u[:, p : n - p].imag]))[0][:, : n - 2 * p]
+    w, _, vh = np.linalg.svd(np.hstack([u[:, :p], real, u[:, :p][:, ::-1].conj()]))
+    mats = _outer(w @ vh, i, j)
+    fixed = sel == partner[sel]
+    out = (mats[sel] + (1 if kind == "mT" else -1) * mats[partner[sel]]) / np.where(fixed, 2, 2**0.5)[:, None, None]
+    if kind == "mT":  # a Householder reflection takes the unit identity on the diagonal part to the first
+        v = np.where(fixed[diag], 1, 2**0.5) / math.sqrt(n) + np.eye(len(diag))[0]
+        out[diag] -= np.multiply.outer(v / v[0], np.tensordot(v, out[diag], 1))
+        out = np.delete(out, diag[0], axis=0)
+    return graded, out
 
 
 def _structured_spectrum(
@@ -570,9 +509,9 @@ def _structured_spectrum(
     values = lam[i] - lam[j]
     order = np.argsort(values, kind="stable")
     values, i, j = values[order], i[order], j[order]
-    mats = u[:, i].T[:, :, None] * u[:, j].conj().T[:, None, :] if bases else None
     if kind in ("hT", "mT"):
-        return _theta_split(kind, lam, u, values, i, j, mats)
+        return _theta_split(kind, lam, u, values, i, j, bases)
+    mats = _outer(u, i, j) if bases else None
     if bases and traceless and n > 1:
         # Helmert rows: (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)), k = 1 .. n - 1
         k = np.arange(1, n)[:, None]

@@ -8,11 +8,10 @@ on n_s and on commutators of the Levi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .liealg import Realization, _exp_hermitian, _pow2_of, ad_eigendecompose, ad_grading, trace_form
+from .liealg import Realization, _pow2_of, ad_eigendecompose, ad_grading, trace_form
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,10 @@ def parabolic_grading(real: Realization, s: np.ndarray, space: str, tol: float =
     return ParabolicGrading(tuple(lam for lam, _ in grading), dims["l"], dims["n"])
 
 
+# an ad(alpha)-eigenvalue within this of an integer puts alpha on a wall
+_WALL_TOL = 1e-7
+
+
 def p1_subalgebra(real: Realization, alpha: np.ndarray) -> list[np.ndarray]:
     """Basis of the (-1)-eigenspace of ad(alpha) on h^C (gauge directions n/z).
 
@@ -80,37 +83,19 @@ def p1_subalgebra(real: Realization, alpha: np.ndarray) -> list[np.ndarray]:
     """
     out = []
     for lam, basis in ad_eigendecompose(real, alpha, space="h^C"):
-        if abs(lam + 1.0) <= 1e-7:
+        if abs(lam + 1.0) <= _WALL_TOL:
             out.extend(basis)
     return out
 
 
-def _restricted(basis: list[np.ndarray], apply: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal columns q spanning the row-major vectorized basis, and the
-    matrix q^H vec(L(q)) of a linear map L on n x n matrices; L receives the
-    whole (k, n, n) stack of the columns at once."""
-    n = basis[0].shape[0]
-    q, _ = np.linalg.qr(np.stack([b.ravel() for b in basis]).T)
-    stack = q.T.reshape(-1, n, n)
-    return q, q.conj().T @ apply(stack).reshape(len(stack), -1).T
-
-
-def _fixed_space(mats: list[np.ndarray], u: np.ndarray) -> list[np.ndarray]:
-    if not mats:
-        return []
-    u_inv = np.linalg.inv(u)
-    q, op = _restricted(mats, lambda b: u @ b @ u_inv - b)
-    _, s, vh = np.linalg.svd(op)
-    top = s[0] if len(s) and s[0] > 1 else 1.0
-    rank = int(np.sum(s > 1e-8 * top))
-    n = mats[0].shape[0]
-    return list((q @ vh[rank:].conj().T).T.reshape(-1, n, n))
-
-
 def levi_centralizer_tilde(real: Realization, alpha: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Fixed spaces of Ad(e^{2 pi i alpha}) on (m^C, h^C): the residue ambient
-    space m~0 and the Lie algebra of the stabilizer inside H^C."""
-    u = _exp_hermitian(alpha, 2j * np.pi)  # alpha is Hermitian, a compact torus element
-    m_tilde = _fixed_space(real.basis_mC(), u)
-    stab = _fixed_space(real.basis_hC(), u)
-    return m_tilde, stab
+    space m~0 and the Lie algebra of the stabilizer inside H^C.  Ad(e^{2 pi i
+    alpha}) = e^{2 pi i ad(alpha)}, so they are the ad(alpha)-eigenspaces of
+    integer eigenvalue; on a real form alpha must be theta-fixed."""
+    out: dict[str, list[np.ndarray]] = {"m^C": [], "h^C": []}
+    for space, kept in out.items():
+        for lam, basis in ad_eigendecompose(real, alpha, space=space):
+            if abs(lam - round(lam)) <= _WALL_TOL:
+                kept.extend(basis)
+    return out["m^C"], out["h^C"]

@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 from cayley_oracle import cayley_transform, validate_ks_real
+from realization_oracle import oracle_of
 from scipy.linalg import expm
 
 from parhodge.liealg import (
@@ -34,7 +35,7 @@ def _descent(real, t: SL2Triple, tol: float = 1e-9, max_iter: int = 10_000) -> S
     Directions include the noncompact part of g: conjugation by the compact
     group alone preserves ||theta(e) + f||, so it cannot make progress.
     """
-    basis = real.basis_g()
+    basis = oracle_of(real).basis_g()
     x, e, f = (np.asarray(m, dtype=complex) for m in (t.x, t.e, t.f))
 
     def defect(e_, f_):
@@ -130,7 +131,7 @@ def certificate(real, e: np.ndarray) -> tuple:
 def conjugates(real, e: np.ndarray, count: int, seed: int, spread: float = 0.3):
     """g e g^-1 for g = exp(sum c_i b_i), b_i the real basis of g."""
     rng = np.random.default_rng(seed)
-    basis = real.basis_g()
+    basis = oracle_of(real).basis_g()
     for _ in range(count):
         g = expm(sum(c * b for c, b in zip(spread * rng.standard_normal(len(basis)), basis)))
         yield g @ e @ np.linalg.inv(g)

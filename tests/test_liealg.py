@@ -6,13 +6,12 @@ import jordan_oracle
 import numpy as np
 import pytest
 from cayley_oracle import cayley_transform, inverse_cayley_transform, validate_ks_real
-from grading_oracle import dense_eigendecompose
+from grading_oracle import _restricted, dense_eigendecompose, model_basis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
 from parhodge.cli import cli_dispatch
-from parhodge.parabolic import _restricted
 
 from parhodge.liealg import (
     SPACES,
@@ -28,6 +27,7 @@ from parhodge.liealg import (
     _exp_nilpotent,
     _order,
     _pow2_at,
+    _pow2_of,
     NotInCartan,
     NotThetaFixed,
     ad_eigendecompose,
@@ -62,7 +62,7 @@ def test_trace_form_signs():
     sl2r = build_realization("SL(2,R)")
     j0 = np.array([[0, 1], [-1, 0]], dtype=complex)
     assert np.trace(j0 @ j0).real < 0
-    for m in sl2r.basis_mC():
+    for m in model_basis(sl2r, "m^C"):
         assert np.trace(m @ m).real > 0
     su11 = build_realization("SU(1,1)")
     for h in [np.diag([1j, -1j])]:
@@ -398,7 +398,7 @@ def test_restricted_operator_matches_the_column_loop(label):
     u_inv = np.linalg.inv(u)
     ad, twist = (lambda b: s @ b - b @ s), (lambda b: u @ b @ u_inv - b)
     for space in SPACES:
-        basis = (real.basis_hC() if space != "m^C" else []) + (real.basis_mC() if space != "h^C" else [])
+        basis = model_basis(real, space)
         if real.real_form and space != "g^C":
             # a random s is not theta-fixed, so ad(s) leaves h^C and m^C
             with pytest.raises(NotThetaFixed):
@@ -934,6 +934,57 @@ def test_structured_grading_matches_the_dense_compression(label):
                 for m in basis:
                     assert hs_norm(comm(a, m) - lam * m) <= 1e-10 * (1 + hs_norm(a))
                     assert inside(m)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_each_theta_orbit_lies_in_one_exact_c_group(n):
+    # on h^C and m^C of SL(n,R) the grading pairs E_ij = u_i u_j^H with theta's
+    # image -E_pi(j)pi(i), pi the pairing of the eigenvalues c -+ mu of a, and
+    # reads the orbit's eigenvalue off its first member: both values must fall
+    # in one group of the values at rounding level, at every scale of a
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    rotations = np.zeros((n, n))
+    for k, angle in enumerate(rng.choice([0.25, 0.5, 1.0], n // 2)):
+        rotations[2 * k, 2 * k + 1], rotations[2 * k + 1, 2 * k] = angle, -angle
+    i, j = np.divmod(np.arange(n * n), n)
+    for a in (1j * (x - x.T) / 2, 1j * q @ rotations @ q.T, 1j * rotations):
+        for k in (-600, 0, 600):
+            b = 2.0**k * a
+            lam = np.linalg.eigvalsh(b / _pow2_of(b))
+            gap = 64 * np.finfo(float).eps * max(1.0, np.abs(lam).max())
+            p = int(np.count_nonzero(lam[::-1][: n // 2] - lam[: n // 2] > gap / 2))
+            pi = np.concatenate([np.arange(n - 1, n - p - 1, -1), np.arange(p, n - p), np.arange(p - 1, -1, -1)])
+            values = np.sort(lam[i] - lam[j])
+            cuts = values[1:][np.diff(values) > gap]  # the least value of each group but the first
+            group = np.searchsorted(cuts, lam[i] - lam[j], side="right")
+            assert np.array_equal(group, np.searchsorted(cuts, lam[pi[j]] - lam[pi[i]], side="right")), (n, k)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_theta_eigenbases_stay_orthonormal_beside_a_small_rotation(n):
+    # a rotation angle mu far below ||a|| leaves eigh's eigenvectors of c -+ mu
+    # mixed to about eps ||a|| / mu; the bases of h^C and m^C of SL(n,R) must
+    # still be orthonormal, inside the subspace and eigenvectors of ad(a) (the
+    # per-eigenspace SVD made them orthonormal only to 1.6e-4)
+    real = build_realization(f"SL({n},R)")
+    rng = np.random.default_rng(n)
+    for mu in (30 * np.finfo(float).eps, 1e-13, 1e-10, 1e-6):
+        rotations = np.zeros((n, n))
+        rotations[0, 1], rotations[1, 0] = mu, -mu
+        rotations[2, 3], rotations[3, 2] = 0.7, -0.7
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = 1j * q @ rotations @ q.T
+        for space, inside, dim in (("h^C", real.in_hC, n * (n - 1) // 2), ("m^C", real.in_mC, n * (n + 1) // 2 - 1)):
+            eig = ad_eigendecompose(real, a, space=space)
+            stack = np.array([m.ravel() for _, basis in eig for m in basis])
+            assert len(stack) == dim, (mu, space)
+            assert np.allclose(stack.conj() @ stack.T, np.eye(dim), rtol=0, atol=1e-12), (mu, space)
+            for lam, basis in eig:
+                for m in basis:
+                    assert inside(m, tol=1e-12), (mu, space)
+                    assert hs_norm(comm(a, m) - lam * m) <= 1e-9, (mu, space)
 
 
 @pytest.mark.parametrize("label", ["GL(3,C)", "SL(3,R)", "SU(2,1)", "SU(3)"])

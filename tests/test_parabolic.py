@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grading_oracle import dense_eigendecompose
+from grading_oracle import dense_eigendecompose, dense_levi_centralizer_tilde, model_basis
 
 from parhodge.cli import cli_dispatch
 
@@ -121,8 +121,8 @@ def test_levi_centralizer_wall_is_everything():
     sl2r = build_realization("SL(2,R)")
     alpha = 0.5 * SL2R_TORUS
     m0, stab = levi_centralizer_tilde(sl2r, alpha)
-    assert len(m0) == len(sl2r.basis_mC()) == 2
-    assert len(stab) == len(sl2r.basis_hC()) == 1
+    assert len(m0) == len(model_basis(sl2r, "m^C")) == 2
+    assert len(stab) == len(model_basis(sl2r, "h^C")) == 1
 
 
 def test_levi_centralizer_interior_is_kernel():
@@ -132,6 +132,138 @@ def test_levi_centralizer_interior_is_kernel():
     # only the diagonal survives on both sides
     assert len(m0) == 2
     assert len(stab) == 2
+
+
+def _projector(basis: list[np.ndarray]) -> np.ndarray:
+    """The orthogonal projector onto the span of the vectorized basis."""
+    if not basis:
+        return np.zeros((0, 0))
+    q, _ = np.linalg.qr(np.stack([m.ravel() for m in basis]).T)
+    return q @ q.conj().T
+
+
+def _wall_weights(delta: float) -> list[tuple[str, np.ndarray]]:
+    """Weights whose ad on h^C has the eigenvalue -1 - delta: E21 of GL(2,C)
+    and of the first block of SU(2,1), and a theta-fixed rotation of SL(3,R)."""
+    rotation = np.zeros((3, 3), dtype=complex)
+    rotation[0, 1], rotation[1, 0] = 1j, -1j
+    return [
+        ("GL(2,C)", np.diag([0.5 + delta / 2, -0.5 - delta / 2]).astype(complex)),
+        ("SU(2,1)", np.diag([0.5 + delta / 2, -0.5 - delta / 2, 0.0]).astype(complex)),
+        ("SL(3,R)", (1 + delta) * rotation),
+    ]
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10])
+def test_the_gauge_directions_lie_in_the_stabilizer(delta):
+    # p1_subalgebra and the stabilizer read one wall tolerance: where p1 finds
+    # alpha on the wall, its gauge directions n/z lie in the algebra of the
+    # stabilizer; near the wall, at 1e-6, p1 is empty
+    for label, alpha in _wall_weights(delta):
+        real = build_realization(label)
+        p1 = p1_subalgebra(real, alpha)
+        _, stab = levi_centralizer_tilde(real, alpha)
+        assert len(p1) == (delta < 1e-7), (label, delta)
+        outside = np.eye(real.n**2) - _projector(stab)
+        for m in p1:
+            assert np.linalg.norm(outside @ m.ravel()) <= 1e-8, (label, delta)
+
+
+def _torus_weights(real, rng) -> list[tuple[str, np.ndarray]]:
+    """Theta-fixed weights alpha: generic, on walls, and zero.  On SL(n,R)
+    alpha = i Q R Q^T for rotation blocks R, at random angles and at +-1/2
+    and +-1/4; on SU(p,q) J-block-diagonal; a random unitary frame elsewhere."""
+    n = real.n
+
+    def frame(d):
+        if real.family == "SL_R":
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            rotations = np.zeros((n, n))
+            for k, angle in enumerate(d[: n // 2]):
+                rotations[2 * k, 2 * k + 1], rotations[2 * k + 1, 2 * k] = angle, -angle
+            return 1j * q @ rotations @ q.T
+        blocks = [(0, n)] if real.signature is None else [(0, real.signature[0]), (real.signature[0], n)]
+        out = np.zeros((n, n), dtype=complex)
+        for start, stop in blocks:
+            x = rng.standard_normal((stop - start,) * 2) + 1j * rng.standard_normal((stop - start,) * 2)
+            u, _ = np.linalg.qr(x)
+            out[start:stop, start:stop] = u @ np.diag(d[start:stop]) @ u.conj().T
+        return out
+
+    return [
+        ("generic", frame(rng.uniform(-1.5, 1.5, n))),
+        ("half-wall", frame(rng.choice([-0.5, 0.5], n))),
+        ("quarter-wall", frame(rng.choice([-0.5, -0.25, 0.25, 0.5], n))),
+        ("integer-wall", frame(rng.integers(-2, 3, n).astype(float))),
+        ("zero", np.zeros((n, n), dtype=complex)),
+    ]
+
+
+TORUS_MODELS = [
+    f"{group}({n}{field})"
+    for n in range(1, 7)
+    for group, field in (("GL", ",C"), ("SL", ",C"), ("U", ""), ("SU", ""), ("SL", ",R"))
+] + [f"SU({p},{q})" for p in range(1, 6) for q in range(1, 7 - p)]
+
+
+@pytest.mark.parametrize("label", TORUS_MODELS)
+def test_levi_centralizer_matches_the_dense_fixed_space(label):
+    # the integer ad(alpha)-eigenspaces are the fixed spaces of Ad(e^{2 pi i alpha})
+    real = build_realization(label)
+    rng = np.random.default_rng(real.n * 17 + len(label))
+    for kind, alpha in _torus_weights(real, rng):
+        for got, want in zip(levi_centralizer_tilde(real, alpha), dense_levi_centralizer_tilde(real, alpha)):
+            assert len(got) == len(want), (label, kind)
+            if not got:
+                continue
+            assert np.linalg.norm(_projector(got) - _projector(want)) <= 1e-8, (label, kind)
+            stack = np.stack([m.ravel() for m in got])
+            assert np.allclose(stack.conj() @ stack.T, np.eye(len(got)), rtol=0, atol=1e-10), (label, kind)
+
+
+def test_levi_centralizer_refuses_a_weight_that_is_not_theta_fixed():
+    # ad(alpha) leaves h^C and m^C of a real form unless theta(alpha) = alpha;
+    # diag(1/2, 0, -1/2) of SL(3,R) is refused too, although e^{2 pi i alpha}
+    # = diag(-1, 1, -1) happens to lie in K, where the dense compression gave
+    # correct fixed spaces
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    for label in ("SL(3,R)", "SU(2,1)"):
+        with pytest.raises(NotThetaFixed):
+            levi_centralizer_tilde(build_realization(label), (x + x.conj().T) / 2)
+    with pytest.raises(NotThetaFixed):
+        levi_centralizer_tilde(build_realization("SL(3,R)"), np.diag([0.5, 0.0, -0.5]).astype(complex))
+
+
+# the tracemalloc peaks of one call measured at alpha = 0, in MB (the wall
+# weights below peak lower); the dense compression took 40-70 ms on each
+LEVI_PEAK_MB = {"SL(24,R)": 12.8, "SU(12,12)": 5.6, "GL(16,C)": 2.44}
+
+
+@pytest.mark.parametrize("label", sorted(LEVI_PEAK_MB))
+def test_the_levi_centralizer_stays_cubic(label):
+    real = build_realization(label)
+    n = real.n
+    wall = np.zeros((n, n), dtype=complex)
+    angles = [0.5, 0.25, -0.5, -0.25] * (n // 4)
+    if real.family == "SL_R":  # rotation blocks at 1/2 and 1/4
+        for k in range(n // 2):
+            wall[2 * k, 2 * k + 1], wall[2 * k + 1, 2 * k] = 1j * angles[k], -1j * angles[k]
+    else:
+        wall[np.diag_indices(n)] = angles
+    for alpha in (np.zeros((n, n), dtype=complex), wall):
+        levi_centralizer_tilde(real, alpha)  # warm
+        start = time.perf_counter()
+        levi_centralizer_tilde(real, alpha)
+        seconds = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            levi_centralizer_tilde(real, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 0.25, (label, seconds)
+        assert peak <= 2 * LEVI_PEAK_MB[label] * 2**20, (label, peak)
 
 
 # ---------------------------------------------------------------------------
