@@ -30,8 +30,6 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from .cartan import (
     CARTAN_TYPES,
     LATTICES,
@@ -41,7 +39,6 @@ from .cartan import (
     alcove_normalize,
     build_root_datum,
 )
-from .degree import relative_position, relative_positions
 from .jsonio import (
     SchemaError,
     bool_from_json,
@@ -59,48 +56,6 @@ from .jsonio import (
     parse_document,
     real_from_json,
     str_from_json,
-)
-from .liealg import (
-    SPACES,
-    NotThetaFixed,
-    NumericallyDefective,
-    TripleCompletionFailure,
-    UnsupportedGroup,
-    build_realization,
-    hs_norm,
-    hs_norms,
-    kostant_sekiguchi_orbit_map,
-)
-from .modelmetric import (
-    GridTooCoarse,
-    circle_transport,
-    hitchin_residual,
-    holonomy_check,
-    radial_grid,
-)
-from .nahodge import (
-    CONVENTIONS,
-    SECTION_MODES,
-    complete_ks_triple,
-    entry_to_json,
-    higgs_to_localsystem,
-    hitchin_section,
-    localsystem_to_higgs,
-    milnor_wood_check,
-    toledo_invariant,
-)
-from .parabolic import parabolic_grading
-from .parhiggs import (
-    STABILITY_MODES,
-    ReductionCertificate,
-    coordinate_pairing,
-    from_json as higgs_from_json,
-    genericity_check,
-    gr_res,
-    hecke_apply,
-    pardeg_reduction,
-    stability_check,
-    to_json as higgs_to_json,
 )
 
 REPORT_SCHEMA = "parhodge-report-v1"
@@ -133,6 +88,101 @@ _MAX_Q_TERMS = 16  # per puncture
 _MAX_SAMPLE_N = 16
 # pairs in one stacked pass of the sample sweep, so its memory does not grow with the count
 _PASS_PAIRS = 64
+
+
+# ---------------------------------------------------------------------------
+# the numeric modules, imported by the first command that needs them
+# ---------------------------------------------------------------------------
+
+# the commands that read and compute with integers and Fractions only: they
+# run without numpy and the numeric modules
+_EXACT_COMMANDS = frozenset({"rootsys", "alcove-normalize"})
+
+# the errors cli_dispatch maps to exit codes 4 and 3; _load_numeric adds those
+# of the numeric modules, which only a numeric command raises
+_NO_CONVERGENCE: tuple[type[Exception], ...] = (SearchExhausted,)
+_PRECONDITION: tuple[type[Exception], ...] = (ValueError, OSError)
+
+
+@functools.cache  # once per process
+def _load_numeric() -> None:
+    """Import numpy and the numeric modules, and bind the names the numeric
+    commands read into this module's globals, where a test's patch or the
+    benchmark tracer's wrapper finds them.  A name already bound, such as a
+    patch, is kept."""
+    global _NO_CONVERGENCE, _PRECONDITION, _PLAIN_KINDS
+    import numpy as np
+
+    from .degree import relative_position, relative_positions
+    from .liealg import (
+        SPACES,
+        NotThetaFixed,
+        NumericallyDefective,
+        TripleCompletionFailure,
+        UnsupportedGroup,
+        build_realization,
+        hs_norm,
+        hs_norms,
+        kostant_sekiguchi_orbit_map,
+    )
+    from .modelmetric import (
+        GridTooCoarse,
+        circle_transport,
+        hitchin_residual,
+        holonomy_check,
+        radial_grid,
+    )
+    from .nahodge import (
+        CONVENTIONS,
+        SECTION_MODES,
+        complete_ks_triple,
+        entry_to_json,
+        higgs_to_localsystem,
+        hitchin_section,
+        localsystem_to_higgs,
+        milnor_wood_check,
+        toledo_invariant,
+    )
+    from .parabolic import parabolic_grading
+    from .parhiggs import (
+        STABILITY_MODES,
+        ReductionCertificate,
+        coordinate_pairing,
+        from_json as higgs_from_json,
+        genericity_check,
+        gr_res,
+        hecke_apply,
+        pardeg_reduction,
+        stability_check,
+        to_json as higgs_to_json,
+    )
+
+    for name, value in dict(locals()).items():
+        globals().setdefault(name, value)
+    _NO_CONVERGENCE += (GridTooCoarse, NumericallyDefective)
+    _PRECONDITION += (TripleCompletionFailure,)
+    _PLAIN[np.ndarray] = _plain_array
+    # numpy's kinds go first, since numeric reports are full of numpy
+    # scalars; each converts as the Python kind it may also be (np.float64
+    # is a float), so the order changes no value
+    _PLAIN_KINDS = {
+        np.bool_: bool,
+        np.integer: int,
+        np.floating: float,
+        np.complexfloating: _complex_pair,
+        np.ndarray: _plain_array,
+        **_PLAIN_KINDS,
+    }
+
+
+def __getattr__(name: str) -> Any:
+    """A numeric name, such as ``relative_positions``, read off this module
+    before a command has loaded it (PEP 562): load, then look again."""
+    if not name.startswith("__"):
+        _load_numeric()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):
@@ -273,11 +323,9 @@ def _root_datum(payload: dict):
 
 def _matrix(obj: Any, location: str, n: int | None = None) -> np.ndarray:
     """A matrix that must be n x n, or square when n is None."""
-    m = matrix_from_json(obj, location)
-    n = m.shape[0] if n is None else n
-    if m.shape != (n, n):
-        raise SchemaError(location, f"expected a {n}x{n} matrix, got {m.shape[0]}x{m.shape[1]}")
-    return m
+    if n is None and isinstance(obj, list):
+        n = len(obj)  # as many columns as rows
+    return matrix_from_json(obj, location, n)
 
 
 def _signature(payload: dict, n: int) -> tuple[int, int] | None:
@@ -299,7 +347,7 @@ def _convention(payload: dict, report: dict) -> str:
 
 
 def _higgs_data(payload: dict):
-    return higgs_from_json(_field(payload, "data", object_from_json))
+    return _field(payload, "data", higgs_from_json)
 
 
 def _reduction_from_json(obj: Any, location: str, n: int) -> ReductionCertificate:
@@ -324,27 +372,11 @@ def _plain(obj: Any) -> Any:
     convert = _PLAIN.get(type(obj))
     if convert is not None:
         return convert(obj)
-    # a subclass or a numpy scalar: np.float64 is a float, np.bool_ is no bool
     if obj is None or isinstance(obj, str):
         return obj
-    if isinstance(obj, Fraction):
-        return frac_to_json(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 2:
-            return matrix_to_json(obj)
-        return [_plain(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
+    for kind, convert in _PLAIN_KINDS.items():
+        if isinstance(obj, kind):
+            return convert(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
@@ -371,15 +403,35 @@ def _plain_array(a: np.ndarray) -> list:
     return [_plain(x) for x in (a.tolist() if a.ndim == 1 else a)]
 
 
-# _plain by exact type
+def _complex_pair(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def _plain_dict(d: dict) -> dict:
+    return {str(k): _plain(v) for k, v in d.items()}
+
+
+# _plain by exact type; _load_numeric adds np.ndarray
 _PLAIN: dict[type, Callable[[Any], Any]] = {
     **dict.fromkeys(_COPIED, _same),
     Fraction: frac_to_json,
     complex: lambda z: [z.real, z.imag],
-    np.ndarray: _plain_array,
-    dict: lambda d: {str(k): _plain(v) for k, v in d.items()},
+    dict: _plain_dict,
     list: _plain_sequence,
     tuple: _plain_sequence,
+}
+
+# _plain of any other type, by the first kind it is an instance of: a
+# subclass, or a numpy scalar (np.bool_ is no bool).  _load_numeric adds
+# numpy's kinds; no exact report holds a numpy value
+_PLAIN_KINDS: dict[type | tuple[type, ...], Callable[[Any], Any]] = {
+    Fraction: frac_to_json,
+    bool: bool,
+    int: int,
+    float: float,
+    complex: _complex_pair,
+    dict: _plain_dict,
+    (list, tuple): lambda seq: [_plain(x) for x in seq],
 }
 
 
@@ -1037,6 +1089,8 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
         raw, payload = _load_input(args)
         report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
         handler, _ = _COMMANDS[args.command]
+        if args.command not in _EXACT_COMMANDS:
+            _load_numeric()
         report["exit_code"] = handler(object_from_json(payload), args, report)
         text = _render(report)
         # a report is JSON, which has no NaN or Infinity: an overflow is a
@@ -1046,17 +1100,18 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
             path = _first_non_finite(report["outputs"])
             if path is not None:
                 report["outputs"] = {}
+                _load_numeric()  # the error and its exit code, for any handler's floats
                 raise NumericallyDefective(f"non-finite number at $.outputs{path}")
         if getattr(args, "csv", None):  # only a report that passed the check gets a CSV
             csv_path = args.csv
             _write_residual_csv(csv_path, report["outputs"]["table"])
-    except (GridTooCoarse, SearchExhausted, NumericallyDefective) as exc:
+    except _NO_CONVERGENCE as exc:
         text = _failed(report, EXIT_NO_CONVERGENCE, type=type(exc).__name__, message=str(exc))
     except SchemaError as exc:
         text = _failed(
             report, EXIT_PRECONDITION, type="SchemaError", location=exc.location, message=str(exc)
         )
-    except (ValueError, TripleCompletionFailure, OSError) as exc:
+    except _PRECONDITION as exc:
         text = _failed(report, EXIT_PRECONDITION, type=type(exc).__name__, message=str(exc))
     code = report["exit_code"]
     try:

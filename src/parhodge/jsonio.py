@@ -9,6 +9,9 @@ type.  A reader takes ``(value, location)``, where the location is a
 JSON-pointer-ish path such as ``$.grid.r_max`` or ``$.s[0][1]``, plus an
 optional range or set of allowed values, and raises ``SchemaError`` carrying
 that location when the value does not fit.
+
+The matrix codec imports numpy where it runs, so a document with no matrix
+is read and written without it.
 """
 from __future__ import annotations
 
@@ -19,8 +22,6 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable
-
-import numpy as np
 
 
 class SchemaError(ValueError):
@@ -272,6 +273,8 @@ def fracvec_from_json(obj: Any, location: str = "$", length: int | None = None) 
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
+    import numpy as np
+
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
@@ -287,6 +290,8 @@ def _pairs_matrix(obj: list) -> np.ndarray | None:
     """The matrix of equal-width rows of [re, im] pairs of finite JSON numbers,
     read in C; None for anything else, which the entry reader then refuses or
     reads one entry at a time."""
+    import numpy as np
+
     if type(obj[0]) is not list:
         return None
     width = len(obj[0])
@@ -310,22 +315,27 @@ def _pairs_matrix(obj: list) -> np.ndarray | None:
     return flat.view(complex).reshape(len(obj), width)
 
 
-def matrix_from_json(obj: Any, location: str = "$") -> np.ndarray:
+def matrix_from_json(obj: Any, location: str = "$", n: int | None = None) -> np.ndarray:
+    """A complex matrix, n x n when n is given."""
+    import numpy as np
+
     if not isinstance(obj, list) or not obj:
         raise SchemaError(location, "expected a non-empty nested list matrix")
     m = _pairs_matrix(obj)
-    if m is not None:
-        return m
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list):
-            raise SchemaError(f"{location}[{i}]", "expected a list row")
-        values = [_complex(z) for z in row]
-        if None in values:  # spell a location only for the entry that is refused
-            j = values.index(None)
-            complex_from_json(row[j], f"{location}[{i}][{j}]")  # raises SchemaError
-        rows.append(values)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise SchemaError(location, "ragged matrix rows")
-    return np.array(rows, dtype=complex)
+    if m is None:
+        rows = []
+        for i, row in enumerate(obj):
+            if not isinstance(row, list):
+                raise SchemaError(f"{location}[{i}]", "expected a list row")
+            values = [_complex(z) for z in row]
+            if None in values:  # spell a location only for the entry that is refused
+                j = values.index(None)
+                complex_from_json(row[j], f"{location}[{i}][{j}]")  # raises SchemaError
+            rows.append(values)
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise SchemaError(location, "ragged matrix rows")
+        m = np.array(rows, dtype=complex)
+    if n is not None and m.shape != (n, n):
+        raise SchemaError(location, f"expected a {n}x{n} matrix, got {m.shape[0]}x{m.shape[1]}")
+    return m

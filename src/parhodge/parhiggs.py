@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from operator import mul
 from typing import Any, Sequence
@@ -214,41 +215,53 @@ def _summand_from_json(obj: Any, location: str) -> tuple[Fraction, int]:
     return degree, field_from_json(obj, "rank", int_from_json, location, default=1, lo=1)
 
 
-def _term_from_json(obj: Any, location: str) -> LaurentTerm:
+def _term_from_json(obj: Any, location: str, n: int) -> LaurentTerm:
     obj = object_from_json(obj, location)
     return LaurentTerm(
         order=field_from_json(obj, "order", int_from_json, location),
         eigenvalue=field_from_json(obj, "eigenvalue", frac_from_json, location),
-        matrix=field_from_json(obj, "matrix", matrix_from_json, location),
+        matrix=field_from_json(obj, "matrix", matrix_from_json, location, n=n),
     )
 
 
-def _puncture_from_json(obj: Any, location: str) -> Puncture:
+def _puncture_from_json(obj: Any, location: str, n: int) -> Puncture:
+    """A puncture of rank-n data: a weight of n entries, n x n Laurent terms."""
     obj = object_from_json(obj, location)
     flag = field_from_json(obj, "flag", list_from_json, location, default=None, items=matrix_from_json)
     laurent = field_from_json(obj, "laurent", object_from_json, location, default={"terms": []})
-    terms = field_from_json(laurent, "terms", list_from_json, location + ".laurent", items=_term_from_json)
+    terms = field_from_json(
+        laurent, "terms", list_from_json, location + ".laurent", items=partial(_term_from_json, n=n)
+    )
     return Puncture(
-        weight=field_from_json(obj, "weight", fracvec_from_json, location),
+        weight=field_from_json(obj, "weight", fracvec_from_json, location, length=n),
         laurent=tuple(terms),
         flag=None if flag is None else tuple(flag),
     )
 
 
-def from_json(obj: dict) -> ParabolicHiggsData:
-    obj = object_from_json(obj)
+def from_json(obj: Any, location: str = "$") -> ParabolicHiggsData:
+    """The data of a parhiggs-v1 document at ``location``.  Every size is
+    checked against the rank n, the sum of the summand ranks: a weight and the
+    central twist ``c`` take one entry per coordinate, a Laurent term is n x n."""
+    obj = object_from_json(obj, location)
     if obj.get("schema") != SCHEMA:
-        raise SchemaError("$.schema", f"expected {SCHEMA!r}")
-    bundle = field_from_json(obj, "bundle", object_from_json)
-    summands = field_from_json(bundle, "summands", list_from_json, "$.bundle", items=_summand_from_json)
+        raise SchemaError(f"{location}.schema", f"expected {SCHEMA!r}")
+    bundle = field_from_json(obj, "bundle", object_from_json, location)
+    summands = field_from_json(
+        bundle, "summands", list_from_json, f"{location}.bundle", items=_summand_from_json
+    )
     degrees = tuple(degree for degree, _ in summands)
+    ranks = tuple(rank for _, rank in summands)
+    n = sum(ranks)
     return ParabolicHiggsData(
-        genus=field_from_json(obj, "genus", int_from_json, lo=0),
-        realization=field_from_json(obj, "realization", str_from_json, default=""),
-        punctures=tuple(field_from_json(obj, "punctures", list_from_json, items=_puncture_from_json)),
+        genus=field_from_json(obj, "genus", int_from_json, location, lo=0),
+        realization=field_from_json(obj, "realization", str_from_json, location, default=""),
+        punctures=tuple(
+            field_from_json(obj, "punctures", list_from_json, location, items=partial(_puncture_from_json, n=n))
+        ),
         summand_degrees=degrees,
-        summand_ranks=tuple(rank for _, rank in summands),
-        c=field_from_json(obj, "c", fracvec_from_json, default=tuple(Fraction(0) for _ in degrees)),
+        summand_ranks=ranks,
+        c=field_from_json(obj, "c", fracvec_from_json, location, default=(Fraction(0),) * n, length=n),
     )
 
 

@@ -1,8 +1,10 @@
 """Command-line surface: dispatch, exit codes, report determinism."""
 
+import ast
 import contextlib
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -760,6 +762,17 @@ H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[
         ("hecke", {"data": WALL_DATA, "lambdas": [[0, 0], [0, 0]]}, "$.lambdas"),
         ("toledo", {"data": WALL_DATA, "signature": [1, 2]}, "$.signature"),
         ("mw-check", {"data": WALL_DATA, "signature": [2, 1]}, "$.signature"),
+        # a field inside the Higgs data is located under $.data, where the input holds it
+        ("degree-parabolic", {"data": {**WALL_DATA, "schema": "x"}, "chi": [1, 0]}, "$.data.schema"),
+        ("stability", {"data": {**WALL_DATA, "bundle": []}}, "$.data.bundle"),
+        ("hecke", {"data": {**WALL_DATA, "punctures": {}}, "lambdas": []}, "$.data.punctures"),
+        ("gr-res", {"data": {**WALL_DATA, "genus": "x"}}, "$.data.genus"),
+        ("toledo", {"data": {**WALL_DATA, "realization": 3}}, "$.data.realization"),
+        (
+            "mw-check",
+            {"data": {**WALL_DATA, "bundle": {"summands": [{"degree": "x"}]}}},
+            "$.data.bundle.summands[0].degree",
+        ),
     ],
 )
 def test_hostile_field_exits_3_with_location(tmp_path, command, payload, location):
@@ -1141,36 +1154,173 @@ def test_no_command_runs_the_flow(tmp_path, monkeypatch):
     assert code == 0, report.get("error")
 
 
-SCIPY_PROBE = """
-import json, sys
-from parhodge.cli import cli_dispatch
-loaded = ["scipy.linalg" in sys.modules]
-for command, source in json.loads(sys.argv[1]):
-    code, _ = cli_dispatch([command, "--input", source, "--output", source + ".report"])
-    loaded.append((command, code, "scipy.linalg" in sys.modules))
-print(json.dumps(loaded))
+# the Higgs data is rank 2: each size below is refused where the input holds it,
+# before any command computes with it
+HIGGS_SIZE_MISMATCHES = [
+    (("punctures", 1, "weight"), ["1/2"], "$.data.punctures[1].weight"),
+    (("punctures", 1, "weight"), ["-1/2", "0", "1/2"], "$.data.punctures[1].weight"),
+    (("punctures", 2, "laurent", "terms", 0, "matrix"), [[1]], "$.data.punctures[2].laurent.terms[0].matrix"),
+    (
+        ("punctures", 2, "laurent", "terms", 0, "matrix"),
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+        "$.data.punctures[2].laurent.terms[0].matrix",
+    ),
+    (("punctures", 2, "laurent", "terms", 0, "matrix"), [[]], "$.data.punctures[2].laurent.terms[0].matrix"),
+    (("c",), [0, 0, 0], "$.data.c"),
+]
+
+
+@pytest.mark.parametrize("path, value, location", HIGGS_SIZE_MISMATCHES)
+@pytest.mark.parametrize("command", ["degree-parabolic", "stability", "hecke", "gr-res", "toledo", "mw-check"])
+def test_higgs_data_sizes_are_checked_against_the_rank(tmp_path, command, path, value, location):
+    code, report = run_cli(tmp_path, command, replaced(VALID_INPUTS[command], ("data", *path), value))
+    assert code == 3
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["location"] == location
+
+
+# the commands that compute with integers and Fractions only, and need no numpy
+EXACT_COMMANDS = ("rootsys", "alcove-normalize")
+NUMERIC_MODULES = ("degree", "liealg", "modelmetric", "nahodge", "parabolic", "parhiggs")
+WATCHED_MODULES = ["numpy", "scipy.linalg", *(f"parhodge.{name}" for name in NUMERIC_MODULES)]
+
+# runs command lines one after another in one fresh process: through
+# cli_dispatch (argv[1] "dispatch", after importing parhodge.cli) or as
+# ``python -m parhodge.cli`` runs one (argv[1] "module"), and prints which of the
+# watched modules are loaded before the first and after each command
+MODULE_PROBE = """
+import json, runpy, sys
+how, watched, runs = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+if how == "dispatch":
+    from parhodge.cli import cli_dispatch
+seen = [[name for name in watched if name in sys.modules]]
+for argv in runs:
+    if how == "module":
+        sys.argv = ["parhodge", *argv]
+        try:
+            runpy.run_module("parhodge.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+    else:
+        code, _ = cli_dispatch(argv)
+    seen.append([code, [name for name in watched if name in sys.modules]])
+print(json.dumps(seen))
 """
 
 
-def test_no_command_loads_scipy(tmp_path):
-    commands = list(VALID_INPUTS)
-    runs = []
-    for command in commands:
+def _fresh_process(tmp_path, how: str, commands: list[str]) -> tuple[list, list[Path], list]:
+    """Run the VALID_INPUTS of ``commands`` in order in one fresh process:
+    (the watched modules loaded before the first, the report path of each
+    run, its (exit code, watched modules loaded after it))."""
+    runs, reports = [], []
+    for k, command in enumerate(commands):
         source = tmp_path / f"{command}.json"
         source.write_text(json.dumps(VALID_INPUTS[command]))
-        runs.append([command, str(source)])
+        reports.append(tmp_path / f"{k}-{command}.report")
+        runs.append([command, "--input", str(source), "--output", str(reports[-1])])
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
+        [sys.executable, "-c", MODULE_PROBE, how, json.dumps(WATCHED_MODULES), json.dumps(runs)],
         capture_output=True,
         text=True,
         env=child_env(),
         check=True,
     )
-    loaded = json.loads(proc.stdout)
-    assert loaded[0] is False  # importing the CLI
-    assert [command for command, _, _ in loaded[1:]] == commands
-    assert all(code in (0, 2) for _, code, _ in loaded[1:])
-    assert [scipy for _, _, scipy in loaded[1:]] == [False] * len(commands)
+    first, *after = json.loads(proc.stdout)
+    return first, reports, after
+
+
+def test_no_command_loads_scipy(tmp_path):
+    commands = list(VALID_INPUTS)
+    imported, _, after = _fresh_process(tmp_path, "dispatch", commands)
+    assert imported == []  # importing the CLI loads neither numpy nor a numeric module
+    assert all(code in (0, 2) for code, _ in after)
+    assert ["scipy.linalg" in loaded for _, loaded in after] == [False] * len(commands)
+    # numpy and the numeric modules come with the first numeric command, all at once
+    numeric = [name for name in WATCHED_MODULES if name != "scipy.linalg"]
+    exact = len(list(itertools.takewhile(EXACT_COMMANDS.__contains__, commands)))
+    assert exact == len(EXACT_COMMANDS)
+    assert [loaded for _, loaded in after] == [[]] * exact + [numeric] * (len(commands) - exact)
+
+
+def test_exact_commands_run_as_a_module_without_numpy(tmp_path):
+    loaded, _, after = _fresh_process(tmp_path, "module", list(EXACT_COMMANDS))
+    assert [loaded, *after] == [[], *[[0, []]] * len(EXACT_COMMANDS)]
+
+
+@pytest.fixture(scope="module")
+def first_and_last(tmp_path_factory) -> dict:
+    """command -> ((exit code, report bytes) of its run as the first command of
+    a fresh process, the same of its run there after every other command)."""
+    outcomes = {}
+    for command in VALID_INPUTS:
+        others = [c for c in VALID_INPUTS if c != command]
+        _, reports, after = _fresh_process(tmp_path_factory.mktemp("fresh"), "dispatch", [command, *others, command])
+        outcomes[command] = ((after[0][0], reports[0].read_bytes()), (after[-1][0], reports[-1].read_bytes()))
+    return outcomes
+
+
+def test_each_command_keeps_its_exit_code_first_in_a_fresh_process(first_and_last):
+    codes = {command: (first[0], last[0]) for command, (first, last) in first_and_last.items()}
+    assert all(first == last and first in (0, 2) for first, last in codes.values()), codes
+
+
+def test_each_report_is_the_same_first_in_a_fresh_process_and_after_every_other(first_and_last):
+    for command, (first, last) in first_and_last.items():
+        assert first[1] == last[1], command
+
+
+def _import_time_imports(text: str) -> set[str]:
+    """The modules a source imports when it is imported, outside its function
+    bodies: "numpy" for ``import numpy as np``, ".liealg" for ``from .liealg
+    import x`` or ``from . import liealg``."""
+    found = set()
+    stack = list(ast.parse(text).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            found.update([base] if node.module else [base + alias.name for alias in node.names])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _numeric(module: str) -> bool:
+    """numpy, scipy or a numeric parhodge module, named absolutely or relatively."""
+    name = module.lstrip(".") if module.startswith(".") else module.removeprefix("parhodge.")
+    return name.split(".")[0] in ("numpy", "scipy", *NUMERIC_MODULES)
+
+
+def test_the_cli_imports_no_numeric_module_when_it_is_imported():
+    src = Path(parhodge.__file__).parent
+    for name in ("cli", "jsonio", "cartan"):
+        imported = _import_time_imports((src / f"{name}.py").read_text(encoding="utf-8"))
+        assert sorted(filter(_numeric, imported)) == [], name
+
+
+def test_the_import_ratchet_sees_every_import_that_runs_at_import():
+    text = (
+        "import numpy as np\n"
+        "if True:\n"
+        "    from .liealg import hs_norm\n"
+        "try:\n"
+        "    from . import degree, jsonio\n"
+        "except ImportError:\n"
+        "    import parhodge.nahodge\n"
+        "class Model:\n"
+        "    import scipy.linalg\n"
+        "def later():\n"
+        "    import parhodge.parhiggs\n"
+        "    from .modelmetric import radial_grid\n"
+        "from .cartan import build_root_datum\n"
+        "import json\n"
+    )
+    imported = _import_time_imports(text)
+    assert imported == {"numpy", ".liealg", ".degree", ".jsonio", "parhodge.nahodge", "scipy.linalg", ".cartan", "json"}
+    assert sorted(filter(_numeric, imported)) == [".degree", ".liealg", "numpy", "parhodge.nahodge", "scipy.linalg"]
 
 
 # ---------------------------------------------------------------------------
@@ -1664,6 +1814,9 @@ _report_values = st.recursive(
 @settings(max_examples=500, deadline=None)
 @given(_report_values)
 def test_plain_converts_as_the_isinstance_ladder_converts(value):
+    # a numpy value reaches _plain only from a numeric command, which has
+    # loaded numpy's kinds into it first
+    cli._load_numeric()
     # repr tells -0.0 from 0.0, 1 from 1.0 and True, and a numpy scalar from a Python one
     assert repr(cli._plain(value)) == repr(plain_oracle.plain(value))
 

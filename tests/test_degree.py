@@ -675,6 +675,7 @@ SWEEP_MODELS = ["GL(1,C)", "U(1)", "GL(2,C)", "SU(1,1)", "SL(2,R)", "SU(2,1)", "
 def _stacked_sweep(real, count, rng, tol=1e-9):
     """(max gap, forward positions, backward positions, pass sizes) of the
     CLI's sweep: its draws, fed to the stacked kernel pass by pass."""
+    cli._load_numeric()  # as the degree-relative command does before it draws
     worst, forwards, backwards, sizes = 0.0, [], [], []
     for s, sigma in cli._sampled_pairs(real.n, rng, count):
         forward, backward = relative_positions(s, sigma, tol)
