@@ -31,6 +31,8 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from .errors import ParhodgeError
+
 Vec = tuple[Fraction, ...]
 Covec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -39,20 +41,22 @@ CARTAN_TYPES = ("A", "B", "C", "D")
 LATTICES = ("simply_connected", "adjoint")
 
 
-class UnsupportedType(ValueError):
+class UnsupportedType(ParhodgeError, ValueError):
     """Cartan type/rank combination outside the supported classical range."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(ParhodgeError, ValueError):
     """Coordinate vector length does not match the rank."""
 
 
-class MissingWeights(ValueError):
+class MissingWeights(ParhodgeError, ValueError):
     """Scope 'g' membership requested without the m-weight covectors."""
 
 
-class SearchExhausted(RuntimeError):
+class SearchExhausted(ParhodgeError, RuntimeError):
     """alcove_normalize found no admissible multiplier k <= search_bound."""
+
+    exit_code = 4
 
     def __init__(self, bound: int):
         super().__init__(f"no k <= {bound} with k*a + lattice vector inside the open star")

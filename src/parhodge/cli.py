@@ -33,12 +33,12 @@ from typing import Any, Callable, Sequence
 from .cartan import (
     CARTAN_TYPES,
     LATTICES,
-    SearchExhausted,
     UnsupportedType,
     alcove_membership,
     alcove_normalize,
     build_root_datum,
 )
+from .errors import ParhodgeError
 from .jsonio import (
     SchemaError,
     bool_from_json,
@@ -72,7 +72,6 @@ _TOLEDO_CONVENTION = (
 EXIT_OK = 0
 EXIT_NEGATIVE_VERDICT = 2
 EXIT_PRECONDITION = 3
-EXIT_NO_CONVERGENCE = 4
 
 # exact root data grow fast with the rank: B12 takes about 0.13 s to build, B16
 # about 0.4 s, and every datum built stays in memory for the process
@@ -88,101 +87,6 @@ _MAX_Q_TERMS = 16  # per puncture
 _MAX_SAMPLE_N = 16
 # pairs in one stacked pass of the sample sweep, so its memory does not grow with the count
 _PASS_PAIRS = 64
-
-
-# ---------------------------------------------------------------------------
-# the numeric modules, imported by the first command that needs them
-# ---------------------------------------------------------------------------
-
-# the commands that read and compute with integers and Fractions only: they
-# run without numpy and the numeric modules
-_EXACT_COMMANDS = frozenset({"rootsys", "alcove-normalize"})
-
-# the errors cli_dispatch maps to exit codes 4 and 3; _load_numeric adds those
-# of the numeric modules, which only a numeric command raises
-_NO_CONVERGENCE: tuple[type[Exception], ...] = (SearchExhausted,)
-_PRECONDITION: tuple[type[Exception], ...] = (ValueError, OSError)
-
-
-@functools.cache  # once per process
-def _load_numeric() -> None:
-    """Import numpy and the numeric modules, and bind the names the numeric
-    commands read into this module's globals, where a test's patch or the
-    benchmark tracer's wrapper finds them.  A name already bound, such as a
-    patch, is kept."""
-    global _NO_CONVERGENCE, _PRECONDITION, _PLAIN_KINDS
-    import numpy as np
-
-    from .degree import relative_position, relative_positions
-    from .liealg import (
-        SPACES,
-        NotThetaFixed,
-        NumericallyDefective,
-        TripleCompletionFailure,
-        UnsupportedGroup,
-        build_realization,
-        hs_norm,
-        hs_norms,
-        kostant_sekiguchi_orbit_map,
-    )
-    from .modelmetric import (
-        GridTooCoarse,
-        circle_transport,
-        hitchin_residual,
-        holonomy_check,
-        radial_grid,
-    )
-    from .nahodge import (
-        CONVENTIONS,
-        SECTION_MODES,
-        complete_ks_triple,
-        entry_to_json,
-        higgs_to_localsystem,
-        hitchin_section,
-        localsystem_to_higgs,
-        milnor_wood_check,
-        toledo_invariant,
-    )
-    from .parabolic import parabolic_grading
-    from .parhiggs import (
-        STABILITY_MODES,
-        ReductionCertificate,
-        coordinate_pairing,
-        from_json as higgs_from_json,
-        genericity_check,
-        gr_res,
-        hecke_apply,
-        pardeg_reduction,
-        stability_check,
-        to_json as higgs_to_json,
-    )
-
-    for name, value in dict(locals()).items():
-        globals().setdefault(name, value)
-    _NO_CONVERGENCE += (GridTooCoarse, NumericallyDefective)
-    _PRECONDITION += (TripleCompletionFailure,)
-    _PLAIN[np.ndarray] = _plain_array
-    # numpy's kinds go first, since numeric reports are full of numpy
-    # scalars; each converts as the Python kind it may also be (np.float64
-    # is a float), so the order changes no value
-    _PLAIN_KINDS = {
-        np.bool_: bool,
-        np.integer: int,
-        np.floating: float,
-        np.complexfloating: _complex_pair,
-        np.ndarray: _plain_array,
-        **_PLAIN_KINDS,
-    }
-
-
-def __getattr__(name: str) -> Any:
-    """A numeric name, such as ``relative_positions``, read off this module
-    before a command has loaded it (PEP 562): load, then look again."""
-    if not name.startswith("__"):
-        _load_numeric()
-        if name in globals():
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):
@@ -294,6 +198,8 @@ def _tol(args) -> dict:
 @contextmanager
 def _label_at(location: str):
     """An unrecognized group label is the input's fault, at location."""
+    from .liealg import UnsupportedGroup
+
     try:
         yield
     except UnsupportedGroup as exc:
@@ -301,6 +207,8 @@ def _label_at(location: str):
 
 
 def _build_realization(label: str, location: str):
+    from .liealg import build_realization
+
     with _label_at(location):
         return build_realization(label)
 
@@ -341,17 +249,23 @@ def _signature(payload: dict, n: int) -> tuple[int, int] | None:
 
 def _convention(payload: dict, report: dict) -> str:
     """The monodromy scale convention of the input, echoed in the report header."""
+    from .nahodge import CONVENTIONS
+
     convention = _field(payload, "convention", str_from_json, default="2pi_i", choices=CONVENTIONS)
     report["conventions"]["monodromy_scale"] = convention
     return convention
 
 
 def _higgs_data(payload: dict):
-    return _field(payload, "data", higgs_from_json)
+    from .parhiggs import from_json
+
+    return _field(payload, "data", from_json)
 
 
 def _reduction_from_json(obj: Any, location: str, n: int) -> ReductionCertificate:
     """A reduction of rank-n data: chi gives one value per coordinate."""
+    from .parhiggs import ReductionCertificate
+
     obj = object_from_json(obj, location)
     return ReductionCertificate(
         label=_field(obj, "label", str_from_json, location, default="reduction"),
@@ -375,6 +289,14 @@ def _plain(obj: Any) -> Any:
     if obj is None or isinstance(obj, str):
         return obj
     for kind, convert in _PLAIN_KINDS.items():
+        if isinstance(obj, kind):
+            return convert(obj)
+    # what is left is a numpy value, which only a numeric command makes
+    import numpy as np
+
+    for kind, convert in (
+        (np.bool_, bool), (np.integer, int), (np.floating, float), (np.complexfloating, _complex_pair), (np.ndarray, _plain_array)
+    ):
         if isinstance(obj, kind):
             return convert(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
@@ -411,7 +333,7 @@ def _plain_dict(d: dict) -> dict:
     return {str(k): _plain(v) for k, v in d.items()}
 
 
-# _plain by exact type; _load_numeric adds np.ndarray
+# _plain by exact type
 _PLAIN: dict[type, Callable[[Any], Any]] = {
     **dict.fromkeys(_COPIED, _same),
     Fraction: frac_to_json,
@@ -421,9 +343,8 @@ _PLAIN: dict[type, Callable[[Any], Any]] = {
     tuple: _plain_sequence,
 }
 
-# _plain of any other type, by the first kind it is an instance of: a
-# subclass, or a numpy scalar (np.bool_ is no bool).  _load_numeric adds
-# numpy's kinds; no exact report holds a numpy value
+# _plain of any other type, by the first kind it is an instance of: a subclass,
+# such as numpy's float64, which converts as np.floating would
 _PLAIN_KINDS: dict[type | tuple[type, ...], Callable[[Any], Any]] = {
     Fraction: frac_to_json,
     bool: bool,
@@ -679,6 +600,9 @@ def _cmd_alcove_normalize(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_parabolic(payload: dict, args, report: dict) -> int:
+    from .liealg import SPACES, NotThetaFixed
+    from .parabolic import parabolic_grading
+
     real = _realization(payload)
     s = _field(payload, "s", _matrix, n=real.n)
     space = _field(payload, "space", str_from_json, default="g^C", choices=SPACES)
@@ -703,6 +627,10 @@ def _sampled_pairs(n: int, rng: np.random.Generator, count: int):
     drawing one pair at a time reads it: a matrix takes 2 n^2 normals (real
     part, then imaginary part), a pair two matrices in turn, and a matrix of
     norm < 1e-8 starts its pair over."""
+    import numpy as np
+
+    from .liealg import hs_norms
+
     first = None  # the drawn first matrix of a pair
     while count:
         want = min(count, _PASS_PAIRS)
@@ -724,6 +652,10 @@ def _sampled_pairs(n: int, rng: np.random.Generator, count: int):
 
 
 def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
+    import numpy as np
+
+    from .degree import relative_position, relative_positions
+
     if "sample" in payload:
         spec = object_from_json(payload["sample"], "$.sample")
         model = _field(spec, "model", str_from_json, "$.sample")
@@ -755,6 +687,8 @@ def _cmd_degree_relative(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_degree_parabolic(payload: dict, args, report: dict) -> int:
+    from .parhiggs import coordinate_pairing, pardeg_reduction
+
     data = _higgs_data(payload)
     red = _reduction_from_json(payload, "$", data.n)
     pardeg = pardeg_reduction(data, red)
@@ -770,6 +704,8 @@ def _cmd_degree_parabolic(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_stability(payload: dict, args, report: dict) -> int:
+    from .parhiggs import STABILITY_MODES, stability_check
+
     data = _higgs_data(payload)
     verdict = stability_check(
         data,
@@ -808,6 +744,8 @@ def _weight_rows(obj: Any, location: str) -> list[tuple[Fraction, ...]]:
 
 
 def _cmd_genericity(payload: dict, args, report: dict) -> int:
+    from .parhiggs import genericity_check
+
     weights = _field(payload, "weights", _weight_rows)
     budget = _field(payload, "max_combinations", int_from_json, default=200000, lo=1)
     try:
@@ -824,7 +762,13 @@ def _cmd_genericity(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_hecke(payload: dict, args, report: dict) -> int:
+    from .parhiggs import hecke_apply, to_json
+
     data = _higgs_data(payload)
+    # a shift takes one entry per summand, a weight one per coordinate
+    for k, rank in enumerate(data.summand_ranks):
+        if rank != 1:
+            raise SchemaError(f"$.data.bundle.summands[{k}].rank", f"hecke shifts line summands only, got rank {rank}")
     lambdas = _field(
         payload,
         "lambdas",
@@ -836,7 +780,7 @@ def _cmd_hecke(payload: dict, args, report: dict) -> int:
     result = hecke_apply(data, lambdas, lattice=lattice)
     method = "exact cocharacter shift"
     report["outputs"] = {
-        "data": higgs_to_json(result),
+        "data": to_json(result),
         "weights": _tagged([p.weight for p in result.punctures], method),
         "degrees": _tagged(result.summand_degrees, method),
     }
@@ -844,6 +788,8 @@ def _cmd_hecke(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_gr_res(payload: dict, args, report: dict) -> int:
+    from .parhiggs import gr_res
+
     data = _higgs_data(payload)
     i = _field(payload, "puncture", int_from_json, default=0, lo=0, hi=len(data.punctures) - 1)
     graded = gr_res(data, i, **_tol(args))
@@ -859,6 +805,8 @@ def _cmd_gr_res(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_translate_h2l(payload: dict, args, report: dict) -> int:
+    from .nahodge import entry_to_json, higgs_to_localsystem
+
     real = _realization(payload)
     alpha = _field(payload, "alpha", list_from_json, items=real_from_json, length=real.n)
     s = _field(payload, "s", _matrix, n=real.n)
@@ -871,6 +819,8 @@ def _cmd_translate_h2l(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_translate_l2h(payload: dict, args, report: dict) -> int:
+    from .nahodge import entry_to_json, localsystem_to_higgs
+
     real = _realization(payload)
     monodromy = _field(payload, "monodromy", _matrix, n=real.n)
     beta = _field(payload, "beta", _matrix, default=None, n=real.n)
@@ -897,6 +847,9 @@ def _q_terms(terms: Any, location: str) -> list[tuple[int, int, complex]]:
 
 
 def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
+    from .nahodge import SECTION_MODES, hitchin_section
+    from .parhiggs import to_json
+
     data = hitchin_section(
         _field(payload, "mode", str_from_json, choices=SECTION_MODES),
         _field(payload, "genus", int_from_json, lo=0),
@@ -906,7 +859,7 @@ def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
     )
     method = "section construction from differentials"
     report["outputs"] = {
-        "data": higgs_to_json(data),
+        "data": to_json(data),
         "weights": _tagged([p.weight for p in data.punctures], method),
         "degrees": _tagged(data.summand_degrees, method),
     }
@@ -914,6 +867,8 @@ def _cmd_hitchin_section(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_toledo(payload: dict, args, report: dict) -> int:
+    from .nahodge import toledo_invariant
+
     data = _higgs_data(payload)
     with _label_at("$.data.realization"):
         tau = toledo_invariant(data, signature=_signature(payload, data.n))
@@ -925,6 +880,8 @@ def _cmd_toledo(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_mw_check(payload: dict, args, report: dict) -> int:
+    from .nahodge import milnor_wood_check
+
     data = _higgs_data(payload)
     with _label_at("$.data.realization"):
         result = milnor_wood_check(
@@ -946,6 +903,8 @@ def _cmd_mw_check(payload: dict, args, report: dict) -> int:
 
 
 def _cmd_ks_orbit(payload: dict, args, report: dict) -> int:
+    from .liealg import kostant_sekiguchi_orbit_map
+
     real = _realization(payload)
     e = _field(payload, "e", _matrix, n=real.n)
     cert = kostant_sekiguchi_orbit_map(real, e)
@@ -963,6 +922,12 @@ def _extra_term(pair: Any, location: str, n: int) -> tuple[int, np.ndarray]:
 
 
 def _cmd_verify_model(payload: dict, args, report: dict) -> int:
+    import numpy as np
+
+    from .liealg import hs_norm
+    from .modelmetric import circle_transport, hitchin_residual, holonomy_check, radial_grid
+    from .nahodge import complete_ks_triple
+
     real = _realization(payload)
     n = real.n
     alpha = _field(payload, "alpha", list_from_json, items=real_from_json, length=n)
@@ -1089,8 +1054,6 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
         raw, payload = _load_input(args)
         report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
         handler, _ = _COMMANDS[args.command]
-        if args.command not in _EXACT_COMMANDS:
-            _load_numeric()
         report["exit_code"] = handler(object_from_json(payload), args, report)
         text = _render(report)
         # a report is JSON, which has no NaN or Infinity: an overflow is a
@@ -1100,19 +1063,19 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> tuple[int, dict]:
             path = _first_non_finite(report["outputs"])
             if path is not None:
                 report["outputs"] = {}
-                _load_numeric()  # the error and its exit code, for any handler's floats
+                from .liealg import NumericallyDefective
+
                 raise NumericallyDefective(f"non-finite number at $.outputs{path}")
         if getattr(args, "csv", None):  # only a report that passed the check gets a CSV
             csv_path = args.csv
             _write_residual_csv(csv_path, report["outputs"]["table"])
-    except _NO_CONVERGENCE as exc:
-        text = _failed(report, EXIT_NO_CONVERGENCE, type=type(exc).__name__, message=str(exc))
     except SchemaError as exc:
         text = _failed(
             report, EXIT_PRECONDITION, type="SchemaError", location=exc.location, message=str(exc)
         )
-    except _PRECONDITION as exc:
-        text = _failed(report, EXIT_PRECONDITION, type=type(exc).__name__, message=str(exc))
+    except (ParhodgeError, ValueError, OSError) as exc:
+        code = exc.exit_code if isinstance(exc, ParhodgeError) else EXIT_PRECONDITION
+        text = _failed(report, code, type=type(exc).__name__, message=str(exc))
     code = report["exit_code"]
     try:
         _emit(text, args)

@@ -29,10 +29,13 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import _row_reduce
+from .errors import ParhodgeError
 from .liealg import comm, hs_norm, hs_norms, numerical_rank
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(ParhodgeError, RuntimeError):
+    exit_code = 4
+
     def __init__(self, trace: list[tuple[float, float]]):
         super().__init__(
             f"relative degree did not settle within tolerance after t = {trace[-1][0]:.3g}"
@@ -40,7 +43,7 @@ class NonConvergence(RuntimeError):
         self.trace = trace
 
 
-class FlagError(ValueError):
+class FlagError(ParhodgeError, ValueError):
     pass
 
 

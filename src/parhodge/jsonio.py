@@ -23,8 +23,10 @@ from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable
 
+from .errors import ParhodgeError
 
-class SchemaError(ValueError):
+
+class SchemaError(ParhodgeError, ValueError):
     """Malformed input document; message carries a JSON-pointer-ish location."""
 
     def __init__(self, location: str, message: str):

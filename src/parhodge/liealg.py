@@ -21,16 +21,18 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ParhodgeError
 
-class UnsupportedGroup(ValueError):
+
+class UnsupportedGroup(ParhodgeError, ValueError):
     pass
 
 
-class NotInModel(ValueError):
+class NotInModel(ParhodgeError, ValueError):
     """Matrix fails the membership/projection check of the requested subspace."""
 
 
-class NotInCartan(ValueError):
+class NotInCartan(ParhodgeError, ValueError):
     pass
 
 
@@ -38,23 +40,25 @@ class NotThetaFixed(NotInCartan):
     """theta(a) != a, so ad(a) leaves h^C and m^C of a real form."""
 
 
-class ZeroElement(ValueError):
+class ZeroElement(ParhodgeError, ValueError):
     pass
 
 
-class NotNilpotent(ValueError):
+class NotNilpotent(ParhodgeError, ValueError):
     pass
 
 
-class NotInvertible(ValueError):
+class NotInvertible(ParhodgeError, ValueError):
     pass
 
 
-class NumericallyDefective(RuntimeError):
+class NumericallyDefective(ParhodgeError, RuntimeError):
     """Eigenvalue clustering or the Jordan-Chevalley iteration failed."""
 
+    exit_code = 4
 
-class TripleCompletionFailure(RuntimeError):
+
+class TripleCompletionFailure(ParhodgeError, RuntimeError):
     pass
 
 

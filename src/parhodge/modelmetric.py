@@ -34,14 +34,17 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ParhodgeError
 from .liealg import Realization, SL2Triple, _exp_hermitian, _exp_nilpotent, comm, hs_norm
 from .nahodge import CommutationFailure, NotSingleValued  # the checks raise both; re-exported
 from .nahodge import _at_unit_scale, _check_residue_data, _realize, monodromy_factors
 from .parhiggs import alpha_matrix
 
 
-class GridTooCoarse(ValueError):
+class GridTooCoarse(ParhodgeError, ValueError):
     """Finite-difference and analytic curvature disagree beyond the threshold."""
+
+    exit_code = 4
 
 
 # ---------------------------------------------------------------------------

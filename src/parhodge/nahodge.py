@@ -39,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ParhodgeError
 from .jsonio import (
     SchemaError,
     field_from_json,
@@ -76,7 +77,7 @@ from .liealg import (
 from .parhiggs import ParabolicHiggsData, _turn_defect, coordinate_pairing, make_data
 
 
-class CommutationFailure(ValueError):
+class CommutationFailure(ParhodgeError, ValueError):
     """Residue pieces that must commute (or be fixed by the torus) do not."""
 
 
@@ -84,15 +85,15 @@ class NotSingleValued(CommutationFailure):
     """An element that Ad(exp 2*pi*i*alpha) does not fix: its angular conjugation is multivalued."""
 
 
-class BadTopology(ValueError):
+class BadTopology(ParhodgeError, ValueError):
     """The punctured surface has 2g - 2 + n <= 0."""
 
 
-class PoleOrderViolation(ValueError):
+class PoleOrderViolation(ParhodgeError, ValueError):
     """A differential coefficient sits at a deeper pole than allowed."""
 
 
-class NotHermitianType(ValueError):
+class NotHermitianType(ParhodgeError, ValueError):
     """The realization has no invariant Hermitian structure to pair against."""
 
 

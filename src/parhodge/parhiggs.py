@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import mul
 from typing import Any, Sequence
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .cartan import _numerators
 from .degree import relative_degree_filtration
+from .errors import ParhodgeError
 from .jsonio import (
     SchemaError,
     field_from_json,
@@ -40,11 +41,11 @@ from .jsonio import (
 from .liealg import _nilpotent_series, hs_norm, jordan_additive
 
 
-class MissingEigenbasis(ValueError):
+class MissingEigenbasis(ParhodgeError, ValueError):
     """A Laurent coefficient does not lie in its declared ad(alpha)-eigenspace."""
 
 
-class InadmissiblePoles(ValueError):
+class InadmissiblePoles(ParhodgeError, ValueError):
     """Requested an operation that needs parabolic pole orders."""
 
     def __init__(self, i: int, offenders: tuple[tuple[Fraction, int], ...]):
@@ -52,7 +53,7 @@ class InadmissiblePoles(ValueError):
         self.offenders = offenders
 
 
-class NotInLattice(ValueError):
+class NotInLattice(ParhodgeError, ValueError):
     """A Hecke shift is not in the declared cocharacter lattice."""
 
 
@@ -225,18 +226,25 @@ def _term_from_json(obj: Any, location: str, n: int) -> LaurentTerm:
 
 
 def _puncture_from_json(obj: Any, location: str, n: int) -> Puncture:
-    """A puncture of rank-n data: a weight of n entries, n x n Laurent terms."""
+    """A puncture of rank-n data: a weight of n entries, n x n Laurent terms, and
+    any flag in one step per distinct weight value, each of n rows and of as many
+    columns as the weight has entries up to that value."""
     obj = object_from_json(obj, location)
     flag = field_from_json(obj, "flag", list_from_json, location, default=None, items=matrix_from_json)
     laurent = field_from_json(obj, "laurent", object_from_json, location, default={"terms": []})
     terms = field_from_json(
         laurent, "terms", list_from_json, location + ".laurent", items=partial(_term_from_json, n=n)
     )
-    return Puncture(
-        weight=field_from_json(obj, "weight", fracvec_from_json, location, length=n),
-        laurent=tuple(terms),
-        flag=None if flag is None else tuple(flag),
-    )
+    weight = field_from_json(obj, "weight", fracvec_from_json, location, length=n)
+    if flag is not None:
+        dims = list(accumulate(len(idxs) for _, idxs in _ascending_groups(weight)))
+        if len(flag) != len(dims):
+            message = f"expected one step per distinct weight value, {len(dims)}, got {len(flag)}"
+            raise SchemaError(f"{location}.flag", message)
+        for j, (step, dim) in enumerate(zip(flag, dims)):
+            if step.shape != (n, dim):  # a column per weight entry up to the step's value
+                raise SchemaError(f"{location}.flag[{j}]", f"expected a {n}x{dim} step, got {step.shape[0]}x{step.shape[1]}")
+    return Puncture(weight=weight, laurent=tuple(terms), flag=None if flag is None else tuple(flag))
 
 
 def from_json(obj: Any, location: str = "$") -> ParabolicHiggsData:

@@ -3,11 +3,12 @@
 import ast
 import contextlib
 import errno
+import importlib
 import io
-import itertools
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -760,6 +761,36 @@ H2L = {"realization": "SU(1,1)", "alpha": [0, 0], "s": [[0, 0], [0, 0]], "y": [[
         ("stability", {"data": WALL_DATA, "reductions": [{"chi": [1, -1]}, {"chi": [1, 0, -1]}]}, "$.reductions[1].chi"),
         ("hecke", {"data": WALL_DATA, "lambdas": [[0, 0, 0], [0, 0], [0, 0]]}, "$.lambdas[0]"),
         ("hecke", {"data": WALL_DATA, "lambdas": [[0, 0], [0, 0]]}, "$.lambdas"),
+        # a shift takes one entry per summand, a weight one per coordinate: a
+        # summand of rank 2 would cut the weight short
+        (
+            "hecke",
+            {
+                "data": {
+                    "schema": "parhiggs-v1",
+                    "genus": 0,
+                    "punctures": [{"weight": ["1/3", "1/2"]}],
+                    "bundle": {"summands": [{"degree": 0, "rank": 2}]},
+                },
+                "lambdas": [[1]],
+            },
+            "$.data.bundle.summands[0].rank",
+        ),
+        # a flag step spans as many coordinates as the weight has entries up
+        # to its value: a line for the weight (0, 0, 1/2) would misweight it
+        (
+            "degree-parabolic",
+            {
+                "data": {
+                    "schema": "parhiggs-v1",
+                    "genus": 0,
+                    "punctures": [{"weight": [0, 0, "1/2"], "flag": [[[1], [0], [0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}],
+                    "bundle": {"summands": [{"degree": 0}] * 3},
+                },
+                "chi": [1, 1, 0],
+            },
+            "$.data.punctures[0].flag[0]",
+        ),
         ("toledo", {"data": WALL_DATA, "signature": [1, 2]}, "$.signature"),
         ("mw-check", {"data": WALL_DATA, "signature": [2, 1]}, "$.signature"),
         # a field inside the Higgs data is located under $.data, where the input holds it
@@ -1167,6 +1198,15 @@ HIGGS_SIZE_MISMATCHES = [
     ),
     (("punctures", 2, "laurent", "terms", 0, "matrix"), [[]], "$.data.punctures[2].laurent.terms[0].matrix"),
     (("c",), [0, 0, 0], "$.data.c"),
+    # an explicit flag: one step per distinct weight value (-1/2 and 1/2),
+    # each of 2 rows and of a column per weight entry up to its value
+    (("punctures", 0, "flag"), [[[1]]], "$.data.punctures[0].flag"),
+    (("punctures", 0, "flag"), [[[1], [0]]], "$.data.punctures[0].flag"),
+    (("punctures", 0, "flag"), [[[1], [0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]], "$.data.punctures[0].flag"),
+    (("punctures", 0, "flag"), [[[1]], [[1, 0], [0, 1]]], "$.data.punctures[0].flag[0]"),
+    (("punctures", 0, "flag"), [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], "$.data.punctures[0].flag[0]"),
+    (("punctures", 0, "flag"), [[[1], [0]], [[1], [1]]], "$.data.punctures[0].flag[1]"),
+    (("punctures", 0, "flag"), [[[1], [0]], [[1, 0, 0], [0, 1, 0]]], "$.data.punctures[0].flag[1]"),
 ]
 
 
@@ -1229,19 +1269,6 @@ def _fresh_process(tmp_path, how: str, commands: list[str]) -> tuple[list, list[
     return first, reports, after
 
 
-def test_no_command_loads_scipy(tmp_path):
-    commands = list(VALID_INPUTS)
-    imported, _, after = _fresh_process(tmp_path, "dispatch", commands)
-    assert imported == []  # importing the CLI loads neither numpy nor a numeric module
-    assert all(code in (0, 2) for code, _ in after)
-    assert ["scipy.linalg" in loaded for _, loaded in after] == [False] * len(commands)
-    # numpy and the numeric modules come with the first numeric command, all at once
-    numeric = [name for name in WATCHED_MODULES if name != "scipy.linalg"]
-    exact = len(list(itertools.takewhile(EXACT_COMMANDS.__contains__, commands)))
-    assert exact == len(EXACT_COMMANDS)
-    assert [loaded for _, loaded in after] == [[]] * exact + [numeric] * (len(commands) - exact)
-
-
 def test_exact_commands_run_as_a_module_without_numpy(tmp_path):
     loaded, _, after = _fresh_process(tmp_path, "module", list(EXACT_COMMANDS))
     assert [loaded, *after] == [[], *[[0, []]] * len(EXACT_COMMANDS)]
@@ -1249,13 +1276,17 @@ def test_exact_commands_run_as_a_module_without_numpy(tmp_path):
 
 @pytest.fixture(scope="module")
 def first_and_last(tmp_path_factory) -> dict:
-    """command -> ((exit code, report bytes) of its run as the first command of
-    a fresh process, the same of its run there after every other command)."""
+    """command -> ((exit code, report bytes, watched modules loaded after it)
+    of its run as the first command of a fresh process, the same of its run
+    there after every other command)."""
     outcomes = {}
     for command in VALID_INPUTS:
         others = [c for c in VALID_INPUTS if c != command]
-        _, reports, after = _fresh_process(tmp_path_factory.mktemp("fresh"), "dispatch", [command, *others, command])
-        outcomes[command] = ((after[0][0], reports[0].read_bytes()), (after[-1][0], reports[-1].read_bytes()))
+        imported, reports, after = _fresh_process(
+            tmp_path_factory.mktemp("fresh"), "dispatch", [command, *others, command]
+        )
+        assert imported == []  # importing the CLI loads neither numpy nor a numeric module
+        outcomes[command] = tuple((after[k][0], reports[k].read_bytes(), after[k][1]) for k in (0, -1))
     return outcomes
 
 
@@ -1267,6 +1298,51 @@ def test_each_command_keeps_its_exit_code_first_in_a_fresh_process(first_and_las
 def test_each_report_is_the_same_first_in_a_fresh_process_and_after_every_other(first_and_last):
     for command, (first, last) in first_and_last.items():
         assert first[1] == last[1], command
+
+
+def test_no_command_loads_scipy(first_and_last):
+    for command, (first, last) in first_and_last.items():
+        assert "scipy.linalg" not in last[2], command  # in one process, after every command
+        # a numeric command imports numpy where it computes; an exact one imports nothing watched
+        if command in EXACT_COMMANDS:
+            assert first[2] == [], command
+        else:
+            assert "numpy" in first[2], command
+
+
+# patches degree.relative_position with a counting wrapper before the first
+# numeric command of a fresh process, runs argv[1] with the wrapper and again
+# without it, and prints (exit code, wrapper calls so far) after each run
+STALE_PROBE = """
+import json, sys
+from parhodge import degree
+from parhodge.cli import cli_dispatch
+original, calls = degree.relative_position, []
+def counted(*args, **kwargs):
+    calls.append(1)
+    return original(*args, **kwargs)
+seen = []
+for kernel in (counted, original):
+    degree.relative_position = kernel
+    code, _ = cli_dispatch(json.loads(sys.argv[1]))
+    seen.append([code, len(calls)])
+print(json.dumps(seen))
+"""
+
+
+def test_a_command_reads_the_kernel_bound_when_it_runs(tmp_path):
+    source = tmp_path / "pair.json"
+    source.write_text(json.dumps(VALID_INPUTS["degree-relative"]))
+    argv = ["degree-relative", "--input", str(source), "--output", str(tmp_path / "out.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", STALE_PROBE, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        check=True,
+    )
+    # the second run, after the original is restored, does not go through the wrapper
+    assert json.loads(proc.stdout) == [[0, 1], [0, 1]]
 
 
 def _import_time_imports(text: str) -> set[str]:
@@ -1296,7 +1372,7 @@ def _numeric(module: str) -> bool:
 
 def test_the_cli_imports_no_numeric_module_when_it_is_imported():
     src = Path(parhodge.__file__).parent
-    for name in ("cli", "jsonio", "cartan"):
+    for name in ("cli", "errors", "jsonio", "cartan"):
         imported = _import_time_imports((src / f"{name}.py").read_text(encoding="utf-8"))
         assert sorted(filter(_numeric, imported)) == [], name
 
@@ -1650,6 +1726,25 @@ def test_readme_examples_do_what_their_comments_claim(tmp_path, monkeypatch):
     assert report["warnings"] == []
 
 
+def _subclasses(cls: type) -> set[type]:
+    return set(cls.__subclasses__()).union(*map(_subclasses, cls.__subclasses__()))
+
+
+def test_readme_error_table_gives_every_error_class_its_exit_code():
+    from parhodge.errors import ParhodgeError
+
+    for module in pkgutil.iter_modules(parhodge.__path__):
+        importlib.import_module(f"parhodge.{module.name}")
+    table = dict(re.findall(r"^\| `(\w+)` \| (\d) \|", README.read_text(encoding="utf-8"), re.M))
+    ours = {cls.__name__: cls.exit_code for cls in _subclasses(ParhodgeError) if cls.__module__.startswith("parhodge.")}
+    assert len(ours) == 25
+    assert {name: int(table.get(name, 0)) for name in ours} == ours
+    # the other rows: the command line, and the kinds of ValueError and OSError, numpy's LinAlgError among them
+    kinds = {cls.__name__ for cls in _subclasses(ValueError) | _subclasses(OSError) | {ValueError, OSError}}
+    assert set(table) - set(ours) <= {"UsageError", *kinds}
+    assert {table[name] for name in set(table) - set(ours)} == {"3"}
+
+
 def test_verify_model_builds_the_monodromy_factors_once(tmp_path, monkeypatch):
     calls = []
 
@@ -1814,9 +1909,6 @@ _report_values = st.recursive(
 @settings(max_examples=500, deadline=None)
 @given(_report_values)
 def test_plain_converts_as_the_isinstance_ladder_converts(value):
-    # a numpy value reaches _plain only from a numeric command, which has
-    # loaded numpy's kinds into it first
-    cli._load_numeric()
     # repr tells -0.0 from 0.0, 1 from 1.0 and True, and a numpy scalar from a Python one
     assert repr(cli._plain(value)) == repr(plain_oracle.plain(value))
 

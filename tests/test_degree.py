@@ -513,9 +513,7 @@ def _count_calls(monkeypatch, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for module in (degree, cli):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(degree, name, counted)
     return calls
 
 
@@ -539,7 +537,7 @@ def test_sample_mode_reads_the_position_in_both_orders_and_runs_no_flow(tmp_path
         stacked.append(tuple(map(len, out)))
         return out
 
-    monkeypatch.setattr(cli, "relative_positions", counted)
+    monkeypatch.setattr(degree, "relative_positions", counted)
     source = tmp_path / "sample.json"
     source.write_text(json.dumps({"sample": {"model": "GL(3,C)", "count": 7}}))
     code, _ = cli_dispatch(["degree-relative", "--input", str(source), "--output", str(tmp_path / "out.json")])
@@ -675,7 +673,6 @@ SWEEP_MODELS = ["GL(1,C)", "U(1)", "GL(2,C)", "SU(1,1)", "SL(2,R)", "SU(2,1)", "
 def _stacked_sweep(real, count, rng, tol=1e-9):
     """(max gap, forward positions, backward positions, pass sizes) of the
     CLI's sweep: its draws, fed to the stacked kernel pass by pass."""
-    cli._load_numeric()  # as the degree-relative command does before it draws
     worst, forwards, backwards, sizes = 0.0, [], [], []
     for s, sigma in cli._sampled_pairs(real.n, rng, count):
         forward, backward = relative_positions(s, sigma, tol)

@@ -33,9 +33,6 @@ import parhodge
 SRC = Path(parhodge.__file__).parent
 
 KNOWN_UNREFERENCED = {
-    # the module __getattr__ (PEP 562) that Python calls for a numeric name read off cli before a
-    # command has loaded the numeric modules, as a test's patch of cli.relative_positions does
-    "cli.__getattr__",
     # the cocharacter-lattice test of lambda that the alcove acceptance gate and the benchmark oracle read
     "cartan.cochar_contains",
     # the open-star test: alcove_normalize lands in the open star by construction, and the alcove
